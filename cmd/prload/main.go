@@ -1,9 +1,10 @@
-// Command prload is a closed-loop load generator for cmd/prserver: N
-// client goroutines each run a stream of transactions back-to-back over
-// their own connection, retrying (with jittered backoff) whenever the
-// server rolls their transaction back. It reports throughput, latency
-// percentiles, and the engine-side cost of deadlock removal — lost
-// operations, partial and total rollbacks — as observed over the wire.
+// Command prload is a closed-loop load generator for cmd/prserver:
+// -clients goroutines each run their transactions back-to-back, one
+// stream each, multiplexed over -conns shared sockets, retrying (with
+// jittered backoff) whenever the server rolls a transaction back. It
+// reports throughput, latency percentiles, and the engine-side cost of
+// deadlock removal — lost operations, partial and total rollbacks — as
+// observed over the wire.
 //
 // Workloads:
 //
@@ -49,7 +50,7 @@ import (
 
 var (
 	addr     = flag.String("addr", "127.0.0.1:7415", "server address")
-	clients  = flag.Int("clients", 8, "concurrent client connections")
+	clients  = flag.Int("clients", 8, "concurrent clients, each one stream multiplexed over the -conns sockets")
 	txnsPer  = flag.Int("txns", 50, "transactions per client")
 	workload = flag.String("workload", "hotspot", "workload: hotspot|banking|counter")
 	db       = flag.Int("db", 64, "hotspot: number of entities (must be <= server -entities)")
@@ -66,9 +67,7 @@ var (
 	bail     = flag.Bool("bail", false, "stop a client at its first failed transaction instead of moving on (crash-harness mode)")
 	verify   = flag.Int64("verify-sum-min", -1, "instead of generating load, read e0..e{counters-1} in one transaction and fail unless their sum >= this (-1 disables)")
 	seed     = flag.Int64("seed", 1, "workload seed (client i uses seed+i)")
-	proto    = flag.Int("proto", 1, "wire protocol: 1 = one frame per operation, 2 = whole program in one BeginProgram frame, 3 = stream-multiplexed (-streams concurrent transactions share -conns sockets)")
-	conns    = flag.Int("conns", 4, "proto 3: shared sockets the streams are multiplexed over")
-	streams  = flag.Int("streams", 0, "proto 3: total concurrent streams across the -conns sockets (0 = -clients)")
+	conns    = flag.Int("conns", 4, "shared sockets the clients' streams are multiplexed over")
 	timeout  = flag.Duration("timeout", time.Minute, "per-attempt client deadline")
 	attempts = flag.Int("attempts", 16, "max attempts per transaction")
 	adminURL = flag.String("admin", "", "server admin endpoint (host:port or URL) to scrape /metrics from after the run")
@@ -138,7 +137,6 @@ type report struct {
 	Clients       int     `json:"clients"`
 	TxnsPerClient int     `json:"txnsPerClient"`
 	Seed          int64   `json:"seed"`
-	Proto         int     `json:"proto"`
 	ElapsedSec    float64 `json:"elapsedSec"`
 	// GOMAXPROCS and NumCPU pin the client-side parallelism available to
 	// the run, so committed BENCH_*.json snapshots record whether a
@@ -148,22 +146,20 @@ type report struct {
 	// ServerShards / ServerStripes echo the engine partitioning the
 	// server reported in its STATS snapshot (1 when the server predates
 	// the counter or runs unpartitioned).
-	ServerShards  int     `json:"serverShards"`
-	ServerStripes int     `json:"serverStripes"`
+	ServerShards  int `json:"serverShards"`
+	ServerStripes int `json:"serverStripes"`
 	// Entities is the configured entity-set size the workload drew from
 	// (-entities, falling back to -db/-counters per workload).
 	Entities int `json:"entities"`
 	// StoreBackend echoes the server's entity-store backend ("mem" or
 	// "paged"), derived from the store_paged STATS counter.
-	StoreBackend string `json:"storeBackend"`
-	Committed     int     `json:"committed"`
-	Failed        int     `json:"failed"`
-	Throughput    float64 `json:"throughputTxnPerSec"`
-	// OpenSockets is how many TCP connections carried the load: one per
-	// client under proto 1/2, -conns shared sockets under proto 3.
+	StoreBackend string  `json:"storeBackend"`
+	Committed    int     `json:"committed"`
+	Failed       int     `json:"failed"`
+	Throughput   float64 `json:"throughputTxnPerSec"`
+	// OpenSockets is how many TCP connections carried the load (-conns).
 	OpenSockets int `json:"openSockets"`
-	// Streams is the concurrent-transaction count (= clients under
-	// proto 1/2, -streams under proto 3).
+	// Streams is the concurrent-transaction count (-clients).
 	Streams int `json:"streams"`
 	// TxnsPerSocket is throughput divided by open sockets — the ROADMAP
 	// connection-efficiency metric (txn/s per open socket).
@@ -177,8 +173,8 @@ type report struct {
 	Waits         int64   `json:"waits"`
 	NetRetries    int64   `json:"netRetries"`
 	// WireFramesPerTxn is the server-observed inbound frame count per
-	// served transaction (frames_in / txns_served): ~ops+2 under v1,
-	// ~1 under v2.
+	// served transaction (frames_in / txns_served): ~1, one BeginProgram
+	// per attempt.
 	WireFramesPerTxn float64 `json:"wireFramesPerTxn"`
 	// WriterFlushes is the server's coalesced-write count — each flush
 	// is one conn.Write, so this is the write-syscall proxy for the run.
@@ -292,57 +288,30 @@ func main() {
 		return
 	}
 
-	// Under proto 3 the unit of concurrency (a stream) is decoupled from
-	// the socket: -streams workers share -conns multiplexed connections.
-	// Under proto 1/2 each worker owns its connection, as before.
-	workers := *clients
-	var muxes []*client.Mux
-	if *proto >= 3 {
-		if *streams > 0 {
-			workers = *streams
-		}
-		if *conns < 1 {
-			log.Fatalf("-conns must be >= 1 (got %d)", *conns)
-		}
-		muxes = make([]*client.Mux, *conns)
-		for k := range muxes {
-			muxes[k] = client.NewMux(client.MuxConfig{
-				Addr:           *addr,
-				RequestTimeout: *timeout,
-				MaxAttempts:    *attempts,
-				Backoff:        exec.Backoff{Base: 2 * time.Millisecond, Cap: 250 * time.Millisecond},
-			})
-			defer muxes[k].Close()
-		}
+	// The unit of concurrency (a client's stream) is decoupled from the
+	// socket: the -clients streams share -conns multiplexed connections.
+	if *conns < 1 {
+		log.Fatalf("-conns must be >= 1 (got %d)", *conns)
+	}
+	muxes := make([]*client.Mux, *conns)
+	for k := range muxes {
+		muxes[k] = newMux()
+		defer muxes[k].Close()
 	}
 
-	stats := make([]clientStats, workers)
+	stats := make([]clientStats, *clients)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for i := 0; i < workers; i++ {
+	for i := 0; i < *clients; i++ {
 		progs := programsFor(i)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var run func(context.Context, *txn.Program) (*client.Result, error)
-			if muxes != nil {
-				run = muxes[i%len(muxes)].Run
-			} else {
-				c := client.New(client.Config{
-					Addr:           *addr,
-					RequestTimeout: *timeout,
-					MaxAttempts:    *attempts,
-					Backoff:        exec.Backoff{Base: 2 * time.Millisecond, Cap: 250 * time.Millisecond},
-					Seed:           *seed + int64(i) + 1,
-					Proto:          *proto,
-				})
-				defer c.Close()
-				run = c.Run
-			}
+			m := muxes[i%len(muxes)]
 			st := &stats[i]
 			for _, p := range progs {
 				t0 := time.Now()
-				res, err := run(context.Background(), p)
+				res, err := m.Run(context.Background(), p)
 				if err != nil {
 					st.failed++
 					st.lastErr = err
@@ -381,10 +350,7 @@ func main() {
 	}
 	sort.Slice(total.latencies, func(i, j int) bool { return total.latencies[i] < total.latencies[j] })
 
-	openSockets := workers
-	if muxes != nil {
-		openSockets = len(muxes)
-	}
+	openSockets := len(muxes)
 	throughput := float64(total.committed) / elapsed.Seconds()
 
 	fmt.Printf("workload=%s clients=%d txns/client=%d elapsed=%v\n",
@@ -392,7 +358,7 @@ func main() {
 	fmt.Printf("committed=%d failed=%d throughput=%.1f txn/s\n",
 		total.committed, total.failed, throughput)
 	fmt.Printf("sockets=%d streams=%d txn/s-per-socket=%.1f\n",
-		openSockets, workers, throughput/float64(openSockets))
+		openSockets, *clients, throughput/float64(openSockets))
 	fmt.Printf("latency p50=%v p90=%v p99=%v\n",
 		percentile(total.latencies, 0.50).Round(time.Microsecond),
 		percentile(total.latencies, 0.90).Round(time.Microsecond),
@@ -405,7 +371,6 @@ func main() {
 		Clients:       *clients,
 		TxnsPerClient: *txnsPer,
 		Seed:          *seed,
-		Proto:         *proto,
 		ElapsedSec:    elapsed.Seconds(),
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		NumCPU:        runtime.NumCPU(),
@@ -417,7 +382,7 @@ func main() {
 		Failed:        total.failed,
 		Throughput:    throughput,
 		OpenSockets:   openSockets,
-		Streams:       workers,
+		Streams:       *clients,
 		TxnsPerSocket: throughput / float64(openSockets),
 		LatencyP50Ms:  float64(percentile(total.latencies, 0.50)) / float64(time.Millisecond),
 		LatencyP90Ms:  float64(percentile(total.latencies, 0.90)) / float64(time.Millisecond),
@@ -429,10 +394,8 @@ func main() {
 		NetRetries:    total.netRetries,
 	}
 
-	// One extra connection for the server's own view of the run.
-	c := client.New(client.Config{Addr: *addr, RequestTimeout: *timeout})
-	defer c.Close()
-	if counters, err := c.Stats(); err == nil {
+	// The server's own view of the run, over the first load socket.
+	if counters, err := muxes[0].Stats(); err == nil {
 		fmt.Println("server counters:")
 		rep.ServerCounters = make(map[string]int64, len(counters))
 		for _, cn := range counters {
@@ -499,14 +462,7 @@ func main() {
 const verifyChunk = 512
 
 func verifySum() {
-	c := client.New(client.Config{
-		Addr:           *addr,
-		RequestTimeout: *timeout,
-		MaxAttempts:    *attempts,
-		Backoff:        exec.Backoff{Base: 2 * time.Millisecond, Cap: 250 * time.Millisecond},
-		Seed:           *seed,
-		Proto:          *proto,
-	})
+	c := newMux()
 	defer c.Close()
 	var sum int64
 	for lo := 0; lo < *counters; lo += verifyChunk {
@@ -539,6 +495,16 @@ func verifySum() {
 		log.Fatalf("verify: DURABILITY VIOLATION: recovered sum %d < %d acknowledged commits", sum, *verify)
 	}
 	log.Printf("verify: ok (every acknowledged commit survived)")
+}
+
+// newMux returns a multiplexed client for -addr; it dials on first use.
+func newMux() *client.Mux {
+	return client.NewMux(client.MuxConfig{
+		Addr:           *addr,
+		RequestTimeout: *timeout,
+		MaxAttempts:    *attempts,
+		Backoff:        exec.Backoff{Base: 2 * time.Millisecond, Cap: 250 * time.Millisecond},
+	})
 }
 
 // workloadEntities reports the entity-set size the run drew from, for

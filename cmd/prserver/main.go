@@ -67,8 +67,8 @@ var (
 	shards      = flag.Int("shards", 1, "engine shards (1 = single engine; >1 partitions the lock/wait-for/detection core)")
 	burst       = flag.Int("burst", 1, "max consecutive steps per engine-lock acquisition (1 = classic step-at-a-time; -1 = adaptive: up to 64 while uncontended, 1 under contention)")
 	stripes     = flag.Int("stripes", 1, "lock-table stripes per engine shard (1 = classic single-mutex engine; >1 lets uncontended operations of different transactions run in parallel inside a shard)")
-	maxStreams  = flag.Int("max-streams", 4096, "maximum concurrently active v3 streams per connection (excess streams are refused with the retryable BUSY)")
-	strmWorkers = flag.Int("stream-workers", 0, "per-connection worker pool bound for v3 streams (0 = max-streams)")
+	maxStreams  = flag.Int("max-streams", 4096, "maximum concurrently active streams per connection (excess streams are refused with the retryable BUSY)")
+	strmWorkers = flag.Int("stream-workers", 0, "per-connection worker pool bound for streams (0 = max-streams)")
 	walDir      = flag.String("wal", "", "write-ahead log directory: commits are durable and replayed on restart (empty = memory only)")
 	fsyncMode   = flag.String("fsync", "group", "wal fsync discipline: always (fsync per commit) | group (batched fsync) | off (write-through, no fsync)")
 	groupWindow = flag.Duration("group-window", 2*time.Millisecond, "group-commit collection window (-fsync group only)")
@@ -380,6 +380,10 @@ func main() {
 		log.Printf("checkpoint: enabled (interval=%v bytes=%d retain=%d)", *ckptIval, *ckptBytes, *ckptRetain)
 	}
 
+	// Install the handler before serving: a SIGINT that arrives right
+	// after the first reply must take the shutdown path, not kill us.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	if err := srv.Listen(*addr); err != nil {
 		log.Fatal(err)
 	}
@@ -451,7 +455,7 @@ func main() {
 				owners := srv.Owners()
 				out := make(map[txn.ID]obs.TxnOwner, len(owners))
 				for id, o := range owners {
-					out[id] = obs.TxnOwner{Conn: o.Conn, Addr: o.Addr, Stream: o.Stream, Tagged: o.Tagged}
+					out[id] = obs.TxnOwner(o)
 				}
 				return out
 			}}
@@ -513,8 +517,6 @@ func main() {
 			ln.Addr(), *traceCap > 0)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("shutting down (drain %v)...", *drain)
 

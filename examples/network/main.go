@@ -85,7 +85,7 @@ func main() {
 		wg.Add(1)
 		go func(i int, from, to string) {
 			defer wg.Done()
-			c := pr.NewClient(pr.ClientConfig{Addr: addr, Seed: int64(i + 1)})
+			c := pr.NewClient(pr.ClientConfig{Addr: addr})
 			defer c.Close()
 			for k := 0; k < *rounds; k++ {
 				name := fmt.Sprintf("xfer-%s%s-%d", from, to, k)

@@ -1,8 +1,11 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"io"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -13,42 +16,34 @@ import (
 	"partialrollback/internal/wire"
 )
 
-// serveScript consumes one transaction message sequence per reply set
-// from conn (validating each assembles into a valid program) and
-// answers with the set's messages, then closes the connection.
+// serveScript is a scripted server end: for each reply set it reads one
+// BeginProgram frame from conn (checking it carries a valid program),
+// answers with the set's messages on that frame's stream, then closes
+// the connection.
 func serveScript(t *testing.T, conn net.Conn, replySets ...[]wire.Msg) {
 	t.Helper()
 	defer conn.Close()
+	br := bufio.NewReader(conn)
 	for _, replies := range replySets {
-		m, _, err := wire.ReadMsg(conn)
+		f, _, err := wire.ReadFrame(br)
 		if err != nil {
 			return
 		}
-		begin, ok := m.(wire.Begin)
+		bp, ok := f.Msg.(wire.BeginProgram)
 		if !ok {
-			t.Errorf("first message %T, want Begin", m)
+			t.Errorf("got %T, want BeginProgram", f.Msg)
 			return
 		}
-		asm := wire.NewAssembler(begin)
-		for {
-			m, _, err := wire.ReadMsg(conn)
-			if err != nil {
-				return
-			}
-			done, err := asm.Feed(m)
-			if err != nil {
-				t.Errorf("feed: %v", err)
-				return
-			}
-			if done {
-				break
-			}
-		}
-		if _, err := asm.Program(); err != nil {
-			t.Errorf("assembled program invalid: %v", err)
+		if _, err := bp.Program(); err != nil {
+			t.Errorf("shipped program invalid: %v", err)
 		}
 		for _, r := range replies {
-			if _, err := wire.WriteMsg(conn, r); err != nil {
+			frame, err := wire.EncodeTagged(f.Stream, r)
+			if err != nil {
+				t.Errorf("encode %T: %v", r, err)
+				return
+			}
+			if _, err := conn.Write(frame); err != nil {
 				return
 			}
 		}
@@ -78,22 +73,12 @@ func pipeDialer(t *testing.T, scripts ...func(net.Conn)) func() (net.Conn, error
 	}
 }
 
-func testConfig(dial func() (net.Conn, error)) Config {
-	return Config{
-		Dial:           dial,
-		RequestTimeout: 5 * time.Second,
-		MaxAttempts:    8,
-		Backoff:        exec.Backoff{Base: time.Microsecond, Cap: time.Microsecond},
-		Seed:           1,
-	}
-}
-
 func TestRunRetriesRolledBack(t *testing.T) {
 	prog := sim.TransferProgram("t", "e0", "e1", 1, 0)
 	var notified int
-	// Retryable refusals keep the connection, so one dial serves all
+	// Retryable refusals end only the stream, so one dial serves all
 	// three attempts — this also covers connection reuse.
-	cfg := testConfig(pipeDialer(t, func(conn net.Conn) {
+	cfg := testMuxConfig(pipeDialer(t, func(conn net.Conn) {
 		serveScript(t, conn,
 			[]wire.Msg{
 				wire.RolledBack{Txn: 7, FromState: 2, ToState: 0, Lost: 2},
@@ -107,9 +92,9 @@ func TestRunRetriesRolledBack(t *testing.T) {
 		)
 	}))
 	cfg.OnRollback = func(wire.RolledBack) { notified++ }
-	c := New(cfg)
-	defer c.Close()
-	res, err := c.Run(context.Background(), prog)
+	m := NewMux(cfg)
+	defer m.Close()
+	res, err := m.Run(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,15 +109,17 @@ func TestRunRetriesRolledBack(t *testing.T) {
 	}
 }
 
+// TestRunRedialsAfterTransportFailure: the first connection is dead
+// before the request is written, so the write itself fails; the retry
+// redials and commits.
 func TestRunRedialsAfterTransportFailure(t *testing.T) {
 	prog := sim.TransferProgram("t", "e0", "e1", 1, 0)
-	cfg := testConfig(pipeDialer(t,
+	m := NewMux(testMuxConfig(pipeDialer(t,
 		func(conn net.Conn) { conn.Close() }, // dies immediately
 		func(conn net.Conn) { serveScript(t, conn, []wire.Msg{committedReply()}) },
-	))
-	c := New(cfg)
-	defer c.Close()
-	res, err := c.Run(context.Background(), prog)
+	)))
+	defer m.Close()
+	res, err := m.Run(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +131,14 @@ func TestRunRedialsAfterTransportFailure(t *testing.T) {
 func TestRunStopsOnTerminalError(t *testing.T) {
 	prog := sim.TransferProgram("t", "e0", "e1", 1, 0)
 	dials := 0
-	cfg := testConfig(func() (net.Conn, error) {
+	m := NewMux(testMuxConfig(func() (net.Conn, error) {
 		dials++
 		cc, sc := net.Pipe()
 		go serveScript(t, sc, []wire.Msg{wire.Error{Code: wire.CodeBadRequest, Msg: "no such entity"}})
 		return cc, nil
-	})
-	c := New(cfg)
-	defer c.Close()
-	_, err := c.Run(context.Background(), prog)
+	}))
+	defer m.Close()
+	_, err := m.Run(context.Background(), prog)
 	var se *ServerError
 	if !errors.As(err, &se) || se.Code != wire.CodeBadRequest {
 		t.Fatalf("err = %v, want BadRequest ServerError", err)
@@ -198,7 +184,7 @@ func TestErrRolledBackMatching(t *testing.T) {
 func TestRunCancelDuringBackoff(t *testing.T) {
 	prog := sim.TransferProgram("t", "e0", "e1", 1, 0)
 	dialed := make(chan struct{}, 1)
-	cfg := Config{
+	m := NewMux(MuxConfig{
 		Dial: func() (net.Conn, error) {
 			select {
 			case dialed <- struct{}{}:
@@ -209,15 +195,13 @@ func TestRunCancelDuringBackoff(t *testing.T) {
 		MaxAttempts: 8,
 		// A delay far beyond the test's patience: only ctx can end it.
 		Backoff: exec.Backoff{Base: time.Hour, Cap: time.Hour},
-		Seed:    1,
-	}
-	c := New(cfg)
-	defer c.Close()
+	})
+	defer m.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Run(ctx, prog)
+		_, err := m.Run(ctx, prog)
 		done <- err
 	}()
 	<-dialed // first attempt failed; Run is now inside the backoff sleep
@@ -234,8 +218,8 @@ func TestRunCancelDuringBackoff(t *testing.T) {
 
 func TestRunMetrics(t *testing.T) {
 	prog := sim.TransferProgram("t", "e0", "e1", 1, 0)
-	m := &obs.ClientMetrics{}
-	cfg := testConfig(pipeDialer(t, func(conn net.Conn) {
+	mt := &obs.ClientMetrics{}
+	cfg := testMuxConfig(pipeDialer(t, func(conn net.Conn) {
 		serveScript(t, conn,
 			[]wire.Msg{
 				wire.RolledBack{Txn: 7, FromState: 2, ToState: 0, Lost: 2},
@@ -244,70 +228,147 @@ func TestRunMetrics(t *testing.T) {
 			[]wire.Msg{committedReply()},
 		)
 	}))
-	cfg.Metrics = m
-	c := New(cfg)
-	defer c.Close()
-	if _, err := c.Run(context.Background(), prog); err != nil {
+	cfg.Metrics = mt
+	m := NewMux(cfg)
+	defer m.Close()
+	if _, err := m.Run(context.Background(), prog); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Attempts.Load(); got != 2 {
+	if got := mt.Attempts.Load(); got != 2 {
 		t.Errorf("attempts = %d, want 2", got)
 	}
-	if got := m.Retries.Load(); got != 1 {
+	if got := mt.Retries.Load(); got != 1 {
 		t.Errorf("retries = %d, want 1", got)
 	}
-	if got := m.Commits.Load(); got != 1 {
+	if got := mt.Commits.Load(); got != 1 {
 		t.Errorf("commits = %d, want 1", got)
 	}
-	if got := m.RollbacksObserved.Load(); got != 1 {
+	if got := mt.RollbacksObserved.Load(); got != 1 {
 		t.Errorf("rollbacks observed = %d, want 1", got)
 	}
-	if got := m.Failures.Load(); got != 0 {
+	if got := mt.Failures.Load(); got != 0 {
 		t.Errorf("failures = %d, want 0", got)
 	}
 
 	// A terminal failure counts once and does not count a commit.
-	cfg2 := testConfig(pipeDialer(t, func(conn net.Conn) {
+	cfg2 := testMuxConfig(pipeDialer(t, func(conn net.Conn) {
 		serveScript(t, conn, []wire.Msg{wire.Error{Code: wire.CodeBadRequest, Msg: "bad"}})
 	}))
-	cfg2.Metrics = m
-	c2 := New(cfg2)
-	defer c2.Close()
-	if _, err := c2.Run(context.Background(), prog); err == nil {
+	cfg2.Metrics = mt
+	m2 := NewMux(cfg2)
+	defer m2.Close()
+	if _, err := m2.Run(context.Background(), prog); err == nil {
 		t.Fatal("want terminal error")
 	}
-	if got := m.Failures.Load(); got != 1 {
+	if got := mt.Failures.Load(); got != 1 {
 		t.Errorf("failures = %d, want 1", got)
 	}
-	if got := m.Commits.Load(); got != 1 {
+	if got := mt.Commits.Load(); got != 1 {
 		t.Errorf("commits after failure = %d, want 1", got)
 	}
 }
 
 func TestStats(t *testing.T) {
-	cfg := testConfig(func() (net.Conn, error) {
+	m := NewMux(testMuxConfig(func() (net.Conn, error) {
 		cc, sc := net.Pipe()
 		go func() {
 			defer sc.Close()
-			m, _, err := wire.ReadMsg(sc)
+			f, _, err := wire.ReadFrame(sc)
 			if err != nil {
 				return
 			}
-			if _, ok := m.(wire.Stats); !ok {
-				t.Errorf("got %T, want Stats", m)
+			if _, ok := f.Msg.(wire.Stats); !ok {
+				t.Errorf("got %T, want Stats", f.Msg)
 				return
 			}
-			wire.WriteMsg(sc, wire.StatsReply{Counters: []wire.Counter{{Name: "commits", Val: 3}}})
+			frame, _ := wire.EncodeTagged(f.Stream, wire.StatsReply{Counters: []wire.Counter{{Name: "commits", Val: 3}}})
+			sc.Write(frame)
 		}()
 		return cc, nil
-	})
-	c := New(cfg)
-	defer c.Close()
-	counters, err := c.Stats()
+	}))
+	defer m.Close()
+	counters, err := m.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(counters) != 1 || counters[0].Name != "commits" || counters[0].Val != 3 {
 		t.Errorf("counters = %+v", counters)
+	}
+}
+
+// TestMuxConnStreamError: an Error on stream 0 is about the whole
+// connection. A retryable one (busy at accept) fails the stream so Run
+// redials; a terminal one (the server could not decode our frame) ends
+// Run with that ServerError.
+func TestMuxConnStreamError(t *testing.T) {
+	prog := sim.TransferProgram("t", "e0", "e1", 1, 0)
+	connError := func(conn net.Conn, code wire.ErrCode) {
+		frame, _ := wire.EncodeTagged(wire.ConnStream, wire.Error{Code: code, Msg: "refused"})
+		conn.Write(frame)
+		conn.Close()
+	}
+	// Busy is sent at accept, before the server reads anything; a decode
+	// failure answers the request frame.
+	busy := func(conn net.Conn) {
+		go io.Copy(io.Discard, conn) // the request write must not block
+		connError(conn, wire.CodeBusy)
+	}
+	badFrame := func(conn net.Conn) {
+		if _, _, err := wire.ReadFrame(conn); err != nil {
+			t.Errorf("read request: %v", err)
+		}
+		connError(conn, wire.CodeBadRequest)
+	}
+
+	m := NewMux(testMuxConfig(pipeDialer(t,
+		busy,
+		func(conn net.Conn) { serveScript(t, conn, []wire.Msg{committedReply()}) },
+	)))
+	defer m.Close()
+	res, err := m.Run(context.Background(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Attempts != 2 {
+		t.Errorf("attempts = %d, want 2 (busy, then commit)", res.Attempts)
+	}
+
+	m2 := NewMux(testMuxConfig(pipeDialer(t, badFrame)))
+	defer m2.Close()
+	_, err = m2.Run(context.Background(), prog)
+	var se *ServerError
+	if !errors.As(err, &se) || se.Code != wire.CodeBadRequest || Retryable(err) {
+		t.Fatalf("err = %v, want terminal BadRequest ServerError", err)
+	}
+}
+
+// TestMuxStreamIDSkipsZero wraps the stream counter: after
+// math.MaxUint32 the next stream is 1, never the reserved stream 0, and
+// IDs still in flight are skipped too.
+func TestMuxStreamIDSkipsZero(t *testing.T) {
+	cc, sc := net.Pipe()
+	defer cc.Close()
+	defer sc.Close()
+	m := NewMux(MuxConfig{})
+	m.conn, m.epoch = cc, 1
+
+	m.next = math.MaxUint32 - 1
+	for _, want := range []uint32{math.MaxUint32, 1} {
+		stream, _, err := m.openStream(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stream != want {
+			t.Fatalf("stream = %d, want %d", stream, want)
+		}
+	}
+
+	m.next = math.MaxUint32 // stream 1 is still pending
+	stream, _, err := m.openStream(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stream != 2 {
+		t.Fatalf("stream = %d, want 2 (0 reserved, 1 in flight)", stream)
 	}
 }

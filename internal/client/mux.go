@@ -1,3 +1,15 @@
+// Package client is the network counterpart of internal/server: it
+// ships whole transaction programs over the wire protocol and re-runs
+// them with jittered exponential backoff when the server reports a
+// retryable failure (the transaction was rolled back to its initial
+// state by a request deadline, or refused during shutdown or overload).
+// That retry loop is the client-side analogue of the engine's
+// re-execution after rollback — the same §2 semantics applied one level
+// up, using the shared internal/exec machinery.
+//
+// A Mux multiplexes any number of concurrent transactions over one
+// socket, one stream each, and redials transparently after transport
+// failures.
 package client
 
 import (
@@ -14,6 +26,63 @@ import (
 	"partialrollback/internal/txn"
 	"partialrollback/internal/wire"
 )
+
+// ServerError is an Error frame returned by the server.
+type ServerError struct {
+	Code wire.ErrCode
+	Msg  string
+}
+
+func (e *ServerError) Error() string {
+	return fmt.Sprintf("server: %s: %s", e.Code, e.Msg)
+}
+
+// Retryable reports whether re-running the transaction can succeed.
+func (e *ServerError) Retryable() bool { return e.Code.Retryable() }
+
+// ErrRolledBack tags retryable server failures: errors.Is(err,
+// ErrRolledBack) holds for any ServerError whose code is retryable.
+var ErrRolledBack = errors.New("client: transaction rolled back by server")
+
+// Is makes retryable server errors match ErrRolledBack.
+func (e *ServerError) Is(target error) bool {
+	return target == ErrRolledBack && e.Retryable()
+}
+
+// Retryable classifies an error from RunOnce: terminal server verdicts
+// (bad request, internal error) and protocol violations are final;
+// retryable server codes and transport failures (the connection is
+// redialed) are worth another attempt.
+func Retryable(err error) bool {
+	var se *ServerError
+	if errors.As(err, &se) {
+		return se.Retryable()
+	}
+	if errors.Is(err, wire.ErrProtocol) {
+		return false
+	}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return false
+	}
+	// Transport errors: dial failures, resets, timeouts.
+	return true
+}
+
+// Result reports a transaction the server committed.
+type Result struct {
+	// Txn is the server-side transaction ID of the committing run.
+	Txn int64
+	// Locals holds the program's local variables at commit.
+	Locals map[string]int64
+	// Outcome carries the engine's per-transaction counters for the
+	// committing run (partial rollbacks, lost operations, waits).
+	Outcome wire.TxnOutcome
+	// RolledBack collects every rollback notification received, across
+	// all attempts when returned by Run.
+	RolledBack []wire.RolledBack
+	// Attempts is how many runs Run needed (always 1 from RunOnce).
+	Attempts int
+}
 
 // MuxConfig configures a Mux.
 type MuxConfig struct {
@@ -41,13 +110,13 @@ type MuxConfig struct {
 }
 
 // Mux is a multiplexed client: one shared socket carrying many
-// concurrent transactions, each on its own v3 stream. Unlike Client it
-// IS safe for concurrent use — call Run from as many goroutines as you
-// like; each call allocates a stream, ships the program as one tagged
-// BeginProgram frame, and waits for the verdict tagged back to it,
-// while a single reader goroutine demultiplexes replies. Transport
-// failures fail every in-flight stream with a retryable error and the
-// next attempt redials transparently.
+// concurrent transactions, each on its own stream. It is safe for
+// concurrent use — call Run from as many goroutines as you like; each
+// call allocates a stream, ships the program as one BeginProgram frame,
+// and waits for the verdict tagged back to it, while a single reader
+// goroutine demultiplexes replies. Transport failures, and
+// connection-level errors the server sends on wire.ConnStream, fail
+// every in-flight stream and the next attempt redials transparently.
 type Mux struct {
 	cfg MuxConfig
 
@@ -138,8 +207,9 @@ func (m *Mux) ensure() (net.Conn, int64, error) {
 }
 
 // readLoop is one connection epoch's demultiplexer: the only goroutine
-// reading the socket. Replies are routed to their stream's endpoint;
-// a read failure fails every stream of this epoch.
+// reading the socket. Replies are routed to their stream's endpoint; a
+// read failure or a connection-level Error fails every stream of this
+// epoch.
 func (m *Mux) readLoop(nc net.Conn, ep int64) {
 	br := bufio.NewReader(nc)
 	for {
@@ -148,8 +218,15 @@ func (m *Mux) readLoop(nc net.Conn, ep int64) {
 			m.teardown(nc, ep, err)
 			return
 		}
-		if !f.Tagged {
-			continue // not ours; a multiplexed client only sends tagged frames
+		if f.Stream == wire.ConnStream {
+			// The server is about to close the connection (busy at
+			// accept, or it could not decode our frame). The
+			// ServerError's code decides whether the streams retry.
+			if e, ok := f.Msg.(wire.Error); ok {
+				m.teardown(nc, ep, &ServerError{Code: e.Code, Msg: e.Msg})
+				return
+			}
+			continue
 		}
 		m.mu.Lock()
 		st := m.pending[f.Stream]
@@ -211,6 +288,9 @@ func (m *Mux) openStream(ep int64) (uint32, *muxStream, error) {
 	}
 	for {
 		m.next++
+		if m.next == wire.ConnStream {
+			continue // wrapped: stream 0 is the server's, not ours
+		}
 		if _, taken := m.pending[m.next]; !taken {
 			break
 		}
@@ -226,8 +306,8 @@ func (m *Mux) closeStream(stream uint32) {
 	m.mu.Unlock()
 }
 
-// writeTagged encodes one tagged frame and writes it; writes from
-// concurrent streams are serialized on the shared socket.
+// writeTagged encodes one frame and writes it; writes from concurrent
+// streams are serialized on the shared socket.
 func (m *Mux) writeTagged(nc net.Conn, stream uint32, msg wire.Msg) error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()

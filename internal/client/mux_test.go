@@ -26,15 +26,15 @@ func testMuxConfig(dial func() (net.Conn, error)) MuxConfig {
 	}
 }
 
-// muxPeer is a scripted v3 server end: tests read tagged frames off
-// incoming and reply with reply (concurrency-safe, each frame tagged).
+// muxPeer is a scripted server end: tests read frames off incoming and
+// reply with reply (concurrency-safe, each frame on its stream).
 type muxPeer struct {
 	conn net.Conn
 	wmu  sync.Mutex
 }
 
-// incoming yields each tagged BeginProgram as (stream, program name),
-// until the connection dies.
+// incoming yields each BeginProgram as (stream, program index), until
+// the connection dies.
 func (p *muxPeer) incoming(t *testing.T, out chan<- [2]uint64) {
 	t.Helper()
 	br := bufio.NewReader(p.conn)
@@ -45,8 +45,8 @@ func (p *muxPeer) incoming(t *testing.T, out chan<- [2]uint64) {
 			return
 		}
 		bp, ok := f.Msg.(wire.BeginProgram)
-		if !ok || !f.Tagged {
-			t.Errorf("peer got %#v, want a tagged BeginProgram", f)
+		if !ok || f.Stream == wire.ConnStream {
+			t.Errorf("peer got %#v, want a BeginProgram on a client stream", f)
 			close(out)
 			return
 		}

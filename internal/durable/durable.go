@@ -130,7 +130,7 @@ type Options struct {
 	// SyncDelay adds artificial latency after every fsync, modeling
 	// slower stable storage (a classical disk's ~2-10ms barrier) on
 	// hardware whose fsync is too fast to differentiate the sync
-	// disciplines. Benchmarks only (scripts/bench_e19.sh); zero in
+	// disciplines. Benchmarks only (EXPERIMENTS.md E19); zero in
 	// production.
 	SyncDelay time.Duration
 	// OnFlush, when non-nil, is called after every durable batch,

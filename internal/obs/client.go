@@ -9,8 +9,8 @@ import (
 // attempts, retries after server-side rollbacks or transport failures,
 // terminal failures, rollback notifications observed, and end-to-end
 // commit latency. One ClientMetrics may be shared by many
-// internal/client.Client instances (all fields are atomic); pass it via
-// client.Config.Metrics.
+// internal/client.Mux instances (all fields are atomic); pass it via
+// client.MuxConfig.Metrics.
 type ClientMetrics struct {
 	// Attempts counts transaction submissions (first tries and retries).
 	Attempts atomic.Int64

@@ -73,19 +73,16 @@ type WALStatus struct {
 	Checkpoint *WALCheckpoint `json:"checkpoint,omitempty"`
 }
 
-// TxnOwner identifies the connection (and, on multiplexed
-// connections, the v3 stream) driving a transaction. It mirrors the
-// server package's TxnOwner; obs keeps its own copy so the admin
-// surface does not depend on the server.
+// TxnOwner identifies the connection and stream driving a transaction.
+// It mirrors the server package's TxnOwner; obs keeps its own copy so
+// the admin surface does not depend on the server.
 type TxnOwner struct {
 	// Conn is the connection's serial number (1-based accept order).
 	Conn int64 `json:"conn"`
 	// Addr is the connection's remote address.
 	Addr string `json:"addr"`
-	// Stream is the v3 stream ID; meaningful only when Tagged.
+	// Stream is the client-chosen stream ID.
 	Stream uint32 `json:"stream"`
-	// Tagged reports whether the transaction arrived on a v3 stream.
-	Tagged bool `json:"tagged"`
 }
 
 // SnapshotsOf extracts per-shard debug snapshots from any engine that
@@ -352,10 +349,7 @@ func txnsText(snaps []core.DebugSnapshot, queued []KV, owners map[txn.ID]TxnOwne
 				fmt.Fprintf(&b, " waiting-on=%s", t.WaitingOn)
 			}
 			if o, ok := owners[t.ID]; ok {
-				fmt.Fprintf(&b, " conn=%d(%s)", o.Conn, o.Addr)
-				if o.Tagged {
-					fmt.Fprintf(&b, " stream=%d", o.Stream)
-				}
+				fmt.Fprintf(&b, " conn=%d(%s) stream=%d", o.Conn, o.Addr, o.Stream)
 			}
 			b.WriteByte('\n')
 		}

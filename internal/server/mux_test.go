@@ -88,9 +88,9 @@ func TestMuxE2EBanking(t *testing.T) {
 	if got := counter(t, srv, "streams_total"); got < total {
 		t.Errorf("streams_total = %d, want >= %d", got, total)
 	}
-	if got := counter(t, srv, "streams_active"); got != 0 {
-		t.Errorf("streams_active = %d, want 0 after the run", got)
-	}
+	// A worker retires its stream just after queueing the terminal reply,
+	// so the last stream may still be counted when its caller returns.
+	waitFor(t, func() bool { return counter(t, srv, "streams_active") == 0 })
 	// The whole load rode muxCount sockets (plus nothing else).
 	if got := counter(t, srv, "sessions_total"); got != muxCount {
 		t.Errorf("sessions_total = %d, want %d", got, muxCount)
@@ -112,11 +112,10 @@ func TestMuxE2EBanking(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestMixedProtocolAllVersions runs v1 (per-operation), v2
-// (whole-program) and v3 (stream-multiplexed) clients concurrently
-// against one server (run with -race): the per-frame version byte is
-// the whole negotiation, so all three populations must commit
-// everything with zero protocol errors.
+// TestMixedProtocolAllVersions runs retired v1 and v2 peers
+// concurrently with v3 streams against one server (run with -race):
+// every legacy frame is refused on its own connection, and the v3
+// population, sharing one mux, must commit everything regardless.
 func TestMixedProtocolAllVersions(t *testing.T) {
 	const workers, perWorker, accounts = 9, 8, 6
 	w := sim.BankingWorkload(accounts, workers*perWorker, 100, 99)
@@ -147,13 +146,12 @@ func TestMixedProtocolAllVersions(t *testing.T) {
 					}
 				}
 			}()
-		default: // v1 and v2: a connection per worker, as before
-			c := pipeClient(srv, client.Config{Seed: int64(i + 1), MaxAttempts: 8, Proto: 1 + i%3})
+		default: // v1 and v2: a connection per frame, each refused
+			frame := legacyFrames[[]string{"v1 lock", "v2 program"}[i%3]]
 			go func() {
 				defer wg.Done()
-				defer c.Close()
-				for _, p := range progs {
-					if _, err := c.Run(context.Background(), p); err != nil {
+				for range progs {
+					if err := sendLegacy(srv, frame); err != nil {
 						errCh <- err
 						return
 					}
@@ -167,15 +165,15 @@ func TestMixedProtocolAllVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := counter(t, srv, "proto_errors"); got != 0 {
-		t.Errorf("proto_errors = %d, want 0", got)
+	const v3Txns, refused = workers / 3 * perWorker, workers * 2 / 3 * perWorker
+	if got := counter(t, srv, "proto_errors"); got != refused {
+		t.Errorf("proto_errors = %d, want %d", got, refused)
 	}
-	if got := counter(t, srv, "commits"); got != workers*perWorker {
-		t.Errorf("commits = %d, want %d", got, workers*perWorker)
+	if got := counter(t, srv, "commits"); got != v3Txns {
+		t.Errorf("commits = %d, want %d", got, v3Txns)
 	}
-	// A third of the transactions rode v3 streams.
-	if got := counter(t, srv, "streams_total"); got < workers/3*perWorker {
-		t.Errorf("streams_total = %d, want >= %d", got, workers/3*perWorker)
+	if got := counter(t, srv, "streams_total"); got < v3Txns {
+		t.Errorf("streams_total = %d, want >= %d", got, v3Txns)
 	}
 	if err := store.CheckConsistent(); err != nil {
 		t.Error(err)
@@ -394,8 +392,8 @@ func TestMuxDuplicateStreamDesync(t *testing.T) {
 		if err != nil {
 			break // connection closed by the server
 		}
-		if !f.Tagged || f.Stream != 7 {
-			t.Fatalf("reply %#v, want a frame tagged stream 7", f)
+		if f.Stream != 7 {
+			t.Fatalf("reply %#v, want a frame on stream 7", f)
 		}
 		switch x := f.Msg.(type) {
 		case wire.Error:

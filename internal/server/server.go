@@ -1,26 +1,24 @@
 // Package server exposes a core.System over TCP: the network
 // transaction service of the partial-rollback engine.
 //
-// Each connection is served by a connection object with exactly one
-// reader and one writer goroutine. A client ships a whole transaction
-// program (Begin, operations, Commit — see internal/wire), the server
-// registers it and drives it to commit with the shared re-execution
-// loop from internal/exec: when the engine picks the transaction as a
-// deadlock victim it is partially rolled back and the loop
-// transparently re-executes it from the rollback point, exactly as the
-// in-process runtime does. Each §2 rollback is streamed to the client
-// as a RolledBack notification; the final reply is Committed (with the
-// transaction's outcome counters) or an Error frame.
+// Each connection is served by a connection object with one reader
+// goroutine, one writer goroutine and a bounded pool of stream workers.
+// A client ships each transaction as one BeginProgram frame on a stream
+// of its choosing (see internal/wire); the reader dispatches it to the
+// worker pool, so thousands of streams execute concurrently over one
+// socket. A worker registers the program and drives it to commit with
+// the shared re-execution loop from internal/exec: when the engine
+// picks the transaction as a deadlock victim it is partially rolled
+// back and the loop transparently re-executes it from the rollback
+// point, exactly as the in-process runtime does. Each §2 rollback is
+// sent to the stream as a RolledBack notification; the final reply is
+// Committed (with the transaction's outcome counters) or an Error. The
+// writer coalesces frames across all streams into single writes. Every
+// accepted stream is guaranteed a terminal reply, shutdown included.
 //
-// Protocols v1 (per-operation frames) and v2 (whole-program frames)
-// run one transaction at a time per connection, handled inline by the
-// reader exactly as previous releases did. Protocol v3 multiplexes: a
-// tagged BeginProgram frame opens a stream, the reader dispatches it
-// to a bounded per-connection worker pool, and thousands of streams
-// execute concurrently over the one socket. Replies carry the stream
-// tag back, and the writer coalesces frames across all streams into
-// single writes. Every accepted stream is guaranteed a terminal reply
-// (Committed or Error), shutdown included.
+// Problems with the connection itself — refused at accept, or a frame
+// that fails to decode — are reported as an Error on wire.ConnStream
+// (stream 0), after which the connection is closed.
 //
 // The server bounds everything: concurrent sessions (with a bounded
 // accept backlog beyond which connections are refused with CodeBusy),
@@ -89,12 +87,12 @@ type Config struct {
 	// collapsing to 1 the moment it blocks, is rolled back, or has
 	// waiters on its locks.
 	Burst int
-	// MaxStreams bounds concurrently active v3 streams per connection;
+	// MaxStreams bounds concurrently active streams per connection;
 	// past it new streams are refused with the retryable CodeBusy.
 	// Default 4096.
 	MaxStreams int
 	// StreamWorkers bounds each connection's worker pool executing
-	// tagged streams. Default: MaxStreams — a worker per active stream
+	// streams. Default: MaxStreams — a worker per active stream
 	// at peak, so a blocked transaction never queues behind the lock
 	// holder it is waiting for. Lower values bound per-connection
 	// engine concurrency at the cost of such queueing (resolved by the
@@ -233,8 +231,7 @@ func New(cfg Config) *Server {
 func (s *Server) System() core.Engine { return s.sys }
 
 // onEvent fans engine events out to the wake notifier, the owning
-// connection's rollback-notification stream (tagged with the owning
-// stream ID on multiplexed connections), and the configured tap.
+// stream (as a rollback notification), and the configured tap.
 func (s *Server) onEvent(e core.Event) {
 	s.notif.OnEvent(e)
 	if e.Kind == core.EventRollback {
@@ -331,7 +328,8 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			default:
 				s.busyRejected.Add(1)
 				_ = conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-				_, _ = wire.WriteMsg(conn, wire.Error{Code: wire.CodeBusy, Msg: "session limit and backlog full"})
+				frame, _ := wire.EncodeTagged(wire.ConnStream, wire.Error{Code: wire.CodeBusy, Msg: "session limit and backlog full"})
+				_, _ = conn.Write(frame)
 				conn.Close()
 			}
 		}
@@ -506,17 +504,15 @@ func (s *Server) Counters() []wire.Counter {
 	return out
 }
 
-// TxnOwner identifies the connection (and, on multiplexed
-// connections, the v3 stream) currently driving a transaction.
+// TxnOwner identifies the connection and stream currently driving a
+// transaction.
 type TxnOwner struct {
 	// Conn is the connection's serial number (1-based accept order).
 	Conn int64
 	// Addr is the connection's remote address.
 	Addr string
-	// Stream is the v3 stream ID; meaningful only when Tagged.
+	// Stream is the client-chosen stream ID.
 	Stream uint32
-	// Tagged reports whether the transaction arrived on a v3 stream.
-	Tagged bool
 }
 
 // Owners snapshots, for every transaction currently being driven by a
@@ -527,16 +523,15 @@ func (s *Server) Owners() map[txn.ID]TxnOwner {
 	defer s.mu.Unlock()
 	out := make(map[txn.ID]TxnOwner, len(s.routes))
 	for id, sn := range s.routes {
-		out[id] = TxnOwner{Conn: sn.c.id, Addr: sn.c.addr, Stream: sn.stream, Tagged: sn.tagged}
+		out[id] = TxnOwner{Conn: sn.c.id, Addr: sn.c.addr, Stream: sn.stream}
 	}
 	return out
 }
 
 // conn serves one connection: one reader goroutine (the connection's
 // main loop), one writer goroutine coalescing replies across every
-// stream, and — once the peer opens v3 tagged streams — a lazily grown,
-// bounded pool of worker goroutines each driving one stream's
-// transaction at a time.
+// stream, and a lazily grown, bounded pool of worker goroutines each
+// driving one stream's transaction at a time.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -544,10 +539,9 @@ type conn struct {
 	id int64
 	// addr is the remote address, captured at accept time.
 	addr string
-	// br buffers the connection's read side. Clients flush a whole
-	// transaction's message sequence in one write, so buffering turns
-	// the ~2 read syscalls per message into ~2 per transaction; all
-	// reads must go through br (buffered bytes are invisible to nc).
+	// br buffers the connection's read side, so frames that arrive
+	// together cost one read syscall; all reads must go through br
+	// (buffered bytes are invisible to nc).
 	br *bufio.Reader
 
 	outMu     sync.Mutex
@@ -570,11 +564,9 @@ type conn struct {
 	workers  int
 }
 
-// outFrame is one queued reply: a message addressed to a stream
-// (tagged, v3) or to the connection itself (untagged, v1/v2).
+// outFrame is one queued reply and the stream it is addressed to.
 type outFrame struct {
 	stream uint32
-	tagged bool
 	m      wire.Msg
 }
 
@@ -584,24 +576,22 @@ type streamTask struct {
 	bp wire.BeginProgram
 }
 
-// sender addresses replies: the untagged v1/v2 reply path (zero
-// stream, tagged=false) or one v3 stream of a multiplexed connection.
-// It is the value stored in Server.routes so rollback notifications
-// reach the right stream.
+// sender addresses replies to one stream of a connection (wire.ConnStream
+// for connection-level errors). It is the value stored in Server.routes
+// so rollback notifications reach the right stream.
 type sender struct {
 	c      *conn
 	stream uint32
-	tagged bool
 }
 
 // send enqueues a reply, blocking until the writer drains it. The
 // writer never stops consuming before the channel closes, so this
 // cannot deadlock.
-func (sn sender) send(m wire.Msg) { sn.c.send(outFrame{sn.stream, sn.tagged, m}) }
+func (sn sender) send(m wire.Msg) { sn.c.send(outFrame{sn.stream, m}) }
 
 // trySend enqueues a message without blocking (notifications are
 // droppable; the engine mutex may be held by the caller).
-func (sn sender) trySend(m wire.Msg) { sn.c.trySend(outFrame{sn.stream, sn.tagged, m}) }
+func (sn sender) trySend(m wire.Msg) { sn.c.trySend(outFrame{sn.stream, m}) }
 
 func (c *conn) trySend(f outFrame) {
 	c.outMu.Lock()
@@ -663,7 +653,7 @@ func (s *Server) runSession(nc net.Conn) {
 		tasks:   make(chan streamTask, streamTaskBuf),
 		streams: map[uint32]bool{},
 	}
-	un := sender{c: c} // the untagged v1/v2 reply path
+	connErr := sender{c: c, stream: wire.ConnStream}
 
 	// Writer: the single goroutine that touches the connection's write
 	// side. It coalesces across streams: every frame already queued
@@ -682,13 +672,7 @@ func (s *Server) runSession(nc net.Conn) {
 			if failed {
 				return
 			}
-			var nb []byte
-			var err error
-			if f.tagged {
-				nb, err = wire.AppendTagged(buf, f.stream, f.m)
-			} else {
-				nb, err = wire.AppendMsg(buf, f.m)
-			}
+			nb, err := wire.AppendTagged(buf, f.stream, f.m)
 			if err != nil {
 				s.cfg.Logf("server: encode %s: %v", f.m.Type(), err)
 				return
@@ -749,47 +733,33 @@ func (s *Server) runSession(nc net.Conn) {
 		f, n, err := wire.ReadFrame(c.br)
 		s.bytesIn.Add(int64(n))
 		if err != nil {
-			// Idle sessions (between transactions) are closed without
-			// ceremony — notably when the shutdown drain pokes their
-			// read deadline; a notice nobody is reading for would only
-			// stall the drain on the write.
+			// Only a malformed frame (including one in a retired
+			// untagged framing) earns a notice. EOF or the shutdown
+			// drain poking the read deadline ends the session silently:
+			// a notice nobody reads would only stall the drain.
 			if errors.Is(err, wire.ErrProtocol) {
 				s.protoErrors.Add(1)
-				un.send(wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
+				connErr.send(wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
 			}
 			return
 		}
 		s.framesIn.Add(1)
-		if f.Tagged {
-			if closeConn := s.handleTagged(c, f); closeConn {
-				return
-			}
-			continue
-		}
-		switch x := f.Msg.(type) {
-		case wire.Stats:
-			un.send(wire.StatsReply{Counters: s.Counters()})
-		case wire.Begin:
-			if closeConn := s.handleTxn(c, x); closeConn {
-				return
-			}
-		case wire.BeginProgram:
-			if closeConn := s.handleProgram(un, x); closeConn {
-				return
-			}
-		default:
-			s.protoErrors.Add(1)
-			un.send(wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("unexpected %s outside transaction", f.Msg.Type())})
+		if closeConn := s.handleFrame(c, f); closeConn {
 			return
 		}
 	}
 }
 
-// handleTagged routes one v3 frame: Stats is answered inline on its
-// stream, BeginProgram opens a stream and is dispatched to the worker
-// pool. It reports whether the connection must be closed.
-func (s *Server) handleTagged(c *conn, f wire.Frame) (closeConn bool) {
-	sn := sender{c: c, stream: f.Stream, tagged: true}
+// handleFrame routes one frame: Stats is answered inline on its stream,
+// BeginProgram opens a stream and is dispatched to the worker pool. It
+// reports whether the connection must be closed.
+func (s *Server) handleFrame(c *conn, f wire.Frame) (closeConn bool) {
+	sn := sender{c: c, stream: f.Stream}
+	if f.Stream == wire.ConnStream {
+		s.protoErrors.Add(1)
+		sn.send(wire.Error{Code: wire.CodeBadRequest, Msg: "stream 0 is reserved for connection errors"})
+		return true
+	}
 	switch x := f.Msg.(type) {
 	case wire.Stats:
 		sn.send(wire.StatsReply{Counters: s.Counters()})
@@ -797,8 +767,8 @@ func (s *Server) handleTagged(c *conn, f wire.Frame) (closeConn bool) {
 	case wire.BeginProgram:
 		return s.dispatchStream(c, sn, x)
 	default:
-		// Taggable but server-bound only (Committed, RolledBack, ...):
-		// the peer is confused; desync.
+		// A server-to-client message (Committed, RolledBack, ...): the
+		// peer is confused; desync.
 		s.protoErrors.Add(1)
 		sn.send(wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("unexpected %s on stream %d", f.Msg.Type(), f.Stream)})
 		return true
@@ -847,10 +817,10 @@ func (c *conn) worker() {
 	}
 }
 
-// serveStream drives one stream's transaction to its terminal reply.
-// Unlike the single-transaction paths, a stream-level failure ends only
-// the stream: thousands of healthy streams may share the connection,
-// so the conn is never closed from here.
+// serveStream drives one stream's transaction to its terminal reply. A
+// stream-level failure ends only the stream: thousands of healthy
+// streams may share the connection, so the conn is never closed from
+// here.
 func (s *Server) serveStream(sn sender, bp wire.BeginProgram) {
 	defer func() {
 		sn.c.streamMu.Lock()
@@ -870,79 +840,13 @@ func (s *Server) serveStream(sn sender, bp wire.BeginProgram) {
 	s.execTxn(sn, prog)
 }
 
-// handleTxn consumes the rest of one v1 transaction's message sequence
-// (one frame per operation), executes it, and replies. It runs in the
-// reader goroutine (the stateful v1 sequence owns the connection until
-// its Commit frame). It reports whether the connection must be closed
-// (protocol desync or shutdown).
-func (s *Server) handleTxn(c *conn, begin wire.Begin) (closeConn bool) {
-	un := sender{c: c}
-	asm := wire.NewAssembler(begin)
-	for {
-		_ = c.nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		m, n, err := wire.ReadMsg(c.br)
-		s.bytesIn.Add(int64(n))
-		if err != nil {
-			if errors.Is(err, wire.ErrProtocol) {
-				s.protoErrors.Add(1)
-				un.send(wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
-			} else if s.isDraining() {
-				un.send(wire.Error{Code: wire.CodeShutdown, Msg: "server shutting down"})
-			} else {
-				un.send(wire.Error{Code: wire.CodeBadRequest, Msg: "connection error mid-transaction"})
-			}
-			return true
-		}
-		s.framesIn.Add(1)
-		done, err := asm.Feed(m)
-		if err != nil {
-			s.protoErrors.Add(1)
-			un.send(wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
-			return true
-		}
-		if done {
-			break
-		}
-	}
-	if s.isDraining() {
-		un.send(wire.Error{Code: wire.CodeShutdown, Msg: "server shutting down"})
-		return true
-	}
-	prog, err := asm.Program()
-	if err != nil {
-		// The message stream was well-formed; only the program was
-		// invalid. The session may submit further transactions.
-		un.send(wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
-		return false
-	}
-	return s.execTxn(un, prog)
-}
-
-// handleProgram executes a v2 whole-program frame — the single-frame
-// equivalent of handleTxn with nothing left to read off the wire.
-func (s *Server) handleProgram(sn sender, bp wire.BeginProgram) (closeConn bool) {
-	if s.isDraining() {
-		sn.send(wire.Error{Code: wire.CodeShutdown, Msg: "server shutting down"})
-		return true
-	}
-	prog, err := bp.Program()
-	if err != nil {
-		// The frame was well-formed; only the program was invalid. The
-		// session may submit further transactions.
-		sn.send(wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
-		return false
-	}
-	return s.execTxn(sn, prog)
-}
-
 // execTxn registers prog, drives it to commit with the shared
-// re-execution loop, and sends the verdict to sn. Shared by the v1
-// per-message, v2 whole-frame, and v3 stream paths.
-func (s *Server) execTxn(sn sender, prog *txn.Program) (closeConn bool) {
+// re-execution loop, and sends the verdict to sn.
+func (s *Server) execTxn(sn sender, prog *txn.Program) {
 	id, err := s.sys.Register(prog)
 	if err != nil {
 		sn.send(wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
-		return false
+		return
 	}
 	s.txnsServed.Add(1)
 	wake := s.notif.Register(id)
@@ -962,9 +866,8 @@ func (s *Server) execTxn(sn sender, prog *txn.Program) (closeConn bool) {
 	switch {
 	case err == nil:
 		sn.send(s.committedReply(id))
-		return false
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		return s.abortAndReply(sn, id)
+		s.abortAndReply(sn, id)
 	default:
 		s.cfg.Logf("server: txn %v: %v", id, err)
 		if aerr := s.sys.Abort(id); aerr != nil && !errors.Is(aerr, core.ErrCommitted) {
@@ -975,7 +878,6 @@ func (s *Server) execTxn(sn sender, prog *txn.Program) (closeConn bool) {
 			}
 		}
 		sn.send(wire.Error{Code: wire.CodeInternal, Msg: err.Error()})
-		return true
 	}
 }
 
@@ -983,7 +885,7 @@ func (s *Server) execTxn(sn sender, prog *txn.Program) (closeConn bool) {
 // back. Races with completion are benign: a transaction that committed
 // first is reported as committed; one already in its shrinking phase
 // can never block again and is stepped to commit synchronously.
-func (s *Server) abortAndReply(sn sender, id txn.ID) (closeConn bool) {
+func (s *Server) abortAndReply(sn sender, id txn.ID) {
 	err := s.sys.Abort(id)
 	switch {
 	case err == nil:
@@ -992,7 +894,6 @@ func (s *Server) abortAndReply(sn sender, id txn.ID) (closeConn bool) {
 			code, msg = wire.CodeShutdown, "server shutting down; transaction rolled back"
 		}
 		sn.send(wire.Error{Code: code, Msg: msg})
-		return s.isDraining()
 	case errors.Is(err, core.ErrCommitted):
 		// The commit raced the deadline, so the interrupted exec loop
 		// never waited on the commit's durability ticket. Don't
@@ -1001,22 +902,19 @@ func (s *Server) abortAndReply(sn sender, id txn.ID) (closeConn bool) {
 			if derr := s.cfg.Durable.Barrier(); derr != nil {
 				s.cfg.Logf("server: txn %v: commit not durable: %v", id, derr)
 				sn.send(wire.Error{Code: wire.CodeInternal, Msg: derr.Error()})
-				return true
+				return
 			}
 		}
 		sn.send(s.committedReply(id))
-		return false
 	case errors.Is(err, core.ErrShrinking):
 		if derr := s.drainShrinking(id); derr != nil {
 			s.cfg.Logf("server: drain %v: %v", id, derr)
 			sn.send(wire.Error{Code: wire.CodeInternal, Msg: derr.Error()})
-			return true
+			return
 		}
 		sn.send(s.committedReply(id))
-		return false
 	default:
 		sn.send(wire.Error{Code: wire.CodeInternal, Msg: err.Error()})
-		return true
 	}
 }
 

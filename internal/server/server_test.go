@@ -19,23 +19,6 @@ import (
 	"partialrollback/internal/wire"
 )
 
-// pipeClient returns a client whose dials are served by srv over
-// net.Pipe — a full end-to-end path with no sockets.
-func pipeClient(srv *Server, cfg client.Config) *client.Client {
-	cfg.Dial = func() (net.Conn, error) {
-		cc, sc := net.Pipe()
-		go srv.ServeConn(sc)
-		return cc, nil
-	}
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = 10 * time.Second
-	}
-	if cfg.Backoff.Base == 0 && cfg.Backoff.Cap == 0 && cfg.Backoff.Jitter == nil {
-		cfg.Backoff = exec.Backoff{Base: 100 * time.Microsecond, Cap: 2 * time.Millisecond}
-	}
-	return client.New(cfg)
-}
-
 // mustRegister registers prog on the server's engine (which exposes the
 // core.Engine surface, without core.System's MustRegister helper).
 func mustRegister(t *testing.T, srv *Server, prog *txn.Program) txn.ID {
@@ -96,7 +79,7 @@ func TestPipeE2EBanking(t *testing.T) {
 	errCh := make(chan error, clients)
 	for i := 0; i < clients; i++ {
 		progs := w.Programs[i*perClient : (i+1)*perClient]
-		c := pipeClient(srv, client.Config{Seed: int64(i + 1), MaxAttempts: 8})
+		c := muxClient(srv, client.MuxConfig{MaxAttempts: 8})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -135,81 +118,58 @@ func TestPipeE2EBanking(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestMixedProtocolClients runs v1 (per-operation frames) and v2
-// (whole-program frames) clients concurrently against one server with
-// burst stepping enabled (run with -race): the per-frame version byte
-// is the whole negotiation, so both populations must commit everything
-// with zero protocol errors, and the v2 population must show up in the
-// inbound frame counter as roughly one frame per transaction.
+// legacyFrames holds one frame of each retired untagged framing: a v1
+// per-operation Lock and a v2 BeginProgram.
+var legacyFrames = map[string][]byte{
+	"v1 lock":    {0, 0, 0, 6, 1, 2, 1, 2, 'e', '0'},
+	"v2 program": {0, 0, 0, 6, 2, byte(wire.TBeginProgram), 1, 'P', 0, 0},
+}
+
+// sendLegacy sends frame on a fresh connection to srv and checks the
+// rejection: CodeBadRequest on the reserved stream 0, then the server
+// closes the connection.
+func sendLegacy(srv *Server, frame []byte) error {
+	cc, sc := net.Pipe()
+	defer cc.Close()
+	go srv.ServeConn(sc)
+	cc.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := cc.Write(frame); err != nil {
+		return err
+	}
+	f, _, err := wire.ReadFrame(cc)
+	if err != nil {
+		return fmt.Errorf("read reply: %w", err)
+	}
+	if e, ok := f.Msg.(wire.Error); !ok || e.Code != wire.CodeBadRequest || f.Stream != wire.ConnStream {
+		return fmt.Errorf("reply %#v, want CodeBadRequest on stream 0", f)
+	}
+	if _, _, err := wire.ReadFrame(cc); err == nil {
+		return errors.New("connection still open after protocol error")
+	}
+	return nil
+}
+
+// TestMixedProtocolClients (named for the v1/v2 clients it once ran)
+// sends a frame of each retired untagged framing on its own connection:
+// each must be answered with CodeBadRequest on the reserved stream 0,
+// counted in proto_errors, and the connection closed, without touching
+// the engine.
 func TestMixedProtocolClients(t *testing.T) {
-	const clients, perClient, accounts = 8, 10, 6
-	w := sim.BankingWorkload(accounts, clients*perClient, 100, 77)
-	store := w.NewStore()
-	srv := New(Config{
-		Store:          store,
-		Strategy:       core.MCS,
-		RequestTimeout: 15 * time.Second,
-		Burst:          16,
-	})
-	base := runtime.NumGoroutine()
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		progs := w.Programs[i*perClient : (i+1)*perClient]
-		proto := 1 + i%2 // alternate v1 / v2 clients
-		c := pipeClient(srv, client.Config{Seed: int64(i + 1), MaxAttempts: 8, Proto: proto})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer c.Close()
-			for _, p := range progs {
-				if _, err := c.Run(context.Background(), p); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}()
+	store := entity.NewUniformStore("e", 4, 100)
+	srv := New(Config{Store: store})
+	for name, frame := range legacyFrames {
+		if err := sendLegacy(srv, frame); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
+	waitFor(t, func() bool { return counter(t, srv, "sessions_active") == 0 })
+	if got := counter(t, srv, "proto_errors"); got != 2 {
+		t.Errorf("proto_errors = %d, want 2", got)
 	}
-
-	if got := counter(t, srv, "proto_errors"); got != 0 {
-		t.Errorf("proto_errors = %d, want 0", got)
+	if got := counter(t, srv, "txns_served"); got != 0 {
+		t.Errorf("txns_served = %d, want 0", got)
 	}
-	if got := counter(t, srv, "commits"); got != clients*perClient {
-		t.Errorf("commits = %d, want %d", got, clients*perClient)
-	}
-	// Half the transactions arrived as single v2 frames, half as v1
-	// sequences of ops+2 frames each; the blended frames/txn average
-	// must sit strictly between the two pure rates.
-	framesIn := counter(t, srv, "frames_in")
-	served := counter(t, srv, "txns_served")
-	if served != clients*perClient {
-		t.Errorf("txns_served = %d, want %d", served, clients*perClient)
-	}
-	perTxn := float64(framesIn) / float64(served)
-	if perTxn <= 1.0 || perTxn >= 10 {
-		t.Errorf("frames_in/txn = %.2f, want a v1/v2 blend in (1, 10)", perTxn)
-	}
-	if got := counter(t, srv, "writer_flushes"); got <= 0 {
-		t.Errorf("writer_flushes = %d, want > 0", got)
-	}
-	if err := store.CheckConsistent(); err != nil {
-		t.Error(err)
-	}
-	if err := srv.System().CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	waitGoroutines(t, base)
+	shutdownNow(t, srv)
 }
 
 // TestGracefulShutdownDrainsInFlight blocks a client transaction on a
@@ -226,7 +186,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := pipeClient(srv, client.Config{Seed: 1})
+	c := muxClient(srv, client.MuxConfig{})
 	defer c.Close()
 	resCh := make(chan error, 1)
 	go func() {
@@ -264,6 +224,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	if v := store.MustGet("e2"); v != 105 {
 		t.Errorf("e2 = %d, want 105 (in-flight transfer applied)", v)
 	}
+	c.Close()
 	waitGoroutines(t, base)
 }
 
@@ -281,7 +242,7 @@ func TestForcedShutdownRollsBackInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := pipeClient(srv, client.Config{Seed: 1})
+	c := muxClient(srv, client.MuxConfig{})
 	defer c.Close()
 	resCh := make(chan error, 1)
 	go func() {
@@ -316,6 +277,7 @@ func TestForcedShutdownRollsBackInFlight(t *testing.T) {
 	if err := srv.System().CheckInvariants(); err != nil {
 		t.Error(err)
 	}
+	c.Close()
 	waitGoroutines(t, base)
 }
 
@@ -330,7 +292,7 @@ func TestRequestDeadlineExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := pipeClient(srv, client.Config{Seed: 1})
+	c := muxClient(srv, client.MuxConfig{})
 	defer c.Close()
 	prog := sim.TransferProgram("deadline", "e0", "e2", 5, 0)
 	_, err := c.RunOnce(prog)
@@ -358,12 +320,28 @@ func TestRequestDeadlineExpiry(t *testing.T) {
 }
 
 // TestMalformedFrames sends garbage and truncated frames: the session
-// must answer CodeBadRequest (when a reply is possible), close the
-// connection, and count a protocol error — without disturbing the
-// engine.
+// must answer CodeBadRequest on stream 0 (when a reply is possible),
+// close the connection, and count a protocol error — without
+// disturbing the engine.
 func TestMalformedFrames(t *testing.T) {
 	store := entity.NewUniformStore("e", 4, 100)
 	srv := New(Config{Store: store})
+
+	// expectConnError reads the connection-level CodeBadRequest and then
+	// the server's close.
+	expectConnError := func(t *testing.T, cc net.Conn) {
+		t.Helper()
+		f, _, err := wire.ReadFrame(cc)
+		if err != nil {
+			t.Fatalf("read reply: %v", err)
+		}
+		if e, ok := f.Msg.(wire.Error); !ok || e.Code != wire.CodeBadRequest || f.Stream != wire.ConnStream {
+			t.Fatalf("reply %#v, want CodeBadRequest on stream 0", f)
+		}
+		if _, _, err := wire.ReadFrame(cc); err == nil {
+			t.Error("connection still open after protocol error")
+		}
+	}
 
 	t.Run("garbage", func(t *testing.T) {
 		cc, sc := net.Pipe()
@@ -373,18 +351,7 @@ func TestMalformedFrames(t *testing.T) {
 		if _, err := cc.Write([]byte{0, 0, 0, 2, 99, 99}); err != nil {
 			t.Fatal(err)
 		}
-		m, _, err := wire.ReadMsg(cc)
-		if err != nil {
-			t.Fatalf("read reply: %v", err)
-		}
-		e, ok := m.(wire.Error)
-		if !ok || e.Code != wire.CodeBadRequest {
-			t.Fatalf("reply %+v, want CodeBadRequest", m)
-		}
-		// The server must close the connection after a protocol error.
-		if _, _, err := wire.ReadMsg(cc); err == nil {
-			t.Error("connection still open after protocol error")
-		}
+		expectConnError(t, cc)
 		cc.Close()
 	})
 
@@ -392,32 +359,50 @@ func TestMalformedFrames(t *testing.T) {
 		cc, sc := net.Pipe()
 		go srv.ServeConn(sc)
 		cc.SetDeadline(time.Now().Add(5 * time.Second))
-		if _, err := wire.WriteMsg(cc, wire.Begin{Name: "t", Locals: []wire.LocalDecl{{Name: "x"}}}); err != nil {
+		bp, err := wire.ProgramFrame(sim.TransferProgram("t", "e0", "e1", 1, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := wire.EncodeTagged(1, bp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cc.Write(frame[:len(frame)/2]); err != nil {
 			t.Fatal(err)
 		}
 		cc.Close() // connection dies mid-upload
 	})
 
 	t.Run("op outside transaction", func(t *testing.T) {
+		// A retired per-operation message type (2 = lock) in a v3 frame.
 		cc, sc := net.Pipe()
 		go srv.ServeConn(sc)
 		cc.SetDeadline(time.Now().Add(5 * time.Second))
-		if _, err := wire.WriteMsg(cc, wire.Lock{Entity: "e0", Exclusive: true}); err != nil {
+		if _, err := cc.Write([]byte{0, 0, 0, 7, wire.Version3, 1, 2, 1, 2, 'e', '0'}); err != nil {
 			t.Fatal(err)
 		}
-		m, _, err := wire.ReadMsg(cc)
+		expectConnError(t, cc)
+		cc.Close()
+	})
+
+	t.Run("stream 0", func(t *testing.T) {
+		cc, sc := net.Pipe()
+		go srv.ServeConn(sc)
+		cc.SetDeadline(time.Now().Add(5 * time.Second))
+		frame, err := wire.EncodeTagged(wire.ConnStream, wire.Stats{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e, ok := m.(wire.Error); !ok || e.Code != wire.CodeBadRequest {
-			t.Fatalf("reply %+v, want CodeBadRequest", m)
+		if _, err := cc.Write(frame); err != nil {
+			t.Fatal(err)
 		}
+		expectConnError(t, cc)
 		cc.Close()
 	})
 
 	waitFor(t, func() bool { return counter(t, srv, "sessions_active") == 0 })
-	if got := counter(t, srv, "proto_errors"); got < 2 {
-		t.Errorf("proto_errors = %d, want >= 2", got)
+	if got := counter(t, srv, "proto_errors"); got < 3 {
+		t.Errorf("proto_errors = %d, want >= 3", got)
 	}
 	if err := srv.System().CheckInvariants(); err != nil {
 		t.Error(err)
@@ -431,7 +416,7 @@ func TestMalformedFrames(t *testing.T) {
 func TestBadProgramKeepsSession(t *testing.T) {
 	store := entity.NewUniformStore("e", 2, 0)
 	srv := New(Config{Store: store})
-	c := pipeClient(srv, client.Config{Seed: 1})
+	c := muxClient(srv, client.MuxConfig{})
 	defer c.Close()
 
 	_, err := c.RunOnce(sim.TransferProgram("bad", "nosuch", "e0", 1, 0))
@@ -450,7 +435,7 @@ func TestBadProgramKeepsSession(t *testing.T) {
 func TestStatsOverWire(t *testing.T) {
 	store := entity.NewUniformStore("e", 2, 0)
 	srv := New(Config{Store: store})
-	c := pipeClient(srv, client.Config{Seed: 1})
+	c := muxClient(srv, client.MuxConfig{})
 	defer c.Close()
 	if _, err := c.RunOnce(sim.TransferProgram("t", "e0", "e1", 1, 0)); err != nil {
 		t.Fatal(err)
@@ -495,10 +480,14 @@ func TestListenBusyReject(t *testing.T) {
 	// Occupy the one session slot (round-trip proves it is serving).
 	c1 := dial()
 	defer c1.Close()
-	if _, err := wire.WriteMsg(c1, wire.Stats{}); err != nil {
+	stats, err := wire.EncodeTagged(1, wire.Stats{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := wire.ReadMsg(c1); err != nil {
+	if _, err := c1.Write(stats); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := wire.ReadFrame(c1); err != nil {
 		t.Fatal(err)
 	}
 	// Fill the backlog.
@@ -509,12 +498,12 @@ func TestListenBusyReject(t *testing.T) {
 	// The next connection must be refused.
 	c3 := dial()
 	defer c3.Close()
-	m, _, err := wire.ReadMsg(c3)
+	f, _, err := wire.ReadFrame(c3)
 	if err != nil {
 		t.Fatalf("read busy reply: %v", err)
 	}
-	if e, ok := m.(wire.Error); !ok || e.Code != wire.CodeBusy {
-		t.Fatalf("reply %+v, want CodeBusy", m)
+	if e, ok := f.Msg.(wire.Error); !ok || e.Code != wire.CodeBusy || f.Stream != wire.ConnStream {
+		t.Fatalf("reply %#v, want CodeBusy on stream 0", f)
 	}
 	if got := counter(t, srv, "busy_rejected"); got != 1 {
 		t.Errorf("busy_rejected = %d, want 1", got)
@@ -536,7 +525,7 @@ func TestSessionLimitOverTCP(t *testing.T) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, 6)
 	for i := 0; i < 6; i++ {
-		c := client.New(client.Config{Addr: addr, Seed: int64(i + 1), RequestTimeout: 10 * time.Second,
+		c := client.NewMux(client.MuxConfig{Addr: addr, RequestTimeout: 10 * time.Second,
 			Backoff: exec.Backoff{Base: time.Millisecond, Cap: 10 * time.Millisecond}})
 		from, to := i%8, (i+3)%8
 		prog := sim.TransferProgram("t", entName(from), entName(to), 1, 1)
@@ -617,7 +606,7 @@ func TestPipeE2EBankingSharded(t *testing.T) {
 	errCh := make(chan error, clients)
 	for i := 0; i < clients; i++ {
 		progs := w.Programs[i*perClient : (i+1)*perClient]
-		c := pipeClient(srv, client.Config{Seed: int64(i + 1), MaxAttempts: 8})
+		c := muxClient(srv, client.MuxConfig{MaxAttempts: 8})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -704,7 +693,7 @@ func TestCountersConcurrentWithSessions(t *testing.T) {
 	scrapers.Add(1)
 	go func() {
 		defer scrapers.Done()
-		c := pipeClient(srv, client.Config{Seed: 99})
+		c := muxClient(srv, client.MuxConfig{})
 		defer c.Close()
 		for {
 			select {
@@ -723,7 +712,7 @@ func TestCountersConcurrentWithSessions(t *testing.T) {
 	errCh := make(chan error, clients)
 	for i := 0; i < clients; i++ {
 		progs := w.Programs[i*perClient : (i+1)*perClient]
-		c := pipeClient(srv, client.Config{Seed: int64(i + 1), MaxAttempts: 8})
+		c := muxClient(srv, client.MuxConfig{MaxAttempts: 8})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -9,74 +11,87 @@ import (
 	"partialrollback/internal/value"
 )
 
-// FuzzDecode throws arbitrary payloads at the decoder: it must never
-// panic or over-allocate, and anything it accepts must re-encode and
-// re-decode to the same message (the codec is canonical for everything
-// it emits).
-func FuzzDecode(f *testing.F) {
-	seed := []Msg{
-		Begin{Name: "T1", Locals: []LocalDecl{{"a", 1}}},
-		Lock{Entity: "e0", Exclusive: true},
-		Unlock{Entity: "e0"},
-		Read{Entity: "e1", Local: "a"},
-		Commit{},
-		Committed{Txn: 3, Stats: TxnOutcome{OpsExecuted: 5}},
-		RolledBack{Txn: 1, Lost: 4},
-		Error{Code: CodeBusy, Msg: "full"},
-		StatsReply{Counters: []Counter{{"grants", 2}}},
-		BeginProgram{Name: "P"},
-		BeginProgram{
-			Name:   "xfer",
-			Locals: []LocalDecl{{"t", 0}},
-			Ops: []txn.Op{
-				{Kind: txn.OpLockX, Entity: "e0"},
-				{Kind: txn.OpRead, Entity: "e0", Local: "t"},
-				{Kind: txn.OpCompute, Local: "t", Expr: value.Add(value.L("t"), value.C(1))},
-				{Kind: txn.OpDeclareLastLock},
-				{Kind: txn.OpWrite, Entity: "e0", Expr: value.L("t")},
-				{Kind: txn.OpUnlock, Entity: "e0"},
-				{Kind: txn.OpCommit},
-			},
-		},
+// legacyPayload encodes m in a retired untagged framing: version byte,
+// then the message body with no stream tag.
+func legacyPayload(f *testing.F, ver byte, m Msg) []byte {
+	b, err := appendMsgBody([]byte{ver}, m)
+	if err != nil {
+		f.Fatal(err)
 	}
-	for _, m := range seed {
-		frame, err := Encode(m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(frame[4:])
-	}
-	f.Add([]byte{Version, byte(TWrite), 1, 'e', 2, 0, 1, 0, 1})
-	// Hand-built v2 edges: an op list claiming more ops than present, a
-	// v1 type under a v2 version byte, and a truncated op tag.
-	f.Add([]byte{Version2, byte(TBeginProgram), 1, 'P', 0, 5, byte(TCommit)})
-	f.Add([]byte{Version2, byte(TLock), 0, 'e'})
-	f.Add([]byte{Version2, byte(TBeginProgram), 1, 'P', 0, 1})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		m, err := Decode(payload)
-		if err != nil {
-			return
-		}
-		frame, err := Encode(m)
-		if err != nil {
-			t.Fatalf("decoded message failed to encode: %#v: %v", m, err)
-		}
-		m2, err := Decode(frame[4:])
-		if err != nil {
-			t.Fatalf("re-decode failed: %#v: %v", m, err)
-		}
-		if !reflect.DeepEqual(m, m2) {
-			t.Fatalf("re-decode mismatch: %#v != %#v", m, m2)
-		}
-	})
+	return b
 }
 
-// FuzzDecodeFrame throws arbitrary payloads at the version-dispatching
-// frame decoder. Untagged frames must decode exactly as Decode does; a
-// v3 payload must be refused by Decode; and anything DecodeFrame
-// accepts must re-encode (EncodeTagged or Encode, by Tagged) and
-// re-decode to the same frame — the stream tag round-trips alongside
-// the message.
+// legacyFrame is legacyPayload behind its 4-byte length prefix.
+func legacyFrame(f *testing.F, ver byte, m Msg) []byte {
+	p := legacyPayload(f, ver, m)
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(p))), p...)
+}
+
+// checkDecodeFrame is the decoder property: DecodeFrame must never
+// panic or over-allocate; anything it accepts must be a version-3 frame
+// that re-encodes and re-decodes to the same frame (the stream tag
+// round-trips alongside the message).
+func checkDecodeFrame(t *testing.T, payload []byte) {
+	fr, err := DecodeFrame(payload)
+	if err != nil {
+		return
+	}
+	if payload[0] != Version3 {
+		t.Fatalf("accepted a version-%d payload: %#v", payload[0], fr)
+	}
+	frame, err := EncodeTagged(fr.Stream, fr.Msg)
+	if err != nil {
+		t.Fatalf("decoded frame failed to encode: %#v: %v", fr, err)
+	}
+	fr2, err := DecodeFrame(frame[4:])
+	if err != nil {
+		t.Fatalf("re-decode failed: %#v: %v", fr, err)
+	}
+	if !reflect.DeepEqual(fr, fr2) {
+		t.Fatalf("re-decode mismatch: %#v != %#v", fr, fr2)
+	}
+}
+
+// FuzzDecode (named for the retired v1/v2 decoder) starts DecodeFrame
+// from payloads of the untagged framings: one of each per-operation
+// message, the replies under v1, and v2 programs including a truncated
+// op list, a v1 type under the v2 byte and a cut-off tag. Every seed
+// must be rejected; whatever the fuzzer mutates them into must satisfy
+// checkDecodeFrame.
+func FuzzDecode(f *testing.F) {
+	f.Add([]byte{1, 1, 2, 'T', '1', 1, 1, 'a', 2}) // Begin T1 {a=1}
+	f.Add([]byte{1, 2, 1, 2, 'e', '0'})            // Lock e0 exclusive
+	f.Add([]byte{1, 3, 2, 'e', '0'})               // Unlock e0
+	f.Add([]byte{1, 4, 2, 'e', '1', 1, 'a'})       // Read e1 -> a
+	f.Add([]byte{1, 8})                            // Commit
+	f.Add(legacyPayload(f, 1, Committed{Txn: 3, Stats: TxnOutcome{OpsExecuted: 5}}))
+	f.Add(legacyPayload(f, 1, RolledBack{Txn: 1, Lost: 4}))
+	f.Add(legacyPayload(f, 1, Error{Code: CodeBusy, Msg: "full"}))
+	f.Add(legacyPayload(f, 1, StatsReply{Counters: []Counter{{"grants", 2}}}))
+	f.Add(legacyPayload(f, 2, BeginProgram{Name: "P"}))
+	f.Add(legacyPayload(f, 2, BeginProgram{
+		Name:   "xfer",
+		Locals: []LocalDecl{{"t", 0}},
+		Ops: []txn.Op{
+			{Kind: txn.OpLockX, Entity: "e0"},
+			{Kind: txn.OpRead, Entity: "e0", Local: "t"},
+			{Kind: txn.OpCompute, Local: "t", Expr: value.Add(value.L("t"), value.C(1))},
+			{Kind: txn.OpDeclareLastLock},
+			{Kind: txn.OpWrite, Entity: "e0", Expr: value.L("t")},
+			{Kind: txn.OpUnlock, Entity: "e0"},
+			{Kind: txn.OpCommit},
+		},
+	}))
+	f.Add([]byte{1, 5, 1, 'e', 2, 0, 1, 0, 1})             // Write e = 1+1
+	f.Add([]byte{2, byte(TBeginProgram), 1, 'P', 0, 5, 8}) // claims 5 ops
+	f.Add([]byte{2, 2, 0, 'e'})                            // Lock under v2
+	f.Add([]byte{2, byte(TBeginProgram), 1, 'P', 0, 1})    // op tag missing
+	f.Fuzz(checkDecodeFrame)
+}
+
+// FuzzDecodeFrame throws arbitrary payloads at the frame decoder,
+// seeded with v3 frames, a few retired untagged payloads, and hand-built
+// v3 edges; see checkDecodeFrame for the property.
 func FuzzDecodeFrame(f *testing.F) {
 	tagged := []struct {
 		stream uint32
@@ -107,77 +122,42 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add(frame[4:])
 	}
-	// Untagged seeds keep the fuzzer exploring the v1/v2 dispatch arm.
-	for _, m := range []Msg{Lock{Entity: "e0"}, Committed{Txn: 3}, BeginProgram{Name: "P"}} {
-		frame, err := Encode(m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(frame[4:])
-	}
+	// Untagged v1 Lock, v1 Committed and v2 BeginProgram payloads.
+	f.Add([]byte{1, 2, 0, 2, 'e', '0'})
+	f.Add(legacyPayload(f, 1, Committed{Txn: 3}))
+	f.Add(legacyPayload(f, 2, BeginProgram{Name: "P"}))
 	// Hand-built v3 edges: a truncated stream varint, a stream tag past
-	// MaxStream, and an untaggable v1 type under a v3 version byte.
+	// MaxStream, and a retired per-operation type under a v3 version byte.
 	f.Add([]byte{Version3, 0xFF})
 	f.Add([]byte{Version3, 0x80, 0x80, 0x80, 0x80, 0x10, byte(TStats)})
-	f.Add([]byte{Version3, 0x01, byte(TLock), 0, 1, 'e'})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		fr, err := DecodeFrame(payload)
-		if err != nil {
-			return
-		}
-		if fr.Tagged {
-			if _, err := Decode(payload); err == nil {
-				t.Fatalf("Decode accepted a v3 payload: %#v", fr)
-			}
-		} else {
-			m, err := Decode(payload)
-			if err != nil {
-				t.Fatalf("DecodeFrame accepted what Decode refuses: %#v: %v", fr, err)
-			}
-			if !reflect.DeepEqual(m, fr.Msg) {
-				t.Fatalf("DecodeFrame and Decode disagree: %#v != %#v", fr.Msg, m)
-			}
-		}
-		var frame []byte
-		if fr.Tagged {
-			frame, err = EncodeTagged(fr.Stream, fr.Msg)
-		} else {
-			frame, err = Encode(fr.Msg)
-		}
-		if err != nil {
-			t.Fatalf("decoded frame failed to encode: %#v: %v", fr, err)
-		}
-		fr2, err := DecodeFrame(frame[4:])
-		if err != nil {
-			t.Fatalf("re-decode failed: %#v: %v", fr, err)
-		}
-		if !reflect.DeepEqual(fr, fr2) {
-			t.Fatalf("re-decode mismatch: %#v != %#v", fr, fr2)
-		}
-	})
+	f.Add([]byte{Version3, 0x01, 2, 0, 1, 'e'})
+	f.Fuzz(checkDecodeFrame)
 }
 
-// FuzzReadMsg exercises the framing layer with arbitrary streams,
-// including short reads and garbage lengths.
+// FuzzReadMsg (named for the retired stream reader) exercises ReadFrame
+// with arbitrary streams, including short reads, garbage lengths and
+// retired v1/v2 frames. A protocol error consumes only its own frame,
+// so reading carries on past it until the stream runs out; the bytes
+// accounted for may never exceed the stream.
 func FuzzReadMsg(f *testing.F) {
-	frame, err := Encode(Lock{Entity: "e0"})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(frame)
-	f.Add(append(frame, frame...))
+	lock := []byte{0, 0, 0, 6, 1, 2, 0, 2, 'e', '0'}
+	f.Add(lock)
+	f.Add(append(append([]byte{}, lock...), lock...))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	v2, err := Encode(BeginProgram{Name: "P", Ops: []txn.Op{
+	v2 := legacyFrame(f, 2, BeginProgram{Name: "P", Ops: []txn.Op{
 		{Kind: txn.OpLockS, Entity: "e0"}, {Kind: txn.OpCommit}}})
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add(v2)
-	f.Add(append(append([]byte{}, frame...), v2...)) // mixed v1+v2 stream
+	f.Add(append(append([]byte{}, lock...), v2...)) // mixed v1+v2 stream
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		r := bytes.NewReader(stream)
+		read := 0
 		for {
-			if _, _, err := ReadMsg(r); err != nil {
+			_, n, err := ReadFrame(r)
+			read += n
+			if read > len(stream) {
+				t.Fatalf("accounted %d bytes of a %d-byte stream", read, len(stream))
+			}
+			if err != nil && !errors.Is(err, ErrProtocol) {
 				return
 			}
 		}

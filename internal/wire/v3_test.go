@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
@@ -10,8 +11,7 @@ import (
 	"partialrollback/internal/value"
 )
 
-// taggableMsgs is one instance of every message type that may travel
-// stream-tagged.
+// taggableMsgs is one instance of every message type.
 func taggableMsgs() []Msg {
 	return []Msg{
 		BeginProgram{Name: "P"},
@@ -47,9 +47,8 @@ func TestTaggedRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode %T stream %d: %v", m, stream, err)
 			}
-			if !f.Tagged || f.Stream != stream {
-				t.Fatalf("%T: got tagged=%v stream=%d, want tagged stream %d",
-					m, f.Tagged, f.Stream, stream)
+			if f.Stream != stream {
+				t.Fatalf("%T: got stream %d, want %d", m, f.Stream, stream)
 			}
 			if !reflect.DeepEqual(f.Msg, m) {
 				t.Fatalf("%T round trip: got %#v, want %#v", m, f.Msg, m)
@@ -59,53 +58,43 @@ func TestTaggedRoundTrip(t *testing.T) {
 }
 
 // TestTaggedBodyMatchesUntagged pins the v3 layout: after the version
-// byte and stream tag, a tagged frame's body is byte-identical to the
-// same message's untagged body. A v2-aware reader and a v3-aware reader
-// therefore share one message codec.
+// byte and stream tag, every message body is byte-identical to the one
+// the retired untagged v1/v2 encoder produced (the golden bodies below
+// were captured from it).
 func TestTaggedBodyMatchesUntagged(t *testing.T) {
-	for _, m := range taggableMsgs() {
-		plain, err := Encode(m)
+	golden := []string{
+		"0a01500000",
+		"0a047866657201017400050201026530040265300174060174020001017400020502653001017408",
+		"09",
+		"1054010161121406040208",
+		"110e04261a0c",
+		"12040466756c6c",
+		"1302066772616e74731805776169747301",
+	}
+	for i, m := range taggableMsgs() {
+		tagged, err := EncodeTagged(5, m)
 		if err != nil {
 			t.Fatalf("encode %T: %v", m, err)
 		}
-		tagged, err := EncodeTagged(5, m)
-		if err != nil {
-			t.Fatalf("encode tagged %T: %v", m, err)
-		}
-		// plain: [len][ver][body...]; tagged: [len][3][0x05][body...].
-		if !bytes.Equal(tagged[6:], plain[5:]) {
-			t.Fatalf("%T: tagged body %x != untagged body %x", m, tagged[6:], plain[5:])
+		// tagged: [len][3][0x05][body...].
+		if got := hex.EncodeToString(tagged[6:]); got != golden[i] {
+			t.Fatalf("%T: body %s, want %s", m, got, golden[i])
 		}
 		if tagged[4] != Version3 || tagged[5] != 5 {
-			t.Fatalf("%T: tagged prefix %x, want version 3 stream 5", m, tagged[4:6])
+			t.Fatalf("%T: prefix %x, want version 3 stream 5", m, tagged[4:6])
 		}
 	}
 }
 
+// TestTaggedRejectsUntaggable: the retired per-operation messages
+// (type bytes 1-8) could never be stream-tagged and no longer exist, so
+// a frame carrying one of their type bytes is a protocol error.
 func TestTaggedRejectsUntaggable(t *testing.T) {
-	for _, m := range []Msg{
-		Begin{Name: "T1"}, Lock{Entity: "e0"}, Unlock{Entity: "e0"},
-		Read{Entity: "e0", Local: "a"}, LastLock{}, Commit{},
-	} {
-		if _, err := EncodeTagged(1, m); err == nil {
-			t.Errorf("EncodeTagged accepted %T; the v1 stateful sequence must not be taggable", m)
+	for typ := byte(1); typ <= 8; typ++ {
+		payload := []byte{Version3, 1, typ, 0, 1, 'e'}
+		if _, err := DecodeFrame(payload); !errors.Is(err, ErrProtocol) {
+			t.Errorf("type byte %d: got %v, want ErrProtocol", typ, err)
 		}
-	}
-}
-
-// TestDecodeRejectsV3 pins the compatibility boundary: the v1/v2-only
-// entry points must refuse tagged frames so a pre-v3 peer fails loudly
-// instead of misparsing the stream tag.
-func TestDecodeRejectsV3(t *testing.T) {
-	frame, err := EncodeTagged(5, Stats{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(frame[4:]); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("Decode on a v3 payload: got %v, want ErrProtocol", err)
-	}
-	if _, _, err := ReadMsg(bytes.NewReader(frame)); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("ReadMsg on a v3 frame: got %v, want ErrProtocol", err)
 	}
 }
 
@@ -118,7 +107,7 @@ func TestDecodeFrameErrors(t *testing.T) {
 		{"truncated stream tag", []byte{Version3, 0xFF}},
 		{"missing type", []byte{Version3, 0x01}},
 		{"stream overflow", append([]byte{Version3, 0x80, 0x80, 0x80, 0x80, 0x10}, byte(TStats))},
-		{"untaggable type", []byte{Version3, 0x01, byte(TLock), 0, 1, 'e'}},
+		{"retired op type", []byte{Version3, 0x01, 2, 0, 1, 'e'}},
 		{"trailing garbage", append(mustTagged(t, 1, Stats{}), 0xAA)},
 	}
 	for _, tc := range cases {
@@ -138,38 +127,33 @@ func mustTagged(t *testing.T, stream uint32, m Msg) []byte {
 	return frame[4:]
 }
 
-// TestReadFrameMixedVersions drives ReadFrame over a stream
-// interleaving all three protocol versions — the exact byte sequence a
-// server sees when v1, v2, and v3 clients share its accept loop (here
-// concatenated as one stream for the codec's sake).
+// TestReadFrameMixedVersions drives ReadFrame over a stream that puts a
+// v1 and a v2 frame ahead of two v3 frames — what a server sees from a
+// pre-v3 peer. The retired frames are rejected, but each rejection
+// consumes exactly that frame, so the framing stays aligned for the
+// frames behind it.
 func TestReadFrameMixedVersions(t *testing.T) {
-	var stream []byte
+	stream := append(append([]byte{}, v1LockFrame...), v2ProgramFrame...)
 	var err error
-	stream, err = AppendMsg(stream, Lock{Entity: "e0", Exclusive: true})
-	if err != nil {
+	if stream, err = AppendTagged(stream, 7, Stats{}); err != nil {
 		t.Fatal(err)
 	}
-	stream, err = AppendMsg(stream, BeginProgram{Name: "P"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err = AppendTagged(stream, 7, Stats{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err = AppendTagged(stream, 3, Committed{Txn: 1})
-	if err != nil {
+	if stream, err = AppendTagged(stream, 3, Committed{Txn: 1}); err != nil {
 		t.Fatal(err)
 	}
 	r := bytes.NewReader(stream)
-	want := []Frame{
-		{Msg: Lock{Entity: "e0", Exclusive: true}},
-		{Msg: BeginProgram{Name: "P"}},
-		{Stream: 7, Tagged: true, Msg: Stats{}},
-		{Stream: 3, Tagged: true, Msg: Committed{Txn: 1}},
-	}
 	read := 0
-	for i, w := range want {
+	for i, legacy := range [][]byte{v1LockFrame, v2ProgramFrame} {
+		_, n, err := ReadFrame(r)
+		if !errors.Is(err, ErrProtocol) {
+			t.Fatalf("legacy frame %d: got %v, want ErrProtocol", i, err)
+		}
+		if n != len(legacy) {
+			t.Fatalf("legacy frame %d: consumed %d bytes, want %d", i, n, len(legacy))
+		}
+		read += n
+	}
+	for i, w := range []Frame{{Stream: 7, Msg: Stats{}}, {Stream: 3, Msg: Committed{Txn: 1}}} {
 		f, n, err := ReadFrame(r)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
@@ -187,9 +171,8 @@ func TestReadFrameMixedVersions(t *testing.T) {
 	}
 }
 
-// TestAppendTaggedBatches mirrors TestAppendMsgBatches for the v3
-// framing: many tagged frames coalesced into one buffer decode back
-// frame by frame.
+// TestAppendTaggedBatches pins the batching encoder: many frames
+// coalesced into one buffer decode back frame by frame.
 func TestAppendTaggedBatches(t *testing.T) {
 	var buf []byte
 	var err error
@@ -205,8 +188,8 @@ func TestAppendTaggedBatches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stream %d: %v", stream, err)
 		}
-		if f.Stream != stream || !f.Tagged {
-			t.Fatalf("got stream %d (tagged=%v), want %d", f.Stream, f.Tagged, stream)
+		if f.Stream != stream {
+			t.Fatalf("got stream %d, want %d", f.Stream, stream)
 		}
 		if c, ok := f.Msg.(Committed); !ok || c.Txn != int64(stream) {
 			t.Fatalf("stream %d: got %#v", stream, f.Msg)

@@ -2,39 +2,30 @@
 // transaction service (internal/server) and its clients
 // (internal/client).
 //
-// Framing is length-prefixed: every frame is a 4-byte big-endian
-// payload length followed by the payload. The payload starts with a
-// protocol version byte and a message-type byte; the rest is the
-// message body encoded with varints and length-prefixed strings.
+// There is one framing. Every frame is a 4-byte big-endian payload
+// length followed by the payload: the version byte (Version3), a stream
+// ID as a uvarint, then the message — a type byte and a body encoded
+// with varints and length-prefixed strings. Streams let one connection
+// interleave many concurrent transactions: the server routes each reply
+// (and rollback notification) back to the stream that submitted the
+// program.
 //
-// A transaction is shipped as a message sequence mirroring the paper's
-// atomic operations: Begin (name + local declarations), then one
-// message per operation (Lock/Unlock/Read/Write/Compute/LastLock), then
-// Commit, which asks the server to register and execute the program to
-// completion. The server replies with zero or more RolledBack
-// notifications (one per §2 rollback the engine applied to the
-// transaction while it ran) followed by exactly one Committed or Error
-// frame. Stats may be sent between transactions and is answered with a
-// StatsReply counter snapshot.
+// A transaction travels whole, as one BeginProgram frame carrying its
+// name, local declarations and complete operation list — the engine
+// analyses the full program at registration anyway (§2's lock states,
+// §5's declared last lock). The server answers on the same stream with
+// zero or more RolledBack notifications (one per §2 rollback the engine
+// applied to the transaction while it ran) followed by exactly one
+// Committed or Error frame. Stats is answered with a StatsReply counter
+// snapshot on its stream.
 //
-// Protocol v2 adds BeginProgram: the entire program (Begin + operations
-// + Commit) in one frame, so a transaction costs one frame read and one
-// decode instead of one per operation. Versioning is per-frame — the
-// version byte of each frame declares what it carries — so v1 and v2
-// clients coexist on one server with no handshake, and server replies
-// are v1 either way.
-//
-// Protocol v3 adds stream multiplexing: a v3 frame carries a
-// client-chosen stream ID between the version byte and the message, so
-// one connection interleaves many concurrent transactions and the
-// server routes each reply (and rollback notification) back to the
-// stream that submitted the program. Only whole-program submissions and
-// their replies may be tagged (BeginProgram, Stats client->server;
-// Committed, RolledBack, Error, StatsReply server->client) — the
-// stateful v1 per-operation sequence cannot interleave and stays
-// untagged. As with v2, negotiation is per-frame: v1, v2 and v3 traffic
-// coexist on one connection, and untagged frames keep their exact v1/v2
-// byte encoding.
+// Stream 0 (ConnStream) is reserved for connection-level errors: a
+// connection refused at accept (CodeBusy) or a frame that fails to
+// decode is answered with an Error on stream 0, and the server then
+// closes the connection. Clients number their streams from 1. Frames
+// with any other version byte — including the retired untagged v1
+// (one frame per operation) and v2 (untagged BeginProgram) framings —
+// fail to decode.
 //
 // Everything decoded from the network is bounds-checked: frame size,
 // string length, op and local counts, and expression size/depth all
@@ -53,36 +44,25 @@ import (
 	"partialrollback/internal/value"
 )
 
-// Version is the base protocol version. Every message defined by
-// protocol v1 is framed with this version byte, and a v1 frame carrying
-// any other version byte is rejected.
-const Version byte = 1
-
-// Version2 extends v1 with the BeginProgram frame, which ships a whole
-// transaction program in one frame instead of one message per
-// operation. Negotiation is per-frame: the version byte of each frame
-// declares what it carries, so a v2 client needs no handshake and v1
-// traffic (including every server reply) is unchanged. Only
-// BeginProgram frames carry this version byte.
-const Version2 byte = 2
-
-// Version3 tags a frame with a stream ID so one connection carries many
-// concurrent transactions. A v3 payload is the version byte, the stream
-// ID as a uvarint, then the tagged message encoded exactly as its v1/v2
-// body (type byte + fields). Only the multiplexable messages may be
-// tagged — see TaggableType.
+// Version3 is the version byte every frame carries. Versions 1 and 2
+// were the retired untagged framings; their bodies live on unchanged
+// after the stream tag.
 const Version3 byte = 3
+
+// ConnStream is the stream reserved for connection-level errors. No
+// transaction or Stats request travels on it.
+const ConnStream uint32 = 0
 
 // Limits enforced during decoding.
 const (
 	// MaxFrame is the largest accepted payload, in bytes.
 	MaxFrame = 1 << 20
-	// MaxStream bounds v3 stream IDs (fits uint32 with room to spare;
-	// a malicious peer cannot force sparse-map blowups past it).
+	// MaxStream bounds stream IDs (fits uint32 with room to spare; a
+	// malicious peer cannot force sparse-map blowups past it).
 	MaxStream = 1<<32 - 1
 	// MaxString bounds every decoded string (names, error messages).
 	MaxString = 1 << 10
-	// MaxLocals bounds local declarations per Begin/Committed message.
+	// MaxLocals bounds local declarations per BeginProgram/Committed.
 	MaxLocals = 1 << 10
 	// MaxOps bounds operations per transaction program.
 	MaxOps = 1 << 13
@@ -97,18 +77,11 @@ const (
 // Type identifies a message.
 type Type byte
 
-// Message types. 1-15 are client->server, 16+ are server->client.
+// Message types. 9-15 are client->server, 16+ are server->client; 1-8
+// were the retired per-operation messages and survive only as the op
+// tags inside a BeginProgram body.
 const (
-	TBegin    Type = 1
-	TLock     Type = 2
-	TUnlock   Type = 3
-	TRead     Type = 4
-	TWrite    Type = 5
-	TCompute  Type = 6
-	TLastLock Type = 7
-	TCommit   Type = 8
-	TStats    Type = 9
-	// TBeginProgram is the v2 whole-program frame (see BeginProgram).
+	TStats        Type = 9
 	TBeginProgram Type = 10
 	TCommitted    Type = 16
 	TRolledBack   Type = 17
@@ -116,24 +89,21 @@ const (
 	TStatsReply   Type = 19
 )
 
+// Operation tags inside a BeginProgram body: the type bytes of the
+// retired per-operation messages, kept so the body encoding is
+// unchanged.
+const (
+	opLock     byte = 2
+	opUnlock   byte = 3
+	opRead     byte = 4
+	opWrite    byte = 5
+	opCompute  byte = 6
+	opLastLock byte = 7
+	opCommit   byte = 8
+)
+
 func (t Type) String() string {
 	switch t {
-	case TBegin:
-		return "begin"
-	case TLock:
-		return "lock"
-	case TUnlock:
-		return "unlock"
-	case TRead:
-		return "read"
-	case TWrite:
-		return "write"
-	case TCompute:
-		return "compute"
-	case TLastLock:
-		return "last-lock"
-	case TCommit:
-		return "commit"
 	case TStats:
 		return "stats"
 	case TBeginProgram:
@@ -156,8 +126,8 @@ type ErrCode byte
 
 // Error codes. Retryable reports which ones a client may retry.
 const (
-	// CodeBadRequest: malformed frame, invalid program, or a message
-	// arriving out of protocol order. Not retryable.
+	// CodeBadRequest: malformed frame, invalid program, or a message the
+	// receiver does not accept. Not retryable.
 	CodeBadRequest ErrCode = 1
 	// CodeRolledBack: the server rolled the transaction back to its
 	// initial state and discarded it (request deadline expired, or the
@@ -212,54 +182,15 @@ type Counter struct {
 	Val  int64
 }
 
-// Begin opens a transaction: program name plus local declarations.
-type Begin struct {
-	Name   string
-	Locals []LocalDecl
-}
-
-// Lock requests a shared or exclusive lock on an entity.
-type Lock struct {
-	Entity    string
-	Exclusive bool
-}
-
-// Unlock releases an entity (shrinking phase).
-type Unlock struct{ Entity string }
-
-// Read reads an entity into a local.
-type Read struct{ Entity, Local string }
-
-// Write writes an expression over locals to an entity.
-type Write struct {
-	Entity string
-	Expr   value.Expr
-}
-
-// Compute assigns an expression over locals to a local.
-type Compute struct {
-	Local string
-	Expr  value.Expr
-}
-
-// LastLock is the §5 declaration that no lock requests follow.
-type LastLock struct{}
-
-// BeginProgram is the v2 whole-transaction frame: name, local
-// declarations and the complete operation list in one message, so a
-// transaction costs one frame read and one decode instead of one per
-// operation. It is framed with Version2; everything else on the
-// connection (including replies) stays v1. Ops reuse the v1 message
-// type bytes as operation tags, each followed by the same body encoding
-// as the corresponding per-operation message.
+// BeginProgram submits a whole transaction: name, local declarations
+// and the complete operation list, which the server registers and
+// drives to commit. Each op is a one-byte tag (opLock, ...) followed by
+// its fields.
 type BeginProgram struct {
 	Name   string
 	Locals []LocalDecl
 	Ops    []txn.Op
 }
-
-// Commit ends the program and asks the server to execute it.
-type Commit struct{}
 
 // Stats requests a counter snapshot.
 type Stats struct{}
@@ -302,30 +233,6 @@ type Error struct {
 type StatsReply struct{ Counters []Counter }
 
 // Type implementations.
-
-// Type implements Msg.
-func (Begin) Type() Type { return TBegin }
-
-// Type implements Msg.
-func (Lock) Type() Type { return TLock }
-
-// Type implements Msg.
-func (Unlock) Type() Type { return TUnlock }
-
-// Type implements Msg.
-func (Read) Type() Type { return TRead }
-
-// Type implements Msg.
-func (Write) Type() Type { return TWrite }
-
-// Type implements Msg.
-func (Compute) Type() Type { return TCompute }
-
-// Type implements Msg.
-func (LastLock) Type() Type { return TLastLock }
-
-// Type implements Msg.
-func (Commit) Type() Type { return TCommit }
 
 // Type implements Msg.
 func (BeginProgram) Type() Type { return TBeginProgram }
@@ -509,10 +416,9 @@ func (d *decoder) locals(max int) ([]LocalDecl, error) {
 	return out, nil
 }
 
-// ops decodes a BeginProgram operation list. Each operation gets the
-// same expression budget a standalone v1 message would, so shipping a
-// program in one frame does not tighten (or loosen) the per-operation
-// limits.
+// ops decodes a BeginProgram operation list. Each expression gets its
+// own MaxExprNodes budget, so the limits are per operation, not per
+// program.
 func (d *decoder) ops(max int) ([]txn.Op, error) {
 	n, err := d.uvarint()
 	if err != nil {
@@ -531,8 +437,8 @@ func (d *decoder) ops(max int) ([]txn.Op, error) {
 			return nil, err
 		}
 		var op txn.Op
-		switch Type(tag) {
-		case TLock:
+		switch tag {
+		case opLock:
 			mode, err := d.byte()
 			if err != nil {
 				return nil, err
@@ -547,12 +453,12 @@ func (d *decoder) ops(max int) ([]txn.Op, error) {
 			if op.Entity, err = d.string(); err != nil {
 				return nil, err
 			}
-		case TUnlock:
+		case opUnlock:
 			op.Kind = txn.OpUnlock
 			if op.Entity, err = d.string(); err != nil {
 				return nil, err
 			}
-		case TRead:
+		case opRead:
 			op.Kind = txn.OpRead
 			if op.Entity, err = d.string(); err != nil {
 				return nil, err
@@ -560,7 +466,7 @@ func (d *decoder) ops(max int) ([]txn.Op, error) {
 			if op.Local, err = d.string(); err != nil {
 				return nil, err
 			}
-		case TWrite:
+		case opWrite:
 			op.Kind = txn.OpWrite
 			if op.Entity, err = d.string(); err != nil {
 				return nil, err
@@ -569,7 +475,7 @@ func (d *decoder) ops(max int) ([]txn.Op, error) {
 			if op.Expr, err = d.expr(0, &budget); err != nil {
 				return nil, err
 			}
-		case TCompute:
+		case opCompute:
 			op.Kind = txn.OpCompute
 			if op.Local, err = d.string(); err != nil {
 				return nil, err
@@ -578,9 +484,9 @@ func (d *decoder) ops(max int) ([]txn.Op, error) {
 			if op.Expr, err = d.expr(0, &budget); err != nil {
 				return nil, err
 			}
-		case TLastLock:
+		case opLastLock:
 			op.Kind = txn.OpDeclareLastLock
-		case TCommit:
+		case opCommit:
 			op.Kind = txn.OpCommit
 		default:
 			return nil, protoErr("unknown op tag %d", tag)
@@ -599,57 +505,17 @@ func (d *decoder) done() error {
 
 // --- message codec ---
 
-// Encode serializes m into a complete frame (length prefix included).
-func Encode(m Msg) ([]byte, error) {
-	return AppendMsg(nil, m)
-}
-
-// AppendMsg appends m's complete frame (length prefix included) to dst
-// and returns the extended slice. It is Encode without the allocation:
-// a batching writer encodes many frames into one reused buffer and
-// issues a single write.
-func AppendMsg(dst []byte, m Msg) ([]byte, error) {
-	ver := Version
-	if m.Type() == TBeginProgram {
-		ver = Version2
-	}
-	start := len(dst)
-	body, err := appendMsgBody(append(dst, 0, 0, 0, 0, ver), m)
-	if err != nil {
-		return nil, err
-	}
-	return finishFrame(body, start)
-}
-
-// TaggableType reports whether t may travel inside a v3 stream-tagged
-// frame: whole-program submissions and counter requests from the
-// client, verdicts and notifications from the server. The stateful v1
-// per-operation sequence (Begin..Commit) cannot interleave with other
-// streams and is excluded.
-func TaggableType(t Type) bool {
-	switch t {
-	case TBeginProgram, TStats, TCommitted, TRolledBack, TError, TStatsReply:
-		return true
-	}
-	return false
-}
-
-// Frame is one decoded frame plus its stream routing: Tagged reports a
-// v3 frame, in which case Stream carries the client-chosen stream ID.
-// Untagged (v1/v2) frames decode with Stream zero.
+// Frame is one decoded frame: the stream it travels on and its message.
 type Frame struct {
 	Stream uint32
-	Tagged bool
 	Msg    Msg
 }
 
-// AppendTagged appends a complete v3 frame tagging m with stream to dst
-// and returns the extended slice — the multiplexed counterpart of
-// AppendMsg. It fails for message types that may not be tagged.
+// AppendTagged appends m's complete frame on stream (length prefix
+// included) to dst and returns the extended slice, so a batching writer
+// can encode many frames into one reused buffer and issue a single
+// write.
 func AppendTagged(dst []byte, stream uint32, m Msg) ([]byte, error) {
-	if !TaggableType(m.Type()) {
-		return nil, fmt.Errorf("wire: %s cannot be stream-tagged", m.Type())
-	}
 	start := len(dst)
 	body := appendUvarint(append(dst, 0, 0, 0, 0, Version3), uint64(stream))
 	body, err := appendMsgBody(body, m)
@@ -659,7 +525,7 @@ func AppendTagged(dst []byte, stream uint32, m Msg) ([]byte, error) {
 	return finishFrame(body, start)
 }
 
-// EncodeTagged serializes m into a complete v3 frame tagged with stream.
+// EncodeTagged serializes m into a complete frame on stream.
 func EncodeTagged(stream uint32, m Msg) ([]byte, error) {
 	return AppendTagged(nil, stream, m)
 }
@@ -676,42 +542,12 @@ func finishFrame(body []byte, start int) ([]byte, error) {
 }
 
 // appendMsgBody appends m's type byte and field encoding (everything
-// after the version prefix) to dst. Shared by the v1/v2 and v3 framings
-// so a tagged message's body is byte-identical to its untagged one.
+// after the stream tag) to dst.
 func appendMsgBody(dst []byte, m Msg) ([]byte, error) {
 	body := append(dst, byte(m.Type()))
 	var err error
 	switch x := m.(type) {
-	case Begin:
-		body = appendString(body, x.Name)
-		body = appendUvarint(body, uint64(len(x.Locals)))
-		for _, l := range x.Locals {
-			body = appendString(body, l.Name)
-			body = appendVarint(body, l.Val)
-		}
-	case Lock:
-		mode := byte(0)
-		if x.Exclusive {
-			mode = 1
-		}
-		body = append(body, mode)
-		body = appendString(body, x.Entity)
-	case Unlock:
-		body = appendString(body, x.Entity)
-	case Read:
-		body = appendString(body, x.Entity)
-		body = appendString(body, x.Local)
-	case Write:
-		body = appendString(body, x.Entity)
-		if body, err = appendExpr(body, x.Expr); err != nil {
-			return nil, err
-		}
-	case Compute:
-		body = appendString(body, x.Local)
-		if body, err = appendExpr(body, x.Expr); err != nil {
-			return nil, err
-		}
-	case LastLock, Commit, Stats:
+	case Stats:
 		// no body
 	case BeginProgram:
 		body = appendString(body, x.Name)
@@ -759,89 +595,39 @@ func appendMsgBody(dst []byte, m Msg) ([]byte, error) {
 	return body, nil
 }
 
-// appendOp encodes one program operation for a BeginProgram body: the
-// v1 message type byte as tag, then the same field encoding as the
-// corresponding per-operation message.
+// appendOp encodes one program operation for a BeginProgram body: its
+// op tag, then its fields (a lock carries a mode byte, 1 = exclusive).
 func appendOp(b []byte, op txn.Op) ([]byte, error) {
 	switch op.Kind {
 	case txn.OpLockS:
-		return appendString(append(b, byte(TLock), 0), op.Entity), nil
+		return appendString(append(b, opLock, 0), op.Entity), nil
 	case txn.OpLockX:
-		return appendString(append(b, byte(TLock), 1), op.Entity), nil
+		return appendString(append(b, opLock, 1), op.Entity), nil
 	case txn.OpUnlock:
-		return appendString(append(b, byte(TUnlock)), op.Entity), nil
+		return appendString(append(b, opUnlock), op.Entity), nil
 	case txn.OpRead:
-		return appendString(appendString(append(b, byte(TRead)), op.Entity), op.Local), nil
+		return appendString(appendString(append(b, opRead), op.Entity), op.Local), nil
 	case txn.OpWrite:
-		return appendExpr(appendString(append(b, byte(TWrite)), op.Entity), op.Expr)
+		return appendExpr(appendString(append(b, opWrite), op.Entity), op.Expr)
 	case txn.OpCompute:
-		return appendExpr(appendString(append(b, byte(TCompute)), op.Local), op.Expr)
+		return appendExpr(appendString(append(b, opCompute), op.Local), op.Expr)
 	case txn.OpDeclareLastLock:
-		return append(b, byte(TLastLock)), nil
+		return append(b, opLastLock), nil
 	case txn.OpCommit:
-		return append(b, byte(TCommit)), nil
+		return append(b, opCommit), nil
 	default:
 		return nil, fmt.Errorf("wire: cannot encode op kind %v", op.Kind)
 	}
 }
 
-// WriteMsg frames and writes m, returning the bytes written.
-func WriteMsg(w io.Writer, m Msg) (int, error) {
-	frame, err := Encode(m)
-	if err != nil {
-		return 0, err
-	}
-	return w.Write(frame)
-}
-
-// Decode parses one payload (the frame with its length prefix already
-// stripped). It accepts only v1 and v2 frames; a transport that must
-// also accept stream-tagged v3 frames uses DecodeFrame.
-func Decode(payload []byte) (Msg, error) {
-	if len(payload) < 2 {
-		return nil, protoErr("payload of %d bytes", len(payload))
-	}
-	switch payload[0] {
-	case Version:
-		if Type(payload[1]) == TBeginProgram {
-			return nil, protoErr("%s requires a version-%d frame", TBeginProgram, Version2)
-		}
-	case Version2:
-		if Type(payload[1]) != TBeginProgram {
-			return nil, protoErr("version-%d frame carries %s, only %s allowed", Version2, Type(payload[1]), TBeginProgram)
-		}
-	default:
-		return nil, protoErr("version %d, want %d or %d", payload[0], Version, Version2)
-	}
-	d := &decoder{b: payload[2:]}
-	m, err := decodeMsg(Type(payload[1]), d)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// DecodeFrame parses one payload of any protocol version: v1/v2 frames
-// decode exactly as Decode does (Tagged false, Stream zero), v3 frames
-// additionally yield their stream tag.
+// DecodeFrame parses one payload (the frame with its length prefix
+// already stripped) into its stream tag and message.
 func DecodeFrame(payload []byte) (Frame, error) {
 	if len(payload) < 1 {
 		return Frame{}, protoErr("payload of %d bytes", len(payload))
 	}
-	switch payload[0] {
-	case Version, Version2:
-		m, err := Decode(payload)
-		if err != nil {
-			return Frame{}, err
-		}
-		return Frame{Msg: m}, nil
-	case Version3:
-	default:
-		return Frame{}, protoErr("version %d, want %d, %d or %d",
-			payload[0], Version, Version2, Version3)
+	if payload[0] != Version3 {
+		return Frame{}, protoErr("version %d, want %d", payload[0], Version3)
 	}
 	d := &decoder{b: payload[1:]}
 	stream, err := d.uvarint()
@@ -855,9 +641,6 @@ func DecodeFrame(payload []byte) (Frame, error) {
 	if err != nil {
 		return Frame{}, err
 	}
-	if !TaggableType(Type(tag)) {
-		return Frame{}, protoErr("%s cannot be stream-tagged", Type(tag))
-	}
 	m, err := decodeMsg(Type(tag), d)
 	if err != nil {
 		return Frame{}, err
@@ -865,78 +648,15 @@ func DecodeFrame(payload []byte) (Frame, error) {
 	if err := d.done(); err != nil {
 		return Frame{}, err
 	}
-	return Frame{Stream: uint32(stream), Tagged: true, Msg: m}, nil
+	return Frame{Stream: uint32(stream), Msg: m}, nil
 }
 
 // decodeMsg decodes the fields of one message of type t from d (the
-// version prefix and type byte already consumed). Shared by the v1/v2
-// and v3 framings.
+// stream tag and type byte already consumed).
 func decodeMsg(t Type, d *decoder) (Msg, error) {
 	var m Msg
 	var err error
 	switch t {
-	case TBegin:
-		var x Begin
-		if x.Name, err = d.string(); err != nil {
-			return nil, err
-		}
-		if x.Locals, err = d.locals(MaxLocals); err != nil {
-			return nil, err
-		}
-		m = x
-	case TLock:
-		var x Lock
-		mode, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if mode > 1 {
-			return nil, protoErr("unknown lock mode %d", mode)
-		}
-		x.Exclusive = mode == 1
-		if x.Entity, err = d.string(); err != nil {
-			return nil, err
-		}
-		m = x
-	case TUnlock:
-		var x Unlock
-		if x.Entity, err = d.string(); err != nil {
-			return nil, err
-		}
-		m = x
-	case TRead:
-		var x Read
-		if x.Entity, err = d.string(); err != nil {
-			return nil, err
-		}
-		if x.Local, err = d.string(); err != nil {
-			return nil, err
-		}
-		m = x
-	case TWrite:
-		var x Write
-		if x.Entity, err = d.string(); err != nil {
-			return nil, err
-		}
-		budget := MaxExprNodes
-		if x.Expr, err = d.expr(0, &budget); err != nil {
-			return nil, err
-		}
-		m = x
-	case TCompute:
-		var x Compute
-		if x.Local, err = d.string(); err != nil {
-			return nil, err
-		}
-		budget := MaxExprNodes
-		if x.Expr, err = d.expr(0, &budget); err != nil {
-			return nil, err
-		}
-		m = x
-	case TLastLock:
-		m = LastLock{}
-	case TCommit:
-		m = Commit{}
 	case TStats:
 		m = Stats{}
 	case TBeginProgram:
@@ -1016,33 +736,9 @@ func decodeMsg(t Type, d *decoder) (Msg, error) {
 	return m, nil
 }
 
-// ReadMsg reads one frame from r and decodes it, returning the message
+// ReadFrame reads one frame from r and decodes it, returning the frame
 // and the total bytes consumed. I/O failures are returned as-is;
 // malformed content is reported wrapped in ErrProtocol.
-func ReadMsg(r io.Reader) (Msg, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, 4, protoErr("frame of %d bytes exceeds %d", n, MaxFrame)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, 4, err
-	}
-	m, err := Decode(payload)
-	return m, 4 + int(n), err
-}
-
-// ReadFrame reads one frame of any protocol version from r and decodes
-// it — the demultiplexing transport's counterpart of ReadMsg. I/O
-// failures are returned as-is; malformed content is reported wrapped in
-// ErrProtocol.
 func ReadFrame(r io.Reader) (Frame, int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -1065,44 +761,9 @@ func ReadFrame(r io.Reader) (Frame, int, error) {
 
 // --- program <-> message translation ---
 
-// ProgramMsgs translates a transaction program into its protocol
-// message sequence: Begin, one message per operation, Commit. Locals
-// are emitted in sorted order so equal programs encode identically.
-func ProgramMsgs(p *txn.Program) ([]Msg, error) {
-	locals := make([]LocalDecl, 0, len(p.Locals))
-	for name, v := range p.Locals {
-		locals = append(locals, LocalDecl{Name: name, Val: v})
-	}
-	sort.Slice(locals, func(i, j int) bool { return locals[i].Name < locals[j].Name })
-	out := []Msg{Begin{Name: p.Name, Locals: locals}}
-	for _, op := range p.Ops {
-		switch op.Kind {
-		case txn.OpLockS:
-			out = append(out, Lock{Entity: op.Entity})
-		case txn.OpLockX:
-			out = append(out, Lock{Entity: op.Entity, Exclusive: true})
-		case txn.OpUnlock:
-			out = append(out, Unlock{Entity: op.Entity})
-		case txn.OpRead:
-			out = append(out, Read{Entity: op.Entity, Local: op.Local})
-		case txn.OpWrite:
-			out = append(out, Write{Entity: op.Entity, Expr: op.Expr})
-		case txn.OpCompute:
-			out = append(out, Compute{Local: op.Local, Expr: op.Expr})
-		case txn.OpDeclareLastLock:
-			out = append(out, LastLock{})
-		case txn.OpCommit:
-			out = append(out, Commit{})
-		default:
-			return nil, fmt.Errorf("wire: cannot encode op kind %v", op.Kind)
-		}
-	}
-	return out, nil
-}
-
-// ProgramFrame translates a transaction program into the single v2
-// BeginProgram frame — the batched alternative to ProgramMsgs. Locals
-// are emitted in sorted order so equal programs encode identically.
+// ProgramFrame translates a transaction program into its BeginProgram
+// message. Locals are emitted in sorted order so equal programs encode
+// identically.
 func ProgramFrame(p *txn.Program) (BeginProgram, error) {
 	if len(p.Ops) > MaxOps {
 		return BeginProgram{}, fmt.Errorf("wire: program of %d ops exceeds %d", len(p.Ops), MaxOps)
@@ -1123,10 +784,9 @@ func ProgramFrame(p *txn.Program) (BeginProgram, error) {
 	return BeginProgram{Name: p.Name, Locals: locals, Ops: p.Ops}, nil
 }
 
-// Program validates and returns the shipped program — the whole-frame
-// equivalent of feeding an Assembler and calling its Program. The same
-// §2 static rules apply; a missing trailing Commit is appended exactly
-// as txn.Builder.Build would.
+// Program validates and returns the shipped program under the §2 static
+// rules; a missing trailing Commit is appended exactly as
+// txn.Builder.Build would.
 func (bp BeginProgram) Program() (*txn.Program, error) {
 	if len(bp.Locals) > MaxLocals {
 		return nil, protoErr("%d locals exceeds %d", len(bp.Locals), MaxLocals)
@@ -1150,79 +810,4 @@ func (bp BeginProgram) Program() (*txn.Program, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// Assembler rebuilds a transaction program from its protocol messages.
-// Feed returns done=true when Commit arrives; Program then returns the
-// validated program.
-type Assembler struct {
-	b    *txn.Builder
-	ops  int
-	done bool
-	err  error
-}
-
-// NewAssembler starts assembling from a Begin message.
-func NewAssembler(b Begin) *Assembler {
-	a := &Assembler{b: txn.NewProgram(b.Name)}
-	if len(b.Locals) > MaxLocals {
-		a.err = protoErr("%d locals exceeds %d", len(b.Locals), MaxLocals)
-		return a
-	}
-	for _, l := range b.Locals {
-		a.b.Local(l.Name, l.Val)
-	}
-	return a
-}
-
-// Feed consumes one operation message. It reports done=true on Commit.
-func (a *Assembler) Feed(m Msg) (done bool, err error) {
-	if a.err != nil {
-		return false, a.err
-	}
-	if a.done {
-		return true, protoErr("operation after commit")
-	}
-	a.ops++
-	if a.ops > MaxOps {
-		a.err = protoErr("program exceeds %d operations", MaxOps)
-		return false, a.err
-	}
-	switch x := m.(type) {
-	case Lock:
-		if x.Exclusive {
-			a.b.LockX(x.Entity)
-		} else {
-			a.b.LockS(x.Entity)
-		}
-	case Unlock:
-		a.b.Unlock(x.Entity)
-	case Read:
-		a.b.Read(x.Entity, x.Local)
-	case Write:
-		a.b.Write(x.Entity, x.Expr)
-	case Compute:
-		a.b.Compute(x.Local, x.Expr)
-	case LastLock:
-		a.b.DeclareLastLock()
-	case Commit:
-		a.done = true
-		return true, nil
-	default:
-		a.err = protoErr("unexpected %s inside transaction", m.Type())
-		return false, a.err
-	}
-	return false, nil
-}
-
-// Program validates and returns the assembled program. It fails before
-// Commit has been fed or when the program violates the §2 static rules.
-func (a *Assembler) Program() (*txn.Program, error) {
-	if a.err != nil {
-		return nil, a.err
-	}
-	if !a.done {
-		return nil, protoErr("program not committed")
-	}
-	return a.b.Build()
 }

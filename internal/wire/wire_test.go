@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"reflect"
@@ -13,46 +14,37 @@ import (
 	"partialrollback/internal/value"
 )
 
+// Frames in the retired untagged framings, built by hand: a v1
+// exclusive Lock on "e0" and a v2 BeginProgram "P" with no locals or
+// ops. Nothing may decode them any more.
+var (
+	v1LockFrame    = []byte{0, 0, 0, 6, 1, 2, 1, 2, 'e', '0'}
+	v2ProgramFrame = []byte{0, 0, 0, 6, 2, byte(TBeginProgram), 1, 'P', 0, 0}
+)
+
+// roundTrip encodes m on stream 1, reads it back through ReadFrame, and
+// checks the byte accounting and the stream tag.
 func roundTrip(t *testing.T, m Msg) Msg {
 	t.Helper()
-	var buf bytes.Buffer
-	n, err := WriteMsg(&buf, m)
+	frame, err := EncodeTagged(1, m)
 	if err != nil {
-		t.Fatalf("write %T: %v", m, err)
+		t.Fatalf("encode %T: %v", m, err)
 	}
-	if n != buf.Len() {
-		t.Fatalf("write %T reported %d bytes, buffered %d", m, n, buf.Len())
-	}
-	got, rn, err := ReadMsg(&buf)
+	f, n, err := ReadFrame(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatalf("read %T: %v", m, err)
 	}
-	if rn != n {
-		t.Fatalf("read %T consumed %d bytes, wrote %d", m, rn, n)
+	if n != len(frame) {
+		t.Fatalf("read %T consumed %d bytes, wrote %d", m, n, len(frame))
 	}
-	return got
+	if f.Stream != 1 {
+		t.Fatalf("read %T on stream %d, want 1", m, f.Stream)
+	}
+	return f.Msg
 }
 
 func TestRoundTripAllMessages(t *testing.T) {
-	msgs := []Msg{
-		Begin{Name: "T1", Locals: []LocalDecl{{"a", 1}, {"b", -7}}},
-		Begin{Name: "empty"},
-		Lock{Entity: "e0"},
-		Lock{Entity: "e1", Exclusive: true},
-		Unlock{Entity: "e0"},
-		Read{Entity: "e1", Local: "a"},
-		Write{Entity: "e1", Expr: value.Add(value.L("a"), value.C(3))},
-		Compute{Local: "b", Expr: value.Mod(value.Mul(value.L("a"), value.C(-2)), value.C(7))},
-		LastLock{},
-		Commit{},
-		Stats{},
-		Committed{Txn: 42, Locals: []LocalDecl{{"a", 9}}, Stats: TxnOutcome{
-			OpsExecuted: 10, OpsLost: 3, Rollbacks: 2, Restarts: 1, Waits: 4}},
-		RolledBack{Txn: 7, ToLockState: 2, FromState: 19, ToState: 13, Lost: 6},
-		Error{Code: CodeRolledBack, Msg: "deadline"},
-		StatsReply{Counters: []Counter{{"grants", 12}, {"waits", -1}}},
-	}
-	for _, m := range msgs {
+	for _, m := range taggableMsgs() {
 		got := roundTrip(t, m)
 		if !reflect.DeepEqual(got, m) {
 			t.Errorf("round trip %T: got %#v, want %#v", m, got, m)
@@ -60,76 +52,57 @@ func TestRoundTripAllMessages(t *testing.T) {
 	}
 }
 
+// mixProgram uses every op kind: shared and exclusive locks, reads, a
+// compute, the §5 last-lock declaration, a write, an unlock and commit.
+func mixProgram() *txn.Program {
+	return txn.NewProgram("mix").
+		Local("x", 2).Local("y", 0).
+		LockS("e0").Read("e0", "x").
+		LockX("e1").Read("e1", "y").
+		Compute("y", value.Max(value.L("x"), value.L("y"))).
+		DeclareLastLock().
+		Write("e1", value.Add(value.L("y"), value.C(1))).
+		Unlock("e1").
+		MustBuild()
+}
+
+// TestProgramRoundTrip pins a program using every op kind to its exact
+// frame bytes on stream 5 — the op tags and field layout of the retired
+// v2 body, after the stream tag — and decodes those bytes back to the
+// same program.
 func TestProgramRoundTrip(t *testing.T) {
-	progs := []*txn.Program{
-		sim.TransferProgram("xfer", "e0", "e1", 5, 3),
-		txn.NewProgram("mix").
-			Local("x", 2).Local("y", 0).
-			LockS("e0").Read("e0", "x").
-			LockX("e1").Read("e1", "y").
-			Compute("y", value.Max(value.L("x"), value.L("y"))).
-			DeclareLastLock().
-			Write("e1", value.Add(value.L("y"), value.C(1))).
-			Unlock("e1").
-			MustBuild(),
+	const golden = "00000041" + "03" + "05" + "0a036d697802017804017900090200026530" +
+		"040265300178020102653104026531017906017902060101780101790705026531" +
+		"020001017900020302653108"
+	p := mixProgram()
+	bp, err := ProgramFrame(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, w := range sim.Generate(sim.GenConfig{Txns: 6, Seed: 11, Shape: sim.Mixed, SharedProb: 0.3}).Programs {
-		progs = append(progs, w)
+	frame, err := EncodeTagged(5, bp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range progs {
-		msgs, err := ProgramMsgs(p)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
-		begin, ok := msgs[0].(Begin)
-		if !ok {
-			t.Fatalf("%s: first message is %T", p.Name, msgs[0])
-		}
-		a := NewAssembler(begin)
-		for i, m := range msgs[1:] {
-			// Exercise the full codec: encode, decode, then feed.
-			frame, err := Encode(m)
-			if err != nil {
-				t.Fatalf("%s msg %d: %v", p.Name, i, err)
-			}
-			dm, err := Decode(frame[4:])
-			if err != nil {
-				t.Fatalf("%s msg %d: %v", p.Name, i, err)
-			}
-			done, err := a.Feed(dm)
-			if err != nil {
-				t.Fatalf("%s msg %d: %v", p.Name, i, err)
-			}
-			if done != (i == len(msgs)-2) {
-				t.Fatalf("%s msg %d: done=%v", p.Name, i, done)
-			}
-		}
-		got, err := a.Program()
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
-		if !reflect.DeepEqual(got, p) {
-			t.Errorf("%s: program round trip mismatch:\n got %v\nwant %v", p.Name, got, p)
-		}
+	if got := hex.EncodeToString(frame); got != golden {
+		t.Fatalf("program frame bytes changed:\n got %s\nwant %s", got, golden)
+	}
+	f, err := DecodeFrame(frame[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.Msg.(BeginProgram).Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, p) {
+		t.Errorf("program round trip mismatch:\n got %v\nwant %v", got, p)
 	}
 }
 
-// TestProgramFrameRoundTrip pins the v2 path end to end: ProgramFrame →
-// encode → decode → Program must reproduce every program byte-for-byte,
-// and agree exactly with what the v1 Assembler path reconstructs.
+// TestProgramFrameRoundTrip pins the submission path end to end:
+// ProgramFrame → encode → decode → Program must reproduce every program.
 func TestProgramFrameRoundTrip(t *testing.T) {
-	progs := []*txn.Program{
-		sim.TransferProgram("xfer", "e0", "e1", 5, 3),
-		txn.NewProgram("mix").
-			Local("x", 2).Local("y", 0).
-			LockS("e0").Read("e0", "x").
-			LockX("e1").Read("e1", "y").
-			Compute("y", value.Max(value.L("x"), value.L("y"))).
-			DeclareLastLock().
-			Write("e1", value.Add(value.L("y"), value.C(1))).
-			Unlock("e1").
-			MustBuild(),
-	}
+	progs := []*txn.Program{sim.TransferProgram("xfer", "e0", "e1", 5, 3), mixProgram()}
 	progs = append(progs, sim.Generate(sim.GenConfig{Txns: 6, Seed: 11, Shape: sim.Mixed, SharedProb: 0.3}).Programs...)
 	for _, p := range progs {
 		frame, err := ProgramFrame(p)
@@ -154,85 +127,28 @@ func TestProgramFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVersionNegotiation pins the per-frame version rules: BeginProgram
-// only decodes under Version2, every other type only under Version, and
-// unknown versions are rejected.
+// TestVersionNegotiation pins the one rule left: only Version3 frames
+// decode. The retired v1 and v2 framings, and unknown versions, are
+// protocol errors.
 func TestVersionNegotiation(t *testing.T) {
-	frame, err := Encode(BeginProgram{Name: "P", Ops: []txn.Op{{Kind: txn.OpCommit}}})
-	if err != nil {
-		t.Fatal(err)
+	for name, payload := range map[string][]byte{
+		"v1 lock":       v1LockFrame[4:],
+		"v2 program":    v2ProgramFrame[4:],
+		"version 9":     append([]byte{9}, mustTagged(t, 1, Stats{})[1:]...),
+		"version 0":     {0, 1, byte(TStats)},
+		"bare version1": {1},
+	} {
+		if _, err := DecodeFrame(payload); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: got %v, want ErrProtocol", name, err)
+		}
 	}
-	if frame[4] != Version2 {
-		t.Fatalf("BeginProgram frame carries version %d, want %d", frame[4], Version2)
-	}
-	// Same payload demoted to v1 must be rejected.
-	demoted := append([]byte{}, frame[4:]...)
-	demoted[0] = Version
-	if _, err := Decode(demoted); err == nil {
-		t.Error("v1-framed BeginProgram decoded; want rejection")
-	}
-	// A v1 message promoted to v2 must be rejected.
-	lockFrame, err := Encode(Lock{Entity: "e0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lockFrame[4] != Version {
-		t.Fatalf("Lock frame carries version %d, want %d", lockFrame[4], Version)
-	}
-	promoted := append([]byte{}, lockFrame[4:]...)
-	promoted[0] = Version2
-	if _, err := Decode(promoted); err == nil {
-		t.Error("v2-framed Lock decoded; want rejection")
-	}
-	unknown := append([]byte{}, lockFrame[4:]...)
-	unknown[0] = 9
-	if _, err := Decode(unknown); err == nil {
-		t.Error("version-9 frame decoded; want rejection")
+	if _, err := DecodeFrame(mustTagged(t, 1, Stats{})); err != nil {
+		t.Fatalf("v3 frame rejected: %v", err)
 	}
 }
 
-// TestAppendMsgBatches pins the batching encoder: frames appended to
-// one buffer must byte-match their individual encodings and decode as a
-// stream.
-func TestAppendMsgBatches(t *testing.T) {
-	msgs := []Msg{
-		Committed{Txn: 1, Locals: []LocalDecl{{"a", 9}}},
-		RolledBack{Txn: 1, Lost: 2},
-		Error{Code: CodeBusy, Msg: "full"},
-	}
-	var batch, concat []byte
-	for _, m := range msgs {
-		var err error
-		if batch, err = AppendMsg(batch, m); err != nil {
-			t.Fatal(err)
-		}
-		frame, err := Encode(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		concat = append(concat, frame...)
-	}
-	if !bytes.Equal(batch, concat) {
-		t.Fatalf("batched encoding diverges from per-frame encoding")
-	}
-	r := bytes.NewReader(batch)
-	for i, want := range msgs {
-		got, _, err := ReadMsg(r)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("frame %d: got %#v, want %#v", i, got, want)
-		}
-	}
-	if r.Len() != 0 {
-		t.Fatalf("%d trailing bytes after batch", r.Len())
-	}
-}
-
-// TestBeginProgramRejectsInvalid mirrors TestAssemblerRejectsInvalid
-// for the v2 path: a protocol-valid frame carrying an invalid program
-// must fail at Program(), not decode.
+// TestBeginProgramRejectsInvalid: a protocol-valid frame carrying an
+// invalid program must fail at Program(), not decode.
 func TestBeginProgramRejectsInvalid(t *testing.T) {
 	bad := []BeginProgram{
 		// Write without a lock.
@@ -251,45 +167,62 @@ func TestBeginProgramRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestAssemblerRejectsInvalid(t *testing.T) {
-	// Write without a lock: protocol-valid messages, invalid program.
-	a := NewAssembler(Begin{Name: "bad", Locals: []LocalDecl{{"x", 0}}})
-	for _, m := range []Msg{Write{Entity: "e0", Expr: value.C(1)}, Commit{}} {
-		if _, err := a.Feed(m); err != nil {
-			t.Fatalf("feed: %v", err)
+// TestAppendMsgBatches pins the batching encoder as the server uses it
+// for replies: frames of different types and streams, including a
+// connection-level Error on ConnStream, appended to one buffer must
+// byte-match their individual encodings and decode as a stream.
+func TestAppendMsgBatches(t *testing.T) {
+	frames := []Frame{
+		{Stream: 4, Msg: Committed{Txn: 1, Locals: []LocalDecl{{"a", 9}}}},
+		{Stream: 2, Msg: RolledBack{Txn: 1, Lost: 2}},
+		{Stream: ConnStream, Msg: Error{Code: CodeBusy, Msg: "full"}},
+	}
+	var batch, concat []byte
+	for _, f := range frames {
+		var err error
+		if batch, err = AppendTagged(batch, f.Stream, f.Msg); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := EncodeTagged(f.Stream, f.Msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		concat = append(concat, frame...)
+	}
+	if !bytes.Equal(batch, concat) {
+		t.Fatalf("batched encoding diverges from per-frame encoding")
+	}
+	r := bytes.NewReader(batch)
+	for i, want := range frames {
+		got, _, err := ReadFrame(r)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d: got %#v, want %#v", i, got, want)
 		}
 	}
-	if _, err := a.Program(); err == nil {
-		t.Error("invalid program assembled without error")
-	}
-
-	// Unexpected message kind inside a transaction.
-	a = NewAssembler(Begin{Name: "bad2"})
-	if _, err := a.Feed(Stats{}); !errors.Is(err, ErrProtocol) {
-		t.Errorf("feeding Stats: got %v, want ErrProtocol", err)
-	}
-
-	// Incomplete program.
-	a = NewAssembler(Begin{Name: "bad3"})
-	if _, err := a.Program(); !errors.Is(err, ErrProtocol) {
-		t.Error("assembling before Commit should fail")
+	if r.Len() != 0 {
+		t.Fatalf("%d trailing bytes after batch", r.Len())
 	}
 }
 
+// TestReadMsgErrors (named for the retired stream reader) drives ReadFrame
+// and DecodeFrame through every framing and decode failure.
 func TestReadMsgErrors(t *testing.T) {
-	valid, err := Encode(Lock{Entity: "e0", Exclusive: true})
+	valid, err := EncodeTagged(1, Error{Code: CodeBusy, Msg: "full"})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("truncated header", func(t *testing.T) {
-		_, _, err := ReadMsg(bytes.NewReader(valid[:3]))
+		_, _, err := ReadFrame(bytes.NewReader(valid[:3]))
 		if err == nil {
 			t.Error("want error")
 		}
 	})
 	t.Run("truncated payload", func(t *testing.T) {
-		_, _, err := ReadMsg(bytes.NewReader(valid[:len(valid)-2]))
+		_, _, err := ReadFrame(bytes.NewReader(valid[:len(valid)-2]))
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("got %v, want unexpected EOF", err)
 		}
@@ -297,23 +230,23 @@ func TestReadMsgErrors(t *testing.T) {
 	t.Run("oversize frame", func(t *testing.T) {
 		var hdr [4]byte
 		binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-		_, _, err := ReadMsg(bytes.NewReader(hdr[:]))
+		_, _, err := ReadFrame(bytes.NewReader(hdr[:]))
 		if !errors.Is(err, ErrProtocol) {
 			t.Errorf("got %v, want ErrProtocol", err)
 		}
 	})
 	t.Run("bad version", func(t *testing.T) {
 		frame := append([]byte(nil), valid...)
-		frame[4] = Version + 1
-		_, _, err := ReadMsg(bytes.NewReader(frame))
+		frame[4] = Version3 + 1
+		_, _, err := ReadFrame(bytes.NewReader(frame))
 		if !errors.Is(err, ErrProtocol) {
 			t.Errorf("got %v, want ErrProtocol", err)
 		}
 	})
 	t.Run("unknown type", func(t *testing.T) {
 		frame := append([]byte(nil), valid...)
-		frame[5] = 0xEE
-		_, _, err := ReadMsg(bytes.NewReader(frame))
+		frame[6] = 0xEE
+		_, _, err := ReadFrame(bytes.NewReader(frame))
 		if !errors.Is(err, ErrProtocol) {
 			t.Errorf("got %v, want ErrProtocol", err)
 		}
@@ -322,15 +255,15 @@ func TestReadMsgErrors(t *testing.T) {
 		frame := append([]byte(nil), valid...)
 		frame = append(frame, 0x01)
 		binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-		_, _, err := ReadMsg(bytes.NewReader(frame))
+		_, _, err := ReadFrame(bytes.NewReader(frame))
 		if !errors.Is(err, ErrProtocol) {
 			t.Errorf("got %v, want ErrProtocol", err)
 		}
 	})
 	t.Run("truncated body", func(t *testing.T) {
 		// Claimed string longer than the remaining payload.
-		payload := []byte{Version, byte(TUnlock), 0x20, 'a'}
-		if _, err := Decode(payload); !errors.Is(err, ErrProtocol) {
+		payload := []byte{Version3, 1, byte(TError), byte(CodeBusy), 0x20, 'a'}
+		if _, err := DecodeFrame(payload); !errors.Is(err, ErrProtocol) {
 			t.Errorf("got %v, want ErrProtocol", err)
 		}
 	})
@@ -341,11 +274,9 @@ func TestExprLimits(t *testing.T) {
 	for i := 0; i < MaxExprDepth+2; i++ {
 		deep = value.Add(deep, value.C(1))
 	}
-	frame, err := Encode(Write{Entity: "e0", Expr: deep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(frame[4:]); !errors.Is(err, ErrProtocol) {
+	bp := BeginProgram{Name: "deep", Locals: []LocalDecl{{"x", 0}},
+		Ops: []txn.Op{{Kind: txn.OpCompute, Local: "x", Expr: deep}}}
+	if _, err := DecodeFrame(mustTagged(t, 1, bp)); !errors.Is(err, ErrProtocol) {
 		t.Errorf("deep expression: got %v, want ErrProtocol", err)
 	}
 }

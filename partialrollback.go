@@ -279,11 +279,11 @@ type (
 	// Shutdown to drain.
 	Server = server.Server
 	// ClientConfig configures a network Client.
-	ClientConfig = client.Config
-	// Client submits programs to a Server, re-running them with
-	// jittered backoff when the server rolls them back. Not safe for
-	// concurrent use; run one per goroutine.
-	Client = client.Client
+	ClientConfig = client.MuxConfig
+	// Client submits programs to a Server over one multiplexed
+	// connection, re-running them with jittered backoff when the server
+	// rolls them back. Safe for concurrent use.
+	Client = client.Mux
 	// ClientResult reports a transaction the server committed.
 	ClientResult = client.Result
 )
@@ -293,7 +293,7 @@ func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
 
 // NewClient creates a network client. No connection is made until the
 // first request.
-func NewClient(cfg ClientConfig) *Client { return client.New(cfg) }
+func NewClient(cfg ClientConfig) *Client { return client.NewMux(cfg) }
 
 // ErrRolledBack matches client errors whose server code is retryable
 // (the transaction was rolled back or refused transiently).

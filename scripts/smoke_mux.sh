@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# Stream-multiplexing smoke test: the v3 acceptance gate. Start a
-# race-enabled prserver, open 10,000 concurrent streams over just 4
-# shared sockets (prload -proto 3), and prove arithmetically that no
-# acknowledged commit was lost: each counter commit adds exactly one,
+# Stream-multiplexing smoke test. Start a race-enabled prserver, open
+# 10,000 concurrent streams over just 4 shared sockets (prload -clients
+# 10000 -conns 4), and prove arithmetically that no acknowledged
+# commit was lost: each counter commit adds exactly one,
 # so after the load sum(e0..eK-1) must be at least the acknowledged
 # count. The loader itself fails on any stream that never got a
 # terminal reply, so a hung stream — the failure mode multiplexing
@@ -45,7 +45,7 @@ echo "race-enabled server on $addr"
 # One transaction per stream: STREAMS concurrent streams, all in
 # flight at once, multiplexed over CONNS sockets.
 "$workdir/prload" -addr "$addr" -workload counter -counters "$COUNTERS" \
-    -proto 3 -conns "$CONNS" -streams "$STREAMS" -txns 1 -seed 7 \
+    -clients "$STREAMS" -conns "$CONNS" -txns 1 -seed 7 \
     | tee "$workdir/load.log"
 
 ACKED=$(sed -n 's/^committed=\([0-9]*\) .*/\1/p' "$workdir/load.log")
@@ -57,7 +57,7 @@ SOCKETS=$(sed -n 's/^sockets=\([0-9]*\) .*/\1/p' "$workdir/load.log")
 
 # Every acknowledged commit must be in the store.
 "$workdir/prload" -addr "$addr" -workload counter -counters "$COUNTERS" \
-    -verify-sum-min "$ACKED" -proto 2
+    -verify-sum-min "$ACKED"
 
 # Clean shutdown; any data race would have aborted the server by now.
 kill "$server_pid"

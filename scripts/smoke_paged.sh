@@ -44,7 +44,7 @@ start_server "$workdir/server_paged.log" \
 echo "paged server on $addr"
 
 "$workdir/prload" -addr "$addr" -workload counter -entities 512 \
-    -clients 8 -txns 500 -proto 2 -seed 3 >"$workdir/load_paged.log" 2>&1 || {
+    -clients 8 -txns 500 -seed 3 >"$workdir/load_paged.log" 2>&1 || {
     cat "$workdir/load_paged.log"; exit 1; }
 
 COMMITTED=$(sed -n 's/^committed=\([0-9]*\) .*/\1/p' "$workdir/load_paged.log")
@@ -62,7 +62,7 @@ evictions=$(sed -n 's/.* evictions=\([0-9]*\).*/\1/p' "$workdir/load_paged.log")
 
 # Exact accounting across the full entity range while the pool churns.
 "$workdir/prload" -addr "$addr" -workload counter -entities 512 \
-    -verify-sum-min "$COMMITTED" -proto 2
+    -verify-sum-min "$COMMITTED"
 
 kill "$server_pid"
 wait "$server_pid" 2>/dev/null || true
@@ -74,7 +74,7 @@ grep -q 'store consistent' "$workdir/server_paged.log" || {
 start_server "$workdir/server_mem.log" -entities 512
 echo "mem server on $addr"
 "$workdir/prload" -addr "$addr" -workload counter -entities 512 \
-    -clients 8 -txns 100 -proto 2 -seed 4 >"$workdir/load_mem.log" 2>&1 || {
+    -clients 8 -txns 100 -seed 4 >"$workdir/load_mem.log" 2>&1 || {
     cat "$workdir/load_mem.log"; exit 1; }
 if grep -q '^store: paged' "$workdir/load_mem.log"; then
     echo "-store mem reported paged counters"; exit 1

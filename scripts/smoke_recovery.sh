@@ -46,7 +46,7 @@ start_server "$workdir/server1.log"
 echo "server 1 on $addr (wal=$WAL)"
 
 "$workdir/prload" -addr "$addr" -workload counter -counters 8 \
-    -clients 8 -txns 4000 -proto 2 -attempts 1 -bail -seed 7 \
+    -clients 8 -txns 4000 -attempts 1 -bail -seed 7 \
     >"$workdir/load.log" 2>&1 &
 load_pid=$!
 
@@ -80,7 +80,7 @@ if grep -q 'WARNING: mid-log corruption' "$workdir/server2.log"; then
 fi
 
 "$workdir/prload" -addr "$addr" -workload counter -counters 8 \
-    -verify-sum-min "$ACKED" -proto 2
+    -verify-sum-min "$ACKED"
 
 # Phase 3: clean shutdown and a final recovery over the clean log —
 # no torn tail this time, same verified sum.
@@ -93,7 +93,7 @@ grep -q 'store consistent' "$workdir/server2.log" || {
 start_server "$workdir/server3.log"
 echo "server 3 on $addr"
 "$workdir/prload" -addr "$addr" -workload counter -counters 8 \
-    -verify-sum-min "$ACKED" -proto 2
+    -verify-sum-min "$ACKED"
 kill "$server_pid"
 wait "$server_pid" 2>/dev/null || true
 server_pid=""
@@ -116,7 +116,7 @@ while [ "$round" -lt 3 ]; do
     echo "checkpoint round $round on $addr"
 
     "$workdir/prload" -addr "$addr" -workload counter -counters 8 \
-        -clients 8 -txns 4000 -proto 2 -attempts 1 -bail -seed $((20 + round)) \
+        -clients 8 -txns 4000 -attempts 1 -bail -seed $((20 + round)) \
         >"$workdir/load_ckpt$round.log" 2>&1 &
     load_pid=$!
     sleep 2
@@ -141,7 +141,7 @@ while [ "$round" -lt 3 ]; do
         cat "$workdir/server_verify$round.log"; exit 1
     fi
     "$workdir/prload" -addr "$addr" -workload counter -counters 8 \
-        -verify-sum-min "$TOTAL" -proto 2
+        -verify-sum-min "$TOTAL"
     kill "$server_pid"
     wait "$server_pid" 2>/dev/null || true
     server_pid=""
@@ -176,7 +176,7 @@ grep -q 'store: paged backend' "$workdir/server_paged.log" || {
     echo "server did not come up on the paged backend"; cat "$workdir/server_paged.log"; exit 1; }
 
 "$workdir/prload" -addr "$addr" -workload counter -entities 64 \
-    -clients 8 -txns 4000 -proto 2 -attempts 1 -bail -seed 31 \
+    -clients 8 -txns 4000 -attempts 1 -bail -seed 31 \
     >"$workdir/load_paged.log" 2>&1 &
 load_pid=$!
 sleep 2
@@ -197,7 +197,7 @@ if grep -q 'WARNING: mid-log corruption\|WARNING: skipped invalid checkpoint' "$
     cat "$workdir/server_paged_verify.log"; exit 1
 fi
 "$workdir/prload" -addr "$addr" -workload counter -entities 64 \
-    -verify-sum-min "$TOTAL" -proto 2
+    -verify-sum-min "$TOTAL"
 kill "$server_pid"
 wait "$server_pid" 2>/dev/null || true
 server_pid=""
