@@ -143,11 +143,9 @@ type report struct {
 	// scaling result was even possible on the machine that produced it.
 	GOMAXPROCS int `json:"gomaxprocs"`
 	NumCPU     int `json:"numCPU"`
-	// ServerShards / ServerStripes echo the engine partitioning the
-	// server reported in its STATS snapshot (1 when the server predates
-	// the counter or runs unpartitioned).
-	ServerShards  int `json:"serverShards"`
-	ServerStripes int `json:"serverStripes"`
+	// ServerShards echoes the engine partitioning the server reported in
+	// its STATS snapshot (1 when the server runs unsharded).
+	ServerShards int `json:"serverShards"`
 	// Entities is the configured entity-set size the workload drew from
 	// (-entities, falling back to -db/-counters per workload).
 	Entities int `json:"entities"`
@@ -375,7 +373,6 @@ func main() {
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		NumCPU:        runtime.NumCPU(),
 		ServerShards:  1,
-		ServerStripes: 1,
 		Entities:      workloadEntities(),
 		StoreBackend:  "mem",
 		Committed:     total.committed,
@@ -409,9 +406,6 @@ func main() {
 		if v := rep.ServerCounters["shards"]; v > 1 {
 			rep.ServerShards = int(v)
 		}
-		if v := rep.ServerCounters["stripes"]; v > 1 {
-			rep.ServerStripes = int(v)
-		}
 		if rep.ServerCounters["store_paged"] == 1 {
 			rep.StoreBackend = "paged"
 			fmt.Printf("store: paged hits=%d misses=%d evictions=%d pinned=%d\n",
@@ -420,8 +414,8 @@ func main() {
 		}
 		fmt.Printf("wire: frames/txn=%.2f writer-flushes=%d (frames-out=%d)\n",
 			rep.WireFramesPerTxn, rep.WriterFlushes, rep.ServerCounters["frames_out"])
-		fmt.Printf("env: gomaxprocs=%d numcpu=%d server-shards=%d server-stripes=%d\n",
-			rep.GOMAXPROCS, rep.NumCPU, rep.ServerShards, rep.ServerStripes)
+		fmt.Printf("env: gomaxprocs=%d numcpu=%d server-shards=%d\n",
+			rep.GOMAXPROCS, rep.NumCPU, rep.ServerShards)
 		printShardBalance(counters)
 	} else {
 		log.Printf("stats request failed: %v", err)

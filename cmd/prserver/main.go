@@ -66,7 +66,6 @@ var (
 	drain       = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")
 	shards      = flag.Int("shards", 1, "engine shards (1 = single engine; >1 partitions the lock/wait-for/detection core)")
 	burst       = flag.Int("burst", 1, "max consecutive steps per engine-lock acquisition (1 = classic step-at-a-time; -1 = adaptive: up to 64 while uncontended, 1 under contention)")
-	stripes     = flag.Int("stripes", 1, "lock-table stripes per engine shard (1 = classic single-mutex engine; >1 lets uncontended operations of different transactions run in parallel inside a shard)")
 	maxStreams  = flag.Int("max-streams", 4096, "maximum concurrently active streams per connection (excess streams are refused with the retryable BUSY)")
 	strmWorkers = flag.Int("stream-workers", 0, "per-connection worker pool bound for streams (0 = max-streams)")
 	walDir      = flag.String("wal", "", "write-ahead log directory: commits are durable and replayed on restart (empty = memory only)")
@@ -175,9 +174,6 @@ func main() {
 	if *shards < 1 {
 		log.Fatalf("-shards must be >= 1 (got %d)", *shards)
 	}
-	if *stripes < 1 {
-		log.Fatalf("-stripes must be >= 1 (got %d)", *stripes)
-	}
 
 	// The metrics registry exists before the store so the paged
 	// backend's read-miss histogram can observe faults from the first
@@ -209,7 +205,6 @@ func main() {
 		IdleTimeout:    *idleTimeout,
 		Shards:         *shards,
 		Burst:          *burst,
-		Stripes:        *stripes,
 		MaxStreams:     *maxStreams,
 		StreamWorkers:  *strmWorkers,
 	}
@@ -387,8 +382,8 @@ func main() {
 	if err := srv.Listen(*addr); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("listening on %s (strategy=%s policy=%s entities=%d accounts=%d shards=%d stripes=%d burst=%d wal=%s store=%s)",
-		srv.Addr(), *strategy, *policy, *entities, *accounts, *shards, *stripes, *burst, walDesc(), *storeKind)
+	log.Printf("listening on %s (strategy=%s policy=%s entities=%d accounts=%d shards=%d burst=%d wal=%s store=%s)",
+		srv.Addr(), *strategy, *policy, *entities, *accounts, *shards, *burst, walDesc(), *storeKind)
 
 	var adminSrv *http.Server
 	if *admin != "" {
@@ -402,7 +397,6 @@ func main() {
 			}
 			return out
 		})
-		obs.RegisterStripeAcquires(registry, srv.System())
 		registry.NewGauge("pr_runtime_heap_alloc_bytes",
 			"Live Go heap bytes (runtime.ReadMemStats), sampled at scrape time.",
 			func() int64 {

@@ -39,7 +39,6 @@ var (
 	check     = flag.Bool("check", false, "record history and verify serializability")
 	traceFile = flag.String("trace", "", "write a JSON-lines event trace to this file")
 	shards    = flag.Int("shards", 1, "engine shards (1 behaves exactly like the unsharded engine)")
-	stripes   = flag.Int("stripes", 1, "lock-table stripes per shard (results are identical at any stripe count under the deterministic drivers)")
 )
 
 func parseShape(s string) (sim.WriteShape, error) {
@@ -133,13 +132,10 @@ func main() {
 	if *shards < 1 {
 		log.Fatalf("-shards must be >= 1 (got %d)", *shards)
 	}
-	if *stripes < 1 {
-		log.Fatalf("-stripes must be >= 1 (got %d)", *stripes)
-	}
 	rc := sim.RunConfig{
 		Strategy: st, Policy: pol, Scheduler: scheduler,
 		Seed: *seed, Prevention: prev, RecordHistory: *check,
-		Shards: *shards, Stripes: *stripes,
+		Shards: *shards,
 	}
 	var hooks []func(core.Event)
 	if *events {

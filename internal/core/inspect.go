@@ -5,17 +5,15 @@ import (
 	"sort"
 
 	"partialrollback/internal/history"
-	"partialrollback/internal/intern"
 	"partialrollback/internal/lock"
 	"partialrollback/internal/txn"
 	"partialrollback/internal/waitfor"
 )
 
-// Status returns the execution status of id. Read lock only: status
-// transitions happen under the write lock, never on the fast paths.
+// Status returns the execution status of id.
 func (s *System) Status(id txn.ID) (Status, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	t, err := s.get(id)
 	if err != nil {
 		return 0, err
@@ -28,8 +26,8 @@ func (s *System) Status(id txn.ID) (Status, error) {
 // acquisition and no allocation, so it is cheap enough to probe from
 // the step loop when sizing bursts adaptively.
 func (s *System) Waiters(id txn.ID) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.wf.WaiterCount(id)
 }
 
@@ -99,9 +97,7 @@ func (s *System) LockIndex(id txn.ID) int {
 	return 0
 }
 
-// Held returns the entities id holds, sorted. Sourced from the
-// transaction's own slots rather than the lock table so anonymous
-// CAS-granted shared holds (striped engine) are included.
+// Held returns the entities id holds, sorted.
 func (s *System) Held(id txn.ID) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -331,14 +327,8 @@ func (s *System) CheckInvariants() error {
 			continue
 		}
 		held := s.locks.HeldBy(id)
-		tableSlots := 0
-		for i := range t.slots {
-			if !t.slots[i].fast {
-				tableSlots++
-			}
-		}
-		if len(held) != tableSlots {
-			return fmt.Errorf("core: %v heldAt size %d != lock table %d", id, tableSlots, len(held))
+		if len(held) != len(t.slots) {
+			return fmt.Errorf("core: %v holds %d lock slots != lock table %d", id, len(t.slots), len(held))
 		}
 		for _, e := range held {
 			ent, ok := s.names.Lookup(e)
@@ -346,7 +336,7 @@ func (s *System) CheckInvariants() error {
 			if ok {
 				sl = t.findSlot(ent)
 			}
-			if sl == nil || sl.fast {
+			if sl == nil {
 				return fmt.Errorf("core: %v missing heldAt for %q", id, e)
 			}
 			if sl.heldAt < 0 || sl.heldAt >= t.lockIndex {
@@ -369,28 +359,6 @@ func (s *System) CheckInvariants() error {
 		}
 		if t.sdg != nil && t.sdg.LockIndex() != t.lockIndex {
 			return fmt.Errorf("core: %v SDG lock index %d != %d", id, t.sdg.LockIndex(), t.lockIndex)
-		}
-	}
-	if s.striped {
-		// Every entity's anonymous fast-holder word must equal the number
-		// of fast slots across live transactions.
-		fastCounts := map[intern.ID]int{}
-		for _, t := range s.txns {
-			if t.status == StatusCommitted {
-				continue
-			}
-			for i := range t.slots {
-				if t.slots[i].fast {
-					fastCounts[t.slots[i].ent]++
-				}
-			}
-		}
-		for e, n := 0, s.names.Len(); e < n; e++ {
-			ent := intern.ID(e)
-			if got, want := s.locks.FastSharedCountID(ent), fastCounts[ent]; got != want {
-				return fmt.Errorf("core: entity %q fast-holder word %d != %d fast slots",
-					s.names.Name(ent), got, want)
-			}
 		}
 	}
 	return nil

@@ -301,15 +301,7 @@ func (s *System) rollbackTo(t *tstate, q int) error {
 		if s.recorder != nil {
 			s.recorder.OnRetract(t.id, ne.name)
 		}
-		sl := t.findSlot(ne.ent)
-		fast := sl != nil && sl.fast
 		t.dropSlot(ne.ent)
-		if fast {
-			// Anonymous CAS-word hold: no table record, no waiters to
-			// refresh, no grants to promote.
-			s.locks.DropFastSharedID(ne.ent)
-			continue
-		}
 		if err := s.releaseAndRefresh(t, ne.ent); err != nil {
 			return err
 		}

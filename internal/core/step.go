@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"partialrollback/internal/history"
 	"partialrollback/internal/hybrid"
@@ -11,28 +12,24 @@ import (
 	"partialrollback/internal/value"
 )
 
+// lockEngine takes the engine mutex, reporting the blocked nanoseconds
+// to the LockWait observer when configured.
+func (s *System) lockEngine() {
+	if s.cfg.LockWait == nil {
+		s.mu.Lock()
+		return
+	}
+	t0 := time.Now()
+	s.mu.Lock()
+	s.cfg.LockWait(int64(time.Since(t0)))
+}
+
 // Step executes the next atomic operation of transaction id. Waiting
 // and committed transactions are reported as such without effect.
-//
-// Concurrency: different transactions may always be stepped
-// concurrently. With Config.Stripes > 1 the engine additionally
-// requires at most one concurrent stepper per transaction (the
-// goroutine-per-transaction model of internal/runtime) — uncontended
-// operations then run under a shared engine lock, mutating only the
-// stepping transaction's own state.
+// Different transactions may be stepped concurrently.
 func (s *System) Step(id txn.ID) (StepResult, error) {
-	if s.striped {
-		if res, _, err, done := s.stepFastBurst(id, 1); done {
-			return res, err
-		}
-	}
-	s.lockEngine()
-	defer s.mu.Unlock()
-	t, err := s.get(id)
-	if err != nil {
-		return StepResult{}, err
-	}
-	return s.stepLocked(t)
+	res, _, err := s.StepBurst(id, 1)
+	return res, err
 }
 
 // StepBurst executes up to max consecutive atomic operations of
@@ -48,29 +45,18 @@ func (s *System) Step(id txn.ID) (StepResult, error) {
 // logic as Step, and a wait ends the burst immediately, so the set of
 // reachable schedules is unchanged — a burst merely runs a sequence of
 // steps other transactions would not have been scheduled between.
-// StepBurst(id, 1) is byte-identical to Step(id) (pinned by a
-// regression test in internal/sim).
+// Step(id) is StepBurst(id, 1).
 func (s *System) StepBurst(id txn.ID, max int) (StepResult, int, error) {
 	if max < 1 {
 		max = 1
-	}
-	steps := 0
-	if s.striped {
-		// Run the fast-path prefix of the burst under the shared lock;
-		// fall through to the exclusive path only when an operation
-		// needs it (conflict, commit, promotion).
-		res, n, err, done := s.stepFastBurst(id, max)
-		steps = n
-		if done {
-			return res, steps, err
-		}
 	}
 	s.lockEngine()
 	defer s.mu.Unlock()
 	t, err := s.get(id)
 	if err != nil {
-		return StepResult{}, steps, err
+		return StepResult{}, 0, err
 	}
+	steps := 0
 	for {
 		res, err := s.stepLocked(t)
 		if err != nil {
@@ -198,15 +184,6 @@ func (s *System) stepLock(t *tstate, op *txn.Op) (StepResult, error) {
 			}
 		}
 		t.hyb.TakeCheckpoint(t.lockIndex, t.locals, s.copiesBuf)
-	}
-
-	if s.striped {
-		// Anonymous CAS-granted shared holders are invisible to the
-		// table; give them identities before the table evaluates this
-		// request (conflict answers and wait-for arcs need them).
-		if err := s.migrateFastHolders(ent); err != nil {
-			return StepResult{}, err
-		}
 	}
 
 	granted, blockers, err := s.locks.AcquireID(t.id, ent, mode, s.blockersBuf[:0])
@@ -365,19 +342,6 @@ func (s *System) unlockEntity(t *tstate, ent intern.ID, entityName string) error
 	if sl == nil {
 		return fmt.Errorf("core: %v unlock of unheld entity %q", t.id, entityName)
 	}
-	if sl.fast {
-		// Anonymous CAS-word hold (always shared): no install, no queue,
-		// no promotions — decrement the word and drop the slot.
-		if s.recorder != nil {
-			s.recorder.OnRelease(t.id, entityName)
-		}
-		t.dropSlot(ent)
-		if t.mcs != nil {
-			t.mcs.OnUnlockID(ent)
-		}
-		s.locks.DropFastSharedID(ent)
-		return nil
-	}
 	if sl.mode == lock.Exclusive {
 		if err := s.store.InstallID(ent, sl.copy); err != nil {
 			return err
@@ -425,10 +389,6 @@ func (s *System) commit(t *tstate) (CommitAck, error) {
 		}
 		if s.recorder != nil {
 			s.recorder.OnRelease(t.id, ne.name)
-		}
-		if sl.fast {
-			s.locks.DropFastSharedID(ne.ent)
-			continue
 		}
 		if err := s.releaseAndRefresh(t, ne.ent); err != nil {
 			return nil, err

@@ -163,22 +163,9 @@ type Config struct {
 	// logging (see CommitLogger). Nil keeps the engine memory-only with
 	// a byte-identical commit path.
 	CommitLog CommitLogger
-	// OnEvent, when non-nil, receives every engine event. With Stripes
-	// > 1 uncontended grant/unlock events are emitted from concurrently
-	// stepping transactions, so the sink must be safe for concurrent
-	// use (the observability collector, the exec notifier and the
-	// server's session fan-out all are).
+	// OnEvent, when non-nil, receives every engine event. It runs under
+	// the engine mutex, so it must not call back into the System.
 	OnEvent func(Event)
-	// Stripes partitions the lock table and wait-for graph into this
-	// many independently-synchronized stripes over the interned
-	// entity-ID space and enables the uncontended fast paths: shared
-	// locks grant with a single CAS on the entity's word, uncontended
-	// exclusive grants and unlocks touch only one stripe's mutex, and
-	// only conflicts, waits, deadlock handling, rollback and commit
-	// take the engine's exclusive lock. 0 or 1 keeps the classic
-	// single-lock engine, byte-identical to previous releases (pinned
-	// by regression test).
-	Stripes int
 	// LockWait, when non-nil, observes the nanoseconds each engine-lock
 	// acquisition on the step path blocked before entering the critical
 	// section — the direct measure of how much the engine mutex itself
@@ -223,19 +210,11 @@ type lockStateRec struct {
 // The slot list replaces the former copies/heldAt/modes string maps: a
 // handful of slots scanned linearly beats three map lookups per
 // operation, and a grant appends one record with no allocation.
-//
-// fast marks a shared lock granted by the striped table's CAS word
-// fast path: the lock table holds no record of it (the word just
-// counts anonymous holders), so releases must decrement the word
-// rather than go through the table, and the exclusive path migrates
-// such slots into table holders before any conflicting request needs
-// holder identities.
 type lockSlot struct {
 	ent    intern.ID
 	mode   lock.Mode
 	heldAt int
 	copy   int64
-	fast   bool
 }
 
 // tstate is the runtime state of one registered transaction.
@@ -264,9 +243,9 @@ type tstate struct {
 
 	// pinned holds the lock-set entity IDs pinned in the paged store at
 	// Register (empty on the memory backend). Pins keep those pages
-	// resident so every store access on the step fast paths — grants,
-	// reads, installs are all against lock-set entities — is a buffer
-	// hit; they are released at commit or abort. Partial rollback keeps
+	// resident so every store access on the step path — grants, reads,
+	// installs are all against lock-set entities — is a buffer hit;
+	// they are released at commit or abort. Partial rollback keeps
 	// the transaction registered, so it keeps its pins.
 	pinned []intern.ID
 
@@ -364,53 +343,28 @@ type Stats struct {
 	Aborts int64
 }
 
-// waitGraph is the concurrency-graph surface the engine uses —
-// implemented by *waitfor.Graph (single-lock engine) and
-// *waitfor.Striped (striped engine, per-stripe edge sets merged into
-// epoch-validated snapshots for detection).
-type waitGraph interface {
-	AddTxn(id txn.ID)
-	RemoveTxn(id txn.ID)
-	AddWaitID(waiter, holder txn.ID, ent intern.ID)
-	ClearEntityWaitsID(waiter txn.ID, ent intern.ID)
-	RemoveAllWaitsBy(waiter txn.ID)
-	CyclesThrough(id txn.ID, limit int) [][]txn.ID
-	WaiterCount(holder txn.ID) int
-	Label(waiter, holder txn.ID) []string
-	Arcs() []waitfor.Arc
-	IsForest() bool
-	HasCycle() bool
-}
-
 // System is the concurrency control. All methods are safe for
-// concurrent use; operations are serialized internally, which models
+// concurrent use; every operation runs under one mutex, which models
 // the paper's single database concurrency control monitoring all
-// transactions. With Config.Stripes > 1 the serialization is
-// two-tiered: structural operations (waits, deadlock handling,
-// rollback, commit, registration, inspection) hold mu exclusively,
-// while uncontended lock/step work runs under mu.RLock plus per-stripe
-// synchronization inside the lock table — see step_fast.go.
+// transactions.
 type System struct {
-	mu sync.RWMutex
+	mu sync.Mutex
 
 	cfg      Config
 	store    *entity.Store
 	names    *intern.Table // the store's interner, shared with locks and wf
 	locks    *lock.Table
-	wf       waitGraph
+	wf       *waitfor.Graph
 	policy   deadlock.Policy
 	recorder *history.Recorder
-	// striped enables the read-lock fast paths (cfg.Stripes > 1).
-	striped bool
 
 	txns   map[txn.ID]*tstate
 	nextID txn.ID
 	entry  int64
 
-	// Scratch buffers reused across operations (guarded by mu held
-	// exclusively; fast paths never touch them). Callees never re-enter
-	// the operation that owns a buffer, so each is in use by at most
-	// one stack frame at a time.
+	// Scratch buffers reused across operations (guarded by mu). Callees
+	// never re-enter the operation that owns a buffer, so each is in use
+	// by at most one stack frame at a time.
 	blockersBuf []txn.ID
 	grantsBuf   []lock.GrantID
 	holdersBuf  []txn.ID
@@ -418,10 +372,7 @@ type System struct {
 	copiesBuf   []hybrid.EntityCopy
 	releaseBuf  []nameEnt
 	writesBuf   []CommitWrite
-	migrateBuf  []txn.ID
 
-	// stats fields written by fast paths (Steps, Grants) use atomic
-	// adds there; everything else is guarded by mu held exclusively.
 	stats Stats
 }
 
@@ -440,25 +391,15 @@ func New(cfg Config) *System {
 	if cfg.StarvationLimit == 0 {
 		cfg.StarvationLimit = 8
 	}
-	if cfg.Stripes < 1 {
-		cfg.Stripes = 1
-	}
 	names := cfg.Store.Interner()
 	s := &System{
-		cfg:     cfg,
-		store:   cfg.Store,
-		names:   names,
-		policy:  cfg.Policy,
-		striped: cfg.Stripes > 1,
-		txns:    map[txn.ID]*tstate{},
-	}
-	if s.striped {
-		s.locks = lock.NewTableStriped(names, cfg.Stripes)
-		s.locks.EnsureEntities(names.Len())
-		s.wf = waitfor.NewStriped(names, cfg.Stripes)
-	} else {
-		s.locks = lock.NewTableInterned(names)
-		s.wf = waitfor.NewInterned(names)
+		cfg:    cfg,
+		store:  cfg.Store,
+		names:  names,
+		locks:  lock.NewTableInterned(names),
+		wf:     waitfor.NewInterned(names),
+		policy: cfg.Policy,
+		txns:   map[txn.ID]*tstate{},
 	}
 	if cfg.RecordHistory {
 		if cfg.HistoryClock != nil {
@@ -486,12 +427,6 @@ func (s *System) Register(prog *txn.Program) (txn.ID, error) {
 		if o.Entity != "" {
 			opEnt[i] = s.names.Intern(o.Entity)
 		}
-	}
-	if s.striped {
-		// Cover every entity just interned (op entities can precede
-		// their store definition check below) so the fast paths index
-		// the word table without bounds surprises.
-		s.locks.EnsureEntities(s.names.Len())
 	}
 	s.nextID++
 	s.entry++
@@ -528,12 +463,10 @@ func (s *System) Register(prog *txn.Program) (txn.ID, error) {
 			return txn.None, fmt.Errorf("core: program %s locks undefined entity %q", prog.Name, e)
 		}
 	}
-	// Paged backend: pin the lock set resident now, on the structural
-	// path where IO is allowed, so no later step — including the Tier
-	// A/B fast paths, which never take the exclusive engine lock —
-	// faults a page in. Every engine store access (grant copies, shared
-	// reads, installs) is against a lock-set entity, so pinning here
-	// covers them all.
+	// Paged backend: pin the lock set resident now, at registration, so
+	// no later step faults a page in. Every engine store access (grant
+	// copies, shared reads, installs) is against a lock-set entity, so
+	// pinning here covers them all.
 	if s.store.Paged() {
 		lockSet := a.LockSet()
 		t.pinned = make([]intern.ID, 0, len(lockSet))

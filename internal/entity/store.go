@@ -167,7 +167,7 @@ func (s *Store) PoolStats() page.Stats {
 // PinID faults the entity's page resident and holds it there until
 // UnpinID; a no-op on the memory backend. The engine pins a
 // transaction's whole lock set at registration (the structural path,
-// where IO is allowed) so the step fast paths never fault.
+// where IO is allowed) so steps never fault.
 func (s *Store) PinID(id intern.ID) error {
 	if s.pool == nil {
 		return nil

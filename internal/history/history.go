@@ -60,10 +60,9 @@ type Episode struct {
 	Grant, Release int64
 }
 
-// Recorder accumulates episodes. Safe for concurrent use: the striped
-// engine reports uncontended grants and releases from concurrently
-// stepping transactions, so the recorder serializes internally (one
-// mutex; recording is opt-in and off the default hot path).
+// Recorder accumulates episodes. Safe for concurrent use: it
+// serializes internally (one mutex; recording is opt-in and off the
+// default hot path), so readers need not hold the engine mutex.
 type Recorder struct {
 	mu    sync.Mutex
 	clock int64

@@ -11,31 +11,22 @@
 // Deadlock detection and rollback (response 3) live above this package,
 // in internal/deadlock and internal/core.
 //
-// Entities are identified by dense intern.IDs internally: the entry
-// table is striped over the ID space (the entry for entity e lives in
-// stripe e % K at index e / K), holder sets are small slices with a
-// cached exclusive count, and per-transaction held lists are pooled per
-// stripe. The ...ID methods (AcquireID, ReleaseID, ...) are the
+// Entities are identified by dense intern.IDs internally: the entry for
+// entity e lives at index e of one slice, holder sets are small slices
+// with a cached exclusive count, and per-transaction held lists are
+// pooled. The ...ID methods (AcquireID, ReleaseID, ...) are the
 // allocation-free hot path used by internal/core; the string-keyed
 // methods are boundary wrappers that intern/resolve names and keep the
 // original public behavior for callers that still speak names (msgsim,
 // tests).
 //
-// Concurrency contract (see striped.go for the fast-path methods):
-// every method in this file requires exclusive access to the whole
-// table — the owning System calls them under its engine write lock.
-// Only the TryFast*/TryAcquire*/TryRelease* methods in striped.go may
-// run concurrently (under the engine's read lock); they confine
-// themselves to one stripe's mutex and the per-entity atomic words, and
-// never touch the queue or waiting structures that the exclusive
-// methods own.
+// A Table is not safe for concurrent use: the owning System calls it
+// under its engine mutex.
 package lock
 
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"partialrollback/internal/intern"
 	"partialrollback/internal/txn"
@@ -102,146 +93,68 @@ type heldRec struct {
 	mode Mode
 }
 
-// heldList is one transaction's held-lock index within one stripe; the
-// backing slices are pooled so a full grant/release cycle allocates
-// nothing in steady state.
+// heldList is one transaction's held-lock index; the backing slices
+// are pooled so a full grant/release cycle allocates nothing in steady
+// state.
 type heldList struct {
 	recs []heldRec
-}
-
-// tableStripe owns the entries whose entity ID is congruent to its
-// index mod K, plus the held index and pool for locks living in those
-// entries. Its mutex is taken only by the uncontended fast-path methods
-// (striped.go); the exclusive-access methods never need it because the
-// engine write lock already excludes all fast-path readers. The
-// trailing pad keeps two stripes' hot fields off one cache line.
-type tableStripe struct {
-	mu       sync.Mutex
-	entries  []entry
-	held     map[txn.ID]*heldList
-	heldPool []*heldList
-	_        [64]byte
-}
-
-// stripeCounter is a padded per-stripe grant counter (false-sharing
-// avoidance: adjacent stripes are bumped from different cores).
-type stripeCounter struct {
-	v atomic.Int64
-	_ [56]byte
 }
 
 // Table is the lock table.
 type Table struct {
 	names *intern.Table
-	// k is the stripe count; 1 for the classic single-stripe table.
-	k       int
-	stripes []tableStripe
-	// words is the per-entity fast shared-lock word (striped tables
-	// only), accessed with sync/atomic functions: bit 31 flags the
-	// entity as table-owned, the low 31 bits count anonymous
-	// CAS-granted shared holders. Grown only by EnsureEntities under
-	// exclusive access (plain uint32, not atomic.Uint32, so growth can
-	// copy the backing array without tripping vet's copylocks).
-	words []uint32
+	// entries[e] is entity e's holders and queue, grown on first touch.
+	entries  []entry
+	held     map[txn.ID]*heldList
+	heldPool []*heldList
 	// waiting maps each waiting transaction to the entity it waits on.
-	// A transaction waits on at most one entity at a time. Mutated only
-	// under exclusive access (fast paths never enqueue).
+	// A transaction waits on at most one entity at a time.
 	waiting map[txn.ID]intern.ID
-	// acquires counts grants per stripe (observability).
-	acquires []stripeCounter
 }
 
-// NewTable returns an empty single-stripe lock table with a private
-// interner. Names are interned on first Acquire.
+// NewTable returns an empty lock table with a private interner. Names
+// are interned on first Acquire.
 func NewTable() *Table {
 	return NewTableInterned(intern.NewTable())
 }
 
-// NewTableInterned returns an empty single-stripe lock table sharing
-// names — normally the entity store's interner, so lock-table IDs and
-// store IDs agree.
+// NewTableInterned returns an empty lock table sharing names —
+// normally the entity store's interner, so lock-table IDs and store IDs
+// agree.
 func NewTableInterned(names *intern.Table) *Table {
-	return NewTableStriped(names, 1)
-}
-
-// NewTableStriped returns an empty lock table with k stripes (k <= 1
-// means the classic single-stripe table: no per-entity words, no fast
-// paths). Callers that use the fast-path methods must size the word
-// table with EnsureEntities before any concurrent use.
-func NewTableStriped(names *intern.Table, k int) *Table {
-	if k < 1 {
-		k = 1
+	return &Table{
+		names:   names,
+		held:    map[txn.ID]*heldList{},
+		waiting: map[txn.ID]intern.ID{},
 	}
-	t := &Table{
-		names:    names,
-		k:        k,
-		stripes:  make([]tableStripe, k),
-		waiting:  map[txn.ID]intern.ID{},
-		acquires: make([]stripeCounter, k),
-	}
-	for i := range t.stripes {
-		t.stripes[i].held = map[txn.ID]*heldList{}
-	}
-	return t
 }
 
 // Names exposes the table's interner (shared with the store when built
 // via NewTableInterned).
 func (t *Table) Names() *intern.Table { return t.names }
 
-// Stripes returns the stripe count.
-func (t *Table) Stripes() int { return t.k }
-
-// StripeOf returns the stripe owning ent.
-func (t *Table) StripeOf(ent intern.ID) int { return int(ent) % t.k }
-
-// StripeAcquires returns a snapshot of the per-stripe grant counters.
-func (t *Table) StripeAcquires() []int64 {
-	out := make([]int64, t.k)
-	for i := range out {
-		out[i] = t.acquires[i].v.Load()
-	}
-	return out
-}
-
-func (t *Table) countAcquire(ent intern.ID) {
-	t.acquires[int(ent)%t.k].v.Add(1)
-}
-
-func (t *Table) stripeOf(ent intern.ID) *tableStripe {
-	return &t.stripes[int(ent)%t.k]
-}
-
-// entryFor returns ent's entry, growing its stripe as needed.
+// entryFor returns ent's entry, growing the entry slice as needed.
 func (t *Table) entryFor(ent intern.ID) *entry {
-	st := t.stripeOf(ent)
-	return t.entryForStripe(st, ent)
-}
-
-func (t *Table) entryForStripe(st *tableStripe, ent intern.ID) *entry {
-	i := int(ent) / t.k
-	for i >= len(st.entries) {
-		st.entries = append(st.entries, entry{})
+	for int(ent) >= len(t.entries) {
+		t.entries = append(t.entries, entry{})
 	}
-	e := &st.entries[i]
+	e := &t.entries[ent]
 	e.touched = true
 	return e
 }
 
 // peek returns ent's entry if it exists and has been touched, else nil.
 func (t *Table) peek(ent intern.ID) *entry {
-	st := t.stripeOf(ent)
-	i := int(ent) / t.k
-	if i >= len(st.entries) || !st.entries[i].touched {
+	if int(ent) >= len(t.entries) || !t.entries[ent].touched {
 		return nil
 	}
-	return &st.entries[i]
+	return &t.entries[ent]
 }
 
-func (st *tableStripe) newHeldList() *heldList {
-	if n := len(st.heldPool); n > 0 {
-		hl := st.heldPool[n-1]
-		st.heldPool = st.heldPool[:n-1]
+func (t *Table) newHeldList() *heldList {
+	if n := len(t.heldPool); n > 0 {
+		hl := t.heldPool[n-1]
+		t.heldPool = t.heldPool[:n-1]
 		return hl
 	}
 	return &heldList{}
@@ -262,10 +175,6 @@ func (t *Table) Acquire(id txn.ID, name string, m Mode) (granted bool, blockers 
 // AcquireID is Acquire by intern ID. Blockers are appended to buf (the
 // appended region arrives sorted ascending), so a caller that reuses
 // its buffer pays no allocation.
-//
-// On a striped table the caller must have migrated any anonymous fast
-// shared holders of ent into the table first (MigrateFastSharedID):
-// AcquireID trusts the entry's holder set to be complete.
 func (t *Table) AcquireID(id txn.ID, ent intern.ID, m Mode, buf []txn.ID) (granted bool, blockers []txn.ID, err error) {
 	if went, isWaiting := t.waiting[id]; isWaiting {
 		return false, buf, fmt.Errorf("lock: %v requested %q while waiting on %q", id, t.names.Name(ent), t.names.Name(went))
@@ -273,11 +182,9 @@ func (t *Table) AcquireID(id txn.ID, ent intern.ID, m Mode, buf []txn.ID) (grant
 	if _, holds := t.ModeOfID(id, ent); holds {
 		return false, buf, fmt.Errorf("lock: %v re-requested held entity %q", id, t.names.Name(ent))
 	}
-	st := t.stripeOf(ent)
-	e := t.entryForStripe(st, ent)
+	e := t.entryFor(ent)
 	if grantable(e, m) {
-		t.grantTo(st, e, id, ent, m)
-		t.countAcquire(ent)
+		t.grantTo(e, id, ent, m)
 		return true, buf, nil
 	}
 	e.queue = append(e.queue, Waiter{Txn: id, Mode: m})
@@ -302,24 +209,18 @@ func grantable(e *entry, m Mode) bool {
 	return e.numX == 0
 }
 
-// grantTo records a table grant. On a striped table it also marks the
-// entity's word table-owned so the CAS fast path stands down; the fast
-// shared count is zero whenever grantTo runs (anonymous holders are
-// migrated before any exclusive-access grant can touch their entity).
-func (t *Table) grantTo(st *tableStripe, e *entry, id txn.ID, ent intern.ID, m Mode) {
+// grantTo records a grant in ent's entry and id's held index.
+func (t *Table) grantTo(e *entry, id txn.ID, ent intern.ID, m Mode) {
 	e.holders = append(e.holders, holderRec{txn: id, mode: m})
 	if m == Exclusive {
 		e.numX++
 	}
-	hl := st.held[id]
+	hl := t.held[id]
 	if hl == nil {
-		hl = st.newHeldList()
-		st.held[id] = hl
+		hl = t.newHeldList()
+		t.held[id] = hl
 	}
 	hl.recs = append(hl.recs, heldRec{ent: ent, mode: m})
-	if t.k > 1 && int(ent) < len(t.words) {
-		atomic.StoreUint32(&t.words[ent], ownedBit)
-	}
 }
 
 // Release drops id's lock on name and promotes queued waiters FIFO:
@@ -357,14 +258,11 @@ func (t *Table) ReleaseID(id txn.ID, ent intern.ID, grants []GrantID) ([]GrantID
 		return grants, fmt.Errorf("lock: %v released %q it does not hold", id, t.names.Name(ent))
 	}
 	t.dropHeldRec(id, ent)
-	grants = t.promoteInto(ent, grants)
-	t.unownIfEmpty(ent, e)
-	return grants, nil
+	return t.promoteInto(ent, grants), nil
 }
 
 func (t *Table) dropHeldRec(id txn.ID, ent intern.ID) {
-	st := t.stripeOf(ent)
-	hl := st.held[id]
+	hl := t.held[id]
 	if hl == nil {
 		return
 	}
@@ -376,8 +274,8 @@ func (t *Table) dropHeldRec(id txn.ID, ent intern.ID) {
 		}
 	}
 	if len(hl.recs) == 0 {
-		delete(st.held, id)
-		st.heldPool = append(st.heldPool, hl)
+		delete(t.held, id)
+		t.heldPool = append(t.heldPool, hl)
 	}
 }
 
@@ -400,7 +298,6 @@ func (t *Table) promoteInto(ent intern.ID, grants []GrantID) []GrantID {
 	if e == nil {
 		return grants
 	}
-	st := t.stripeOf(ent)
 	for {
 		best := -1
 		for i := range e.queue {
@@ -418,8 +315,7 @@ func (t *Table) promoteInto(ent intern.ID, grants []GrantID) []GrantID {
 		copy(e.queue[best:], e.queue[best+1:])
 		e.queue = e.queue[:len(e.queue)-1]
 		delete(t.waiting, w.Txn)
-		t.grantTo(st, e, w.Txn, ent, w.Mode)
-		t.countAcquire(ent)
+		t.grantTo(e, w.Txn, ent, w.Mode)
 		grants = append(grants, GrantID{Txn: w.Txn, Ent: ent, Mode: w.Mode})
 	}
 }
@@ -449,9 +345,7 @@ func (t *Table) RemoveWaiterID(id txn.ID, ent intern.ID, grants []GrantID) ([]Gr
 			copy(e.queue[i:], e.queue[i+1:])
 			e.queue = e.queue[:len(e.queue)-1]
 			delete(t.waiting, id)
-			grants = t.promoteInto(ent, grants)
-			t.unownIfEmpty(ent, e)
-			return grants, true
+			return t.promoteInto(ent, grants), true
 		}
 	}
 	return grants, false
@@ -459,23 +353,15 @@ func (t *Table) RemoveWaiterID(id txn.ID, ent intern.ID, grants []GrantID) ([]Gr
 
 // ReleaseAll drops every lock id holds and retracts its queued request
 // if any, returning all resulting grants. Entities are released in
-// sorted-name order (deterministic event streams). Used by commit and
-// by total restart.
+// sorted-name order. The engine does not use it: commit and rollback
+// release lock by lock, because each release installs a value and
+// emits an event.
 func (t *Table) ReleaseAll(id txn.ID) []Grant {
 	var gids []GrantID
 	if ent, ok := t.waiting[id]; ok {
 		gids, _ = t.RemoveWaiterID(id, ent, gids)
 	}
-	var names []string
-	for si := range t.stripes {
-		if hl := t.stripes[si].held[id]; hl != nil {
-			for _, r := range hl.recs {
-				names = append(names, t.names.Name(r.ent))
-			}
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range t.HeldBy(id) {
 		ent, _ := t.names.Lookup(name)
 		gids, _ = t.ReleaseID(id, ent, gids)
 	}
@@ -493,9 +379,7 @@ func (t *Table) grantsFromIDs(gids []GrantID) []Grant {
 	return out
 }
 
-// Holders returns the transactions holding name, sorted. Anonymous fast
-// shared holders (striped tables) are not listed — migrate them first
-// if identities are needed.
+// Holders returns the transactions holding name, sorted.
 func (t *Table) Holders(name string) []txn.ID {
 	ent, ok := t.names.Lookup(name)
 	if !ok {
@@ -535,7 +419,7 @@ func (t *Table) ModeOf(id txn.ID, name string) (Mode, bool) {
 
 // ModeOfID is ModeOf by intern ID.
 func (t *Table) ModeOfID(id txn.ID, ent intern.ID) (Mode, bool) {
-	hl := t.stripeOf(ent).held[id]
+	hl := t.held[id]
 	if hl == nil {
 		return Shared, false
 	}
@@ -547,29 +431,16 @@ func (t *Table) ModeOfID(id txn.ID, ent intern.ID) (Mode, bool) {
 	return Shared, false
 }
 
-// HeldBy returns the entities id holds in the table, sorted.
+// HeldBy returns the entities id holds, sorted.
 func (t *Table) HeldBy(id txn.ID) []string {
 	var out []string
-	for si := range t.stripes {
-		if hl := t.stripes[si].held[id]; hl != nil {
-			for _, r := range hl.recs {
-				out = append(out, t.names.Name(r.ent))
-			}
+	if hl := t.held[id]; hl != nil {
+		for _, r := range hl.recs {
+			out = append(out, t.names.Name(r.ent))
 		}
 	}
 	sort.Strings(out)
 	return out
-}
-
-// HeldCount returns how many entities id holds in the table.
-func (t *Table) HeldCount(id txn.ID) int {
-	n := 0
-	for si := range t.stripes {
-		if hl := t.stripes[si].held[id]; hl != nil {
-			n += len(hl.recs)
-		}
-	}
-	return n
 }
 
 // WaitingOn returns the entity id is queued for, if any.
@@ -581,16 +452,8 @@ func (t *Table) WaitingOn(id txn.ID) (string, bool) {
 	return t.names.Name(ent), true
 }
 
-// WaitingOnID is WaitingOn by intern ID.
-func (t *Table) WaitingOnID(id txn.ID) (intern.ID, bool) {
-	ent, ok := t.waiting[id]
-	return ent, ok
-}
-
 // HasWaiters reports whether any request is queued on ent — the O(1)
-// fast exit for waiter refresh after a grant. Exclusive access
-// required (the entries slice may be grown concurrently by stripe
-// fast paths); the read-lock precheck is HasWaitersStriped.
+// fast exit for waiter refresh after a grant.
 func (t *Table) HasWaiters(ent intern.ID) bool {
 	e := t.peek(ent)
 	return e != nil && len(e.queue) > 0
@@ -620,74 +483,55 @@ func (t *Table) QueueAppend(ent intern.ID, buf []Waiter) []Waiter {
 }
 
 // CheckInvariants validates internal consistency (used by tests):
-// holder sets respect compatibility, indexes agree with entries, every
-// waiter's queued request is recorded in waiting, and the per-entity
-// fast words agree with the entries (anonymous shared counts only on
-// empty entries; table-owned bit exactly on non-empty ones).
+// holder sets respect compatibility, indexes agree with entries, and
+// every waiter's queued request is recorded in waiting.
 func (t *Table) CheckInvariants() error {
-	for si := range t.stripes {
-		st := &t.stripes[si]
-		for ei := range st.entries {
-			e := &st.entries[ei]
-			ent := intern.ID(ei*t.k + si)
-			name := t.names.Name(ent)
-			x := 0
-			for _, h := range e.holders {
-				if h.mode == Exclusive {
-					x++
-				}
-			}
-			if x != e.numX {
-				return fmt.Errorf("lock: entity %q exclusive count %d != cached %d", name, x, e.numX)
-			}
-			if x > 1 || (x == 1 && len(e.holders) > 1) {
-				return fmt.Errorf("lock: entity %q held incompatibly (%d holders, %d exclusive)", name, len(e.holders), x)
-			}
-			for _, h := range e.holders {
-				if got, ok := t.ModeOfID(h.txn, ent); !ok || got != h.mode {
-					return fmt.Errorf("lock: held index out of sync for %v on %q", h.txn, name)
-				}
-			}
-			for _, w := range e.queue {
-				if got, ok := t.waiting[w.Txn]; !ok || got != ent {
-					return fmt.Errorf("lock: waiting index out of sync for %v on %q", w.Txn, name)
-				}
-				if grantable(e, w.Mode) {
-					return fmt.Errorf("lock: waiter %v on %q is grantable but still queued", w.Txn, name)
-				}
-			}
-			if t.k > 1 && int(ent) < len(t.words) {
-				v := atomic.LoadUint32(&t.words[ent])
-				owned := v&ownedBit != 0
-				count := v &^ ownedBit
-				if owned && count != 0 {
-					return fmt.Errorf("lock: entity %q word both owned and fast-counted (%#x)", name, v)
-				}
-				if count > 0 && (len(e.holders) > 0 || len(e.queue) > 0) {
-					return fmt.Errorf("lock: entity %q has %d fast holders but a live entry", name, count)
-				}
-				if (len(e.holders) > 0 || len(e.queue) > 0) && !owned {
-					return fmt.Errorf("lock: entity %q has a live entry but is not word-owned", name)
-				}
+	for ei := range t.entries {
+		e := &t.entries[ei]
+		ent := intern.ID(ei)
+		name := t.names.Name(ent)
+		x := 0
+		for _, h := range e.holders {
+			if h.mode == Exclusive {
+				x++
 			}
 		}
-		for id, hl := range st.held {
-			if len(hl.recs) == 0 {
-				return fmt.Errorf("lock: empty held list retained for %v", id)
+		if x != e.numX {
+			return fmt.Errorf("lock: entity %q exclusive count %d != cached %d", name, x, e.numX)
+		}
+		if x > 1 || (x == 1 && len(e.holders) > 1) {
+			return fmt.Errorf("lock: entity %q held incompatibly (%d holders, %d exclusive)", name, len(e.holders), x)
+		}
+		for _, h := range e.holders {
+			if got, ok := t.ModeOfID(h.txn, ent); !ok || got != h.mode {
+				return fmt.Errorf("lock: held index out of sync for %v on %q", h.txn, name)
 			}
-			for _, r := range hl.recs {
-				e := t.peek(r.ent)
-				found := false
-				if e != nil {
-					for _, h := range e.holders {
-						if h.txn == id && h.mode == r.mode {
-							found = true
-						}
+		}
+		for _, w := range e.queue {
+			if got, ok := t.waiting[w.Txn]; !ok || got != ent {
+				return fmt.Errorf("lock: waiting index out of sync for %v on %q", w.Txn, name)
+			}
+			if grantable(e, w.Mode) {
+				return fmt.Errorf("lock: waiter %v on %q is grantable but still queued", w.Txn, name)
+			}
+		}
+	}
+	for id, hl := range t.held {
+		if len(hl.recs) == 0 {
+			return fmt.Errorf("lock: empty held list retained for %v", id)
+		}
+		for _, r := range hl.recs {
+			e := t.peek(r.ent)
+			found := false
+			if e != nil {
+				for _, h := range e.holders {
+					if h.txn == id && h.mode == r.mode {
+						found = true
 					}
 				}
-				if !found {
-					return fmt.Errorf("lock: reverse held index stale for %v on %q", id, t.names.Name(r.ent))
-				}
+			}
+			if !found {
+				return fmt.Errorf("lock: reverse held index stale for %v on %q", id, t.names.Name(r.ent))
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -157,31 +156,6 @@ func (c *Collector) OnEvent(e core.Event) {
 // nanoseconds. Wire core.Config.LockWait (or runtime.Options.LockWait /
 // server.Config) to this; safe for concurrent use.
 func (c *Collector) ObserveLockWait(ns int64) { c.EngineLockWait.Observe(ns) }
-
-// stripeAcquirer is any engine exposing per-stripe lock-acquire
-// counters (a striped core.System, or a shard.Engine whose shards are
-// striped).
-type stripeAcquirer interface{ StripeAcquires() []int64 }
-
-// RegisterStripeAcquires exposes eng's per-stripe lock-acquire counters
-// as pr_engine_stripe_acquires_stripe<k> gauges on reg. No-op for
-// engines without striping, so callers can wire it unconditionally.
-func RegisterStripeAcquires(reg *Registry, eng core.Engine) {
-	sa, ok := eng.(stripeAcquirer)
-	if !ok || sa.StripeAcquires() == nil {
-		return
-	}
-	reg.NewGaugeSet("pr_engine_stripe_acquires_",
-		"Cumulative lock grants per lock-table stripe (summed across shards).",
-		func() []KV {
-			counts := sa.StripeAcquires()
-			out := make([]KV, len(counts))
-			for i, v := range counts {
-				out[i] = KV{Name: fmt.Sprintf("stripe%d", i), Val: v}
-			}
-			return out
-		})
-}
 
 // endWait closes a transaction's open wait interval, if any, and
 // observes its duration.

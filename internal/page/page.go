@@ -14,13 +14,11 @@
 // # Pin protocol
 //
 // The engine pins every entity in a transaction's lock set when the
-// transaction registers (the structural, exclusive-lock path) and
-// unpins at commit or abort. Pin faults the slot's page resident and
-// holds it there — a pinned page is never chosen for eviction — so the
-// engine's step fast paths (the Tier A/B CAS and stripe-mutex paths of
-// the striped engine) read and install through the pool without ever
-// touching the disk: every miss happens on the structural path, before
-// the step that needs the value.
+// transaction registers and unpins at commit or abort. Pin faults the
+// slot's page resident and holds it there — a pinned page is never
+// chosen for eviction — so the engine's steps read and install through
+// the pool without ever touching the disk: every miss happens at
+// registration, before the step that needs the value.
 //
 // If every frame is pinned when a fault needs one, the pool
 // over-allocates a frame beyond its configured capacity rather than
@@ -94,7 +92,7 @@ type frame struct {
 
 // Pool is the paged entity backend: a heap file plus a bounded frame
 // cache. All methods are safe for concurrent use (one internal mutex —
-// the callers above already shard/stripe their own concurrency).
+// shards and checkpoints call in concurrently).
 type Pool struct {
 	mu       sync.Mutex
 	f        *os.File

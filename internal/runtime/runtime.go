@@ -52,12 +52,6 @@ type Options struct {
 	// larger value partitions the engine into that many shards
 	// (internal/shard) so disjoint transactions execute in parallel.
 	Shards int
-	// Stripes forwards to core.Config.Stripes: > 1 stripes each engine's
-	// (or each shard's) lock table so uncontended operations of
-	// different transactions proceed under a shared engine lock instead
-	// of serializing, with shared-lock grants a single CAS. 0 or 1 keeps
-	// the classic single-mutex engine.
-	Stripes int
 	// LockWait forwards to core.Config.LockWait (engine-lock wait
 	// observer, nanoseconds per step-path acquisition).
 	LockWait func(ns int64)
@@ -101,7 +95,6 @@ func Run(store *entity.Store, programs []*txn.Program, opt Options) (*Outcome, e
 		RecordHistory:   opt.RecordHistory,
 		CommitLog:       opt.CommitLog,
 		OnEvent:         onEvent,
-		Stripes:         opt.Stripes,
 		LockWait:        opt.LockWait,
 	}
 	var sys core.Engine

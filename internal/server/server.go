@@ -106,12 +106,6 @@ type Config struct {
 	// in parallel. The counter snapshot then carries per-shard
 	// counters (shard<k>_grants, ...) for imbalance diagnostics.
 	Shards int
-	// Stripes forwards to core.Config.Stripes: > 1 stripes each engine's
-	// lock table so uncontended operations of concurrent sessions run
-	// under a shared engine lock (shared grants are a single CAS)
-	// instead of serializing on the engine mutex. 0 or 1 keeps the
-	// classic single-lock engine.
-	Stripes int
 	// LockWait forwards to core.Config.LockWait — wire it to
 	// obs.Collector.ObserveLockWait to populate pr_engine_lock_wait_ns.
 	LockWait func(ns int64)
@@ -212,7 +206,6 @@ func New(cfg Config) *Server {
 		HybridAllocator: cfg.HybridAllocator,
 		StarvationLimit: cfg.StarvationLimit,
 		OnEvent:         s.onEvent,
-		Stripes:         cfg.Stripes,
 		LockWait:        cfg.LockWait,
 	}
 	if cfg.Durable != nil {
@@ -471,9 +464,6 @@ func (s *Server) Counters() []wire.Counter {
 			wire.Counter{Name: "wal_bytes", Val: ws.Bytes},
 			wire.Counter{Name: "wal_max_group", Val: ws.MaxCommitsPerFlush},
 		)
-	}
-	if s.cfg.Stripes > 1 {
-		out = append(out, wire.Counter{Name: "stripes", Val: int64(s.cfg.Stripes)})
 	}
 	if s.cfg.Store.Paged() {
 		ps := s.cfg.Store.PoolStats()

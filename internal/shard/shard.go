@@ -174,30 +174,6 @@ func New(n int, cfg core.Config) *Engine {
 // Shards returns the number of shards.
 func (e *Engine) Shards() int { return e.n }
 
-// Stripes returns the per-shard lock-table stripe count (1 = classic
-// single-lock shard engines).
-func (e *Engine) Stripes() int { return e.shards[0].Stripes() }
-
-// StripeAcquires returns per-stripe lock-acquire counts summed across
-// shards (every shard has the same stripe count); nil when the shards
-// run the classic single-lock engine.
-func (e *Engine) StripeAcquires() []int64 {
-	var out []int64
-	for _, s := range e.shards {
-		sa := s.StripeAcquires()
-		if sa == nil {
-			return nil
-		}
-		if out == nil {
-			out = make([]int64, len(sa))
-		}
-		for i, v := range sa {
-			out[i] += v
-		}
-	}
-	return out
-}
-
 // shardEventSink remaps shard k's events to global transaction IDs and
 // forwards them to the merged stream. The shard's own EventRegister is
 // dropped: it fires before the local→global mapping exists, so the
@@ -523,29 +499,8 @@ func (e *Engine) release(gid txn.ID) {
 // are admitted before Step returns, so a sequential driver observes the
 // newly-runnable transactions immediately.
 func (e *Engine) Step(id txn.ID) (core.StepResult, error) {
-	b, placed := e.bindingOf(id)
-	if !placed {
-		e.mu.Lock()
-		_, known := e.meta[id]
-		e.mu.Unlock()
-		if !known {
-			return core.StepResult{}, fmt.Errorf("core: unknown transaction %v", id)
-		}
-		return core.StepResult{Outcome: core.Blocked}, nil
-	}
-	res, err := e.shards[b.shard].Step(b.local)
-	if err != nil {
-		return res, err
-	}
-	if res.Deadlock != nil {
-		e.mapMu.RLock()
-		res.Deadlock = remapReport(e.l2g[b.shard], res.Deadlock)
-		e.mapMu.RUnlock()
-	}
-	if res.Outcome == core.Committed {
-		e.release(id)
-	}
-	return res, nil
+	res, _, err := e.StepBurst(id, 1)
+	return res, err
 }
 
 // StepBurst executes up to max consecutive atomic operations of id on

@@ -43,10 +43,14 @@ func pagedVariant(t *testing.T, w Workload, poolPages int) Workload {
 // backend byte-for-byte: same event stream, same stats, same final
 // database, same serial order. This is the `-store mem` identity pin
 // from the other side: both backends implement one store contract.
+//
+// The stripesN labels are the stripe counts of the retired striped
+// engine, kept so the test IDs stay stable; N is now the burst size
+// both runs step with (0 steps one operation per call).
 func TestPagedStoreSequentialRegression(t *testing.T) {
 	for _, strat := range []core.Strategy{core.Total, core.MCS} {
-		for _, stripes := range []int{0, 4} {
-			t.Run(fmt.Sprintf("%v/stripes%d", strat, stripes), func(t *testing.T) {
+		for _, burst := range []int{0, 4} {
+			t.Run(fmt.Sprintf("%v/stripes%d", strat, burst), func(t *testing.T) {
 				gen := GenConfig{
 					Txns: 12, DBSize: 60, HotSet: 8, HotProb: 0.7,
 					LocksPerTxn: 4, SharedProb: 0.3, RewriteProb: 0.5,
@@ -55,7 +59,7 @@ func TestPagedStoreSequentialRegression(t *testing.T) {
 				rc := RunConfig{
 					Strategy: strat, Scheduler: RoundRobin, Seed: 37,
 					RecordHistory: true, CheckInvariants: true,
-					Stripes: stripes,
+					Burst: burst,
 				}
 				// DBSize 60 over 15-slot pages = 4 pages through a
 				// 2-frame pool.

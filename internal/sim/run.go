@@ -74,12 +74,6 @@ type RunConfig struct {
 	// collapse it to 1; full uncontended bursts double it back up to
 	// exec.AdaptiveMaxBurst), deterministically per transaction.
 	Burst int
-	// Stripes forwards to core.Config.Stripes: > 1 stripes each engine's
-	// lock table and enables its uncontended fast paths. Sequential
-	// drivers see identical results at any stripe count (pinned by
-	// regression test); the knob exists here so the deterministic suites
-	// can cross-check the striped engine against the classic one.
-	Stripes int
 }
 
 // adaptiveMaxBurst mirrors exec.AdaptiveMaxBurst (kept local: exec's
@@ -141,7 +135,6 @@ func Run(w Workload, rc RunConfig) (Result, error) {
 		StarvationLimit: rc.StarvationLimit,
 		RecordHistory:   rc.RecordHistory,
 		OnEvent:         rc.OnEvent,
-		Stripes:         rc.Stripes,
 	}
 	var sys core.Engine
 	if rc.Shards >= 1 {
