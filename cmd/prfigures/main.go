@@ -100,7 +100,7 @@ func figure4() {
 		p := figures.Figure4T(variant.prog)
 		a := txn.Analyze(p)
 		var ivs [][2]int
-		for _, idxs := range a.WriteLockIndexes {
+		for _, idxs := range a.Writes(p).WriteLockIndexes {
 			if len(idxs) > 1 {
 				ivs = append(ivs, [2]int{idxs[0], idxs[len(idxs)-1]})
 			}
@@ -124,14 +124,15 @@ func figure5() {
 		{"Figure 5 (variant): three-phase form", figures.Figure5ThreePhase()},
 	} {
 		a := txn.Analyze(v.prog)
+		w := a.Writes(v.prog)
 		var wd []int
-		for q, ok := range a.StaticWellDefined() {
+		for q, ok := range w.StaticWellDefined() {
 			if ok {
 				wd = append(wd, q)
 			}
 		}
 		var ivs [][2]int
-		for _, idxs := range a.WriteLockIndexes {
+		for _, idxs := range w.WriteLockIndexes {
 			if len(idxs) > 1 {
 				ivs = append(ivs, [2]int{idxs[0], idxs[len(idxs)-1]})
 			}

@@ -13,6 +13,7 @@ import (
 	"partialrollback/internal/exec"
 	"partialrollback/internal/obs"
 	"partialrollback/internal/sim"
+	"partialrollback/internal/txn"
 	"partialrollback/internal/wire"
 )
 
@@ -34,7 +35,11 @@ func serveScript(t *testing.T, conn net.Conn, replySets ...[]wire.Msg) {
 			t.Errorf("got %T, want BeginProgram", f.Msg)
 			return
 		}
-		if _, err := bp.Program(); err != nil {
+		p, err := bp.Program()
+		if err == nil {
+			err = txn.Validate(p)
+		}
+		if err != nil {
 			t.Errorf("shipped program invalid: %v", err)
 		}
 		for _, r := range replies {

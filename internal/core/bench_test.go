@@ -43,7 +43,7 @@ func TestComputeReadWriteStepsZeroAlloc(t *testing.T) {
 // benchProgram is the hotspot-style transaction the throughput
 // benchmarks run: lock, read, compute, write, commit.
 func benchProgram(ent string) *txn.Program {
-	return txn.NewProgram("bench-" + ent).
+	return txn.NewProgram("bench-"+ent).
 		Local("x", 0).
 		LockX(ent).
 		Read(ent, "x").
@@ -78,6 +78,77 @@ func BenchmarkUncontendedTxn(b *testing.B) {
 		if err := s.Forget(id); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// uniformProgram is shaped like the bench "uniform" workload's
+// transactions (sim.Generate with 4 locks, 80 % shared, 2 pad ops,
+// scattered): per entity a lock, a read, two pad computes and an
+// accumulator compute, plus one write under the one exclusive lock — 22
+// ops over 9 locals.
+func uniformProgram() *txn.Program {
+	b := txn.NewProgram("uniform").Local("acc", 0)
+	for k, e := range []string{"e17", "e230", "e1023", "e4000"} {
+		v, pad := "v"+strconv.Itoa(k), "s"+strconv.Itoa(k)
+		b.Local(v, 0).Local(pad, 0)
+		if k == 1 {
+			b.LockX(e)
+		} else {
+			b.LockS(e)
+		}
+		b.Read(e, v)
+		b.Compute(pad, value.Add(value.L(pad), value.C(1)))
+		b.Compute(pad, value.Add(value.L(pad), value.C(1)))
+		b.Compute("acc", value.Add(value.L("acc"), value.L(v)))
+		if k == 1 {
+			b.Write(e, value.Add(value.L(v), value.Add(value.Mod(value.L(pad), value.C(7)), value.C(1))))
+		}
+	}
+	return b.MustBuild()
+}
+
+// registerCycle registers prog on s and retires it unrun (Abort: Forget
+// accepts only committed transactions) — the registration cost alone.
+func registerCycle(tb testing.TB, s *System, prog *txn.Program) {
+	id, err := s.Register(prog)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.Abort(id); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// registerAllocs bounds one MCS Register + Abort of uniformProgram:
+// validation and the slice-indexed analysis, per-op interning, the
+// transaction state and its MCS copies. The write-interval maps
+// (txn.Writes) are SDG/Hybrid-only; building them here too costs 43
+// more allocations.
+const registerAllocs = 15
+
+// TestRegisterAllocs pins the allocation count of one MCS registration
+// cycle (see registerAllocs).
+func TestRegisterAllocs(t *testing.T) {
+	s := New(Config{Store: entity.NewUniformStore("e", 4096, 0), Strategy: MCS})
+	prog := uniformProgram()
+	if n := len(prog.Ops); n != 22 {
+		t.Fatalf("uniformProgram has %d ops, want 22", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { registerCycle(t, s, prog) }); n > registerAllocs {
+		t.Fatalf("MCS Register+Abort allocates %v per run, want <= %d", n, registerAllocs)
+	}
+}
+
+// BenchmarkRegister measures one MCS Register + Abort of a
+// uniform-shaped program: what registration costs per transaction on
+// the node's default strategy.
+func BenchmarkRegister(b *testing.B) {
+	s := New(Config{Store: entity.NewUniformStore("e", 4096, 0), Strategy: MCS})
+	prog := uniformProgram()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		registerCycle(b, s, prog)
 	}
 }
 
@@ -206,7 +277,7 @@ func TestCommitStepZeroAlloc(t *testing.T) {
 	ids := make([]txn.ID, 0, runs+1)
 	for i := 0; i <= runs; i++ {
 		ent := "e" + strconv.Itoa(i)
-		prog := txn.NewProgram("commit-" + ent).
+		prog := txn.NewProgram("commit-"+ent).
 			Local("x", 0).
 			LockX(ent).
 			Read(ent, "x").

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -102,6 +103,38 @@ func TestRegisterRejectsInvalidAndUnknownEntities(t *testing.T) {
 	}
 	if _, err := s.Step(999); err == nil {
 		t.Error("step of unknown txn")
+	}
+}
+
+// TestRegisterPinsLockSetOnce: on the paged backend Register pins each
+// lock-set entity's page in the same pass that checks it exists, and a
+// rejected program leaves no pin behind.
+func TestRegisterPinsLockSetOnce(t *testing.T) {
+	store, err := entity.NewUniformPagedStore("e", 100, 0, entity.PagedConfig{
+		Path:      filepath.Join(t.TempDir(), "heap.dat"),
+		PageSize:  128, // 15 slots per page: e0 and e50 sit on different pages
+		PoolPages: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	s := New(Config{Store: store, Strategy: MCS})
+	pinned := func() int64 { return store.PoolStats().PinnedPages }
+	id := s.MustRegister(txn.NewProgram("T").Local("x", 0).LockX("e0").LockS("e50").MustBuild())
+	if got := pinned(); got != 2 {
+		t.Fatalf("pinned pages after Register = %d, want 2", got)
+	}
+	ghost := txn.NewProgram("ghost").LockS("e99").LockS("zz").LockS("yy").MustBuild()
+	if _, err := s.Register(ghost); err == nil || err.Error() != `core: program ghost locks undefined entity "yy"` {
+		t.Errorf("ghost: err = %v", err)
+	}
+	if got := pinned(); got != 2 {
+		t.Errorf("pinned pages after a rejected Register = %d, want 2", got)
+	}
+	stepToCommit(t, s, id)
+	if got := pinned(); got != 0 {
+		t.Errorf("pinned pages after commit = %d, want 0", got)
 	}
 }
 

@@ -311,7 +311,7 @@ func (s *System) writeEntity(t *tstate, ent intern.ID, entityName string, v int6
 		}
 	}
 	if t.sdg != nil {
-		t.sdg.OnWrite(t.analysis.OpTarget[t.pc])
+		t.sdg.OnWrite(t.writes.OpTarget[t.pc])
 	}
 	return nil
 }
@@ -329,7 +329,7 @@ func (s *System) assignLocal(t *tstate, localName string, v int64) error {
 		}
 	}
 	if t.sdg != nil {
-		t.sdg.OnWrite(t.analysis.OpTarget[t.pc])
+		t.sdg.OnWrite(t.writes.OpTarget[t.pc])
 	}
 	return nil
 }

@@ -222,6 +222,9 @@ type tstate struct {
 	id       txn.ID
 	prog     *txn.Program
 	analysis *txn.Analysis
+	// writes is the program's write-interval analysis, built at Register
+	// under SDG and Hybrid only (nil otherwise). Read-only after Register.
+	writes *txn.Writes
 	// opEnt[i] is the interned entity of Ops[i] (intern.None when op i
 	// has no entity operand). Read-only after Register.
 	opEnt []intern.ID
@@ -411,16 +414,31 @@ func New(cfg Config) *System {
 	return s
 }
 
-// Register adds an execution instance of prog and returns its ID. The
-// program must be valid (see txn.Validate); Register re-validates and
-// returns an error otherwise.
+// Register adds an execution instance of prog and returns its ID. It is
+// the node's only validator: a program that breaks a §2 static rule
+// (see txn.Validate) or locks an undefined entity is rejected with an
+// error and nothing is registered.
 func (s *System) Register(prog *txn.Program) (txn.ID, error) {
 	a, err := txn.ValidateAnalyze(prog)
 	if err != nil {
 		return txn.None, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	return s.RegisterAnalyzed(prog, a)
+}
+
+// RegisterAnalyzed is Register for a program the caller has already
+// validated: a must be the analysis txn.ValidateAnalyze returned for
+// prog without error. internal/shard validates once to route a
+// transaction and hands the analysis down to the shard it lands on.
+//
+// Registration computes only what the configured strategy reads: the
+// write-interval analysis (txn.Writes) is built for SDG and Hybrid
+// alone, before the transaction is published.
+func (s *System) RegisterAnalyzed(prog *txn.Program, a *txn.Analysis) (txn.ID, error) {
+	var w *txn.Writes
+	if s.cfg.Strategy == SDG || s.cfg.Strategy == Hybrid {
+		w = a.Writes(prog)
+	}
 	opEnt := make([]intern.ID, len(prog.Ops))
 	for i, o := range prog.Ops {
 		opEnt[i] = intern.None
@@ -428,6 +446,8 @@ func (s *System) Register(prog *txn.Program) (txn.ID, error) {
 			opEnt[i] = s.names.Intern(o.Entity)
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.nextID++
 	s.entry++
 	id := s.nextID
@@ -435,6 +455,7 @@ func (s *System) Register(prog *txn.Program) (txn.ID, error) {
 		id:       id,
 		prog:     prog,
 		analysis: a,
+		writes:   w,
 		opEnt:    opEnt,
 		entry:    s.entry,
 		status:   StatusRunning,
@@ -444,7 +465,7 @@ func (s *System) Register(prog *txn.Program) (txn.ID, error) {
 	copy(t.locals, a.InitLocals)
 	switch s.cfg.Strategy {
 	case MCS:
-		t.mcs = mcs.NewSlots(s.names, a.LocalNames, a.InitLocals)
+		t.mcs = mcs.NewSlots(s.names, a.LocalNames, a.LocalSlot, a.InitLocals)
 	case SDG:
 		t.sdg = sdg.New()
 	case Hybrid:
@@ -452,37 +473,54 @@ func (s *System) Register(prog *txn.Program) (txn.ID, error) {
 		if budget < 0 {
 			budget = 0
 		}
-		t.hyb = hybrid.New(t.analysis, budget, s.cfg.HybridAllocator)
+		t.hyb = hybrid.New(w, budget, s.cfg.HybridAllocator)
 		t.sdg = t.hyb.SDG()
 	}
-	// Verify every locked entity exists up front so execution cannot
-	// fail mid-flight on an undefined entity. Checked per registration
-	// (not per plan): the store's defined set can change via Restore.
-	for _, e := range a.LockSet() {
-		if !s.store.Exists(e) {
-			return txn.None, fmt.Errorf("core: program %s locks undefined entity %q", prog.Name, e)
-		}
-	}
-	// Paged backend: pin the lock set resident now, at registration, so
-	// no later step faults a page in. Every engine store access (grant
-	// copies, shared reads, installs) is against a lock-set entity, so
-	// pinning here covers them all.
-	if s.store.Paged() {
-		lockSet := a.LockSet()
-		t.pinned = make([]intern.ID, 0, len(lockSet))
-		for _, e := range lockSet {
-			ent := s.names.Intern(e)
-			if err := s.store.PinID(ent); err != nil {
-				s.unpinAll(t)
-				return txn.None, fmt.Errorf("core: program %s pin %q: %w", prog.Name, e, err)
-			}
-			t.pinned = append(t.pinned, ent)
-		}
+	if err := s.admitLockSet(t); err != nil {
+		return txn.None, err
 	}
 	s.txns[id] = t
 	s.wf.AddTxn(id)
 	s.emit(Event{Kind: EventRegister, Txn: id, Detail: prog.Name})
 	return id, nil
+}
+
+// admitLockSet makes one pass over t's lock requests, by the entity IDs
+// Register interned. It verifies every locked entity exists, so
+// execution cannot fail mid-flight on an undefined one (checked per
+// registration, not per program: the store's defined set can change via
+// Restore). On the paged backend it also pins each entity's page
+// resident, so no later step faults: every engine store access (grant
+// copies, shared reads, installs) is against a lock-set entity. The
+// undefined entity reported is the name-smallest, and no pin survives an
+// error. Caller holds s.mu.
+func (s *System) admitLockSet(t *tstate) error {
+	paged := s.store.Paged()
+	if paged {
+		t.pinned = make([]intern.ID, 0, len(t.analysis.Requests))
+	}
+	missing := ""
+	for _, r := range t.analysis.Requests {
+		ent := t.opEnt[r.OpIndex]
+		if _, ok := s.store.GetID(ent); !ok {
+			if missing == "" || r.Entity < missing {
+				missing = r.Entity
+			}
+			continue
+		}
+		if paged && missing == "" {
+			if err := s.store.PinID(ent); err != nil {
+				s.unpinAll(t)
+				return fmt.Errorf("core: program %s pin %q: %w", t.prog.Name, r.Entity, err)
+			}
+			t.pinned = append(t.pinned, ent)
+		}
+	}
+	if missing != "" {
+		s.unpinAll(t)
+		return fmt.Errorf("core: program %s locks undefined entity %q", t.prog.Name, missing)
+	}
+	return nil
 }
 
 // unpinAll releases every page pin t holds (no-op on the memory

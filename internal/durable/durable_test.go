@@ -443,7 +443,7 @@ func TestRecoverShardCountChange(t *testing.T) {
 	store := entity.NewUniformStore("e", 4, 0)
 	s, _ := mustOpen(t, dir, 2, store, Options{Mode: SyncOff})
 	for i := 0; i < 4; i++ {
-		if err := s.ForShard(i % 2).LogCommit(commit(w(fmt.Sprintf("e%d", i), int64(100 + i)))).Wait(); err != nil {
+		if err := s.ForShard(i % 2).LogCommit(commit(w(fmt.Sprintf("e%d", i), int64(100+i)))).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}

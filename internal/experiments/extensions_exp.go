@@ -137,7 +137,7 @@ func E14Optimizer(seed int64) ([]E14Row, *Table, error) {
 		var wd, states int
 		for _, p := range programs {
 			a := txn.Analyze(p)
-			wd += a.WellDefinedCount()
+			wd += a.Writes(p).WellDefinedCount()
 			states += a.NumLocks() + 1
 		}
 		return float64(wd) / float64(states)

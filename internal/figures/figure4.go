@@ -98,6 +98,7 @@ func Figure4Store() *entity.Store {
 // articulation points of its exported state-dependency graph.
 func articulationWellDefined(p *txn.Program) (bool, error) {
 	a := txn.Analyze(p)
+	w := a.Writes(p)
 	n := a.NumLocks()
 	// Build the SDG the way internal/sdg exports it: chain plus write
 	// interval edges {u-1, j}.
@@ -108,7 +109,7 @@ func articulationWellDefined(p *txn.Program) (bool, error) {
 			g.AddEdge(q-1, q)
 		}
 	}
-	for _, idxs := range a.WriteLockIndexes {
+	for _, idxs := range w.WriteLockIndexes {
 		if len(idxs) > 1 {
 			lo := idxs[0] - 1
 			if lo < 0 {
@@ -121,7 +122,7 @@ func articulationWellDefined(p *txn.Program) (bool, error) {
 	for _, v := range g.ArticulationPoints() {
 		arts[v] = true
 	}
-	wd := a.StaticWellDefined()
+	wd := w.StaticWellDefined()
 	for q := 1; q < n; q++ {
 		if wd[q] != arts[q] {
 			return false, fmt.Errorf("state %d: well-defined=%v articulation=%v", q, wd[q], arts[q])
@@ -136,14 +137,13 @@ func RunFigure4() (*Figure4Result, error) {
 	progTP := Figure4T(false)
 	res := &Figure4Result{}
 
-	aT := txn.Analyze(progT)
 	aTP := txn.Analyze(progTP)
-	for q, ok := range aT.StaticWellDefined() {
+	for q, ok := range txn.AnalyzeWrites(progT).StaticWellDefined() {
 		if ok {
 			res.WellDefinedT = append(res.WellDefinedT, q)
 		}
 	}
-	for q, ok := range aTP.StaticWellDefined() {
+	for q, ok := range aTP.Writes(progTP).StaticWellDefined() {
 		if ok {
 			res.WellDefinedTPrime = append(res.WellDefinedTPrime, q)
 		}

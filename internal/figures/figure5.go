@@ -75,9 +75,9 @@ func Figure5ThreePhase() *txn.Program {
 
 // RunFigure5 compares the three structures statically.
 func RunFigure5() (*Figure5Result, error) {
-	scattered := txn.Analyze(Figure4T(true))
-	clustered := txn.Analyze(Figure5Clustered())
-	threePhase := txn.Analyze(Figure5ThreePhase())
+	scattered := txn.AnalyzeWrites(Figure4T(true))
+	clustered := txn.AnalyzeWrites(Figure5Clustered())
+	threePhase := txn.AnalyzeWrites(Figure5ThreePhase())
 	return &Figure5Result{
 		ScatteredWellDefined:  scattered.WellDefinedCount(),
 		ClusteredWellDefined:  clustered.WellDefinedCount(),

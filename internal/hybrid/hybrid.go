@@ -51,18 +51,19 @@ type Checkpoint struct {
 func (c Checkpoint) size() int { return len(c.Locals) + len(c.Copies) }
 
 // Allocator chooses which lock states (of 1..n-1; 0 and n are free) to
-// checkpoint, given the program's analysis and a budget of checkpoints.
+// checkpoint, given the program's write analysis and a budget of
+// checkpoints.
 type Allocator interface {
 	Name() string
 	// Choose returns the lock states to checkpoint, at most budget of
 	// them, sorted ascending.
-	Choose(a *txn.Analysis, budget int) []int
+	Choose(w *txn.Writes, budget int) []int
 }
 
 // destroyedStates returns the statically destroyed interior lock
 // states, ascending.
-func destroyedStates(a *txn.Analysis) []int {
-	wd := a.StaticWellDefined()
+func destroyedStates(w *txn.Writes) []int {
+	wd := w.StaticWellDefined()
 	var out []int
 	for q := 1; q < len(wd)-1; q++ {
 		if !wd[q] {
@@ -79,8 +80,8 @@ type Spaced struct{}
 func (Spaced) Name() string { return "spaced" }
 
 // Choose implements Allocator.
-func (Spaced) Choose(a *txn.Analysis, budget int) []int {
-	d := destroyedStates(a)
+func (Spaced) Choose(w *txn.Writes, budget int) []int {
+	d := destroyedStates(w)
 	if budget <= 0 || len(d) == 0 {
 		return nil
 	}
@@ -105,8 +106,8 @@ type MinGap struct{}
 func (MinGap) Name() string { return "min-gap" }
 
 // Choose implements Allocator.
-func (MinGap) Choose(a *txn.Analysis, budget int) []int {
-	wd := a.StaticWellDefined()
+func (MinGap) Choose(w *txn.Writes, budget int) []int {
+	wd := w.StaticWellDefined()
 	n := len(wd) - 1
 	restorable := make([]bool, n+1)
 	copy(restorable, wd)
@@ -165,13 +166,13 @@ type State struct {
 }
 
 // New creates hybrid state for a program: the allocator plans
-// checkpoint states from the static analysis within budget.
-func New(a *txn.Analysis, budget int, alloc Allocator) *State {
+// checkpoint states from the program's write analysis within budget.
+func New(w *txn.Writes, budget int, alloc Allocator) *State {
 	if alloc == nil {
 		alloc = MinGap{}
 	}
 	planned := map[int]bool{}
-	for _, q := range alloc.Choose(a, budget) {
+	for _, q := range alloc.Choose(w, budget) {
 		planned[q] = true
 	}
 	return &State{

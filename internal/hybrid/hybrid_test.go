@@ -27,39 +27,39 @@ func scatteredProg() *txn.Program {
 }
 
 func TestDestroyedStates(t *testing.T) {
-	a := txn.Analyze(scatteredProg())
+	w := txn.AnalyzeWrites(scatteredProg())
 	// a written at 1 and 3 -> destroys 1,2; b written at 3 and 5 ->
 	// destroys 3,4.
-	wd := a.StaticWellDefined()
+	wd := w.StaticWellDefined()
 	want := []bool{true, false, false, false, false, true}
 	if !reflect.DeepEqual(wd, want) {
 		t.Fatalf("well-defined = %v", wd)
 	}
-	if got := destroyedStates(a); !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
+	if got := destroyedStates(w); !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
 		t.Errorf("destroyed = %v", got)
 	}
 }
 
 func TestMinGapAllocator(t *testing.T) {
-	a := txn.Analyze(scatteredProg())
+	w := txn.AnalyzeWrites(scatteredProg())
 	// With budget 1, repairing a middle state (2 or 3) cuts the gap
 	// 0..5 best.
-	got := (MinGap{}).Choose(a, 1)
+	got := (MinGap{}).Choose(w, 1)
 	if len(got) != 1 || (got[0] != 2 && got[0] != 3) {
 		t.Errorf("min-gap budget 1 = %v", got)
 	}
 	// Budget >= 4 repairs everything.
-	if got := (MinGap{}).Choose(a, 10); !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
+	if got := (MinGap{}).Choose(w, 10); !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
 		t.Errorf("min-gap budget 10 = %v", got)
 	}
-	if got := (MinGap{}).Choose(a, 0); len(got) != 0 {
+	if got := (MinGap{}).Choose(w, 0); len(got) != 0 {
 		t.Errorf("budget 0 = %v", got)
 	}
 }
 
 func TestSpacedAllocator(t *testing.T) {
-	a := txn.Analyze(scatteredProg())
-	got := (Spaced{}).Choose(a, 2)
+	w := txn.AnalyzeWrites(scatteredProg())
+	got := (Spaced{}).Choose(w, 2)
 	if len(got) == 0 || len(got) > 2 {
 		t.Errorf("spaced = %v", got)
 	}
@@ -68,14 +68,14 @@ func TestSpacedAllocator(t *testing.T) {
 			t.Errorf("spaced picked non-destroyed state %d", q)
 		}
 	}
-	if got := (Spaced{}).Choose(a, 99); !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
+	if got := (Spaced{}).Choose(w, 99); !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
 		t.Errorf("spaced all = %v", got)
 	}
 }
 
 func TestStateCheckpointLifecycle(t *testing.T) {
-	a := txn.Analyze(scatteredProg())
-	st := New(a, 2, MinGap{})
+	w := txn.AnalyzeWrites(scatteredProg())
+	st := New(w, 2, MinGap{})
 	g := st.SDG()
 	// Simulate execution: lock, write a, lock, lock, write a, write b...
 	g.OnLock() // 1
@@ -147,8 +147,8 @@ func TestStateCheckpointLifecycle(t *testing.T) {
 }
 
 func TestCheckpointIsolation(t *testing.T) {
-	a := txn.Analyze(scatteredProg())
-	st := New(a, 1, nil)
+	w := txn.AnalyzeWrites(scatteredProg())
+	st := New(w, 1, nil)
 	locals := []int64{1}
 	copies := []EntityCopy{{Ent: 0, Val: 2}}
 	st.TakeCheckpoint(1, locals, copies)
@@ -161,8 +161,8 @@ func TestCheckpointIsolation(t *testing.T) {
 }
 
 func TestBudgetZeroIsPureSDG(t *testing.T) {
-	a := txn.Analyze(scatteredProg())
-	st := New(a, 0, MinGap{})
+	w := txn.AnalyzeWrites(scatteredProg())
+	st := New(w, 0, MinGap{})
 	g := st.SDG()
 	for i := 0; i < 5; i++ {
 		g.OnLock()
@@ -194,9 +194,9 @@ func TestQuickTargetOrdering(t *testing.T) {
 			}
 		}
 		p := b.MustBuild()
-		a := txn.Analyze(p)
+		w := txn.AnalyzeWrites(p)
 		budget := rng.Intn(4)
-		st := New(a, budget, MinGap{})
+		st := New(w, budget, MinGap{})
 		g := st.SDG()
 		// Simulate the run: locks + writes in program order, taking
 		// checkpoints at planned states.

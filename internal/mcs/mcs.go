@@ -78,27 +78,34 @@ func New(locals map[string]int64) *Copies {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	slot := make(map[string]int, len(names))
 	inits := make([]int64, len(names))
 	for i, n := range names {
+		slot[n] = i
 		inits[i] = locals[n]
 	}
-	return NewSlots(intern.NewTable(), names, inits)
+	return NewSlots(intern.NewTable(), names, slot, inits)
 }
 
 // NewSlots returns MCS state with entity names interned through names
 // (normally the store's shared interner) and locals pre-resolved to
-// slots: localNames[s] has initial value inits[s]. This is the
-// constructor the engine's hot path uses.
-func NewSlots(names *intern.Table, localNames []string, inits []int64) *Copies {
+// slots: localNames[s] has initial value inits[s], and localSlot is the
+// inverse of localNames. The slices and the map are shared, not copied
+// (the engine passes its txn.Analysis, which is immutable after
+// registration). This is the constructor the engine's hot path uses.
+func NewSlots(names *intern.Table, localNames []string, localSlot map[string]int, inits []int64) *Copies {
 	c := &Copies{
 		names:       names,
 		localStacks: make([][]elem, len(localNames)),
 		localNames:  localNames,
-		localSlot:   make(map[string]int, len(localNames)),
+		localSlot:   localSlot,
 	}
-	for s, n := range localNames {
-		c.localSlot[n] = s
-		c.localStacks[s] = []elem{{value: inits[s], lockIndex: 0}}
+	// Every local's bottom element lives in one backing array; each
+	// stack has capacity 1, so its first push moves it to its own array.
+	bottoms := make([]elem, len(localNames))
+	for s := range localNames {
+		bottoms[s] = elem{value: inits[s], lockIndex: 0}
+		c.localStacks[s] = bottoms[s : s+1 : s+1]
 		c.localElems++
 	}
 	c.notePeaks()

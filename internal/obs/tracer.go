@@ -65,10 +65,10 @@ type Tracer struct {
 
 	now func() time.Time
 
-	mu     sync.Mutex
-	active map[txn.ID]*TxnTrace
-	ring   []*TxnTrace
-	next   int
+	mu      sync.Mutex
+	active  map[txn.ID]*TxnTrace
+	ring    []*TxnTrace
+	next    int
 	dropped int64
 }
 

@@ -83,8 +83,8 @@ func FuzzClusterWritesPreservesSemantics(f *testing.F) {
 		if err := txn.Validate(res.Program); err != nil {
 			t.Fatalf("transformed program invalid: %v", err)
 		}
-		before := txn.Analyze(p).WellDefinedCount()
-		after := txn.Analyze(res.Program).WellDefinedCount()
+		before := txn.AnalyzeWrites(p).WellDefinedCount()
+		after := txn.AnalyzeWrites(res.Program).WellDefinedCount()
 		if after < before {
 			t.Fatalf("well-defined count regressed %d -> %d\noriginal:\n%s\ntransformed:\n%s",
 				before, after, p, res.Program)

@@ -24,7 +24,7 @@ func TestMovesIndependentWrites(t *testing.T) {
 		Write("A", value.Add(value.L("a"), value.C(2))). // scatters A
 		Write("B", value.Add(value.L("b"), value.C(1))).
 		MustBuild()
-	before := txn.Analyze(p).WellDefinedCount()
+	before := txn.AnalyzeWrites(p).WellDefinedCount()
 	res, err := ClusterWrites(p)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestMovesIndependentWrites(t *testing.T) {
 	if !txn.IsThreePhase(res.Program) {
 		t.Error("fully movable program should become three-phase")
 	}
-	after := txn.Analyze(res.Program).WellDefinedCount()
+	after := txn.AnalyzeWrites(res.Program).WellDefinedCount()
 	if after <= before {
 		t.Errorf("well-defined count %d -> %d", before, after)
 	}
@@ -142,7 +142,7 @@ func TestComputeChainMoves(t *testing.T) {
 		LockX("C").
 		Write("C", value.L("acc")).
 		MustBuild()
-	if txn.Analyze(p).WellDefinedCount() == 4 {
+	if txn.AnalyzeWrites(p).WellDefinedCount() == 4 {
 		t.Fatal("test premise: accumulator should destroy states")
 	}
 	res, err := ClusterWrites(p)
@@ -153,8 +153,8 @@ func TestComputeChainMoves(t *testing.T) {
 		t.Errorf("moved computes = %d, want 2", res.MovedComputes)
 	}
 	a := txn.Analyze(res.Program)
-	if a.WellDefinedCount() != a.NumLocks()+1 {
-		t.Errorf("optimized program still destroys states: %v", a.StaticWellDefined())
+	if w := a.Writes(res.Program); w.WellDefinedCount() != a.NumLocks()+1 {
+		t.Errorf("optimized program still destroys states: %v", w.StaticWellDefined())
 	}
 	ok, err := Equivalent(p, res.Program, storeABC())
 	if err != nil || !ok {
@@ -199,8 +199,8 @@ func TestPropertyGeneratedWorkloadsEquivalent(t *testing.T) {
 				if !ok {
 					t.Errorf("seed %d %s: %s transformation changed semantics", seed, shape, p.Name)
 				}
-				after := txn.Analyze(res.Program)
-				before := txn.Analyze(p)
+				after := txn.AnalyzeWrites(res.Program)
+				before := txn.AnalyzeWrites(p)
 				if after.WellDefinedCount() < before.WellDefinedCount() {
 					t.Errorf("seed %d %s: %s lost well-defined states", seed, shape, p.Name)
 				}

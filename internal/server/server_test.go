@@ -16,6 +16,7 @@ import (
 	"partialrollback/internal/exec"
 	"partialrollback/internal/sim"
 	"partialrollback/internal/txn"
+	"partialrollback/internal/value"
 	"partialrollback/internal/wire"
 )
 
@@ -410,23 +411,43 @@ func TestMalformedFrames(t *testing.T) {
 	shutdownNow(t, srv)
 }
 
-// TestBadProgramKeepsSession verifies that a well-framed but invalid
-// program (unknown entity) yields CodeBadRequest while the session
-// stays usable.
+// TestBadProgramKeepsSession verifies that well-framed but invalid
+// programs — an unknown entity, and §2 violations the wire layer no
+// longer checks (a write without a lock, a mid-program Commit) — each
+// yield CodeBadRequest with the engine's exact message while the
+// session stays usable.
 func TestBadProgramKeepsSession(t *testing.T) {
 	store := entity.NewUniformStore("e", 2, 0)
 	srv := New(Config{Store: store})
 	c := muxClient(srv, client.MuxConfig{})
 	defer c.Close()
 
-	_, err := c.RunOnce(sim.TransferProgram("bad", "nosuch", "e0", 1, 0))
-	var se *client.ServerError
-	if !errors.As(err, &se) || se.Code != wire.CodeBadRequest {
-		t.Fatalf("err = %v, want CodeBadRequest", err)
+	bad := []struct {
+		prog *txn.Program
+		msg  string
+	}{
+		{sim.TransferProgram("ghost", "nosuch", "e0", 1, 0),
+			`core: program ghost locks undefined entity "nosuch"`},
+		{&txn.Program{Name: "bad", Locals: map[string]int64{"x": 0},
+			Ops: []txn.Op{{Kind: txn.OpWrite, Entity: "e0", Expr: value.C(1)}, {Kind: txn.OpCommit}}},
+			`txn bad: op 0 (Write(e0 <- 1)): write before first lock request`},
+		{&txn.Program{Name: "mid",
+			Ops: []txn.Op{{Kind: txn.OpCommit}, {Kind: txn.OpLockS, Entity: "e0"}}},
+			`txn mid: op 0 (Commit): Commit before end of program`},
 	}
-	// Same connection, valid program: must commit.
-	if _, err := c.RunOnce(sim.TransferProgram("good", "e0", "e1", 1, 0)); err != nil {
-		t.Fatalf("after bad program: %v", err)
+	for _, b := range bad {
+		_, err := c.RunOnce(b.prog)
+		var se *client.ServerError
+		if !errors.As(err, &se) || se.Code != wire.CodeBadRequest || se.Msg != b.msg {
+			t.Fatalf("%s: err = %v, want CodeBadRequest %q", b.prog.Name, err, b.msg)
+		}
+		// Same connection, valid program: must commit.
+		if _, err := c.RunOnce(sim.TransferProgram("good", "e0", "e1", 1, 0)); err != nil {
+			t.Fatalf("after %s: %v", b.prog.Name, err)
+		}
+	}
+	if got := counter(t, srv, "commits"); got != int64(len(bad)) {
+		t.Errorf("commits = %d, want %d", got, len(bad))
 	}
 	shutdownNow(t, srv)
 }

@@ -61,11 +61,14 @@ type binding struct {
 
 // tmeta is the engine's routing metadata for one transaction.
 type tmeta struct {
-	prog    *txn.Program
-	lockSet []string
-	state   claimState
-	shard   int
-	local   txn.ID
+	prog *txn.Program
+	// analysis is prog's validated analysis, handed to the shard's
+	// System so registration validates and analyses the program once.
+	analysis *txn.Analysis
+	lockSet  []string
+	state    claimState
+	shard    int
+	local    txn.ID
 	// pinned reports whether the transaction's lock set currently holds
 	// pins (placed and not yet committed/aborted).
 	pinned bool
@@ -81,9 +84,10 @@ type pin struct {
 // admission is a queued claim whose placement has been decided (pins
 // taken) but whose shard registration is still to be performed.
 type admission struct {
-	gid   txn.ID
-	shard int
-	prog  *txn.Program
+	gid      txn.ID
+	shard    int
+	prog     *txn.Program
+	analysis *txn.Analysis
 }
 
 // Engine is a sharded core.Engine over N core.System instances sharing
@@ -244,7 +248,9 @@ func remapReport(m map[txn.ID]txn.ID, r *core.DeadlockReport) *core.DeadlockRepo
 // transaction on a shard immediately or queues it behind conflicting
 // older registrations (see the package comment). Queued transactions
 // report StatusWaiting and become runnable when an EventAdmit is
-// emitted for them.
+// emitted for them. The program is validated and analysed once, here;
+// the shard's System registers it with that analysis, and rejections
+// carry the same error text as core.System.Register.
 func (e *Engine) Register(prog *txn.Program) (txn.ID, error) {
 	a, err := txn.ValidateAnalyze(prog)
 	if err != nil {
@@ -263,7 +269,7 @@ func (e *Engine) Register(prog *txn.Program) (txn.ID, error) {
 	e.mu.Lock()
 	e.nextID++
 	gid := e.nextID
-	m := &tmeta{prog: prog, lockSet: lockSet, state: statePending}
+	m := &tmeta{prog: prog, analysis: a, lockSet: lockSet, state: statePending}
 	e.meta[gid] = m
 	target, placeable := -1, false
 	if !e.fencedLocked(lockSet, e.queue) {
@@ -279,7 +285,7 @@ func (e *Engine) Register(prog *txn.Program) (txn.ID, error) {
 	e.mu.Unlock()
 
 	if placeable {
-		lid, err := e.shards[target].Register(prog)
+		lid, err := e.shards[target].RegisterAnalyzed(prog, a)
 		if err != nil {
 			// Cannot happen in practice: the program was validated and
 			// its lock set existence-checked above, which is everything
@@ -450,7 +456,7 @@ func (e *Engine) admitLocked() []admission {
 				e.pinLocked(m.lockSet, target)
 				m.pinned = true
 				m.shard = target
-				out = append(out, admission{gid: gid, shard: target, prog: m.prog})
+				out = append(out, admission{gid: gid, shard: target, prog: m.prog, analysis: m.analysis})
 				continue
 			}
 		}
@@ -464,7 +470,7 @@ func (e *Engine) admitLocked() []admission {
 // their EventAdmit. Caller holds regMu (and not mu).
 func (e *Engine) place(admitted []admission) {
 	for _, a := range admitted {
-		lid, err := e.shards[a.shard].Register(a.prog)
+		lid, err := e.shards[a.shard].RegisterAnalyzed(a.prog, a.analysis)
 		if err != nil {
 			// The claim was validated and existence-checked when it was
 			// first registered, and entities are never removed from the

@@ -484,3 +484,38 @@ func TestQueuedInspection(t *testing.T) {
 	driveToCommit(t, e, t2)
 	driveToCommit(t, e, t3)
 }
+
+// TestRegisterRejectsLikeSystem: the sharded engine validates and
+// analyses a program once and hands the analysis to its shard, so every
+// rejection must carry exactly core.System.Register's error text — §2
+// violations, and undefined entities (the name-smallest one is named,
+// whatever the request order).
+func TestRegisterRejectsLikeSystem(t *testing.T) {
+	invalid := []*txn.Program{
+		{Name: "nolock", Locals: map[string]int64{"x": 0}, Ops: []txn.Op{
+			{Kind: txn.OpWrite, Entity: "e0", Expr: value.C(1)}, {Kind: txn.OpCommit}}},
+		{Name: "mid", Ops: []txn.Op{
+			{Kind: txn.OpCommit}, {Kind: txn.OpLockS, Entity: "e0"}, {Kind: txn.OpCommit}}},
+		{Name: "twice", Ops: []txn.Op{
+			{Kind: txn.OpLockX, Entity: "e0"}, {Kind: txn.OpLockS, Entity: "e0"}, {Kind: txn.OpCommit}}},
+		{Name: "", Ops: []txn.Op{{Kind: txn.OpCommit}}},
+		bump("ghost", "e1", "zz", "yy"),
+	}
+	cfg := core.Config{Store: entity.NewUniformStore("e", 4, 0), Strategy: core.MCS}
+	sys := core.New(cfg)
+	e := New(2, cfg)
+	for _, p := range invalid {
+		_, want := sys.Register(p)
+		_, got := e.Register(p)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("%q: sharded err = %v, core err = %v", p.Name, got, want)
+		}
+	}
+	if _, err := e.Register(invalid[len(invalid)-1]); err == nil ||
+		err.Error() != `core: program ghost locks undefined entity "yy"` {
+		t.Errorf("ghost: err = %v, want the name-smallest undefined entity", err)
+	}
+	// Rejections leave nothing behind: a valid program still commits.
+	id := e.MustRegister(bump("ok", "e0", "e1"))
+	driveToCommit(t, e, id)
+}

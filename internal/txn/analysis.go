@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -19,8 +20,11 @@ type LockRequest struct {
 	LockIndex int
 }
 
-// Analysis holds static facts about a program used by the rollback
-// machinery and by the §5 structure experiments.
+// Analysis holds the slice-indexed static facts about a program that
+// every rollback strategy reads: its lock requests, each op's lock
+// index and the locals resolved to dense slots. The §4 write-interval
+// facts live apart, in Writes, because only the single-copy strategy
+// and the §5 structure measures need them.
 type Analysis struct {
 	// Requests lists the program's lock requests in order; the k-th
 	// entry has LockIndex k.
@@ -28,16 +32,6 @@ type Analysis struct {
 	// LockIndexOf[i] is the lock index of Ops[i]: the number of lock
 	// requests strictly before op i.
 	LockIndexOf []int
-	// EntityLockIndex maps each locked entity to the LockIndex of its
-	// request.
-	EntityLockIndex map[string]int
-	// FirstWriteLockIndex maps each written target (entity or local) to
-	// the lock index of its first write; the paper's index of
-	// restorability is this minus one.
-	FirstWriteLockIndex map[string]int
-	// WriteLockIndexes maps each written target to the sorted distinct
-	// lock indexes at which it is written.
-	WriteLockIndexes map[string][]int
 
 	// The fields below are the execution plan for the allocation-free
 	// hot path: locals resolved to dense slots at analysis time, so
@@ -51,14 +45,9 @@ type Analysis struct {
 	LocalSlot  map[string]int
 	// InitLocals[s] is the declared initial value of slot s.
 	InitLocals []int64
-	// OpLocalSlot[i] is the slot of Ops[i].Local, or -1 when op i has
-	// no local operand.
+	// OpLocalSlot[i] is the slot of the local a Read or Compute op i
+	// assigns, or -1 for every other op (and for an undeclared local).
 	OpLocalSlot []int
-	// OpTarget[i] is the state-dependency-graph write-target key of op
-	// i ("e:<entity>" for entity writes, "l:<local>" for local writes,
-	// "" when op i writes nothing) — precomputed so the hot path does
-	// not concatenate strings per write.
-	OpTarget []string
 }
 
 // Analyze computes the static Analysis for p. The program is assumed
@@ -71,23 +60,29 @@ func Analyze(p *Program) *Analysis {
 
 // ValidateAnalyze checks p against the §2 static rules (see Validate
 // for the full list) and computes its Analysis in the same traversal of
-// p.Ops — registration used to walk the program twice (validate, then
-// analyze), now it walks once. Lock holdings are tracked in a small
-// slice instead of a map, and expression references are checked by
-// walking the tree directly instead of materializing a reference list,
-// so validation itself stays off the allocator for typical programs.
+// p.Ops. Lock holdings are tracked in a small slice instead of a map,
+// and expression references are checked by walking the tree directly
+// instead of materializing a reference list, so validation itself stays
+// off the allocator for typical programs; the only map built is
+// LocalSlot.
 //
 // The analysis is always returned, complete to the extent the program
 // allows; the error is the first rule violation, exactly as Validate
 // reports it.
 func ValidateAnalyze(p *Program) (*Analysis, error) {
+	n := len(p.Ops)
+	locks := 0
+	for i := range p.Ops {
+		if p.Ops[i].Kind.IsLockRequest() {
+			locks++
+		}
+	}
+	// LockIndexOf and OpLocalSlot share one backing array.
+	perOp := make([]int, 2*n)
 	a := &Analysis{
-		LockIndexOf:         make([]int, len(p.Ops)),
-		EntityLockIndex:     map[string]int{},
-		FirstWriteLockIndex: map[string]int{},
-		WriteLockIndexes:    map[string][]int{},
-		OpLocalSlot:         make([]int, len(p.Ops)),
-		OpTarget:            make([]string, len(p.Ops)),
+		Requests:    make([]LockRequest, 0, locks),
+		LockIndexOf: perOp[:n:n],
+		OpLocalSlot: perOp[n:],
 	}
 	a.LocalNames = make([]string, 0, len(p.Locals))
 	for name := range p.Locals {
@@ -133,11 +128,6 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 		}
 		a.LockIndexOf[i] = li
 		a.OpLocalSlot[i] = -1
-		if o.Local != "" {
-			if s, ok := a.LocalSlot[o.Local]; ok {
-				a.OpLocalSlot[i] = s
-			}
-		}
 		if i != len(p.Ops)-1 && o.Kind == OpCommit {
 			fail("Commit before end of program")
 		}
@@ -147,8 +137,8 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 				fail("lock request after unlock violates two-phase rule")
 			}
 			if _, clash := p.Locals[o.Entity]; clash {
-				// Analysis tracks write targets by name; entity and
-				// local namespaces must therefore be disjoint.
+				// Writes tracks write targets by name; entity and local
+				// namespaces must therefore be disjoint.
 				fail("entity %q collides with a local variable name", o.Entity)
 			}
 			if declaredLast {
@@ -168,7 +158,6 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 				Exclusive: o.Kind == OpLockX,
 				LockIndex: li,
 			})
-			a.EntityLockIndex[o.Entity] = li
 			li++
 		case OpUnlock:
 			if k := findHeld(o.Entity); k < 0 {
@@ -181,13 +170,11 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 			if findHeld(o.Entity) < 0 {
 				fail("read of unlocked entity %q", o.Entity)
 			}
-			if _, ok := p.Locals[o.Local]; !ok {
+			if s, ok := a.LocalSlot[o.Local]; ok {
+				a.OpLocalSlot[i] = s
+			} else {
 				fail("read into undeclared local %q", o.Local)
 			}
-			// A read assigns its destination local: it is a local write
-			// for rollback purposes.
-			a.noteWrite(o.Local, li)
-			a.OpTarget[i] = "l:" + o.Local
 		case OpWrite:
 			if !seenLock {
 				fail("write before first lock request")
@@ -198,20 +185,18 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 			if err := checkRefs(p, o.Expr); err != nil {
 				fail("%v", err)
 			}
-			a.noteWrite(o.Entity, li)
-			a.OpTarget[i] = "e:" + o.Entity
 		case OpCompute:
 			if !seenLock {
 				fail("compute before first lock request")
 			}
-			if _, ok := p.Locals[o.Local]; !ok {
+			if s, ok := a.LocalSlot[o.Local]; ok {
+				a.OpLocalSlot[i] = s
+			} else {
 				fail("compute into undeclared local %q", o.Local)
 			}
 			if err := checkRefs(p, o.Expr); err != nil {
 				fail("%v", err)
 			}
-			a.noteWrite(o.Local, li)
-			a.OpTarget[i] = "l:" + o.Local
 		case OpDeclareLastLock:
 			if declaredLast {
 				fail("DeclareLastLock repeated")
@@ -226,19 +211,75 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 	if firstErr == nil && (len(p.Ops) == 0 || p.Ops[len(p.Ops)-1].Kind != OpCommit) {
 		firstErr = fmt.Errorf("txn %s: program must end with Commit", p.Name)
 	}
-	for _, idxs := range a.WriteLockIndexes {
-		sort.Ints(idxs)
-	}
 	return a, firstErr
 }
 
-func (a *Analysis) noteWrite(target string, li int) {
-	if _, ok := a.FirstWriteLockIndex[target]; !ok {
-		a.FirstWriteLockIndex[target] = li
+// Writes holds the §4 write-interval facts of a program: for every
+// write target (entity or local), the lock indexes at which it is
+// written. Only the single-copy strategy (SDG, and Hybrid built on it)
+// and the §5 structure measures read them, so they are built on demand
+// by Analysis.Writes rather than by every registration.
+type Writes struct {
+	// EntityLockIndex maps each locked entity to the LockIndex of its
+	// request.
+	EntityLockIndex map[string]int
+	// FirstWriteLockIndex maps each written target (entity or local) to
+	// the lock index of its first write; the paper's index of
+	// restorability is this minus one.
+	FirstWriteLockIndex map[string]int
+	// WriteLockIndexes maps each written target to the sorted distinct
+	// lock indexes at which it is written.
+	WriteLockIndexes map[string][]int
+	// OpTarget[i] is the state-dependency-graph write-target key of op
+	// i ("e:<entity>" for entity writes, "l:<local>" for local writes,
+	// "" when op i writes nothing) — precomputed so the step path does
+	// not concatenate strings per write.
+	OpTarget []string
+
+	numLocks int
+}
+
+// Writes computes the write-interval facts of p, which must be the
+// program a was computed from. A read assigns its destination local, so
+// it counts as a local write for rollback purposes.
+func (a *Analysis) Writes(p *Program) *Writes {
+	w := &Writes{
+		EntityLockIndex:     make(map[string]int, len(a.Requests)),
+		FirstWriteLockIndex: map[string]int{},
+		WriteLockIndexes:    map[string][]int{},
+		OpTarget:            make([]string, len(p.Ops)),
+		numLocks:            len(a.Requests),
 	}
-	idxs := a.WriteLockIndexes[target]
+	for _, r := range a.Requests {
+		w.EntityLockIndex[r.Entity] = r.LockIndex
+	}
+	for i, o := range p.Ops {
+		switch o.Kind {
+		case OpRead, OpCompute:
+			w.note(o.Local, a.LockIndexOf[i])
+			w.OpTarget[i] = "l:" + o.Local
+		case OpWrite:
+			w.note(o.Entity, a.LockIndexOf[i])
+			w.OpTarget[i] = "e:" + o.Entity
+		}
+	}
+	return w
+}
+
+// AnalyzeWrites computes p's write-interval facts from scratch:
+// Analyze(p).Writes(p), for callers that need nothing else.
+func AnalyzeWrites(p *Program) *Writes { return Analyze(p).Writes(p) }
+
+// note records a write of target at lock index li. Ops are visited in
+// program order, where lock indexes never decrease, so each target's
+// index list stays sorted and only the last entry can repeat li.
+func (w *Writes) note(target string, li int) {
+	if _, ok := w.FirstWriteLockIndex[target]; !ok {
+		w.FirstWriteLockIndex[target] = li
+	}
+	idxs := w.WriteLockIndexes[target]
 	if n := len(idxs); n == 0 || idxs[n-1] != li {
-		a.WriteLockIndexes[target] = append(idxs, li)
+		w.WriteLockIndexes[target] = append(idxs, li)
 	}
 }
 
@@ -250,8 +291,8 @@ func (a *Analysis) NumLocks() int { return len(a.Requests) }
 // its first write, i.e. FirstWriteLockIndex-1. The second result is
 // false if the target is never written (every state is restorable for
 // it).
-func (a *Analysis) RestorabilityIndex(target string) (int, bool) {
-	u, ok := a.FirstWriteLockIndex[target]
+func (w *Writes) RestorabilityIndex(target string) (int, bool) {
+	u, ok := w.FirstWriteLockIndex[target]
 	if !ok {
 		return 0, false
 	}
@@ -264,13 +305,13 @@ func (a *Analysis) RestorabilityIndex(target string) (int, bool) {
 // undefined iff some target has first write at lock index u <= q and a
 // later write at lock index j > q (Theorem 4 with the half-open write
 // intervals derived in DESIGN.md §2).
-func (a *Analysis) StaticWellDefined() []bool {
-	n := a.NumLocks()
+func (w *Writes) StaticWellDefined() []bool {
+	n := w.numLocks
 	wd := make([]bool, n+1)
 	for q := range wd {
 		wd[q] = true
 	}
-	for _, idxs := range a.WriteLockIndexes {
+	for _, idxs := range w.WriteLockIndexes {
 		if len(idxs) == 0 {
 			continue
 		}
@@ -288,9 +329,9 @@ func (a *Analysis) StaticWellDefined() []bool {
 
 // WellDefinedCount returns how many of the n+1 lock states of the
 // completed program are well defined (including the trivial state 0).
-func (a *Analysis) WellDefinedCount() int {
+func (w *Writes) WellDefinedCount() int {
 	count := 0
-	for _, ok := range a.StaticWellDefined() {
+	for _, ok := range w.StaticWellDefined() {
 		if ok {
 			count++
 		}
@@ -303,9 +344,9 @@ func (a *Analysis) WellDefinedCount() int {
 // states, summed over write targets. Zero means perfectly clustered
 // (every target's writes fall within one lock interval); larger values
 // mean writes are scattered across lock states.
-func (a *Analysis) ClusteringIndex() int {
+func (w *Writes) ClusteringIndex() int {
 	total := 0
-	for _, idxs := range a.WriteLockIndexes {
+	for _, idxs := range w.WriteLockIndexes {
 		if len(idxs) > 1 {
 			total += idxs[len(idxs)-1] - idxs[0]
 		}
@@ -339,12 +380,13 @@ func IsThreePhase(p *Program) bool {
 	return declared
 }
 
-// LockSet returns the entities locked by the program, sorted.
+// LockSet returns the entities locked by the program, sorted and
+// without duplicates.
 func (a *Analysis) LockSet() []string {
-	out := make([]string, 0, len(a.EntityLockIndex))
-	for e := range a.EntityLockIndex {
-		out = append(out, e)
+	out := make([]string, len(a.Requests))
+	for i, r := range a.Requests {
+		out[i] = r.Entity
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

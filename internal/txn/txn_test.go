@@ -166,26 +166,27 @@ func TestAnalyzeLockIndexes(t *testing.T) {
 			t.Errorf("request %d = %+v", i, r)
 		}
 	}
-	if a.EntityLockIndex["b"] != 1 {
-		t.Errorf("EntityLockIndex[b] = %d", a.EntityLockIndex["b"])
+	w := a.Writes(p)
+	if w.EntityLockIndex["b"] != 1 {
+		t.Errorf("EntityLockIndex[b] = %d", w.EntityLockIndex["b"])
 	}
 	// Writes: a at 1 (twice: read sets x at 1 too) and 2; b at 3.
-	if got := a.WriteLockIndexes["a"]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := w.WriteLockIndexes["a"]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("writes to a at %v", got)
 	}
-	if got := a.WriteLockIndexes["b"]; len(got) != 1 || got[0] != 3 {
+	if got := w.WriteLockIndexes["b"]; len(got) != 1 || got[0] != 3 {
 		t.Errorf("writes to b at %v", got)
 	}
-	if got := a.WriteLockIndexes["x"]; len(got) != 1 || got[0] != 1 {
+	if got := w.WriteLockIndexes["x"]; len(got) != 1 || got[0] != 1 {
 		t.Errorf("writes to local x at %v", got)
 	}
-	if u, ok := a.FirstWriteLockIndex["a"]; !ok || u != 1 {
+	if u, ok := w.FirstWriteLockIndex["a"]; !ok || u != 1 {
 		t.Errorf("first write of a = %d, %v", u, ok)
 	}
-	if rho, ok := a.RestorabilityIndex("a"); !ok || rho != 0 {
+	if rho, ok := w.RestorabilityIndex("a"); !ok || rho != 0 {
 		t.Errorf("restorability of a = %d, %v", rho, ok)
 	}
-	if _, ok := a.RestorabilityIndex("never"); ok {
+	if _, ok := w.RestorabilityIndex("never"); ok {
 		t.Error("unwritten target should have no restorability index")
 	}
 }
@@ -202,8 +203,8 @@ func TestStaticWellDefined(t *testing.T) {
 		Write("a", value.L("x")).
 		LockX("d").
 		MustBuild()
-	a := Analyze(p)
-	wd := a.StaticWellDefined()
+	w := Analyze(p).Writes(p)
+	wd := w.StaticWellDefined()
 	want := []bool{true, false, false, true, true} // states 0..4
 	if len(wd) != len(want) {
 		t.Fatalf("len = %d", len(wd))
@@ -213,11 +214,11 @@ func TestStaticWellDefined(t *testing.T) {
 			t.Errorf("state %d: well-defined = %v, want %v", q, wd[q], want[q])
 		}
 	}
-	if a.WellDefinedCount() != 3 {
-		t.Errorf("count = %d", a.WellDefinedCount())
+	if w.WellDefinedCount() != 3 {
+		t.Errorf("count = %d", w.WellDefinedCount())
 	}
-	if a.ClusteringIndex() != 2 {
-		t.Errorf("clustering = %d", a.ClusteringIndex())
+	if w.ClusteringIndex() != 2 {
+		t.Errorf("clustering = %d", w.ClusteringIndex())
 	}
 }
 
@@ -274,7 +275,7 @@ func TestWellDefinedMatchesBruteForce(t *testing.T) {
 			MustBuild(),
 	}
 	for _, p := range progs {
-		got := Analyze(p).StaticWellDefined()
+		got := Analyze(p).Writes(p).StaticWellDefined()
 		want := bruteWellDefined(p)
 		for q := range want {
 			if got[q] != want[q] {
@@ -369,22 +370,26 @@ func TestAnalysisExecutionPlan(t *testing.T) {
 	if a.InitLocals[a.LocalSlot["a"]] != 1 || a.InitLocals[a.LocalSlot["b"]] != 2 {
 		t.Fatalf("InitLocals = %v out of sync with slots %v", a.InitLocals, a.LocalSlot)
 	}
+	w := a.Writes(p)
 	for i, o := range p.Ops {
 		switch o.Kind {
 		case OpRead, OpCompute:
 			if a.OpLocalSlot[i] != a.LocalSlot[o.Local] {
 				t.Errorf("op %d (%s): OpLocalSlot = %d, want %d", i, o, a.OpLocalSlot[i], a.LocalSlot[o.Local])
 			}
-			if want := "l:" + o.Local; a.OpTarget[i] != want {
-				t.Errorf("op %d (%s): OpTarget = %q, want %q", i, o, a.OpTarget[i], want)
+			if want := "l:" + o.Local; w.OpTarget[i] != want {
+				t.Errorf("op %d (%s): OpTarget = %q, want %q", i, o, w.OpTarget[i], want)
 			}
 		case OpWrite:
-			if want := "e:" + o.Entity; a.OpTarget[i] != want {
-				t.Errorf("op %d (%s): OpTarget = %q, want %q", i, o, a.OpTarget[i], want)
+			if want := "e:" + o.Entity; w.OpTarget[i] != want {
+				t.Errorf("op %d (%s): OpTarget = %q, want %q", i, o, w.OpTarget[i], want)
 			}
 		default:
-			if a.OpTarget[i] != "" {
-				t.Errorf("op %d (%s): OpTarget = %q, want empty", i, o, a.OpTarget[i])
+			if a.OpLocalSlot[i] != -1 {
+				t.Errorf("op %d (%s): OpLocalSlot = %d, want -1", i, o, a.OpLocalSlot[i])
+			}
+			if w.OpTarget[i] != "" {
+				t.Errorf("op %d (%s): OpTarget = %q, want empty", i, o, w.OpTarget[i])
 			}
 		}
 	}

@@ -784,9 +784,12 @@ func ProgramFrame(p *txn.Program) (BeginProgram, error) {
 	return BeginProgram{Name: p.Name, Locals: locals, Ops: p.Ops}, nil
 }
 
-// Program validates and returns the shipped program under the §2 static
-// rules; a missing trailing Commit is appended exactly as
-// txn.Builder.Build would.
+// Program returns the shipped program after the wire-level checks only:
+// the MaxLocals and MaxOps bounds and duplicate local declarations. A
+// missing trailing Commit is appended exactly as txn.Builder.Build
+// would. The §2 static rules are not checked here: the engine's
+// Register is the one validator (and analyser) of every program, and
+// its error text is what the client receives.
 func (bp BeginProgram) Program() (*txn.Program, error) {
 	if len(bp.Locals) > MaxLocals {
 		return nil, protoErr("%d locals exceeds %d", len(bp.Locals), MaxLocals)
@@ -805,9 +808,6 @@ func (bp BeginProgram) Program() (*txn.Program, error) {
 	copy(p.Ops, bp.Ops)
 	if n := len(p.Ops); n == 0 || p.Ops[n-1].Kind != txn.OpCommit {
 		p.Ops = append(p.Ops, txn.Op{Kind: txn.OpCommit})
-	}
-	if err := txn.Validate(p); err != nil {
-		return nil, err
 	}
 	return p, nil
 }

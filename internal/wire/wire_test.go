@@ -147,23 +147,30 @@ func TestVersionNegotiation(t *testing.T) {
 	}
 }
 
-// TestBeginProgramRejectsInvalid: a protocol-valid frame carrying an
-// invalid program must fail at Program(), not decode.
+// TestBeginProgramRejectsInvalid: Program() enforces the wire-level
+// rules — no duplicate local, at most MaxOps operations — on frames
+// that decode cleanly. The §2 static rules are the engine's: a program
+// that breaks one passes Program() and is rejected at Register (see
+// internal/server's TestBadProgramKeepsSession).
 func TestBeginProgramRejectsInvalid(t *testing.T) {
-	bad := []BeginProgram{
-		// Write without a lock.
-		{Name: "bad", Locals: []LocalDecl{{"x", 0}},
-			Ops: []txn.Op{{Kind: txn.OpWrite, Entity: "e0", Expr: value.C(1)}, {Kind: txn.OpCommit}}},
-		// Duplicate local declaration.
-		{Name: "dup", Locals: []LocalDecl{{"x", 0}, {"x", 1}}},
-		// Mid-program commit.
-		{Name: "mid", Ops: []txn.Op{{Kind: txn.OpCommit}, {Kind: txn.OpLockS, Entity: "e0"}}},
+	dup := BeginProgram{Name: "dup", Locals: []LocalDecl{{"x", 0}, {"x", 1}}}
+	got := roundTrip(t, dup) // stays protocol-valid on the wire
+	_, err := got.(BeginProgram).Program()
+	if want := `txn dup: local "x" declared twice`; err == nil || err.Error() != want {
+		t.Errorf("dup: err = %v, want %q", err, want)
 	}
-	for _, bp := range bad {
-		got := roundTrip(t, bp) // stays protocol-valid on the wire
-		if _, err := got.(BeginProgram).Program(); err == nil {
-			t.Errorf("%s: invalid program accepted", bp.Name)
-		}
+
+	// Over MaxOps cannot be decoded (the decoder bounds the op count), so
+	// the message is built directly.
+	big := BeginProgram{Name: "big", Ops: make([]txn.Op, MaxOps+1)}
+	if _, err := big.Program(); !errors.Is(err, ErrProtocol) {
+		t.Errorf("over MaxOps: err = %v, want ErrProtocol", err)
+	}
+
+	// A §2 violation is not a wire error.
+	mid := BeginProgram{Name: "mid", Ops: []txn.Op{{Kind: txn.OpCommit}, {Kind: txn.OpLockS, Entity: "e0"}}}
+	if _, err := roundTrip(t, mid).(BeginProgram).Program(); err != nil {
+		t.Errorf("mid: Program() = %v, want the engine to judge it", err)
 	}
 }
 

@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # Benchmark smoke test: run every micro-benchmark exactly once under
-# the race detector, plus the zero-allocation regression tests that pin
-# the hot path's alloc-freedom (including the StepBurst path, covered
-# by TestStepBurstZeroAlloc and BenchmarkStepBurst in internal/core).
+# the race detector, plus the allocation regression tests that pin the
+# hot path's alloc-freedom (including the StepBurst path, covered by
+# TestStepBurstZeroAlloc and BenchmarkStepBurst in internal/core) and
+# the registration path's allocation bound (TestRegisterAllocs and
+# BenchmarkRegister in internal/core).
 # This does not measure anything — it
 # proves the benchmark code itself still builds and runs (benchmarks
 # are skipped by plain `go test`, so they otherwise rot). Run from the
@@ -11,7 +13,7 @@
 #   ./scripts/bench_smoke.sh
 set -eux
 
-go test -race -count=1 -run 'ZeroAlloc' -bench . -benchtime 1x \
+go test -race -count=1 -run 'ZeroAlloc|RegisterAllocs' -bench . -benchtime 1x \
     ./internal/lock ./internal/waitfor ./internal/core ./internal/value
 
 # The entity-store benchmarks (uniform-store construction, paged-pool

@@ -1,13 +1,14 @@
 #!/usr/bin/env sh
-# Full verification gate: build everything, vet, run every test with
-# the race detector (the bench/ module included), then each end-to-end
-# smoke script once. Run from the repository root:
+# Full verification gate: check formatting, build everything, vet, run
+# every test with the race detector (the bench/ module included), then
+# each end-to-end smoke script once. Run from the repository root:
 #
 #   ./scripts/check.sh
 #
 # CI and pre-merge checks should treat any non-zero exit as a failure.
 set -eux
 
+test -z "$(gofmt -l .)"
 go build ./...
 go vet ./...
 go test -race -count=1 ./...
