@@ -65,7 +65,6 @@ var (
 	idleTimeout = flag.Duration("idle-timeout", 2*time.Minute, "per-message read deadline")
 	drain       = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")
 	shards      = flag.Int("shards", 1, "engine shards (1 = single engine; >1 partitions the lock/wait-for/detection core)")
-	burst       = flag.Int("burst", 1, "max consecutive steps per engine-lock acquisition (1 = classic step-at-a-time; -1 = adaptive: up to 64 while uncontended, 1 under contention)")
 	maxStreams  = flag.Int("max-streams", 4096, "maximum concurrently active streams per connection (excess streams are refused with the retryable BUSY)")
 	strmWorkers = flag.Int("stream-workers", 0, "per-connection worker pool bound for streams (0 = max-streams)")
 	walDir      = flag.String("wal", "", "write-ahead log directory: commits are durable and replayed on restart (empty = memory only)")
@@ -204,7 +203,6 @@ func main() {
 		RequestTimeout: *reqTimeout,
 		IdleTimeout:    *idleTimeout,
 		Shards:         *shards,
-		Burst:          *burst,
 		MaxStreams:     *maxStreams,
 		StreamWorkers:  *strmWorkers,
 	}
@@ -382,8 +380,8 @@ func main() {
 	if err := srv.Listen(*addr); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("listening on %s (strategy=%s policy=%s entities=%d accounts=%d shards=%d burst=%d wal=%s store=%s)",
-		srv.Addr(), *strategy, *policy, *entities, *accounts, *shards, *burst, walDesc(), *storeKind)
+	log.Printf("listening on %s (strategy=%s policy=%s entities=%d accounts=%d shards=%d wal=%s store=%s)",
+		srv.Addr(), *strategy, *policy, *entities, *accounts, *shards, walDesc(), *storeKind)
 
 	var adminSrv *http.Server
 	if *admin != "" {

@@ -83,7 +83,7 @@ func TestConcurrentCheckpointsAreCommitConsistent(t *testing.T) {
 		go func(id txn.ID) {
 			defer wg.Done()
 			wake := notif.Register(id)
-			if err := exec.StepToCommitBurst(context.Background(), eng, id, wake, 0, 4); err != nil {
+			if err := exec.StepToCommit(context.Background(), eng, id, wake, 0); err != nil {
 				errCh <- err
 			}
 		}(id)

@@ -33,11 +33,6 @@ type Engine interface {
 	Locals(id txn.ID) (map[string]int64, error)
 	// TxnStatsOf returns a snapshot of id's counters.
 	TxnStatsOf(id txn.ID) TxnStats
-	// Waiters returns how many transactions are currently blocked
-	// waiting on locks held by id; 0 for unknown, queued, or finished
-	// transactions. Drivers use it as a cheap contention probe when
-	// sizing step bursts adaptively.
-	Waiters(id txn.ID) int
 	// Runnable returns the IDs of transactions in StatusRunning, sorted.
 	Runnable() []txn.ID
 	// IDs returns all registered transaction IDs, sorted.

@@ -21,16 +21,6 @@ func (s *System) Status(id txn.ID) (Status, error) {
 	return t.status, nil
 }
 
-// Waiters returns how many transactions are blocked waiting on locks
-// held by id; 0 for unknown or finished transactions. One mutex
-// acquisition and no allocation, so it is cheap enough to probe from
-// the step loop when sizing bursts adaptively.
-func (s *System) Waiters(id txn.ID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.wf.WaiterCount(id)
-}
-
 // ProgramName returns the name of id's program.
 func (s *System) ProgramName(id txn.ID) string {
 	s.mu.Lock()

@@ -70,7 +70,6 @@ func TestConcurrentCommitDurability(t *testing.T) {
 	out, err := runtime.Run(store, w.Programs, runtime.Options{
 		Strategy:  core.MCS,
 		Shards:    2,
-		Burst:     8,
 		CommitLog: set,
 	})
 	if err != nil {
@@ -161,7 +160,6 @@ func TestEngineRecoveryEquivalence(t *testing.T) {
 	if _, err := runtime.Run(store, w.Programs, runtime.Options{
 		Strategy:  core.MCS,
 		Shards:    2,
-		Burst:     4,
 		CommitLog: set,
 	}); err != nil {
 		t.Fatal(err)

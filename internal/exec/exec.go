@@ -81,25 +81,11 @@ func (n *Notifier) OnEvent(e core.Event) {
 // executes between context checks.
 const ctxCheckInterval = 256
 
-// BurstAdaptive, passed as the burst argument of StepToCommitBurst,
-// selects contention-adaptive burst sizing instead of a fixed size: an
-// unblocked transaction with no waiters runs bursts up to
-// AdaptiveMaxBurst, and the size collapses to 1 the moment the
-// transaction blocks, is rolled back, or other transactions are found
-// waiting on its locks (probed via core.Engine.Waiters every
-// adaptiveProbeInterval attempted steps), then doubles back up on each
-// full burst of uncontended progress. Burst=1 semantics are exactly the
-// classic loop, so conflicts still resolve at operation granularity.
-const BurstAdaptive = -1
-
-// AdaptiveMaxBurst is the burst ceiling in adaptive mode — the size an
-// uncontended transaction converges to.
-const AdaptiveMaxBurst = 64
-
-// adaptiveProbeInterval is how many attempted steps may pass between
-// Waiters probes in adaptive mode. Probing costs one engine-mutex
-// acquisition, so it is throttled rather than per-burst.
-const adaptiveProbeInterval = 64
+// maxBurst bounds how many consecutive operations one transaction runs
+// per engine acquisition (core.Engine.StepBurst) — the fairness bound:
+// no transaction holds the engine for more than 64 operations before
+// the others get a turn.
+const maxBurst = 64
 
 // StepToCommit drives one transaction to commit: it steps the
 // transaction while it progresses and parks on wake while it waits.
@@ -110,40 +96,23 @@ const adaptiveProbeInterval = 64
 // internal/runtime (in-process) and internal/server (per network
 // session).
 //
+// Each engine acquisition runs up to maxBurst consecutive operations.
+// Conflicts still resolve at operation granularity — a step that must
+// wait, commits or rolls the transaction back ends the burst — and the
+// scheduler yields between bursts, so concurrent transactions
+// interleave at burst boundaries.
+//
 // It returns nil once the transaction commits, ctx.Err() if the
 // context ends first (the transaction is left registered; callers
-// abort or drain it), and an engine error otherwise. maxSteps <= 0
-// means 1,000,000.
+// abort or drain it), and an engine error otherwise. maxSteps bounds
+// attempted engine operations (waiting polls count one so a livelocked
+// transaction cannot spin forever against a zero budget; a burst never
+// overruns the remaining budget); maxSteps <= 0 means 1,000,000.
 func StepToCommit(ctx context.Context, sys core.Engine, id txn.ID, wake <-chan struct{}, maxSteps int) error {
-	return StepToCommitBurst(ctx, sys, id, wake, maxSteps, 1)
-}
-
-// StepToCommitBurst is StepToCommit with a burst knob: each engine
-// acquisition runs up to burst consecutive steps (core.Engine.StepBurst)
-// instead of one, cutting mutex handoffs per transaction by up to the
-// burst factor. Conflicts still resolve at operation granularity — a
-// step that must wait ends the burst — and the scheduler still yields
-// between bursts, so concurrent transactions interleave at burst
-// boundaries. burst <= 1 is byte-identical to the classic
-// one-step-per-acquisition loop (pinned by a regression test).
-//
-// maxSteps bounds attempted engine operations (waiting polls count one
-// so a livelocked transaction cannot spin forever against a zero
-// budget); burst is clamped so one burst never overruns the remaining
-// budget. burst < 0 (BurstAdaptive) sizes bursts adaptively from the
-// transaction's observed contention — see BurstAdaptive.
-func StepToCommitBurst(ctx context.Context, sys core.Engine, id txn.ID, wake <-chan struct{}, maxSteps, burst int) error {
 	if maxSteps <= 0 {
 		maxSteps = 1_000_000
 	}
-	adaptive := burst < 0
-	if adaptive {
-		burst = AdaptiveMaxBurst
-	}
-	if burst < 1 {
-		burst = 1
-	}
-	nextCheck, nextProbe := 0, 0
+	nextCheck := 0
 	for steps := 0; steps < maxSteps; {
 		if steps >= nextCheck {
 			if err := ctx.Err(); err != nil {
@@ -151,19 +120,7 @@ func StepToCommitBurst(ctx context.Context, sys core.Engine, id txn.ID, wake <-c
 			}
 			nextCheck = steps + ctxCheckInterval
 		}
-		if adaptive && steps >= nextProbe {
-			// Holding the engine for a long burst while others wait on
-			// our locks stretches their wait; collapse to
-			// operation-granular stepping until the waiters clear.
-			if sys.Waiters(id) > 0 {
-				burst = 1
-			}
-			nextProbe = steps + adaptiveProbeInterval
-		}
-		b := burst
-		if rem := maxSteps - steps; b > rem {
-			b = rem
-		}
+		b := min(maxBurst, maxSteps-steps)
 		res, n, err := sys.StepBurst(id, b)
 		if n < 1 {
 			n = 1 // polls of a waiting transaction still consume budget
@@ -185,16 +142,6 @@ func StepToCommitBurst(ctx context.Context, sys core.Engine, id txn.ID, wake <-c
 			}
 			return nil
 		case core.Progressed, core.SelfRolledBack:
-			if adaptive {
-				if res.Outcome == core.SelfRolledBack {
-					burst = 1 // we just lost work to contention
-				} else if n >= b && burst < AdaptiveMaxBurst {
-					burst *= 2 // a full uncontended burst: grow back
-					if burst > AdaptiveMaxBurst {
-						burst = AdaptiveMaxBurst
-					}
-				}
-			}
 			// Yield between bursts so concurrent transactions interleave
 			// — the paper's model of interleaved atomic operations.
 			// Without this a driver on GOMAXPROCS=1 runs every
@@ -203,9 +150,6 @@ func StepToCommitBurst(ctx context.Context, sys core.Engine, id txn.ID, wake <-c
 			runtime.Gosched()
 			continue
 		case core.Blocked, core.BlockedDeadlock, core.StillWaiting:
-			if adaptive {
-				burst = 1 // contended: step operation-granular on resume
-			}
 			if st, err := sys.Status(id); err == nil && st == core.StatusRunning {
 				continue // rolled back or granted during the same step
 			}

@@ -11,6 +11,7 @@ import (
 	"partialrollback/internal/core"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/sim"
+	"partialrollback/internal/txn"
 )
 
 // TestStepToCommitDeadlock runs two transactions that deadlock (a->b,
@@ -76,6 +77,48 @@ func TestStepToCommitContextCancel(t *testing.T) {
 	wakeH := notif.Register(holder)
 	if err := StepToCommit(context.Background(), sys, holder, wakeH, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStepToCommitAcquisitions pins the one stepping rule: an uncontended
+// transaction runs up to maxBurst operations per engine acquisition,
+// counted through core.Config.LockWait (called once per StepBurst). A
+// 22-op uniform-shaped program commits in one acquisition and a 150-op
+// program in ceil(150/64) = 3.
+func TestStepToCommitAcquisitions(t *testing.T) {
+	uniform := sim.Generate(sim.GenConfig{Txns: 50, DBSize: 4096, LocksPerTxn: 4,
+		SharedProb: 0.8, PadOps: 2, Shape: sim.Scattered, Seed: 1})
+	var short *txn.Program
+	for _, p := range uniform.Programs {
+		if len(p.Ops) == 22 {
+			short = p
+			break
+		}
+	}
+	if short == nil {
+		t.Fatal("no 22-op program in the uniform-shaped workload")
+	}
+	long := sim.TransferProgram("long", "e0", "e1", 1, 143)
+	cases := []struct {
+		prog  *txn.Program
+		store *entity.Store
+		want  int
+	}{
+		{short, uniform.NewStore(), 1},
+		{long, entity.NewUniformStore("e", 4, 100), 3},
+	}
+	for _, c := range cases {
+		acquisitions := 0
+		notif := NewNotifier()
+		sys := core.New(core.Config{Store: c.store, OnEvent: notif.OnEvent,
+			LockWait: func(int64) { acquisitions++ }})
+		id := sys.MustRegister(c.prog)
+		if err := StepToCommit(context.Background(), sys, id, notif.Register(id), 0); err != nil {
+			t.Fatal(err)
+		}
+		if acquisitions != c.want {
+			t.Errorf("%d-op program: %d engine acquisitions, want %d", len(c.prog.Ops), acquisitions, c.want)
+		}
 	}
 }
 

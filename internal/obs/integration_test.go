@@ -18,9 +18,12 @@ import (
 // metric, derived independently from the same events).
 func TestCollectorMatchesEngineStats(t *testing.T) {
 	for _, shards := range []int{1, 4} {
+		// PadOps 40 stretches each transaction across several 64-op
+		// step bursts, so concurrent transactions interleave while
+		// holding locks and deadlock.
 		w := sim.Generate(sim.GenConfig{
 			Txns: 24, DBSize: 8, LocksPerTxn: 4,
-			HotSet: 3, HotProb: 0.8, Seed: 7,
+			HotSet: 3, HotProb: 0.8, PadOps: 40, Seed: 7,
 		})
 		reg := obs.NewRegistry()
 		c := obs.NewCollector(reg)

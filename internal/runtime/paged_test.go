@@ -7,7 +7,6 @@ import (
 
 	"partialrollback/internal/core"
 	"partialrollback/internal/entity"
-	"partialrollback/internal/exec"
 	"partialrollback/internal/sim"
 )
 
@@ -51,7 +50,6 @@ func TestConcurrentPagedBank(t *testing.T) {
 
 			out, err := Run(store, w.Programs, Options{
 				Strategy: core.MCS, RecordHistory: true,
-				Burst: exec.BurstAdaptive,
 			})
 			if err != nil {
 				t.Fatal(err)

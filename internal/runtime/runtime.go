@@ -42,12 +42,6 @@ type Options struct {
 	HybridAllocator hybrid.Allocator
 	// MaxStepsPerTxn bounds each transaction's total steps (0: 1M).
 	MaxStepsPerTxn int
-	// Burst is the maximum number of consecutive steps a transaction
-	// runs per engine-lock acquisition (core.Engine.StepBurst); 0 or 1
-	// is the classic one-step-per-acquisition loop, and
-	// exec.BurstAdaptive (-1) adapts the burst to contention (grow to
-	// 64 while uncontended, collapse to 1 when the engine has waiters).
-	Burst int
 	// Shards selects the engine: 0 or 1 runs a single core.System, a
 	// larger value partitions the engine into that many shards
 	// (internal/shard) so disjoint transactions execute in parallel.
@@ -121,7 +115,7 @@ func Run(store *entity.Store, programs []*txn.Program, opt Options) (*Outcome, e
 		go func(id txn.ID) {
 			defer wg.Done()
 			wake := notif.Register(id)
-			if err := exec.StepToCommitBurst(context.Background(), sys, id, wake, opt.MaxStepsPerTxn, opt.Burst); err != nil {
+			if err := exec.StepToCommit(context.Background(), sys, id, wake, opt.MaxStepsPerTxn); err != nil {
 				errCh <- fmt.Errorf("runtime: %w", err)
 			}
 		}(id)

@@ -47,7 +47,6 @@ func TestMuxE2EBanking(t *testing.T) {
 		Store:          store,
 		Strategy:       core.SDG,
 		RequestTimeout: 15 * time.Second,
-		Burst:          exec.BurstAdaptive, // the adaptive path under real concurrency
 	})
 	base := runtime.NumGoroutine()
 
@@ -124,7 +123,6 @@ func TestMixedProtocolAllVersions(t *testing.T) {
 		Store:          store,
 		Strategy:       core.MCS,
 		RequestTimeout: 15 * time.Second,
-		Burst:          16,
 	})
 	base := runtime.NumGoroutine()
 

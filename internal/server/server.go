@@ -77,16 +77,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxStepsPerTxn bounds engine steps per transaction (0: 1M).
 	MaxStepsPerTxn int
-	// Burst is the maximum number of consecutive steps one transaction
-	// runs per engine-lock acquisition (core.Engine.StepBurst); 0 or 1
-	// is the classic one-step-per-acquisition loop. Larger bursts
-	// amortize engine mutex handoffs across operations; conflicts still
-	// resolve at operation granularity and the burst bound keeps
-	// scheduling fair. Negative selects exec.BurstAdaptive: bursts up
-	// to exec.AdaptiveMaxBurst while a transaction is uncontended,
-	// collapsing to 1 the moment it blocks, is rolled back, or has
-	// waiters on its locks.
-	Burst int
 	// MaxStreams bounds concurrently active streams per connection;
 	// past it new streams are refused with the retryable CodeBusy.
 	// Default 4096.
@@ -851,7 +841,7 @@ func (s *Server) execTxn(sn sender, prog *txn.Program) {
 	}()
 
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
-	err = exec.StepToCommitBurst(ctx, s.sys, id, wake, s.cfg.MaxStepsPerTxn, s.cfg.Burst)
+	err = exec.StepToCommit(ctx, s.sys, id, wake, s.cfg.MaxStepsPerTxn)
 	cancel()
 	switch {
 	case err == nil:

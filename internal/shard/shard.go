@@ -648,17 +648,6 @@ func (e *Engine) TxnStatsOf(id txn.ID) core.TxnStats {
 	return core.TxnStats{}
 }
 
-// Waiters returns how many transactions are blocked on locks held by
-// id (0 for queued or unknown transactions, which hold no locks). A
-// transaction's lock set is pinned to one shard, so its waiters all
-// live there too.
-func (e *Engine) Waiters(id txn.ID) int {
-	if b, ok := e.bindingOf(id); ok {
-		return e.shards[b.shard].Waiters(b.local)
-	}
-	return 0
-}
-
 // Runnable returns the global IDs of transactions in StatusRunning,
 // sorted. Queued claims are waiting and therefore excluded.
 func (e *Engine) Runnable() []txn.ID {

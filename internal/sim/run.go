@@ -62,23 +62,16 @@ type RunConfig struct {
 	// identical to Shards=0 (one shard, identity ID mapping); the
 	// regression tests pin that equivalence.
 	Shards int
-	// Burst selects the stepping call: 0 uses Engine.Step (the original
+	// Burst selects the stepping call: <= 0 uses Engine.Step (the original
 	// one-op-per-call path), >= 1 uses Engine.StepBurst with that bound.
 	// Burst=1 is semantically identical to Burst=0 (one operation per
 	// engine acquisition); the regression tests pin that equivalence.
 	// Larger bursts run each scheduled transaction up to Burst
 	// consecutive operations per tick, so schedules coarsen but every
-	// conflict still resolves at operation granularity. Burst < 0
-	// mirrors exec.BurstAdaptive: each transaction's burst is sized from
-	// its observed contention (waiters present, blocking, or rollback
-	// collapse it to 1; full uncontended bursts double it back up to
-	// exec.AdaptiveMaxBurst), deterministically per transaction.
+	// conflict still resolves at operation granularity — the
+	// deterministic oracle for exec.StepToCommit's bursting loop.
 	Burst int
 }
-
-// adaptiveMaxBurst mirrors exec.AdaptiveMaxBurst (kept local: exec's
-// tests drive sim, so sim cannot import exec).
-const adaptiveMaxBurst = 64
 
 // Result summarizes one run.
 type Result struct {
@@ -152,47 +145,7 @@ func Run(w Workload, rc RunConfig) (Result, error) {
 	}
 	rng := rand.New(rand.NewSource(rc.Seed))
 	var steps int64
-	// Per-transaction adaptive burst state (Burst < 0): the same policy
-	// exec.StepToCommitBurst applies, replayed deterministically here so
-	// the property tests can exercise adaptive mode under every
-	// scheduler.
-	var aburst map[txn.ID]int
-	if rc.Burst < 0 {
-		aburst = make(map[txn.ID]int, len(w.Programs))
-	}
 	stepOne := func(id txn.ID) error {
-		if rc.Burst < 0 {
-			b, ok := aburst[id]
-			if !ok {
-				b = adaptiveMaxBurst
-			}
-			if sys.Waiters(id) > 0 {
-				b = 1
-			}
-			res, n, err := sys.StepBurst(id, b)
-			if n < 1 {
-				n = 1 // zero-step polls still advance the livelock budget
-			}
-			steps += int64(n)
-			if err != nil {
-				return err
-			}
-			switch res.Outcome {
-			case core.Progressed:
-				if n >= b && b < adaptiveMaxBurst {
-					b *= 2
-					if b > adaptiveMaxBurst {
-						b = adaptiveMaxBurst
-					}
-				}
-			case core.Committed, core.AlreadyCommitted:
-				// terminal; the burst size no longer matters
-			default: // blocked or rolled back: contended
-				b = 1
-			}
-			aburst[id] = b
-			return nil
-		}
 		if rc.Burst >= 1 {
 			_, n, err := sys.StepBurst(id, rc.Burst)
 			if n < 1 {

@@ -326,17 +326,6 @@ func (g *Graph) WaitsFor(waiter txn.ID) []txn.ID {
 	return out
 }
 
-// WaiterCount returns how many transactions are blocked on holder
-// without allocating — the cheap contention probe behind adaptive
-// burst sizing.
-func (g *Graph) WaiterCount(holder txn.ID) int {
-	n := g.nodes[holder]
-	if n == nil {
-		return 0
-	}
-	return len(n.in)
-}
-
 // WaitedOnBy returns the waiters blocked on holder, sorted.
 func (g *Graph) WaitedOnBy(holder txn.ID) []txn.ID {
 	n := g.nodes[holder]

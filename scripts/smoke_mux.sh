@@ -29,7 +29,7 @@ go build -race -o "$workdir/prserver" ./cmd/prserver
 go build -o "$workdir/prload" ./cmd/prload
 
 "$workdir/prserver" -addr 127.0.0.1:0 -entities "$COUNTERS" -accounts 0 \
-    -burst -1 -max-streams 4096 -stream-workers 1500 \
+    -max-streams 4096 -stream-workers 1500 \
     >"$workdir/server.log" 2>&1 &
 server_pid=$!
 addr=""

@@ -24,7 +24,7 @@ go build -o "$workdir/prload" ./cmd/prload
 start_server() {
     log=$1
     shift
-    "$workdir/prserver" -addr 127.0.0.1:0 -accounts 0 -burst 8 "$@" \
+    "$workdir/prserver" -addr 127.0.0.1:0 -accounts 0 "$@" \
         >"$log" 2>&1 &
     server_pid=$!
     addr=""

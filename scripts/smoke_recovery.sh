@@ -24,7 +24,7 @@ start_server() {
     log=$1
     shift
     "$workdir/prserver" -addr 127.0.0.1:0 -entities 16 -accounts 0 \
-        -shards 2 -burst 8 \
+        -shards 2 \
         -wal "$WAL" -fsync group -group-window 2ms -group-max 64 \
         "$@" \
         >"$log" 2>&1 &
