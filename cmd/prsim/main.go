@@ -55,36 +55,6 @@ func parseShape(s string) (sim.WriteShape, error) {
 	return 0, fmt.Errorf("unknown shape %q", s)
 }
 
-func parseStrategy(s string) (core.Strategy, error) {
-	switch s {
-	case "total":
-		return core.Total, nil
-	case "mcs":
-		return core.MCS, nil
-	case "sdg":
-		return core.SDG, nil
-	case "hybrid":
-		return core.Hybrid, nil
-	}
-	return 0, fmt.Errorf("unknown strategy %q", s)
-}
-
-func parsePolicy(s string) (deadlock.Policy, error) {
-	switch s {
-	case "min-cost":
-		return deadlock.MinCost{}, nil
-	case "ordered-min-cost":
-		return deadlock.OrderedMinCost{}, nil
-	case "requester":
-		return deadlock.Requester{}, nil
-	case "youngest-victim":
-		return deadlock.Oldest{}, nil
-	case "greedy":
-		return deadlock.Greedy{}, nil
-	}
-	return nil, fmt.Errorf("unknown policy %q", s)
-}
-
 func parsePrevention(s string) (core.Prevention, error) {
 	switch s {
 	case "":
@@ -105,11 +75,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, err := parseStrategy(*strategy)
+	st, err := core.ParseStrategy(*strategy)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pol, err := parsePolicy(*policy)
+	pol, err := deadlock.ParsePolicy(*policy)
 	if err != nil {
 		log.Fatal(err)
 	}

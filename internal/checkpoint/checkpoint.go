@@ -169,8 +169,8 @@ func Decode(data []byte) (State, error) {
 type WriteOptions struct {
 	// TempDelay sleeps between the temp file's fsync and the rename
 	// that publishes it — widening the crash window in which a
-	// checkpoint exists only as a .tmp file. Kill -9 harness only
-	// (scripts/smoke_recovery.sh); zero in production.
+	// checkpoint exists only as a .tmp file. Kill -9 test only
+	// (internal/node); zero in production.
 	TempDelay time.Duration
 }
 

@@ -18,7 +18,7 @@ import (
 	"partialrollback/internal/txn"
 )
 
-// storeSnapshotter is the same adapter cmd/prserver wires: copy the
+// storeSnapshotter is the same adapter internal/node wires: copy the
 // store's slices under quiesce and resolve interned names.
 func storeSnapshotter(store *entity.Store) checkpoint.SnapshotFunc {
 	var vals []int64

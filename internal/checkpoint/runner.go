@@ -40,7 +40,7 @@ type Quiescer interface {
 }
 
 // Snapshotter captures the committed entity state. Implemented by a
-// small adapter over entity.Store in the caller (cmd/prserver and the
+// small adapter over entity.Store in the caller (internal/node and the
 // tests), keeping this package free of an entity dependency.
 type Snapshotter interface {
 	// Snapshot returns the current entries. Called inside Quiesce, so
@@ -73,8 +73,8 @@ type Options struct {
 	// PhaseDelay sleeps between checkpoint phases (after rotation,
 	// between the temp file's fsync and its rename, after publication,
 	// and between retention removals), widening each crash window so
-	// the kill -9 harness (scripts/smoke_recovery.sh) can land a kill
-	// inside any of them deterministically. Zero in production.
+	// the kill -9 test in internal/node can land a kill inside any of
+	// them. Zero in production.
 	PhaseDelay time.Duration
 	// OnCheckpoint, when non-nil, is called after every completed
 	// checkpoint, outside all locks (metrics export).

@@ -69,6 +69,16 @@ func (s Strategy) String() string {
 	}
 }
 
+// ParseStrategy returns the strategy whose String is s.
+func ParseStrategy(s string) (Strategy, error) {
+	for _, st := range []Strategy{Total, MCS, SDG, Hybrid} {
+		if st.String() == s {
+			return st, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown strategy %q", s)
+}
+
 // CommitWrite is one (entity, value) pair a committing or unlocking
 // transaction installs into the global store — the unit the durability
 // layer serializes into a redo log record. Under the paper's deferred

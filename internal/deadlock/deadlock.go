@@ -87,6 +87,16 @@ type Policy interface {
 	Choose(in Info) ([]Victim, error)
 }
 
+// ParsePolicy returns the policy whose Name is s.
+func ParsePolicy(s string) (Policy, error) {
+	for _, p := range []Policy{MinCost{}, OrderedMinCost{}, Requester{}, Oldest{}, Greedy{}} {
+		if p.Name() == s {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown policy %q", s)
+}
+
 // maxExactCut bounds the exhaustive vertex-cut search; deadlock cycles
 // involve few transactions, so this is generous.
 const maxExactCut = 20

@@ -127,12 +127,6 @@ type Options struct {
 	// MaxBatch flushes a group early once this many write-commits are
 	// pending. Default 64.
 	MaxBatch int
-	// SyncDelay adds artificial latency after every fsync, modeling
-	// slower stable storage (a classical disk's ~2-10ms barrier) on
-	// hardware whose fsync is too fast to differentiate the sync
-	// disciplines. Benchmarks only (EXPERIMENTS.md E19); zero in
-	// production.
-	SyncDelay time.Duration
 	// OnFlush, when non-nil, is called after every durable batch,
 	// outside all locks (metrics export).
 	OnFlush func(FlushInfo)

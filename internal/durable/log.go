@@ -343,9 +343,6 @@ func (l *Log) flusher() {
 			if err == nil && mode != SyncOff {
 				t0 := time.Now()
 				err = l.file.Sync()
-				if d := l.set.opts.SyncDelay; err == nil && d > 0 {
-					time.Sleep(d)
-				}
 				syncDur = time.Since(t0)
 			}
 			if err == nil && l.set.opts.OnFlush != nil {

@@ -64,7 +64,7 @@ type PagedConfig struct {
 	PageSize  int
 	PoolPages int
 	// OnMiss, when non-nil, observes each read-miss latency in
-	// nanoseconds (wired to the obs histogram by prserver).
+	// nanoseconds (wired to the obs histogram by internal/node).
 	OnMiss func(ns int64)
 }
 

@@ -38,9 +38,10 @@ type AdminOptions struct {
 	WAL func() WALStatus
 }
 
-// WALShard is one shard log's accounting in /debug/wal. It mirrors
-// durable.ShardLogStatus; obs keeps its own copy so the admin surface
-// does not depend on the durability layer.
+// WALShard is one shard log's accounting in /debug/wal. It has
+// durable.ShardLogStatus's fields, so one converts to the other; obs
+// keeps its own copy so the admin surface does not depend on the
+// durability layer.
 type WALShard struct {
 	Shard          int    `json:"shard"`
 	ActiveBytes    int64  `json:"activeBytes"`
@@ -73,9 +74,8 @@ type WALStatus struct {
 	Checkpoint *WALCheckpoint `json:"checkpoint,omitempty"`
 }
 
-// TxnOwner identifies the connection and stream driving a transaction.
-// It mirrors the server package's TxnOwner; obs keeps its own copy so
-// the admin surface does not depend on the server.
+// TxnOwner identifies the connection and stream driving a transaction,
+// as the network server's Owners method reports it.
 type TxnOwner struct {
 	// Conn is the connection's serial number (1-based accept order).
 	Conn int64 `json:"conn"`

@@ -48,6 +48,7 @@ import (
 	"partialrollback/internal/entity"
 	"partialrollback/internal/exec"
 	"partialrollback/internal/hybrid"
+	"partialrollback/internal/obs"
 	"partialrollback/internal/shard"
 	"partialrollback/internal/txn"
 	"partialrollback/internal/wire"
@@ -484,26 +485,15 @@ func (s *Server) Counters() []wire.Counter {
 	return out
 }
 
-// TxnOwner identifies the connection and stream currently driving a
-// transaction.
-type TxnOwner struct {
-	// Conn is the connection's serial number (1-based accept order).
-	Conn int64
-	// Addr is the connection's remote address.
-	Addr string
-	// Stream is the client-chosen stream ID.
-	Stream uint32
-}
-
 // Owners snapshots, for every transaction currently being driven by a
 // connection, which connection and stream owns it — the admin
 // /debug/txns annotation for finding stuck streams.
-func (s *Server) Owners() map[txn.ID]TxnOwner {
+func (s *Server) Owners() map[txn.ID]obs.TxnOwner {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[txn.ID]TxnOwner, len(s.routes))
+	out := make(map[txn.ID]obs.TxnOwner, len(s.routes))
 	for id, sn := range s.routes {
-		out[id] = TxnOwner{Conn: sn.c.id, Addr: sn.c.addr, Stream: sn.stream}
+		out[id] = obs.TxnOwner{Conn: sn.c.id, Addr: sn.c.addr, Stream: sn.stream}
 	}
 	return out
 }

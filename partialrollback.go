@@ -270,8 +270,9 @@ func RunConcurrent(store *Store, programs []*Program, opt RunOptions) (*RunOutco
 
 // Network transaction service: serve a System over TCP and submit
 // programs to it remotely (internal/server, internal/client; the wire
-// protocol is documented in internal/wire). cmd/prserver and cmd/prload
-// are ready-made binaries over the same API.
+// protocol is documented in internal/wire). cmd/prserver is the
+// ready-made server binary over the same API; examples/network embeds
+// a server and three clients in one process.
 type (
 	// ServerConfig configures a network Server.
 	ServerConfig = server.Config
