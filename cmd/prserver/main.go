@@ -56,7 +56,6 @@ func main() {
 	drain := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")
 	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "engine shards (1 = single engine; >1 partitions the lock/wait-for/detection core)")
 	flag.IntVar(&cfg.MaxStreams, "max-streams", cfg.MaxStreams, "maximum concurrently active streams per connection (excess streams are refused with the retryable BUSY)")
-	flag.IntVar(&cfg.StreamWorkers, "stream-workers", cfg.StreamWorkers, "per-connection worker pool bound for streams (0 = max-streams)")
 	flag.StringVar(&cfg.WAL, "wal", cfg.WAL, "write-ahead log directory: commits are durable and replayed on restart (empty = memory only)")
 	flag.StringVar(&cfg.Fsync, "fsync", cfg.Fsync, "wal fsync discipline: always (fsync per commit) | group (batched fsync) | off (write-through, no fsync)")
 	flag.DurationVar(&cfg.GroupWindow, "group-window", cfg.GroupWindow, "group-commit collection window (-fsync group only)")

@@ -47,9 +47,9 @@ type Config struct {
 	Entities, Accounts int
 	Init, Balance      int64
 
-	MaxSessions, Backlog              int
-	RequestTimeout, IdleTimeout       time.Duration
-	Shards, MaxStreams, StreamWorkers int
+	MaxSessions, Backlog        int
+	RequestTimeout, IdleTimeout time.Duration
+	Shards, MaxStreams          int
 
 	WAL         string // log directory; empty = memory only
 	Fsync       string // always|group|off
@@ -172,7 +172,6 @@ func (n *Node) start(st core.Strategy, pol deadlock.Policy) error {
 		IdleTimeout:    cfg.IdleTimeout,
 		Shards:         cfg.Shards,
 		MaxStreams:     cfg.MaxStreams,
-		StreamWorkers:  cfg.StreamWorkers,
 	}
 	if cfg.Verbose {
 		scfg.Logf = log.Printf
@@ -413,6 +412,9 @@ func (n *Node) startAdmin(registry *obs.Registry, tracer *obs.Tracer) error {
 			runtime.ReadMemStats(&ms)
 			return int64(ms.HeapAlloc)
 		})
+	registry.NewGauge("pr_runtime_goroutines",
+		"Live goroutines (runtime.NumGoroutine), sampled at scrape time.",
+		func() int64 { return int64(runtime.NumGoroutine()) })
 	if store.Paged() {
 		registry.NewGaugeSet("pr_store_", "Paged entity-store buffer pool counters.", func() []obs.KV {
 			ps := store.PoolStats()

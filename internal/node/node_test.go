@@ -188,13 +188,12 @@ func TestPagedTempHeapRemoved(t *testing.T) {
 // TestMuxTenThousandStreams opens 10 000 concurrent one-transaction
 // streams over 4 sockets. Every stream must get a terminal reply (a hung
 // stream hangs the test), every commit must be in the store, and the
-// race detector watches the server's reader/worker-pool/writer handoffs
-// at peak stream concurrency; excess streams queue for one of the 1500
-// workers per connection.
+// race detector watches the server's reader/stream/writer handoffs at
+// peak stream concurrency.
 func TestMuxTenThousandStreams(t *testing.T) {
 	const streams, conns, counters = 10000, 4, 256
 	cfg := testConfig()
-	cfg.Entities, cfg.MaxStreams, cfg.StreamWorkers = counters, 4096, 1500
+	cfg.Entities, cfg.MaxStreams = counters, 4096
 	n := start(t, cfg)
 	acked, err := startLoad(n.Addr(), conns, streams, 1, counters, 0, 7).wait()
 	if err != nil || acked != streams {
@@ -268,6 +267,7 @@ func TestAdminEndpoints(t *testing.T) {
 			"pr_wait_duration_seconds_count",
 			"pr_txns_active",
 			"pr_server_sessions_total",
+			"# TYPE pr_runtime_goroutines gauge",
 		}},
 		{"/metrics?format=json", []string{`"pr_commits_total"`}},
 		{"/debug/waitfor?format=dot", []string{"digraph waitfor"}},

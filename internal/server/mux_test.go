@@ -14,6 +14,7 @@ import (
 	"partialrollback/internal/entity"
 	"partialrollback/internal/exec"
 	"partialrollback/internal/sim"
+	"partialrollback/internal/txn"
 	"partialrollback/internal/wire"
 )
 
@@ -87,7 +88,7 @@ func TestMuxE2EBanking(t *testing.T) {
 	if got := counter(t, srv, "streams_total"); got < total {
 		t.Errorf("streams_total = %d, want >= %d", got, total)
 	}
-	// A worker retires its stream just after queueing the terminal reply,
+	// A stream retires just after queueing its terminal reply,
 	// so the last stream may still be counted when its caller returns.
 	waitFor(t, func() bool { return counter(t, srv, "streams_active") == 0 })
 	// The whole load rode muxCount sockets (plus nothing else).
@@ -478,4 +479,87 @@ func TestMuxRollbackNotifications(t *testing.T) {
 		t.Logf("observed %d rollbacks, %d notifications routed to streams", rb, notes)
 	}
 	shutdownNow(t, srv)
+}
+
+// TestMuxStreamGoroutinesRetire runs 2 000 one-transaction streams
+// through one mux, first one at a time and then 16 at a time. Once every
+// stream has replied the connection is back to its fixed goroutines —
+// the server's reader and writer and the mux's reader — because a
+// stream's goroutine lives only as long as its transaction.
+func TestMuxStreamGoroutinesRetire(t *testing.T) {
+	const sequential, concurrent, width, counters = 1000, 1000, 16, 64
+	const connGoroutines = 3
+	srv := New(Config{Store: entity.NewUniformStore("e", counters, 0)})
+	base := runtime.NumGoroutine()
+	m := muxClient(srv, client.MuxConfig{})
+	progs := sim.CounterWorkload(counters, sequential+concurrent, 5).Programs
+
+	for _, p := range progs[:sequential] {
+		if _, err := m.Run(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errCh := make(chan error, width)
+	rest := progs[sequential:]
+	for i := 0; i < width; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := i; j < len(rest); j += width {
+				if _, err := m.Run(context.Background(), rest[j]); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	if got := counter(t, srv, "commits"); got != sequential+concurrent {
+		t.Fatalf("commits = %d, want %d", got, sequential+concurrent)
+	}
+	waitGoroutines(t, base+connGoroutines)
+
+	m.Close()
+	shutdownNow(t, srv)
+	waitGoroutines(t, base)
+}
+
+// BenchmarkStreamRoundTrip runs one 22-operation transaction of the
+// benchmark's uniform shape per iteration through a mux against an
+// in-process server: request encoding, stream admission and the
+// stream's goroutine, execution, and the Committed reply.
+func BenchmarkStreamRoundTrip(b *testing.B) {
+	const entities = 4096
+	var prog *txn.Program
+	for _, p := range sim.Generate(sim.GenConfig{Txns: 64, DBSize: entities, LocksPerTxn: 4,
+		SharedProb: 0.8, PadOps: 2, Shape: sim.Scattered, Seed: 1}).Programs {
+		if len(p.Ops) == 22 {
+			prog = p
+			break
+		}
+	}
+	if prog == nil {
+		b.Fatal("no 22-operation program generated")
+	}
+	srv := New(Config{Store: entity.NewUniformStore("e", entities, 0)})
+	m := muxClient(srv, client.MuxConfig{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Run(context.Background(), prog); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	m.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		b.Fatal(err)
+	}
 }

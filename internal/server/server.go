@@ -2,19 +2,20 @@
 // transaction service of the partial-rollback engine.
 //
 // Each connection is served by a connection object with one reader
-// goroutine, one writer goroutine and a bounded pool of stream workers.
+// goroutine, one writer goroutine and one goroutine per active stream.
 // A client ships each transaction as one BeginProgram frame on a stream
-// of its choosing (see internal/wire); the reader dispatches it to the
-// worker pool, so thousands of streams execute concurrently over one
-// socket. A worker registers the program and drives it to commit with
-// the shared re-execution loop from internal/exec: when the engine
-// picks the transaction as a deadlock victim it is partially rolled
-// back and the loop transparently re-executes it from the rollback
-// point, exactly as the in-process runtime does. Each §2 rollback is
-// sent to the stream as a RolledBack notification; the final reply is
-// Committed (with the transaction's outcome counters) or an Error. The
-// writer coalesces frames across all streams into single writes. Every
-// accepted stream is guaranteed a terminal reply, shutdown included.
+// of its choosing (see internal/wire); the reader admits it and starts
+// its goroutine, so thousands of streams execute concurrently over one
+// socket. The stream's goroutine registers the program and drives it
+// to commit with the shared re-execution loop from internal/exec: when
+// the engine picks the transaction as a deadlock victim it is partially
+// rolled back and the loop transparently re-executes it from the
+// rollback point, exactly as the in-process runtime does. Each §2
+// rollback is sent to the stream as a RolledBack notification; the
+// final reply is Committed (with the transaction's outcome counters) or
+// an Error. The writer coalesces frames across all streams into single
+// writes. Every accepted stream is guaranteed a terminal reply,
+// shutdown included.
 //
 // Problems with the connection itself — refused at accept, or a frame
 // that fails to decode — are reported as an Error on wire.ConnStream
@@ -80,15 +81,9 @@ type Config struct {
 	MaxStepsPerTxn int
 	// MaxStreams bounds concurrently active streams per connection;
 	// past it new streams are refused with the retryable CodeBusy.
-	// Default 4096.
+	// Each active stream runs in its own goroutine, so this also bounds
+	// a connection's goroutines. Default 4096.
 	MaxStreams int
-	// StreamWorkers bounds each connection's worker pool executing
-	// streams. Default: MaxStreams — a worker per active stream
-	// at peak, so a blocked transaction never queues behind the lock
-	// holder it is waiting for. Lower values bound per-connection
-	// engine concurrency at the cost of such queueing (resolved by the
-	// request timeout and client retry).
-	StreamWorkers int
 	// StarvationLimit forwards to core.Config.StarvationLimit.
 	StarvationLimit int
 	// Shards selects the engine: 0 or 1 serves a single core.System, a
@@ -171,9 +166,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxStreams <= 0 {
 		cfg.MaxStreams = 4096
-	}
-	if cfg.StreamWorkers <= 0 {
-		cfg.StreamWorkers = cfg.MaxStreams
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -500,8 +492,7 @@ func (s *Server) Owners() map[txn.ID]obs.TxnOwner {
 
 // conn serves one connection: one reader goroutine (the connection's
 // main loop), one writer goroutine coalescing replies across every
-// stream, and a lazily grown, bounded pool of worker goroutines each
-// driving one stream's transaction at a time.
+// stream, and one goroutine per active stream driving its transaction.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -518,32 +509,20 @@ type conn struct {
 	out       chan outFrame
 	outClosed bool
 
-	// tasks feeds accepted streams to the workers; only the reader
-	// sends and closes, so no send can race the close. Its capacity
-	// only bounds the reader's headroom over the pool — active streams
-	// are bounded by MaxStreams, not by this.
-	tasks chan streamTask
-	// muxWG counts live workers; runConn waits for it before closing
-	// the writer so every accepted stream can deliver its terminal
-	// reply.
+	// muxWG counts live stream goroutines; runSession waits for it
+	// before closing the writer so every accepted stream can deliver
+	// its terminal reply.
 	muxWG sync.WaitGroup
 
-	// streamMu guards the stream table and worker count.
+	// streamMu guards the stream table.
 	streamMu sync.Mutex
 	streams  map[uint32]bool
-	workers  int
 }
 
 // outFrame is one queued reply and the stream it is addressed to.
 type outFrame struct {
 	stream uint32
 	m      wire.Msg
-}
-
-// streamTask is one accepted stream awaiting a worker.
-type streamTask struct {
-	sn sender
-	bp wire.BeginProgram
 }
 
 // sender addresses replies to one stream of a connection (wire.ConnStream
@@ -595,10 +574,6 @@ func (c *conn) closeOut() {
 	}
 }
 
-// streamTaskBuf is the tasks-channel capacity: the reader's headroom
-// over the worker pool before dispatching applies backpressure.
-const streamTaskBuf = 256
-
 func (s *Server) runSession(nc net.Conn) {
 	connID := s.sessionsTotal.Add(1)
 	s.sessionsActive.Add(1)
@@ -620,7 +595,6 @@ func (s *Server) runSession(nc net.Conn) {
 		addr:    nc.RemoteAddr().String(),
 		br:      bufio.NewReader(nc),
 		out:     make(chan outFrame, 128),
-		tasks:   make(chan streamTask, streamTaskBuf),
 		streams: map[uint32]bool{},
 	}
 	connErr := sender{c: c, stream: wire.ConnStream}
@@ -681,11 +655,9 @@ func (s *Server) runSession(nc net.Conn) {
 	}()
 
 	defer func() {
-		// Reader is done: no new streams. Let the workers finish every
-		// accepted stream (each delivers a terminal reply) before the
-		// writer is told no more frames are coming; only then close the
-		// socket.
-		close(c.tasks)
+		// Reader is done: no new streams. Let every accepted stream
+		// finish (each delivers a terminal reply) before the writer is
+		// told no more frames are coming; only then close the socket.
 		c.muxWG.Wait()
 		c.closeOut()
 		<-writerDone
@@ -721,8 +693,8 @@ func (s *Server) runSession(nc net.Conn) {
 }
 
 // handleFrame routes one frame: Stats is answered inline on its stream,
-// BeginProgram opens a stream and is dispatched to the worker pool. It
-// reports whether the connection must be closed.
+// BeginProgram opens a stream served by its own goroutine. It reports
+// whether the connection must be closed.
 func (s *Server) handleFrame(c *conn, f wire.Frame) (closeConn bool) {
 	sn := sender{c: c, stream: f.Stream}
 	if f.Stream == wire.ConnStream {
@@ -746,11 +718,12 @@ func (s *Server) handleFrame(c *conn, f wire.Frame) (closeConn bool) {
 }
 
 // dispatchStream admits one stream against the per-connection limits
-// and hands it to the worker pool, growing the pool if it is below its
-// bound. A duplicate active stream ID means the two sides disagree
-// about stream state — a desync, so the connection is closed. Hitting
-// MaxStreams is load, not confusion: the stream is refused with the
-// retryable CodeBusy and the connection lives on.
+// and starts a goroutine serving it, so goroutines follow in-flight
+// transactions and a blocked transaction never queues behind the lock
+// holder it waits for. A duplicate active stream ID means the two
+// sides disagree about stream state — a desync, so the connection is
+// closed. Hitting MaxStreams is load, not confusion: the stream is
+// refused with the retryable CodeBusy and the connection lives on.
 func (s *Server) dispatchStream(c *conn, sn sender, bp wire.BeginProgram) (closeConn bool) {
 	c.streamMu.Lock()
 	if c.streams[sn.stream] {
@@ -765,26 +738,15 @@ func (s *Server) dispatchStream(c *conn, sn sender, bp wire.BeginProgram) (close
 		return false
 	}
 	c.streams[sn.stream] = true
-	spawn := c.workers < s.cfg.StreamWorkers
-	if spawn {
-		c.workers++
-	}
 	c.streamMu.Unlock()
 	s.streamsTotal.Add(1)
 	s.streamsActive.Add(1)
-	if spawn {
-		c.muxWG.Add(1)
-		go c.worker()
-	}
-	c.tasks <- streamTask{sn: sn, bp: bp}
+	c.muxWG.Add(1)
+	go func() {
+		defer c.muxWG.Done()
+		s.serveStream(sn, bp)
+	}()
 	return false
-}
-
-func (c *conn) worker() {
-	defer c.muxWG.Done()
-	for t := range c.tasks {
-		c.srv.serveStream(t.sn, t.bp)
-	}
 }
 
 // serveStream drives one stream's transaction to its terminal reply. A

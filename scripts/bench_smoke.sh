@@ -17,6 +17,6 @@ go test -race -count=1 -run 'ZeroAlloc|RegisterAllocs' -bench . -benchtime 1x \
     ./internal/lock ./internal/waitfor ./internal/core ./internal/value
 
 # The entity-store benchmarks (uniform-store construction, paged-pool
-# paths) live apart from the zero-alloc pins: store construction
-# allocates by design.
-go test -race -count=1 -run 'NONE' -bench . -benchtime 1x ./internal/entity
+# paths) and the server's stream round trip live apart from the
+# zero-alloc pins: both allocate by design.
+go test -race -count=1 -run 'NONE' -bench . -benchtime 1x ./internal/entity ./internal/server
