@@ -54,7 +54,6 @@ func main() {
 	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", cfg.RequestTimeout, "per-transaction execution deadline")
 	flag.DurationVar(&cfg.IdleTimeout, "idle-timeout", cfg.IdleTimeout, "per-message read deadline")
 	drain := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")
-	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "engine shards (1 = single engine; >1 partitions the lock/wait-for/detection core)")
 	flag.IntVar(&cfg.MaxStreams, "max-streams", cfg.MaxStreams, "maximum concurrently active streams per connection (excess streams are refused with the retryable BUSY)")
 	flag.StringVar(&cfg.WAL, "wal", cfg.WAL, "write-ahead log directory: commits are durable and replayed on restart (empty = memory only)")
 	flag.StringVar(&cfg.Fsync, "fsync", cfg.Fsync, "wal fsync discipline: always (fsync per commit) | group (batched fsync) | off (write-through, no fsync)")
@@ -84,8 +83,8 @@ func main() {
 	if cfg.WAL != "" {
 		wal = fmt.Sprintf("%s(fsync=%s)", cfg.WAL, cfg.Fsync)
 	}
-	log.Printf("listening on %s (strategy=%s policy=%s entities=%d accounts=%d shards=%d wal=%s store=%s)",
-		n.Addr(), cfg.Strategy, cfg.Policy, cfg.Entities, cfg.Accounts, cfg.Shards, wal, cfg.Store)
+	log.Printf("listening on %s (strategy=%s policy=%s entities=%d accounts=%d wal=%s store=%s)",
+		n.Addr(), cfg.Strategy, cfg.Policy, cfg.Entities, cfg.Accounts, wal, cfg.Store)
 	if a := n.AdminAddr(); a != "" {
 		log.Printf("admin on http://%s (metrics, debug/waitfor, debug/txns, pprof; trace=%v)", a, cfg.Trace > 0)
 	}

@@ -80,7 +80,6 @@ type State struct {
 // Every record in it has sequence number <= MaxSeq, so the segment is
 // garbage once a retained checkpoint's frontier reaches MaxSeq.
 type Segment struct {
-	Shard  int
 	Path   string
 	MaxSeq uint64
 	Bytes  int64

@@ -180,8 +180,8 @@ func (q *fakeQuiescer) Quiesce(fn func()) { q.quiesces++; fn() }
 func TestCheckpointerRetentionAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	src := &fakeSource{dir: dir, frontier: 10, segs: []Segment{
-		{Shard: 0, Path: "seg-a", MaxSeq: 5, Bytes: 100},
-		{Shard: 0, Path: "seg-b", MaxSeq: 15, Bytes: 200},
+		{Path: "seg-a", MaxSeq: 5, Bytes: 100},
+		{Path: "seg-b", MaxSeq: 15, Bytes: 200},
 	}}
 	q := &fakeQuiescer{}
 	entries := []Entry{{Name: "e0", Val: 1}}

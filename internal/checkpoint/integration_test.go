@@ -13,7 +13,6 @@ import (
 	"partialrollback/internal/entity"
 	"partialrollback/internal/exec"
 	"partialrollback/internal/intern"
-	"partialrollback/internal/shard"
 	"partialrollback/internal/sim"
 	"partialrollback/internal/txn"
 )
@@ -37,25 +36,27 @@ func storeSnapshotter(store *entity.Store) checkpoint.SnapshotFunc {
 }
 
 // TestConcurrentCheckpointsAreCommitConsistent runs a contended
-// banking workload on the sharded engine while a checkpointer fires
+// banking workload on the node's engine while a checkpointer fires
 // every couple of milliseconds, then asserts the fuzzy-snapshot
 // correctness claim directly: EVERY checkpoint written during the run
 // must satisfy the balance-sum invariant (a snapshot catching a
 // half-installed transfer would be off by the transfer amount), and
 // recovery from the newest checkpoint plus log tail must reproduce
 // the engine's exact final state.
+//
+// label historical: the node has one engine since sharding left it.
 func TestConcurrentCheckpointsAreCommitConsistent(t *testing.T) {
 	const accounts, transfers, balance = 8, 150, 100
 	dir := t.TempDir()
 	w := sim.BankingWorkload(accounts, transfers, balance, 3)
 	store := w.NewStore()
-	set, _, err := durable.Open(dir, 2, store, durable.Options{Mode: durable.SyncOff})
+	set, _, err := durable.Open(dir, 1, store, durable.Options{Mode: durable.SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	notif := exec.NewNotifier()
-	eng := shard.New(2, core.Config{
+	eng := core.New(core.Config{
 		Store:     store,
 		Strategy:  core.MCS,
 		CommitLog: set,
@@ -130,7 +131,7 @@ func TestConcurrentCheckpointsAreCommitConsistent(t *testing.T) {
 	}
 
 	fresh := w.NewStore()
-	set2, info, err := durable.Open(dir, 2, fresh, durable.Options{})
+	set2, info, err := durable.Open(dir, 1, fresh, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

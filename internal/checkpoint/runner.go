@@ -25,7 +25,7 @@ type Source interface {
 	// AppendedBytes is the monotonic count of log bytes written by
 	// this process (the byte-trigger's input).
 	AppendedBytes() int64
-	// Rotate seals every shard's non-empty active segment.
+	// Rotate seals the active segment if it is non-empty.
 	Rotate() error
 	// SealedSegments lists sealed segments still on disk.
 	SealedSegments() []Segment
@@ -33,8 +33,8 @@ type Source interface {
 	RemoveSealed(Segment) error
 }
 
-// Quiescer matches core.Quiescer without importing core: fn runs with
-// every engine mutex held, excluding all installs and log appends.
+// Quiescer matches core.System.Quiesce without importing core: fn runs
+// with the engine mutex held, excluding all installs and log appends.
 type Quiescer interface {
 	Quiesce(fn func())
 }

@@ -6,11 +6,10 @@ import (
 )
 
 // Engine is the concurrency-control surface the drivers actually use:
-// internal/exec.StepToCommit, internal/runtime, internal/server and
-// internal/sim all program against it. *System implements it directly
-// (the single big-lock engine of §2); internal/shard implements it over
-// N partitioned Systems (the §3.3 per-site architecture). Extracting the
-// interface is what lets the same binaries run single-shard or sharded.
+// internal/exec.StepToCommit, internal/runtime and internal/sim program
+// against it. *System implements it directly (the single big-lock
+// engine of §2); internal/shard implements it over N partitioned
+// Systems (the §3.3 per-site architecture) for the in-process sweeps.
 type Engine interface {
 	// Register adds an execution instance of prog and returns its ID.
 	Register(prog *txn.Program) (txn.ID, error)

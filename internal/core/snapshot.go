@@ -49,50 +49,31 @@ type WaitArc struct {
 	Entity string `json:"entity"`
 }
 
-// DebugSnapshot is a consistent point-in-time view of one engine (one
-// System, or one shard of a sharded engine): its active transaction
-// table, wait-for arcs, and counter snapshot. It is what the
-// observability subsystem's inspector endpoints serve.
+// DebugSnapshot is a consistent point-in-time view of a System: its
+// active transaction table, wait-for arcs, and counter snapshot. It is
+// what the observability subsystem's inspector endpoints serve.
 type DebugSnapshot struct {
-	// Shard is the shard index the snapshot was taken from (0 for an
-	// unsharded System).
-	Shard int           `json:"shard"`
 	Txns  []TxnSnapshot `json:"txns"`
 	Arcs  []WaitArc     `json:"arcs"`
 	Stats Stats         `json:"stats"`
 }
 
-// Snapshotter is implemented by engines that can produce a single
-// consistent debug snapshot (the unsharded System).
+// Snapshotter is implemented by engines that can produce a consistent
+// debug snapshot (the System).
 type Snapshotter interface {
 	DebugSnapshot() DebugSnapshot
 }
 
-// ShardSnapshotter is implemented by engines composed of several
-// sub-engines (internal/shard); each element covers one shard, with
-// transaction IDs remapped into the global namespace.
-type ShardSnapshotter interface {
-	DebugSnapshots() []DebugSnapshot
-}
+var _ Snapshotter = (*System)(nil)
 
-// Quiescer is implemented by engines that can briefly exclude all
-// mutation: fn runs while every internal engine mutex is held, so no
-// step, commit, install, or commit-log append can interleave anywhere
-// in the engine. The checkpoint subsystem uses it to capture a
-// commit-consistent entity snapshot together with the WAL sequence
-// frontier — under the paper's deferred-update discipline (§4) the
-// store only ever holds committed-or-unlocked values, so a snapshot
+// Quiesce runs fn under the engine mutex, so no step, commit, install,
+// or commit-log append can interleave. The checkpoint subsystem uses it
+// to capture a commit-consistent entity snapshot together with the WAL
+// sequence frontier — under the paper's deferred-update discipline (§4)
+// the store only ever holds committed-or-unlocked values, so a snapshot
 // taken here is transaction-consistent without quiescing the workload
 // itself. fn must be fast (copy slices, read counters) and must not
 // call back into the engine.
-type Quiescer interface {
-	Quiesce(fn func())
-}
-
-var _ Snapshotter = (*System)(nil)
-var _ Quiescer = (*System)(nil)
-
-// Quiesce runs fn under the engine mutex. See Quiescer.
 func (s *System) Quiesce(fn func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

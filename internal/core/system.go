@@ -123,15 +123,6 @@ type CommitLogger interface {
 	LogCommit(writes []CommitWrite) CommitAck
 }
 
-// ShardedCommitLogger is a CommitLogger that can hand out one
-// independent logger per shard (internal/shard wires ForShard(k) into
-// shard k's System so each shard appends to its own log file with its
-// own group-commit queue).
-type ShardedCommitLogger interface {
-	CommitLogger
-	ForShard(k int) CommitLogger
-}
-
 // Config configures a System.
 type Config struct {
 	// Store is the global database. Required.

@@ -43,7 +43,7 @@ func TestRotationSealsAndRecovers(t *testing.T) {
 		t.Fatalf("sealed segments = %d, want 1", len(segs))
 	}
 	// marker(seq 1) + two members (2, 3) were sealed.
-	if segs[0].MaxSeq != 3 || segs[0].Shard != 0 {
+	if segs[0].MaxSeq != 3 {
 		t.Fatalf("sealed segment = %+v", segs[0])
 	}
 	// Rotating an empty active file is a no-op.
@@ -197,7 +197,7 @@ func TestRecoveryPrefersOlderValidCheckpoint(t *testing.T) {
 // TestNoCheckpointByteIdentity pins the acceptance criterion that a
 // run without any checkpointing is byte-identical to the
 // pre-checkpoint durability layer: the directory holds exactly the
-// active per-shard files, named as before, containing exactly the
+// active file, named as before, containing exactly the
 // bytes the wal encoding has always produced.
 func TestNoCheckpointByteIdentity(t *testing.T) {
 	dir := t.TempDir()

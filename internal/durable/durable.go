@@ -1,8 +1,8 @@
 // Package durable turns the standalone internal/wal record format into
-// the engine's durability layer: per-shard redo logs fed by the
+// the engine's durability layer: one redo log fed by the
 // core.CommitLogger hook, a group-commit scheduler that batches
 // concurrent commits into one append+fsync, and a recovery path that
-// replays the logs into the entity store at startup, truncating any
+// replays the log into the entity store at startup, truncating any
 // torn tail.
 //
 // The paper's deferred-update discipline (§4) is what makes the layer
@@ -14,18 +14,13 @@
 //
 // # Log set layout
 //
-// A Set owns one log file per shard, wal-<k>.log, all drawing sequence
-// numbers from one shared counter. Within a file sequence numbers are
-// strictly increasing but gapped (other shards' records claim the
-// missing numbers); recovery scans every file and applies the
-// highest-sequence record per entity. That merge is correct because a
-// transaction that writes an entity after another one committed it
-// must first acquire the entity's lock, which happens strictly after
-// the previous holder's commit was logged (the log append runs under
-// the shard's engine mutex, and cross-shard entity migration only
-// happens after the owning shard's commit step returns) — so the later
-// write always carries the larger sequence number, on whichever shard
-// it lands.
+// A Set owns one active log file, wal-0.log, plus the sealed segments
+// rotation leaves behind (wal-0.sealed-<maxseq>.log). Recovery scans
+// every wal-<k> file and applies the highest-sequence record per
+// entity, so files from an older node that kept one log per engine
+// partition (wal-1.log, ...) are still read; a leftover active file
+// other than wal-0.log is adopted as a sealed segment and compacted by
+// the first checkpoint that covers it.
 //
 // Commits spanning several entities are preceded by a group marker
 // record (empty name, value = member count) so recovery never
@@ -39,7 +34,7 @@
 // # Group commit
 //
 // Appends only enqueue encoded records (the engine mutex is never held
-// across IO); each log's flusher goroutine writes and fsyncs batches.
+// across IO); the log's flusher goroutine writes and fsyncs batches.
 // Commit acknowledgements wait on a ticket for their batch — exactly
 // the storage-axis twin of the server's coalesced frame writes: many
 // logical completions, one syscall.
@@ -134,8 +129,6 @@ type Options struct {
 
 // FlushInfo describes one durable flush batch.
 type FlushInfo struct {
-	// Shard is the log's index within its Set.
-	Shard int
 	// Commits is the number of write-commits the batch carried (its
 	// group-commit size; shrinking-phase unlock installs count zero).
 	Commits int
@@ -146,7 +139,7 @@ type FlushInfo struct {
 	SyncDuration time.Duration
 }
 
-// Stats aggregates a Set's (or one Log's) counters.
+// Stats holds a log's counters.
 type Stats struct {
 	// Appends counts log records encoded and queued.
 	Appends int64
@@ -161,18 +154,6 @@ type Stats struct {
 	Bytes int64
 	// MaxCommitsPerFlush is the largest group-commit batch observed.
 	MaxCommitsPerFlush int64
-}
-
-func (a Stats) add(b Stats) Stats {
-	a.Appends += b.Appends
-	a.Commits += b.Commits
-	a.Flushes += b.Flushes
-	a.Fsyncs += b.Fsyncs
-	a.Bytes += b.Bytes
-	if b.MaxCommitsPerFlush > a.MaxCommitsPerFlush {
-		a.MaxCommitsPerFlush = b.MaxCommitsPerFlush
-	}
-	return a
 }
 
 // RecoveryInfo reports what Open found and replayed.
@@ -221,15 +202,14 @@ type RecoveryInfo struct {
 	Duration time.Duration
 }
 
-// Set is a per-shard collection of redo logs sharing one sequence
-// counter. It implements core.ShardedCommitLogger: pass it as
-// core.Config.CommitLog (or server.Config.Durable) and each shard
-// appends to its own log with its own group-commit queue.
+// Set is the node's redo log and its sealed segments. It implements
+// core.CommitLogger: pass it as core.Config.CommitLog (or
+// server.Config.Durable).
 type Set struct {
 	dir  string
 	opts Options
 	gseq atomic.Uint64
-	logs []*Log
+	log  *Log
 
 	// smu guards sealed — the rotation-retired, immutable segments
 	// still on disk awaiting checkpoint coverage (internal/checkpoint
@@ -239,12 +219,12 @@ type Set struct {
 	sealed []checkpoint.Segment
 }
 
-var _ core.ShardedCommitLogger = (*Set)(nil)
+var _ core.CommitLogger = (*Set)(nil)
 var _ checkpoint.Source = (*Set)(nil)
 
-// Open creates (or reopens) the log set in dir with one log per shard,
-// first recovering existing state into store. Recovery is
-// checkpoint-aware: the newest valid checkpoint (if any) is loaded as
+// Open creates (or reopens) the log set in dir, first recovering
+// existing state into store. logs must be 1: a Set holds one log.
+// Recovery is checkpoint-aware: the newest valid checkpoint (if any) is loaded as
 // the base and only log records with sequence numbers beyond its
 // frontier are replayed — for every such entity, the highest-sequence
 // value is installed (defining the entity if the store does not know
@@ -253,10 +233,10 @@ var _ checkpoint.Source = (*Set)(nil)
 // falling back to full replay when none exists. The returned
 // RecoveryInfo describes what was found; inspect CorruptFiles and
 // SkippedCheckpoints for damage beyond an ordinary torn tail.
-func Open(dir string, shards int, store *entity.Store, opts Options) (*Set, *RecoveryInfo, error) {
+func Open(dir string, logs int, store *entity.Store, opts Options) (*Set, *RecoveryInfo, error) {
 	start := time.Now()
-	if shards < 1 {
-		shards = 1
+	if logs != 1 {
+		return nil, nil, fmt.Errorf("durable: a log set has exactly 1 log, not %d", logs)
 	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 64
@@ -321,12 +301,9 @@ func Open(dir string, shards int, store *entity.Store, opts Options) (*Set, *Rec
 		val int64
 		seq uint64
 	}
-	type activeState struct {
-		bytes   int64
-		lastSeq uint64
-	}
 	latest := map[string]latestVal{}
-	actives := map[int]activeState{}
+	var activeBytes int64
+	var activeLastSeq uint64
 	var sealedSegs []checkpoint.Segment
 	for _, path := range paths {
 		recs, err := recoverFile(path, info)
@@ -352,21 +329,20 @@ func Open(dir string, shards int, store *entity.Store, opts Options) (*Set, *Rec
 				latest[r.Name] = latestVal{val: r.Value, seq: r.Seq}
 			}
 		}
+		var size int64
+		if st, err := os.Stat(path); err == nil {
+			size = st.Size() // recoverFile already truncated any damage
+		}
 		base := filepath.Base(path)
-		if shard, maxSeq, ok := parseSealedName(base); ok {
-			var size int64
-			if st, err := os.Stat(path); err == nil {
-				size = st.Size()
-			}
-			sealedSegs = append(sealedSegs, checkpoint.Segment{
-				Shard: shard, Path: path, MaxSeq: maxSeq, Bytes: size,
-			})
-		} else if shard, ok := parseActiveName(base); ok {
-			var size int64
-			if st, err := os.Stat(path); err == nil {
-				size = st.Size() // recoverFile already truncated any damage
-			}
-			actives[shard] = activeState{bytes: size, lastSeq: fileMax}
+		if _, maxSeq, ok := parseSealedName(base); ok {
+			sealedSegs = append(sealedSegs, checkpoint.Segment{Path: path, MaxSeq: maxSeq, Bytes: size})
+		} else if k, ok := parseActiveName(base); ok && k == 0 {
+			activeBytes, activeLastSeq = size, fileMax
+		} else if ok {
+			// Another log's active file, left by a node that kept several:
+			// nothing appends to it again, so it is a sealed segment
+			// ending at its last record.
+			sealedSegs = append(sealedSegs, checkpoint.Segment{Path: path, MaxSeq: fileMax, Bytes: size})
 		}
 	}
 	names := make([]string, 0, len(latest))
@@ -388,24 +364,18 @@ func Open(dir string, shards int, store *entity.Store, opts Options) (*Set, *Rec
 
 	s := &Set{dir: dir, opts: opts, sealed: sealedSegs}
 	s.gseq.Store(info.MaxSeq)
-	for k := 0; k < shards; k++ {
-		p := filepath.Join(dir, fmt.Sprintf("wal-%d.log", k))
-		f, err := wal.Create(p)
-		if err != nil {
-			for _, l := range s.logs {
-				l.close()
-			}
-			return nil, nil, err
-		}
-		a := actives[k]
-		s.logs = append(s.logs, newLog(s, k, f, p, a.bytes, a.lastSeq))
+	p := filepath.Join(dir, "wal-0.log")
+	f, err := wal.Create(p)
+	if err != nil {
+		return nil, nil, err
 	}
+	s.log = newLog(s, f, p, activeBytes, activeLastSeq)
 	info.Duration = time.Since(start)
 	return s, info, nil
 }
 
 // parseActiveName recognises an active segment name, wal-<k>.log.
-func parseActiveName(base string) (shard int, ok bool) {
+func parseActiveName(base string) (k int, ok bool) {
 	mid := strings.TrimSuffix(strings.TrimPrefix(base, "wal-"), ".log")
 	if len(mid)+8 != len(base) {
 		return 0, false
@@ -419,17 +389,17 @@ func parseActiveName(base string) (shard int, ok bool) {
 
 // parseSealedName recognises a sealed segment name,
 // wal-<k>.sealed-<maxseq>.log (maxseq zero-padded at seal time so the
-// directory listing sorts chronologically per shard).
-func parseSealedName(base string) (shard int, maxSeq uint64, ok bool) {
+// directory listing sorts chronologically per log).
+func parseSealedName(base string) (k int, maxSeq uint64, ok bool) {
 	mid := strings.TrimSuffix(strings.TrimPrefix(base, "wal-"), ".log")
 	if len(mid)+8 != len(base) {
 		return 0, 0, false
 	}
-	shardStr, seqStr, found := strings.Cut(mid, ".sealed-")
+	kStr, seqStr, found := strings.Cut(mid, ".sealed-")
 	if !found {
 		return 0, 0, false
 	}
-	k, err := strconv.Atoi(shardStr)
+	k, err := strconv.Atoi(kStr)
 	if err != nil || k < 0 {
 		return 0, 0, false
 	}
@@ -508,70 +478,36 @@ func recoverFile(path string, info *RecoveryInfo) ([]wal.Record, error) {
 	return recs, nil
 }
 
-// ForShard returns shard k's logger (modulo the set size, so an engine
-// configured with more shards than the set has logs still works — the
-// extra shards share).
-func (s *Set) ForShard(k int) core.CommitLogger {
-	return s.logs[k%len(s.logs)]
-}
+// LogInstall implements core.CommitLogger.
+func (s *Set) LogInstall(w core.CommitWrite) { s.log.LogInstall(w) }
 
-// LogInstall implements core.CommitLogger for the unsharded engine
-// (everything lands on log 0).
-func (s *Set) LogInstall(w core.CommitWrite) { s.logs[0].LogInstall(w) }
-
-// LogCommit implements core.CommitLogger for the unsharded engine.
+// LogCommit implements core.CommitLogger.
 func (s *Set) LogCommit(writes []core.CommitWrite) core.CommitAck {
-	return s.logs[0].LogCommit(writes)
+	return s.log.LogCommit(writes)
 }
 
-// Barrier blocks until everything appended so far on every log is
-// durable — the big hammer for paths that learn of a commit without
-// holding its ticket (e.g. an abort that raced a commit).
-func (s *Set) Barrier() error {
-	var first error
-	for _, l := range s.logs {
-		if err := l.barrier(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+// Barrier blocks until everything appended so far is durable — the big
+// hammer for paths that learn of a commit without holding its ticket
+// (e.g. an abort that raced a commit).
+func (s *Set) Barrier() error { return s.log.barrier() }
 
-// Close flushes every log's remaining batches, syncs once (so SyncOff
-// shutdowns are still durable), and closes the files. Tickets that
-// were already durable keep succeeding; anything else fails ErrClosed.
-func (s *Set) Close() error {
-	var first error
-	for _, l := range s.logs {
-		if err := l.close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+// Close flushes the log's remaining batches, syncs once (so SyncOff
+// shutdowns are still durable), and closes the file. Tickets that were
+// already durable keep succeeding; anything else fails ErrClosed.
+func (s *Set) Close() error { return s.log.close() }
 
-// Stats sums the per-log counters.
-func (s *Set) Stats() Stats {
-	var out Stats
-	for _, l := range s.logs {
-		out = out.add(l.Stats())
-	}
-	return out
-}
+// Stats snapshots the log's counters.
+func (s *Set) Stats() Stats { return s.log.Stats() }
 
 // Dir returns the log directory.
 func (s *Set) Dir() string { return s.dir }
 
-// Logs returns the number of member logs.
-func (s *Set) Logs() int { return len(s.logs) }
-
-// Frontier returns the current global sequence number: every record
-// appended so far, on any log, carries a sequence number <= the
-// returned value. Read under an engine Quiesce (core.Quiescer), the
-// installed store state corresponds exactly to the log prefix up to
-// the frontier — installs and sequence assignment both happen under
-// the engine mutex — which is what makes a quiesced snapshot plus this
-// number a valid checkpoint.
+// Frontier returns the current sequence number: every record appended
+// so far carries a sequence number <= the returned value. Read under
+// the engine's Quiesce, the installed store state corresponds exactly
+// to the log prefix up to the frontier — installs and sequence
+// assignment both happen under the engine mutex — which is what makes
+// a quiesced snapshot plus this number a valid checkpoint.
 func (s *Set) Frontier() uint64 { return s.gseq.Load() }
 
 // AppendedBytes returns the total log bytes durably written by this
@@ -579,29 +515,22 @@ func (s *Set) Frontier() uint64 { return s.gseq.Load() }
 // bytes are not included; the trigger measures new growth.
 func (s *Set) AppendedBytes() int64 { return s.Stats().Bytes }
 
-// Rotate seals every shard's active segment that has records in it
-// (sync + close + rename to wal-<k>.sealed-<maxseq>.log + fresh active
-// file) and registers the sealed segments for later compaction.
-// Appends continue concurrently — they queue while their shard
-// rotates. Shards whose active file is empty are skipped.
+// Rotate seals the active segment if it has records in it (sync +
+// close + rename to wal-0.sealed-<maxseq>.log + fresh active file) and
+// registers the sealed segment for later compaction. Appends continue
+// concurrently — they queue while the log rotates.
 func (s *Set) Rotate() error {
-	var first error
-	for _, l := range s.logs {
-		seg, rotated, err := l.rotate()
-		if err != nil && first == nil {
-			first = err
-		}
-		if rotated {
-			s.smu.Lock()
-			s.sealed = append(s.sealed, seg)
-			s.smu.Unlock()
-		}
+	seg, rotated, err := s.log.rotate()
+	if rotated {
+		s.smu.Lock()
+		s.sealed = append(s.sealed, seg)
+		s.smu.Unlock()
 	}
-	return first
+	return err
 }
 
 // SealedSegments returns the sealed segments currently on disk, in
-// the order they were discovered or rotated (oldest first per shard).
+// the order they were discovered or rotated (oldest first).
 func (s *Set) SealedSegments() []checkpoint.Segment {
 	s.smu.Lock()
 	defer s.smu.Unlock()
@@ -634,38 +563,32 @@ func (s *Set) RemoveSealed(seg checkpoint.Segment) error {
 	return nil
 }
 
-// ShardLogStatus is one shard log's accounting, as served by the
-// /debug/wal admin endpoint.
-type ShardLogStatus struct {
-	Shard int `json:"shard"`
+// LogStatus is the log's accounting, as served by the /debug/wal admin
+// endpoint.
+type LogStatus struct {
 	// ActiveBytes and ActiveLastSeq cover the active segment file:
 	// durably written size and the highest sequence number flushed to
 	// it (zero right after a rotation).
 	ActiveBytes   int64  `json:"activeBytes"`
 	ActiveLastSeq uint64 `json:"activeLastSeq"`
-	// DurableSeq is the highest sequence number fsynced on this log.
+	// DurableSeq is the highest sequence number fsynced.
 	DurableSeq uint64 `json:"durableSeq"`
 	// PendingRecords counts records queued but not yet flushed.
 	PendingRecords int `json:"pendingRecords"`
-	// SealedSegments and SealedBytes cover this shard's sealed,
-	// not-yet-compacted segments.
+	// SealedSegments and SealedBytes cover the sealed, not-yet-compacted
+	// segments.
 	SealedSegments int   `json:"sealedSegments"`
 	SealedBytes    int64 `json:"sealedBytes"`
 }
 
-// ShardStatus reports per-shard log accounting for the admin surface.
-func (s *Set) ShardStatus() []ShardLogStatus {
-	out := make([]ShardLogStatus, len(s.logs))
-	for k, l := range s.logs {
-		out[k] = l.status()
-	}
+// Status reports the log's accounting for the admin surface.
+func (s *Set) Status() LogStatus {
+	st := s.log.status()
 	s.smu.Lock()
 	defer s.smu.Unlock()
+	st.SealedSegments = len(s.sealed)
 	for _, seg := range s.sealed {
-		if seg.Shard >= 0 && seg.Shard < len(out) {
-			out[seg.Shard].SealedSegments++
-			out[seg.Shard].SealedBytes += seg.Bytes
-		}
+		st.SealedBytes += seg.Bytes
 	}
-	return out
+	return st
 }

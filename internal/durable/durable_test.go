@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"partialrollback/internal/checkpoint"
 	"partialrollback/internal/core"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/wal"
@@ -27,9 +28,9 @@ func writeLog(t *testing.T, path string, recs ...wal.Record) {
 	}
 }
 
-func mustOpen(t *testing.T, dir string, shards int, store *entity.Store, opts Options) (*Set, *RecoveryInfo) {
+func mustOpen(t *testing.T, dir string, logs int, store *entity.Store, opts Options) (*Set, *RecoveryInfo) {
 	t.Helper()
-	s, info, err := Open(dir, shards, store, opts)
+	s, info, err := Open(dir, logs, store, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestReadOnlyCommitWaitsForTail(t *testing.T) {
 	gate := make(chan struct{})
 	f := &gateFile{gate: gate}
 	s := &Set{opts: Options{Mode: SyncAlways}}
-	s.logs = []*Log{newLog(s, 0, f, "", 0, 0)}
+	s.log = newLog(s, f, "", 0, 0)
 
 	wAck := s.LogCommit(commit(w("e0", 1)))
 	rAck := s.LogCommit(nil)
@@ -233,7 +234,7 @@ func TestInstallRidesNextFlush(t *testing.T) {
 func TestWriteErrorFailsCommitAndSticks(t *testing.T) {
 	f := &failFile{writeErr: errors.New("injected: disk full")}
 	s := &Set{opts: Options{Mode: SyncAlways}}
-	s.logs = []*Log{newLog(s, 0, f, "", 0, 0)}
+	s.log = newLog(s, f, "", 0, 0)
 
 	err := s.LogCommit(commit(w("e0", 1))).Wait()
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
@@ -255,13 +256,13 @@ func TestWriteErrorFailsCommitAndSticks(t *testing.T) {
 func TestFsyncErrorFailsCommit(t *testing.T) {
 	f := &failFile{syncErr: errors.New("injected: fsync lost")}
 	s := &Set{opts: Options{Mode: SyncGroup}}
-	s.logs = []*Log{newLog(s, 0, f, "", 0, 0)}
+	s.log = newLog(s, f, "", 0, 0)
 	err := s.LogCommit(commit(w("e0", 1))).Wait()
 	if err == nil || !strings.Contains(err.Error(), "fsync lost") {
 		t.Fatalf("ack err = %v", err)
 	}
-	if !strings.Contains(err.Error(), "durable: shard 0") {
-		t.Fatalf("error not attributed to shard: %v", err)
+	if !strings.HasPrefix(err.Error(), "durable: ") {
+		t.Fatalf("error not attributed to the log: %v", err)
 	}
 	s.Close()
 }
@@ -295,9 +296,9 @@ func TestCommitAfterCloseFails(t *testing.T) {
 func TestBarrier(t *testing.T) {
 	dir := t.TempDir()
 	store := entity.NewUniformStore("e", 4, 0)
-	s, _ := mustOpen(t, dir, 2, store, Options{Mode: SyncGroup, Window: time.Millisecond})
+	s, _ := mustOpen(t, dir, 1, store, Options{Mode: SyncGroup, Window: time.Millisecond})
 	for i := 0; i < 4; i++ {
-		s.ForShard(i % 2).LogCommit(commit(w(fmt.Sprintf("e%d", i), int64(i))))
+		s.LogCommit(commit(w(fmt.Sprintf("e%d", i), int64(i))))
 	}
 	if err := s.Barrier(); err != nil {
 		t.Fatal(err)
@@ -413,7 +414,7 @@ func TestRecoverCorruptMidFile(t *testing.T) {
 }
 
 // TestRecoverMergesLatestAcrossFiles: per-entity, the highest sequence
-// number wins regardless of which shard's file it sits in.
+// number wins regardless of which file it sits in.
 func TestRecoverMergesLatestAcrossFiles(t *testing.T) {
 	dir := t.TempDir()
 	writeLog(t, filepath.Join(dir, "wal-0.log"),
@@ -423,7 +424,7 @@ func TestRecoverMergesLatestAcrossFiles(t *testing.T) {
 		wal.Record{Name: "x", Value: 9, Seq: 3})
 
 	store := entity.NewStore(map[string]int64{"x": 0, "y": 0})
-	s, info := mustOpen(t, dir, 2, store, Options{})
+	s, info := mustOpen(t, dir, 1, store, Options{})
 	defer s.Close()
 	if info.Files != 2 || info.Records != 3 || info.MaxSeq != 4 {
 		t.Fatalf("recovery = %+v", info)
@@ -436,30 +437,66 @@ func TestRecoverMergesLatestAcrossFiles(t *testing.T) {
 	}
 }
 
-// TestRecoverShardCountChange: logs written by a 2-shard server are
-// fully recovered by a 1-shard reopen (and vice versa).
+// TestRecoverShardCountChange: a node that kept one log per engine
+// partition leaves wal-0.log and wal-1.log with interleaved sequence
+// numbers. Open(dir, 1, ...) recovers every entity's highest-sequence
+// value, adopts the leftover wal-1.log as a sealed segment ending at
+// its last record, and the first checkpoint covering it deletes it. A
+// set of any other size is refused.
+//
+// label historical: the node has one engine since sharding left it.
 func TestRecoverShardCountChange(t *testing.T) {
 	dir := t.TempDir()
-	store := entity.NewUniformStore("e", 4, 0)
-	s, _ := mustOpen(t, dir, 2, store, Options{Mode: SyncOff})
-	for i := 0; i < 4; i++ {
-		if err := s.ForShard(i % 2).LogCommit(commit(w(fmt.Sprintf("e%d", i), int64(100+i)))).Wait(); err != nil {
-			t.Fatal(err)
-		}
+	if _, _, err := Open(dir, 2, entity.NewUniformStore("e", 3, 0), Options{}); err == nil {
+		t.Fatal("Open with 2 logs succeeded")
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	store2 := entity.NewUniformStore("e", 4, 0)
-	s2, info := mustOpen(t, dir, 1, store2, Options{})
-	defer s2.Close()
-	if info.Files != 2 {
+	writeLog(t, filepath.Join(dir, "wal-0.log"),
+		wal.Record{Name: "e0", Value: 100, Seq: 1},
+		wal.Record{Name: "e1", Value: 101, Seq: 3},
+		wal.Record{Name: "e0", Value: 102, Seq: 6})
+	leftover := filepath.Join(dir, "wal-1.log")
+	writeLog(t, leftover,
+		wal.Record{Name: "e1", Value: 200, Seq: 2},
+		wal.Record{Name: "e0", Value: 201, Seq: 4},
+		wal.Record{Name: "e1", Value: 202, Seq: 5},
+		wal.Record{Name: "e2", Value: 203, Seq: 7})
+
+	store := entity.NewUniformStore("e", 3, 0)
+	s, info := mustOpen(t, dir, 1, store, Options{Mode: SyncAlways})
+	defer s.Close()
+	if info.Files != 2 || info.Records != 7 || info.MaxSeq != 7 {
 		t.Fatalf("recovery = %+v", info)
 	}
-	for i := 0; i < 4; i++ {
-		if v := store2.MustGet(fmt.Sprintf("e%d", i)); v != int64(100+i) {
-			t.Errorf("e%d = %d", i, v)
+	for name, want := range map[string]int64{"e0": 102, "e1": 202, "e2": 203} {
+		if v := store.MustGet(name); v != want {
+			t.Errorf("%s = %d, want %d (highest sequence)", name, v, want)
 		}
+	}
+	if segs := s.SealedSegments(); len(segs) != 1 || segs[0].Path != leftover || segs[0].MaxSeq != 7 {
+		t.Fatalf("sealed segments = %+v, want %s ending at seq 7", segs, leftover)
+	}
+
+	// Appending resumes on wal-0.log past the recovered frontier; the
+	// checkpoint then covers the leftover and compacts it.
+	if err := s.LogCommit(commit(w("e2", 300))).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	cp := checkpoint.New(s, core.New(core.Config{Store: store}), checkpoint.SnapshotFunc(func() []checkpoint.Entry {
+		var out []checkpoint.Entry
+		for _, name := range []string{"e0", "e1", "e2"} {
+			out = append(out, checkpoint.Entry{Name: name, Val: store.MustGet(name)})
+		}
+		return out
+	}), checkpoint.Options{Retain: 1})
+	defer cp.Close()
+	if err := cp.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+		t.Fatalf("leftover %s survived the checkpoint covering it: %v", leftover, err)
+	}
+	if segs := s.SealedSegments(); len(segs) != 0 {
+		t.Fatalf("sealed segments after checkpoint = %+v", segs)
 	}
 }
 

@@ -55,7 +55,8 @@ func scanSet(t *testing.T, dir string) map[string]int64 {
 	return out
 }
 
-// TestConcurrentCommitDurability: many committers across shards, each
+// TestConcurrentCommitDurability: many committers across shards of the
+// in-process sharded engine, all sharing the one log, each
 // acknowledged only after its increment is durable. Run with -race;
 // the log is then inspected WITHOUT closing the set — everything an
 // ack covered must already be in the file.
@@ -64,7 +65,7 @@ func TestConcurrentCommitDurability(t *testing.T) {
 	dir := t.TempDir()
 	w := sim.CounterWorkload(counters, txns, 11)
 	store := w.NewStore()
-	set, _ := mustOpen(t, dir, 2, store, Options{Mode: SyncGroup, Window: time.Millisecond})
+	set, _ := mustOpen(t, dir, 1, store, Options{Mode: SyncGroup, Window: time.Millisecond})
 	defer set.Close()
 
 	out, err := runtime.Run(store, w.Programs, runtime.Options{
@@ -128,7 +129,7 @@ func TestConcurrentFsyncErrorFailsCommits(t *testing.T) {
 	w := sim.CounterWorkload(4, 16, 3)
 	store := w.NewStore()
 	set := &Set{opts: Options{Mode: SyncGroup}}
-	set.logs = []*Log{newLog(set, 0, &failFile{syncErr: errors.New("injected: device lost")}, "", 0, 0)}
+	set.log = newLog(set, &failFile{syncErr: errors.New("injected: device lost")}, "", 0, 0)
 	defer set.Close()
 
 	_, err := runtime.Run(store, w.Programs, runtime.Options{
@@ -155,7 +156,7 @@ func TestEngineRecoveryEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	w := sim.BankingWorkload(accounts, transfers, 100, 7)
 	store := w.NewStore()
-	set, _ := mustOpen(t, dir, 2, store, Options{Mode: SyncGroup, Window: time.Millisecond})
+	set, _ := mustOpen(t, dir, 1, store, Options{Mode: SyncGroup, Window: time.Millisecond})
 
 	if _, err := runtime.Run(store, w.Programs, runtime.Options{
 		Strategy:  core.MCS,
@@ -170,7 +171,7 @@ func TestEngineRecoveryEquivalence(t *testing.T) {
 	}
 
 	fresh := w.NewStore()
-	set2, info := mustOpen(t, dir, 2, fresh, Options{})
+	set2, info := mustOpen(t, dir, 1, fresh, Options{})
 	defer set2.Close()
 	if info.TornFiles != 0 || len(info.CorruptFiles) != 0 || info.TornCommits != 0 {
 		t.Fatalf("clean shutdown recovered damage: %+v", info)

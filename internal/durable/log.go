@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -32,15 +32,14 @@ type pend struct {
 	records int
 }
 
-// Log is one shard's redo log: appends enqueue under a mutex (called
-// with the shard's engine mutex held, so never any IO here), a flusher
+// Log is the redo log: appends enqueue under a mutex (called with the
+// engine mutex held, so never any IO here), a flusher
 // goroutine writes and fsyncs batches, and tickets park on a condition
 // variable until their sequence number is durable.
 type Log struct {
-	set   *Set
-	shard int
-	file  File
-	path  string // active segment path; "" for injected test files (rotation disabled)
+	set  *Set
+	file File
+	path string // active segment path; "" for injected test files (rotation disabled)
 
 	mu             sync.Mutex
 	work           sync.Cond // signals the flusher: pending or closing, or rotation done
@@ -64,8 +63,8 @@ type Log struct {
 // newLog starts a log over an already-open active segment file.
 // fileBytes/fileLastSeq seed the active-segment accounting with what
 // recovery found already in the file (zero for a fresh segment).
-func newLog(set *Set, shard int, f File, path string, fileBytes int64, fileLastSeq uint64) *Log {
-	l := &Log{set: set, shard: shard, file: f, path: path,
+func newLog(set *Set, f File, path string, fileBytes int64, fileLastSeq uint64) *Log {
+	l := &Log{set: set, file: f, path: path,
 		fileBytes: fileBytes, fileLastSeq: fileLastSeq, done: make(chan struct{})}
 	l.work.L = &l.mu
 	l.durable.L = &l.mu
@@ -108,7 +107,7 @@ func (l *Log) LogCommit(writes []core.CommitWrite) core.CommitAck {
 	}
 	for _, w := range writes {
 		if len(w.Name) > 0xffff {
-			err := fmt.Errorf("durable: shard %d: entity name too long (%d bytes)", l.shard, len(w.Name))
+			err := fmt.Errorf("durable: entity name too long (%d bytes)", len(w.Name))
 			l.err = err
 			l.durable.Broadcast()
 			l.mu.Unlock()
@@ -182,15 +181,15 @@ func (l *Log) Stats() Stats {
 	return l.st
 }
 
-// sealedPath names a sealed segment: wal-<k>.sealed-<maxseq>.log in
-// the active segment's directory, the sequence zero-padded so
-// lexicographic order is sequence order.
-func sealedPath(active string, shard int, maxSeq uint64) string {
-	return filepath.Join(filepath.Dir(active), fmt.Sprintf("wal-%d.sealed-%020d.log", shard, maxSeq))
+// sealedPath names a sealed segment: wal-0.sealed-<maxseq>.log beside
+// the active wal-0.log, the sequence zero-padded so lexicographic order
+// is sequence order.
+func sealedPath(active string, maxSeq uint64) string {
+	return fmt.Sprintf("%s.sealed-%020d.log", strings.TrimSuffix(active, ".log"), maxSeq)
 }
 
 // rotate seals the active segment — syncs and closes it, renames it to
-// wal-<shard>.sealed-<maxseq>.log, and opens a fresh active segment —
+// wal-0.sealed-<maxseq>.log, and opens a fresh active segment —
 // returning the sealed segment's description. Appends keep enqueueing
 // throughout (the flusher is parked while the rotation owns the file;
 // pending records land in the new segment, which is correct because a
@@ -227,7 +226,7 @@ func (l *Log) rotate() (seg checkpoint.Segment, rotated bool, err error) {
 	// keep enqueueing; only the flusher is parked. Sync before the
 	// rename so a sealed segment's contents are always durable (under
 	// SyncOff the tail may not have been fsynced yet).
-	sealed := sealedPath(l.path, l.shard, maxSeq)
+	sealed := sealedPath(l.path, maxSeq)
 	ioErr := old.Sync()
 	if ioErr == nil {
 		ioErr = old.Close()
@@ -249,25 +248,24 @@ func (l *Log) rotate() (seg checkpoint.Segment, rotated bool, err error) {
 	}()
 	if ioErr != nil {
 		if l.err == nil {
-			l.err = fmt.Errorf("durable: shard %d: rotate: %w", l.shard, ioErr)
+			l.err = fmt.Errorf("durable: rotate: %w", ioErr)
 		}
 		return checkpoint.Segment{}, false, l.err
 	}
 	l.file = nf
 	l.fileBytes, l.fileLastSeq = 0, 0
-	return checkpoint.Segment{Shard: l.shard, Path: sealed, MaxSeq: maxSeq, Bytes: bytes}, true, nil
+	return checkpoint.Segment{Path: sealed, MaxSeq: maxSeq, Bytes: bytes}, true, nil
 }
 
 // status snapshots the active-segment accounting for /debug/wal.
-func (l *Log) status() ShardLogStatus {
+func (l *Log) status() LogStatus {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	pendingRecs := 0
 	for i := range l.pending {
 		pendingRecs += l.pending[i].records
 	}
-	return ShardLogStatus{
-		Shard:          l.shard,
+	return LogStatus{
 		ActiveBytes:    l.fileBytes,
 		ActiveLastSeq:  l.fileLastSeq,
 		DurableSeq:     l.durableSeq,
@@ -347,7 +345,7 @@ func (l *Log) flusher() {
 			}
 			if err == nil && l.set.opts.OnFlush != nil {
 				l.set.opts.OnFlush(FlushInfo{
-					Shard: l.shard, Commits: commits, Records: records,
+					Commits: commits, Records: records,
 					Bytes: len(l.wbuf), SyncDuration: syncDur,
 				})
 			}
@@ -358,7 +356,7 @@ func (l *Log) flusher() {
 			l.st.Flushes++
 			if err != nil {
 				if l.err == nil {
-					l.err = fmt.Errorf("durable: shard %d: %w", l.shard, err)
+					l.err = fmt.Errorf("durable: %w", err)
 				}
 			} else {
 				if mode != SyncOff {
@@ -404,10 +402,10 @@ func (l *Log) close() error {
 		err = sticky
 	}
 	if serr := l.file.Sync(); serr != nil && err == nil {
-		err = fmt.Errorf("durable: shard %d: close sync: %w", l.shard, serr)
+		err = fmt.Errorf("durable: close sync: %w", serr)
 	}
 	if cerr := l.file.Close(); cerr != nil && err == nil {
-		err = fmt.Errorf("durable: shard %d: close: %w", l.shard, cerr)
+		err = fmt.Errorf("durable: close: %w", cerr)
 	}
 	return err
 }

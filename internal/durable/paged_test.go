@@ -18,7 +18,7 @@ func TestRecoveryIntoPagedStore(t *testing.T) {
 	dir := t.TempDir()
 	const n = 64 // 5 pages of 15 slots through a 2-frame pool
 	store := entity.NewUniformStore("e", n, 0)
-	s, _ := mustOpen(t, dir, 2, store, Options{Mode: SyncAlways})
+	s, _ := mustOpen(t, dir, 1, store, Options{Mode: SyncAlways})
 	// A spread of commits, a checkpoint mid-stream, then a tail.
 	for i := 0; i < n; i += 2 {
 		if err := s.LogCommit(commit(w(fmt.Sprintf("e%d", i), int64(i+100)))).Wait(); err != nil {
@@ -52,7 +52,7 @@ func TestRecoveryIntoPagedStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer paged.Close()
-			s2, info := mustOpen(t, dir, 2, paged, Options{})
+			s2, info := mustOpen(t, dir, 1, paged, Options{})
 			defer s2.Close()
 			if info.CheckpointEntities != n {
 				t.Errorf("CheckpointEntities = %d, want %d", info.CheckpointEntities, n)

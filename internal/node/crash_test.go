@@ -28,14 +28,14 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// crashConfig is the crash rounds' node: 16 counters on 2 shards behind
-// a group-commit WAL. Kind "ckpt" adds a checkpoint every 120 ms with
+// crashConfig is the crash rounds' node: 16 counters behind a
+// group-commit WAL. Kind "ckpt" adds a checkpoint every 120 ms with
 // every crash window widened by 30 ms; "paged" adds the same on a paged
 // store of 64 entities through a 2-page pool. checkpoints false leaves
 // the checkpointer out, as the in-process recovery nodes do.
 func crashConfig(dir, kind string, checkpoints bool) Config {
 	cfg := testConfig()
-	cfg.Entities, cfg.Shards, cfg.WAL = 16, 2, dir
+	cfg.Entities, cfg.WAL = 16, dir
 	if kind == "paged" {
 		cfg.Entities, cfg.Store, cfg.PoolPages, cfg.PageSize = 64, "paged", 2, 128
 	}
@@ -169,6 +169,9 @@ func recoverSum(t *testing.T, cfg Config) (sum int64, fromCheckpoint bool) {
 // recovered sum must be at least the acknowledged count. Three rounds
 // kill inside in-progress checkpoints (every crash window widened) and
 // one kills a paged node mid-flush; the bound holds cumulatively.
+//
+// label historical: the node has one engine since sharding left it, so
+// the rounds run one log (wal-0) instead of two.
 func TestCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-executes the test binary as child nodes")

@@ -30,7 +30,6 @@ import (
 	"partialrollback/internal/intern"
 	"partialrollback/internal/obs"
 	"partialrollback/internal/server"
-	"partialrollback/internal/shard"
 	"partialrollback/internal/wire"
 )
 
@@ -49,7 +48,7 @@ type Config struct {
 
 	MaxSessions, Backlog        int
 	RequestTimeout, IdleTimeout time.Duration
-	Shards, MaxStreams          int
+	MaxStreams                  int
 
 	WAL         string // log directory; empty = memory only
 	Fsync       string // always|group|off
@@ -86,7 +85,6 @@ func Defaults() Config {
 		Backlog:        32,
 		RequestTimeout: 30 * time.Second,
 		IdleTimeout:    2 * time.Minute,
-		Shards:         1,
 		MaxStreams:     4096,
 		Fsync:          "group",
 		GroupWindow:    2 * time.Millisecond,
@@ -124,8 +122,6 @@ func Start(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	switch {
-	case cfg.Shards < 1:
-		return nil, fmt.Errorf("-shards must be >= 1 (got %d)", cfg.Shards)
 	case cfg.Store != "mem" && cfg.Store != "paged":
 		return nil, fmt.Errorf("unknown -store %q (want mem or paged)", cfg.Store)
 	case (cfg.CheckpointInterval > 0 || cfg.CheckpointBytes > 0) && cfg.WAL == "":
@@ -170,7 +166,6 @@ func (n *Node) start(st core.Strategy, pol deadlock.Policy) error {
 		Backlog:        cfg.Backlog,
 		RequestTimeout: cfg.RequestTimeout,
 		IdleTimeout:    cfg.IdleTimeout,
-		Shards:         cfg.Shards,
 		MaxStreams:     cfg.MaxStreams,
 	}
 	if cfg.Verbose {
@@ -292,7 +287,7 @@ func (n *Node) openWAL(registry *obs.Registry) error {
 			syncDur.Observe(fi.SyncDuration)
 		}
 	}
-	set, rec, err := durable.Open(cfg.WAL, cfg.Shards, n.store, opts)
+	set, rec, err := durable.Open(cfg.WAL, 1, n.store, opts)
 	if err != nil {
 		return err
 	}
@@ -327,10 +322,6 @@ func (n *Node) openWAL(registry *obs.Registry) error {
 // byte-identically to a plain WAL run.
 func (n *Node) startCheckpointer(registry *obs.Registry) error {
 	cfg := n.cfg
-	quiescer, ok := n.srv.System().(core.Quiescer)
-	if !ok {
-		return errors.New("engine does not support quiesce; cannot checkpoint")
-	}
 	store := n.store
 	var snapVals []int64
 	var snapDefined []bool
@@ -387,7 +378,7 @@ func (n *Node) startCheckpointer(registry *obs.Registry) error {
 			ckptDur.Observe(ci.Duration)
 		}
 	}
-	n.cp = checkpoint.New(n.wal, quiescer, snap, copts)
+	n.cp = checkpoint.New(n.wal, n.srv.System(), snap, copts)
 	n.cp.Start()
 	log.Printf("checkpoint: enabled (interval=%v bytes=%d retain=%d)", cfg.CheckpointInterval, cfg.CheckpointBytes, cfg.Retain)
 	return nil
@@ -395,8 +386,8 @@ func (n *Node) startCheckpointer(registry *obs.Registry) error {
 
 func (n *Node) startAdmin(registry *obs.Registry, tracer *obs.Tracer) error {
 	srv, store, walSet, cp := n.srv, n.store, n.wal, n.cp
-	// The serving-layer counters (sessions, bytes, per-shard stats)
-	// ride along as a gauge set read at scrape time.
+	// The serving-layer counters (sessions, bytes, engine stats) ride
+	// along as a gauge set read at scrape time.
 	registry.NewGaugeSet("pr_server_", "Serving-layer counter snapshot.", func() []obs.KV {
 		cs := srv.Counters()
 		out := make([]obs.KV, len(cs))
@@ -452,10 +443,7 @@ func (n *Node) startAdmin(registry *obs.Registry, tracer *obs.Tracer) error {
 	opts := obs.AdminOptions{Registry: registry, Engine: srv.System(), Tracer: tracer, Owners: srv.Owners}
 	if walSet != nil {
 		opts.WAL = func() obs.WALStatus {
-			ws := obs.WALStatus{Dir: walSet.Dir(), Frontier: walSet.Frontier()}
-			for _, sh := range walSet.ShardStatus() {
-				ws.Shards = append(ws.Shards, obs.WALShard(sh))
-			}
+			ws := obs.WALStatus{Dir: walSet.Dir(), Frontier: walSet.Frontier(), Log: obs.WALLog(walSet.Status())}
 			if cp != nil {
 				st := cp.Status()
 				ws.Checkpoint = &obs.WALCheckpoint{
@@ -469,18 +457,6 @@ func (n *Node) startAdmin(registry *obs.Registry, tracer *obs.Tracer) error {
 				}
 			}
 			return ws
-		}
-	}
-	if se, ok := srv.System().(*shard.Engine); ok {
-		registry.NewGauge("pr_admission_queue_depth",
-			"Cross-shard claims queued for placement.",
-			func() int64 { return int64(se.QueueDepth()) })
-		opts.Queued = func() []obs.KV {
-			var out []obs.KV
-			for _, q := range se.Queued() {
-				out = append(out, obs.KV{Name: fmt.Sprintf("pos%d_%s_txn", q.Position, q.Program), Val: int64(q.Txn)})
-			}
-			return out
 		}
 	}
 	ln, err := net.Listen("tcp", n.cfg.Admin)

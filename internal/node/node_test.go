@@ -144,7 +144,6 @@ func TestStartConfigErrors(t *testing.T) {
 		set  func(*Config)
 		want string
 	}{
-		{"shards", func(c *Config) { c.Shards = 0 }, "-shards must be >= 1 (got 0)"},
 		{"store", func(c *Config) { c.Store = "disk" }, `unknown -store "disk" (want mem or paged)`},
 		{"checkpoint without wal", func(c *Config) { c.CheckpointBytes = 1 << 20 }, "-checkpoint-interval/-checkpoint-bytes require -wal"},
 		{"trace without admin", func(c *Config) { c.Trace = 16 }, "-trace requires -admin"},
@@ -252,6 +251,9 @@ func TestPagedOutOfCore(t *testing.T) {
 // TestAdminEndpoints fetches the admin surface the docs promise: key
 // Prometheus series, JSON metrics, the wait-for graph as DOT and JSON,
 // the transaction table, the tracer and the pprof index.
+//
+// label historical: the node has one engine since sharding left it, so
+// /debug/waitfor answers one "arcs" list.
 func TestAdminEndpoints(t *testing.T) {
 	cfg := testConfig()
 	cfg.Admin, cfg.Trace = "127.0.0.1:0", 16
@@ -271,7 +273,7 @@ func TestAdminEndpoints(t *testing.T) {
 		}},
 		{"/metrics?format=json", []string{`"pr_commits_total"`}},
 		{"/debug/waitfor?format=dot", []string{"digraph waitfor"}},
-		{"/debug/waitfor", []string{`"merged"`}},
+		{"/debug/waitfor", []string{`"arcs"`}},
 		{"/debug/txns", []string{`"txns"`}},
 		{"/debug/trace?format=text", []string{"tracer enabled=true"}},
 		{"/debug/pprof/", []string{"profiles"}},

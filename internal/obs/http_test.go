@@ -94,6 +94,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// label historical: the node has one engine since sharding left it;
+// the reply is one arc list.
 func TestWaitForEndpoint(t *testing.T) {
 	sys := blockedSystem(t)
 	mux := newTestMux(t, sys)
@@ -102,20 +104,14 @@ func TestWaitForEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
-	var out struct {
-		Shards []struct {
-			Shard int            `json:"shard"`
-			Arcs  []core.WaitArc `json:"arcs"`
-		} `json:"shards"`
-		Merged []core.WaitArc `json:"merged"`
-	}
+	var out map[string][]core.WaitArc
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, body)
 	}
-	if len(out.Shards) != 1 || len(out.Merged) != 1 {
-		t.Fatalf("shards=%d merged=%d, want 1/1", len(out.Shards), len(out.Merged))
+	if len(out) != 1 || len(out["arcs"]) != 1 {
+		t.Fatalf("reply = %+v, want one key \"arcs\" with one arc", out)
 	}
-	arc := out.Merged[0]
+	arc := out["arcs"][0]
 	if arc.Waiter != 2 || arc.Holder != 1 || arc.Entity != "a" {
 		t.Fatalf("arc = %+v, want T2 waits for T1 over a", arc)
 	}
@@ -130,19 +126,13 @@ func TestWaitForEndpoint(t *testing.T) {
 			t.Errorf("dot output missing %q:\n%s", want, body)
 		}
 	}
-
-	// Shard filter: 0 is the only shard; out of range is a 400.
-	if code, _, _ := get(t, mux, "/debug/waitfor?shard=0"); code != http.StatusOK {
-		t.Errorf("shard=0 status = %d", code)
-	}
-	if code, _, _ := get(t, mux, "/debug/waitfor?shard=1"); code != http.StatusBadRequest {
-		t.Errorf("shard=1 status = %d, want 400", code)
-	}
-	if code, _, _ := get(t, mux, "/debug/waitfor?shard=x"); code != http.StatusBadRequest {
-		t.Errorf("shard=x status = %d, want 400", code)
+	if strings.Contains(body, "subgraph") {
+		t.Errorf("dot output has clusters:\n%s", body)
 	}
 }
 
+// label historical: the node has one engine since sharding left it;
+// entries carry no shard field.
 func TestTxnsEndpoint(t *testing.T) {
 	sys := blockedSystem(t)
 	mux := newTestMux(t, sys)
@@ -167,12 +157,15 @@ func TestTxnsEndpoint(t *testing.T) {
 	if waiter.Program != "waiter" || waiter.WaitingOn != "a" || waiter.Status != "waiting" {
 		t.Errorf("waiter snapshot = %+v", waiter)
 	}
+	if strings.Contains(body, `"shard"`) || strings.Contains(body, "admissionQueue") {
+		t.Errorf("txns reply carries sharding fields:\n%s", body)
+	}
 
 	code, body, _ = get(t, mux, "/debug/txns?format=text")
 	if code != http.StatusOK {
 		t.Fatalf("text status = %d", code)
 	}
-	for _, want := range []string{"shard 0: 2 txn(s)", "held=a:X", "waiting-on=a"} {
+	for _, want := range []string{"2 txn(s)", "held=a:X", "waiting-on=a"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("text table missing %q:\n%s", want, body)
 		}
@@ -214,13 +207,15 @@ func TestPprofMounted(t *testing.T) {
 	}
 }
 
+// label historical: the node has one engine since sharding left it, so
+// snapshotOf yields one snapshot.
 func TestSnapshotsOf(t *testing.T) {
-	if _, ok := SnapshotsOf(nil); ok {
-		t.Error("nil engine reported snapshots")
+	if _, ok := snapshotOf(nil); ok {
+		t.Error("nil engine reported a snapshot")
 	}
 	sys := blockedSystem(t)
-	snaps, ok := SnapshotsOf(sys)
-	if !ok || len(snaps) != 1 {
-		t.Fatalf("System snapshots: ok=%v n=%d", ok, len(snaps))
+	snap, ok := snapshotOf(sys)
+	if !ok || len(snap.Txns) != 2 || len(snap.Arcs) != 1 {
+		t.Fatalf("System snapshot: ok=%v txns=%d arcs=%d", ok, len(snap.Txns), len(snap.Arcs))
 	}
 }

@@ -5,8 +5,8 @@
 //
 // Everything is fed by the structured core.Event stream the engine
 // already emits — the collector and tracer are just event sinks chained
-// onto core.Config.OnEvent — plus the point-in-time snapshot hooks
-// (core.Snapshotter / core.ShardSnapshotter) for the live inspector.
+// onto core.Config.OnEvent — plus the point-in-time snapshot hook
+// (core.Snapshotter) for the live inspector.
 // The hot path costs a handful of atomic increments per event; tracing
 // is off by default and short-circuits on one atomic load.
 package obs
@@ -150,8 +150,8 @@ func (g *Gauge) writeProm(b *strings.Builder) {
 func (g *Gauge) jsonValue() any { return g.f() }
 
 // GaugeSet exposes a dynamic set of named values read from one function
-// at collection time — e.g. a server's whole counter snapshot, or
-// per-shard stats whose cardinality depends on configuration. Each pair
+// at collection time — e.g. a server's whole counter snapshot, or the
+// buffer pool's counters. Each pair
 // is rendered as "<prefix><name>".
 type GaugeSet struct {
 	prefix, help string

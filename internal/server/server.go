@@ -50,7 +50,6 @@ import (
 	"partialrollback/internal/exec"
 	"partialrollback/internal/hybrid"
 	"partialrollback/internal/obs"
-	"partialrollback/internal/shard"
 	"partialrollback/internal/txn"
 	"partialrollback/internal/wire"
 )
@@ -86,12 +85,6 @@ type Config struct {
 	MaxStreams int
 	// StarvationLimit forwards to core.Config.StarvationLimit.
 	StarvationLimit int
-	// Shards selects the engine: 0 or 1 serves a single core.System, a
-	// larger value partitions the engine into that many shards
-	// (internal/shard) so sessions touching disjoint entities execute
-	// in parallel. The counter snapshot then carries per-shard
-	// counters (shard<k>_grants, ...) for imbalance diagnostics.
-	Shards int
 	// LockWait forwards to core.Config.LockWait — wire it to
 	// obs.Collector.ObserveLockWait to populate pr_engine_lock_wait_ns.
 	LockWait func(ns int64)
@@ -99,8 +92,7 @@ type Config struct {
 	// recorded to: the engine logs every install through it, and a
 	// transaction is acknowledged as committed only after its write-set
 	// is durable per the set's sync mode. The caller opens the set
-	// (running recovery) and closes it after Shutdown; the set must
-	// have been opened with (at least) Shards logs. Nil serves
+	// (running recovery) and closes it after Shutdown. Nil serves
 	// memory-only with an unchanged commit path.
 	Durable *durable.Set
 	// OnEvent, when non-nil, additionally receives every engine event.
@@ -113,12 +105,9 @@ type Config struct {
 // with Listen (or serve individual connections with ServeConn), stop
 // with Shutdown.
 type Server struct {
-	cfg Config
-	sys core.Engine
-	// sharded is non-nil when the engine is a shard.Engine; it exposes
-	// the per-shard counter snapshots.
-	sharded *shard.Engine
-	notif   *exec.Notifier
+	cfg   Config
+	sys   *core.System
+	notif *exec.Notifier
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -194,17 +183,13 @@ func New(cfg Config) *Server {
 	if cfg.Durable != nil {
 		ecfg.CommitLog = cfg.Durable
 	}
-	if cfg.Shards > 1 {
-		s.sharded = shard.New(cfg.Shards, ecfg)
-		s.sys = s.sharded
-	} else {
-		s.sys = core.New(ecfg)
-	}
+	s.sys = core.New(ecfg)
 	return s
 }
 
-// System exposes the underlying engine (inspection, embedding, tests).
-func (s *Server) System() core.Engine { return s.sys }
+// System exposes the underlying engine (inspection, checkpoint quiesce,
+// shutdown checks, tests).
+func (s *Server) System() *core.System { return s.sys }
 
 // onEvent fans engine events out to the wake notifier, the owning
 // stream (as a rollback notification), and the configured tap.
@@ -459,19 +444,6 @@ func (s *Server) Counters() []wire.Counter {
 			wire.Counter{Name: "store_flushes", Val: ps.Flushes},
 			wire.Counter{Name: "store_pinned_pages", Val: ps.PinnedPages},
 		)
-	}
-	if s.sharded != nil {
-		out = append(out, wire.Counter{Name: "shards", Val: int64(s.sharded.Shards())})
-		for k, sh := range s.sharded.ShardStats() {
-			prefix := fmt.Sprintf("shard%d_", k)
-			out = append(out,
-				wire.Counter{Name: prefix + "grants", Val: sh.Grants},
-				wire.Counter{Name: prefix + "waits", Val: sh.Waits},
-				wire.Counter{Name: prefix + "deadlocks", Val: sh.Deadlocks},
-				wire.Counter{Name: prefix + "rollbacks", Val: sh.Rollbacks},
-				wire.Counter{Name: prefix + "aborts", Val: sh.Aborts},
-			)
-		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

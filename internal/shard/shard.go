@@ -159,12 +159,8 @@ func New(n int, cfg core.Config) *Engine {
 		e.l2g[k] = map[txn.ID]txn.ID{}
 		sub := cfg
 		sub.HistoryClock = e.clock
-		if scl, ok := cfg.CommitLog.(core.ShardedCommitLogger); ok {
-			// Each shard appends to its own log with its own group-commit
-			// queue; a plain CommitLogger is shared by all shards instead
-			// (correct, just serialized on one append queue).
-			sub.CommitLog = scl.ForShard(k)
-		}
+		// cfg.CommitLog, if any, is shared by every shard: one append
+		// queue, one sequence counter.
 		if e.onEvent != nil {
 			sub.OnEvent = e.shardEventSink(k)
 		} else {
@@ -174,9 +170,6 @@ func New(n int, cfg core.Config) *Engine {
 	}
 	return e
 }
-
-// Shards returns the number of shards.
-func (e *Engine) Shards() int { return e.n }
 
 // shardEventSink remaps shard k's events to global transaction IDs and
 // forwards them to the merged stream. The shard's own EventRegister is
@@ -710,16 +703,6 @@ func (e *Engine) Stats() core.Stats {
 	return total
 }
 
-// ShardStats returns each shard's own counter snapshot (index =
-// shard), for imbalance diagnostics.
-func (e *Engine) ShardStats() []core.Stats {
-	out := make([]core.Stats, e.n)
-	for k, sh := range e.shards {
-		out[k] = sh.Stats()
-	}
-	return out
-}
-
 func addStats(a, b core.Stats) core.Stats {
 	a.Steps += b.Steps
 	a.Grants += b.Grants
@@ -759,83 +742,6 @@ func (e *Engine) Recorder() *history.Recorder {
 	}
 	e.mapMu.RUnlock()
 	return history.Merged(eps)
-}
-
-// DebugSnapshots returns one consistent point-in-time view per shard,
-// with transaction IDs remapped into the global namespace (shards are
-// snapshotted one after another, so arcs within a shard are consistent
-// but cross-shard timing is best-effort — acceptable for inspection,
-// which is all this serves).
-func (e *Engine) DebugSnapshots() []core.DebugSnapshot {
-	out := make([]core.DebugSnapshot, e.n)
-	for k, sh := range e.shards {
-		out[k] = sh.DebugSnapshot()
-		out[k].Shard = k
-	}
-	e.mapMu.RLock()
-	for k := range out {
-		m := e.l2g[k]
-		for i := range out[k].Txns {
-			out[k].Txns[i].ID = mapID(m, out[k].Txns[i].ID)
-		}
-		for i := range out[k].Arcs {
-			out[k].Arcs[i].Waiter = mapID(m, out[k].Arcs[i].Waiter)
-			out[k].Arcs[i].Holder = mapID(m, out[k].Arcs[i].Holder)
-		}
-	}
-	e.mapMu.RUnlock()
-	return out
-}
-
-var _ core.ShardSnapshotter = (*Engine)(nil)
-var _ core.Quiescer = (*Engine)(nil)
-
-// Quiesce runs fn while holding every shard's engine mutex at once, so
-// no step, commit, install, or commit-log append can interleave on any
-// shard — unlike DebugSnapshots, the view fn gets is consistent across
-// shards, not just within one. Shard mutexes are acquired in index
-// order; no other code path ever holds one shard's mutex while taking
-// another's (see the lock-ordering note on Engine), so the nesting
-// cannot deadlock. The pause is the cost of a few slice copies: the
-// checkpoint subsystem keeps fn to two memcpys and an atomic load.
-func (e *Engine) Quiesce(fn func()) {
-	var rec func(k int)
-	rec = func(k int) {
-		if k == e.n {
-			fn()
-			return
-		}
-		e.shards[k].Quiesce(func() { rec(k + 1) })
-	}
-	rec(0)
-}
-
-// QueuedClaim describes one registered transaction still waiting for
-// shard placement (see the package comment's admission queue).
-type QueuedClaim struct {
-	Txn     txn.ID `json:"txn"`
-	Program string `json:"program"`
-	// Position is the claim's place in the admission queue (0 = head).
-	Position int `json:"position"`
-}
-
-// Queued returns the admission queue in order: claims registered but
-// not yet placeable on a shard.
-func (e *Engine) Queued() []QueuedClaim {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]QueuedClaim, 0, len(e.queue))
-	for i, gid := range e.queue {
-		out = append(out, QueuedClaim{Txn: gid, Program: e.meta[gid].prog.Name, Position: i})
-	}
-	return out
-}
-
-// QueueDepth returns the number of claims waiting for placement.
-func (e *Engine) QueueDepth() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.queue)
 }
 
 // CheckInvariants cross-checks every shard's internal consistency plus

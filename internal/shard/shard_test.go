@@ -318,45 +318,6 @@ func TestMergedRecorder(t *testing.T) {
 	}
 }
 
-// TestShardStats checks the per-shard counter split sums to the global
-// snapshot.
-func TestShardStats(t *testing.T) {
-	store := entity.NewUniformStore("e", 32, 0)
-	e := New(4, core.Config{Store: store})
-	var ids []txn.ID
-	for i := 0; i < 16; i++ {
-		ids = append(ids, e.MustRegister(bump(fmt.Sprintf("t%d", i), fmt.Sprintf("e%d", i*2))))
-	}
-	for _, id := range ids {
-		driveToCommit(t, e, id)
-	}
-	per := e.ShardStats()
-	if len(per) != 4 {
-		t.Fatalf("ShardStats len = %d", len(per))
-	}
-	var sum core.Stats
-	for _, s := range per {
-		sum = addStats(sum, s)
-	}
-	if got := e.Stats(); got != sum {
-		t.Errorf("global stats %+v != shard sum %+v", got, sum)
-	}
-	if sum.Commits != 16 {
-		t.Errorf("commits = %d, want 16", sum.Commits)
-	}
-	// 16 single-entity txns over 32 entities must not all land on one
-	// shard.
-	busy := 0
-	for _, s := range per {
-		if s.Commits > 0 {
-			busy++
-		}
-	}
-	if busy < 2 {
-		t.Errorf("only %d of 4 shards saw commits; hash placement broken", busy)
-	}
-}
-
 // TestSingleShardMatchesSystem drives the same little workload through
 // a 1-shard engine and a plain System and compares stats and IDs — the
 // unit-level half of the N=1 equivalence guarantee (the sim-level
@@ -397,92 +358,6 @@ func TestSingleShardMatchesSystem(t *testing.T) {
 	if a != b {
 		t.Errorf("System stats %+v != 1-shard stats %+v", a, b)
 	}
-}
-
-// TestDebugSnapshotsRemapIDs blocks one transaction behind another on a
-// single shard (plus a third on the other shard) and checks the debug
-// snapshots report global transaction IDs — the waiter registered third
-// must appear as its global ID, not its shard-local one.
-func TestDebugSnapshotsRemapIDs(t *testing.T) {
-	store := entity.NewStore(nil)
-	a, b := splitEntities(t, store)
-	e := New(2, core.Config{Store: store, Strategy: core.MCS})
-
-	t1 := e.MustRegister(bump("holder", a))
-	t2 := e.MustRegister(bump("other", b))
-	t3 := e.MustRegister(bump("waiter", a)) // same shard as t1, local ID 2
-
-	if res, err := e.Step(t1); err != nil || res.Outcome != core.Progressed {
-		t.Fatalf("t1 step = %v, %v", res.Outcome, err)
-	}
-	if res, err := e.Step(t3); err != nil || res.Outcome != core.Blocked {
-		t.Fatalf("t3 step = %v, %v; want blocked on %s", res.Outcome, err, a)
-	}
-
-	snaps := e.DebugSnapshots()
-	if len(snaps) != 2 {
-		t.Fatalf("snapshots = %d, want 2", len(snaps))
-	}
-	seen := map[txn.ID]int{} // global ID -> shard
-	var arcs []core.WaitArc
-	for _, s := range snaps {
-		if s.Shard != 0 && s.Shard != 1 {
-			t.Fatalf("snapshot shard = %d", s.Shard)
-		}
-		for _, ts := range s.Txns {
-			if _, dup := seen[ts.ID]; dup {
-				t.Fatalf("global ID %v reported by two shards (IDs not remapped)", ts.ID)
-			}
-			seen[ts.ID] = s.Shard
-		}
-		arcs = append(arcs, s.Arcs...)
-	}
-	for _, id := range []txn.ID{t1, t2, t3} {
-		if _, ok := seen[id]; !ok {
-			t.Errorf("global ID %v missing from snapshots (got %v)", id, seen)
-		}
-	}
-	if seen[t1] != seen[t3] || seen[t1] == seen[t2] {
-		t.Errorf("shard placement wrong: %v", seen)
-	}
-	if len(arcs) != 1 || arcs[0].Waiter != t3 || arcs[0].Holder != t1 || arcs[0].Entity != a {
-		t.Errorf("arcs = %+v, want %v waits for %v over %s", arcs, t3, t1, a)
-	}
-
-	driveToCommit(t, e, t1)
-	driveToCommit(t, e, t2)
-	driveToCommit(t, e, t3)
-}
-
-// TestQueuedInspection checks the admission-queue inspection hooks the
-// admin endpoint uses: depth and ordered claims while a cross-shard
-// registration is fenced, empty once it is admitted.
-func TestQueuedInspection(t *testing.T) {
-	store := entity.NewStore(nil)
-	a, b := splitEntities(t, store)
-	e := New(2, core.Config{Store: store, Strategy: core.MCS})
-
-	t1 := e.MustRegister(bump("t1", a))
-	t2 := e.MustRegister(bump("t2", b))
-	t3 := e.MustRegister(bump("spanner", a, b))
-
-	if got := e.QueueDepth(); got != 1 {
-		t.Fatalf("queue depth = %d, want 1", got)
-	}
-	q := e.Queued()
-	if len(q) != 1 || q[0].Txn != t3 || q[0].Program != "spanner" || q[0].Position != 0 {
-		t.Fatalf("queued = %+v, want [{%v spanner 0}]", q, t3)
-	}
-
-	driveToCommit(t, e, t1) // unpins a; t3 becomes placeable
-	if got := e.QueueDepth(); got != 0 {
-		t.Fatalf("queue depth after admission = %d, want 0", got)
-	}
-	if q := e.Queued(); len(q) != 0 {
-		t.Fatalf("queued after admission = %+v, want empty", q)
-	}
-	driveToCommit(t, e, t2)
-	driveToCommit(t, e, t3)
 }
 
 // TestRegisterRejectsLikeSystem: the sharded engine validates and
