@@ -1,4 +1,4 @@
-// Command prbench runs the full reproduction suite E1-E16 (DESIGN.md
+// Command prbench runs the full reproduction suite E1-E15 (DESIGN.md
 // §4) and prints every table recorded in EXPERIMENTS.md.
 //
 // Usage:
@@ -102,10 +102,6 @@ func main() {
 		{"E14", func() (*experiments.Table, error) { _, t, err := experiments.E14Optimizer(*seedFlag); return t, err }},
 		{"E15", func() (*experiments.Table, error) {
 			_, t, err := experiments.E15MessagePassing(*seedFlag)
-			return t, err
-		}},
-		{"E16", func() (*experiments.Table, error) {
-			_, t, err := experiments.E16Sharding(*seedFlag)
 			return t, err
 		}},
 	}

@@ -38,7 +38,6 @@ var (
 	events    = flag.Bool("events", false, "print deadlock and rollback events")
 	check     = flag.Bool("check", false, "record history and verify serializability")
 	traceFile = flag.String("trace", "", "write a JSON-lines event trace to this file")
-	shards    = flag.Int("shards", 1, "engine shards (1 behaves exactly like the unsharded engine)")
 )
 
 func parseShape(s string) (sim.WriteShape, error) {
@@ -99,13 +98,9 @@ func main() {
 	})
 	fmt.Printf("workload: %s\n", w.Name)
 
-	if *shards < 1 {
-		log.Fatalf("-shards must be >= 1 (got %d)", *shards)
-	}
 	rc := sim.RunConfig{
 		Strategy: st, Policy: pol, Scheduler: scheduler,
 		Seed: *seed, Prevention: prev, RecordHistory: *check,
-		Shards: *shards,
 	}
 	var hooks []func(core.Event)
 	if *events {

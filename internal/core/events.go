@@ -22,11 +22,6 @@ const (
 	// EventAbort: the transaction was rolled back to its initial state
 	// and removed from the system (see System.Abort).
 	EventAbort
-	// EventAdmit: a sharded engine placed a transaction whose
-	// registration had been queued behind a cross-shard conflict
-	// (internal/shard); the transaction is now runnable on its shard.
-	// Single-shard Systems never emit it.
-	EventAdmit
 )
 
 func (k EventKind) String() string {
@@ -47,8 +42,6 @@ func (k EventKind) String() string {
 		return "commit"
 	case EventAbort:
 		return "abort"
-	case EventAdmit:
-		return "admit"
 	default:
 		return fmt.Sprintf("EventKind(%d)", int(k))
 	}

@@ -58,14 +58,6 @@ type DebugSnapshot struct {
 	Stats Stats         `json:"stats"`
 }
 
-// Snapshotter is implemented by engines that can produce a consistent
-// debug snapshot (the System).
-type Snapshotter interface {
-	DebugSnapshot() DebugSnapshot
-}
-
-var _ Snapshotter = (*System)(nil)
-
 // Quiesce runs fn under the engine mutex, so no step, commit, install,
 // or commit-log append can interleave. The checkpoint subsystem uses it
 // to capture a commit-consistent entity snapshot together with the WAL

@@ -134,11 +134,6 @@ type Config struct {
 	Policy deadlock.Policy
 	// RecordHistory enables the serializability recorder.
 	RecordHistory bool
-	// HistoryClock, when non-nil (and RecordHistory is set), makes the
-	// recorder stamp episodes against this shared clock instead of a
-	// private one. internal/shard gives every shard's System the same
-	// clock so their histories merge onto one global timeline.
-	HistoryClock *history.Clock
 	// MaxCycles bounds cycle enumeration per detection. Default 64.
 	MaxCycles int
 	// Prevention replaces detection with a timestamp rule (§3.3
@@ -406,11 +401,7 @@ func New(cfg Config) *System {
 		txns:   map[txn.ID]*tstate{},
 	}
 	if cfg.RecordHistory {
-		if cfg.HistoryClock != nil {
-			s.recorder = history.NewSharedClockRecorder(cfg.HistoryClock)
-		} else {
-			s.recorder = history.NewRecorder()
-		}
+		s.recorder = history.NewRecorder()
 	}
 	return s
 }
@@ -419,23 +410,15 @@ func New(cfg Config) *System {
 // the node's only validator: a program that breaks a §2 static rule
 // (see txn.Validate) or locks an undefined entity is rejected with an
 // error and nothing is registered.
+//
+// Registration computes only what the configured strategy reads: the
+// write-interval analysis (txn.Writes) is built for SDG and Hybrid
+// alone, before the transaction is published.
 func (s *System) Register(prog *txn.Program) (txn.ID, error) {
 	a, err := txn.ValidateAnalyze(prog)
 	if err != nil {
 		return txn.None, err
 	}
-	return s.RegisterAnalyzed(prog, a)
-}
-
-// RegisterAnalyzed is Register for a program the caller has already
-// validated: a must be the analysis txn.ValidateAnalyze returned for
-// prog without error. internal/shard validates once to route a
-// transaction and hands the analysis down to the shard it lands on.
-//
-// Registration computes only what the configured strategy reads: the
-// write-interval analysis (txn.Writes) is built for SDG and Hybrid
-// alone, before the transaction is published.
-func (s *System) RegisterAnalyzed(prog *txn.Program, a *txn.Analysis) (txn.ID, error) {
 	var w *txn.Writes
 	if s.cfg.Strategy == SDG || s.cfg.Strategy == Hybrid {
 		w = a.Writes(prog)

@@ -55,9 +55,9 @@ func scanSet(t *testing.T, dir string) map[string]int64 {
 	return out
 }
 
-// TestConcurrentCommitDurability: many committers across shards of the
-// in-process sharded engine, all sharing the one log, each
-// acknowledged only after its increment is durable. Run with -race;
+// TestConcurrentCommitDurability: many concurrent committers on one
+// engine, all sharing the one log, each acknowledged only after its
+// increment is durable. Run with -race;
 // the log is then inspected WITHOUT closing the set — everything an
 // ack covered must already be in the file.
 func TestConcurrentCommitDurability(t *testing.T) {
@@ -70,7 +70,6 @@ func TestConcurrentCommitDurability(t *testing.T) {
 
 	out, err := runtime.Run(store, w.Programs, runtime.Options{
 		Strategy:  core.MCS,
-		Shards:    2,
 		CommitLog: set,
 	})
 	if err != nil {
@@ -148,7 +147,7 @@ func TestConcurrentFsyncErrorFailsCommits(t *testing.T) {
 }
 
 // TestEngineRecoveryEquivalence: run a contended banking workload
-// through the sharded engine with the log attached, close, and replay
+// through the concurrent runtime with the log attached, close, and replay
 // into a fresh initial store — the recovered state must equal the
 // engine's final in-memory state, invariant included.
 func TestEngineRecoveryEquivalence(t *testing.T) {
@@ -160,7 +159,6 @@ func TestEngineRecoveryEquivalence(t *testing.T) {
 
 	if _, err := runtime.Run(store, w.Programs, runtime.Options{
 		Strategy:  core.MCS,
-		Shards:    2,
 		CommitLog: set,
 	}); err != nil {
 		t.Fatal(err)
@@ -186,8 +184,11 @@ func TestEngineRecoveryEquivalence(t *testing.T) {
 	}
 }
 
-// TestUnshardedEngineDurability: the plain core.System path (Set used
-// as an unsharded CommitLogger) also waits for durability.
+// TestUnshardedEngineDurability: a Set used as the engine's
+// CommitLogger makes every commit wait for durability, here under SDG.
+//
+// label historical: the name is from when the engine could also be
+// sharded; there is one engine now.
 func TestUnshardedEngineDurability(t *testing.T) {
 	dir := t.TempDir()
 	w := sim.CounterWorkload(4, 20, 9)

@@ -68,11 +68,10 @@ func (n *Notifier) Wake(id txn.ID) {
 	}
 }
 
-// OnEvent forwards grant/rollback/abort/admit events as wakeups (admit:
-// a sharded engine placed a queued registration, making it runnable).
+// OnEvent forwards grant/rollback/abort events as wakeups.
 func (n *Notifier) OnEvent(e core.Event) {
 	switch e.Kind {
-	case core.EventGrant, core.EventRollback, core.EventAbort, core.EventAdmit:
+	case core.EventGrant, core.EventRollback, core.EventAbort:
 		n.Wake(e.Txn)
 	}
 }
@@ -82,7 +81,7 @@ func (n *Notifier) OnEvent(e core.Event) {
 const ctxCheckInterval = 256
 
 // maxBurst bounds how many consecutive operations one transaction runs
-// per engine acquisition (core.Engine.StepBurst) — the fairness bound:
+// per engine acquisition (core.System.StepBurst) — the fairness bound:
 // no transaction holds the engine for more than 64 operations before
 // the others get a turn.
 const maxBurst = 64
@@ -108,7 +107,7 @@ const maxBurst = 64
 // attempted engine operations (waiting polls count one so a livelocked
 // transaction cannot spin forever against a zero budget; a burst never
 // overruns the remaining budget); maxSteps <= 0 means 1,000,000.
-func StepToCommit(ctx context.Context, sys core.Engine, id txn.ID, wake <-chan struct{}, maxSteps int) error {
+func StepToCommit(ctx context.Context, sys *core.System, id txn.ID, wake <-chan struct{}, maxSteps int) error {
 	if maxSteps <= 0 {
 		maxSteps = 1_000_000
 	}

@@ -261,25 +261,3 @@ func TestE15(t *testing.T) {
 		t.Errorf("distributed MCS lost %d > Total %d", sum[core.MCS], sum[core.Total])
 	}
 }
-
-func TestE16ShardingSweep(t *testing.T) {
-	rows, tab, err := E16Sharding(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 || len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
-	}
-	wantShards := []int{1, 2, 4, 8}
-	for i, r := range rows {
-		if r.Shards != wantShards[i] {
-			t.Errorf("row %d shards = %d, want %d", i, r.Shards, wantShards[i])
-		}
-		if r.Stats.Commits != rows[0].Stats.Commits {
-			t.Errorf("shards=%d commits %d != baseline %d", r.Shards, r.Stats.Commits, rows[0].Stats.Commits)
-		}
-		if r.Throughput <= 0 {
-			t.Errorf("shards=%d nonpositive throughput", r.Shards)
-		}
-	}
-}

@@ -71,11 +71,8 @@ func E13Hybrid(seed int64) ([]E13Row, *Table, error) {
 				return nil, nil, err
 			}
 			peak := 0
-			// HybridStats is a strategy-specific inspection hook, not part
-			// of the Engine surface; this experiment runs unsharded.
-			hsys := r.System.(*core.System)
-			for _, id := range hsys.IDs() {
-				if _, p, err := hsys.HybridStats(id); err == nil && p > peak {
+			for _, id := range r.System.IDs() {
+				if _, p, err := r.System.HybridStats(id); err == nil && p > peak {
 					peak = p
 				}
 			}

@@ -16,23 +16,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"partialrollback/internal/graph"
 	"partialrollback/internal/txn"
 )
-
-// Clock is a shared logical clock. Recorders in different engine shards
-// draw ticks from one Clock so their episodes live on a single global
-// timeline: the atomic counter respects real-time order, and shard
-// co-location guarantees conflicting holds never overlap in real time,
-// so merged histories stay checkable with the same interval logic.
-type Clock struct {
-	v atomic.Int64
-}
-
-// Tick advances and returns the clock.
-func (c *Clock) Tick() int64 { return c.v.Add(1) }
 
 // Mode mirrors lock modes without importing internal/lock (history is
 // observational and keeps no lock semantics of its own).
@@ -66,10 +53,6 @@ type Episode struct {
 type Recorder struct {
 	mu    sync.Mutex
 	clock int64
-	// shared, when non-nil, supersedes the private clock: ticks come
-	// from the shared Clock so several recorders (one per shard) stamp
-	// episodes on one global timeline.
-	shared *Clock
 	// open maps (txn, entity) to the grant clock and mode of the
 	// in-progress hold.
 	open map[txn.ID]map[string]openHold
@@ -93,14 +76,6 @@ func NewRecorder() *Recorder {
 	}
 }
 
-// NewSharedClockRecorder returns an empty recorder drawing ticks from c
-// instead of a private clock.
-func NewSharedClockRecorder(c *Clock) *Recorder {
-	r := NewRecorder()
-	r.shared = c
-	return r
-}
-
 // Tick advances and returns the logical clock.
 func (r *Recorder) Tick() int64 {
 	r.mu.Lock()
@@ -110,10 +85,6 @@ func (r *Recorder) Tick() int64 {
 
 // tick advances the clock; caller holds r.mu.
 func (r *Recorder) tick() int64 {
-	if r.shared != nil {
-		r.clock = r.shared.Tick()
-		return r.clock
-	}
 	r.clock++
 	return r.clock
 }
@@ -199,30 +170,6 @@ func (r *Recorder) Committed() []Episode {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.committed
-}
-
-// Merged builds a read-only recorder from already-committed episodes of
-// several recorders (e.g. one per engine shard). The episodes must have
-// been timestamped against one shared Clock; they are ordered by grant
-// tick so CheckSerializable and SerialOrder behave as if a single
-// recorder had observed the whole execution.
-func Merged(episodes []Episode) *Recorder {
-	merged := make([]Episode, len(episodes))
-	copy(merged, episodes)
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Grant != merged[j].Grant {
-			return merged[i].Grant < merged[j].Grant
-		}
-		return merged[i].Release < merged[j].Release
-	})
-	r := NewRecorder()
-	r.committed = merged
-	for _, ep := range merged {
-		if ep.Release > r.clock {
-			r.clock = ep.Release
-		}
-	}
-	return r
 }
 
 // ConflictEdge is one edge of the conflict graph: From must serialize

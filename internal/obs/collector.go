@@ -45,8 +45,8 @@ var (
 // engine mutex — it never calls back into the engine.
 type Collector struct {
 	// Event counters.
-	Registers, Grants, Waits, Unlocks, Commits, Aborts, Admits *Counter
-	Deadlocks, Rollbacks, Restarts, OpsLost, Victims           *Counter
+	Registers, Grants, Waits, Unlocks, Commits, Aborts *Counter
+	Deadlocks, Rollbacks, Restarts, OpsLost, Victims   *Counter
 
 	// Histograms.
 	WaitDur        *DurationHistogram
@@ -74,7 +74,6 @@ func NewCollector(reg *Registry) *Collector {
 		Unlocks:   reg.NewCounter("pr_unlocks_total", "Early (shrinking-phase) unlocks."),
 		Commits:   reg.NewCounter("pr_commits_total", "Transactions committed."),
 		Aborts:    reg.NewCounter("pr_aborts_total", "Transactions aborted (rolled back to initial state and removed)."),
-		Admits:    reg.NewCounter("pr_admissions_total", "Queued cross-shard claims admitted to a shard."),
 		Deadlocks: reg.NewCounter("pr_deadlocks_total", "Deadlocks detected and resolved."),
 		Rollbacks: reg.NewCounter("pr_rollbacks_total", "Rollback events (partial and total)."),
 		Restarts:  reg.NewCounter("pr_restarts_total", "Rollbacks that went all the way to the initial state."),
@@ -129,8 +128,6 @@ func (c *Collector) OnEvent(e core.Event) {
 		c.mu.Lock()
 		c.active--
 		c.mu.Unlock()
-	case core.EventAdmit:
-		c.Admits.Inc()
 	case core.EventDeadlock:
 		c.Deadlocks.Inc()
 		if r := e.Deadlock; r != nil {

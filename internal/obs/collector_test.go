@@ -33,7 +33,6 @@ func TestCollectorCounters(t *testing.T) {
 	c.OnEvent(core.Event{Kind: core.EventGrant, Txn: 2, Entity: "a"})
 	c.OnEvent(core.Event{Kind: core.EventCommit, Txn: 1})
 	c.OnEvent(core.Event{Kind: core.EventCommit, Txn: 2})
-	c.OnEvent(core.Event{Kind: core.EventAdmit, Txn: 3})
 
 	checks := []struct {
 		name string
@@ -45,7 +44,6 @@ func TestCollectorCounters(t *testing.T) {
 		{"waits", c.Waits.Value(), 1},
 		{"unlocks", c.Unlocks.Value(), 1},
 		{"commits", c.Commits.Value(), 2},
-		{"admits", c.Admits.Value(), 1},
 		{"wait durations", c.WaitDur.Count(), 1},
 	}
 	for _, ck := range checks {

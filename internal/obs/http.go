@@ -18,10 +18,8 @@ type AdminOptions struct {
 	// Registry serves /metrics. Required.
 	Registry *Registry
 	// Engine provides the live snapshot behind /debug/waitfor and
-	// /debug/txns when it implements core.Snapshotter (core.System
-	// does); nil or any other engine disables the inspector endpoints
-	// with 404s.
-	Engine core.Engine
+	// /debug/txns; nil disables the inspector endpoints with 404s.
+	Engine *core.System
 	// Tracer, when non-nil, serves /debug/trace.
 	Tracer *Tracer
 	// Owners, when non-nil, annotates each /debug/txns entry with the
@@ -79,14 +77,6 @@ type TxnOwner struct {
 	Addr string `json:"addr"`
 	// Stream is the client-chosen stream ID.
 	Stream uint32 `json:"stream"`
-}
-
-// snapshotOf takes eng's debug snapshot, if eng supports one.
-func snapshotOf(eng core.Engine) (core.DebugSnapshot, bool) {
-	if s, ok := eng.(core.Snapshotter); ok {
-		return s.DebugSnapshot(), true
-	}
-	return core.DebugSnapshot{}, false
 }
 
 // NewAdminMux builds the admin HTTP surface:
@@ -196,12 +186,12 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // inspect takes the engine snapshot; it writes the HTTP error itself
 // when it returns !ok.
-func inspect(w http.ResponseWriter, eng core.Engine) (core.DebugSnapshot, bool) {
-	snap, ok := snapshotOf(eng)
-	if !ok {
-		http.Error(w, "engine does not support snapshots", http.StatusNotFound)
+func inspect(w http.ResponseWriter, eng *core.System) (core.DebugSnapshot, bool) {
+	if eng == nil {
+		http.Error(w, "no engine wired", http.StatusNotFound)
+		return core.DebugSnapshot{}, false
 	}
-	return snap, ok
+	return eng.DebugSnapshot(), true
 }
 
 // WaitForDOT renders the snapshot's wait-for arcs as a Graphviz

@@ -42,7 +42,7 @@ func blockedSystem(t *testing.T) *core.System {
 	return sys
 }
 
-func newTestMux(t *testing.T, eng core.Engine) *http.ServeMux {
+func newTestMux(t *testing.T, eng *core.System) *http.ServeMux {
 	t.Helper()
 	reg := NewRegistry()
 	reg.NewCounter("pr_grants_total", "").Add(3)
@@ -207,14 +207,15 @@ func TestPprofMounted(t *testing.T) {
 	}
 }
 
-// label historical: the node has one engine since sharding left it, so
-// snapshotOf yields one snapshot.
+// label historical: the name predates the single-engine inspector;
+// inspect now takes one *core.System and yields its one snapshot.
 func TestSnapshotsOf(t *testing.T) {
-	if _, ok := snapshotOf(nil); ok {
-		t.Error("nil engine reported a snapshot")
+	rec := httptest.NewRecorder()
+	if _, ok := inspect(rec, nil); ok || rec.Code != http.StatusNotFound {
+		t.Errorf("nil engine: ok=%v status=%d, want a 404", ok, rec.Code)
 	}
 	sys := blockedSystem(t)
-	snap, ok := snapshotOf(sys)
+	snap, ok := inspect(httptest.NewRecorder(), sys)
 	if !ok || len(snap.Txns) != 2 || len(snap.Arcs) != 1 {
 		t.Fatalf("System snapshot: ok=%v txns=%d arcs=%d", ok, len(snap.Txns), len(snap.Arcs))
 	}

@@ -16,6 +16,10 @@ import (
 // Stats() — in particular that the rollback-depth histogram's count and
 // sum equal the engine's rollback and ops-lost totals (the paper's cost
 // metric, derived independently from the same events).
+//
+// label historical: the loop once ran the engine with 1 and 4 shards.
+// Both legs now run the one engine, each on its own workload (the seed
+// is offset by the leg's former shard count).
 func TestCollectorMatchesEngineStats(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		// PadOps 40 stretches each transaction across several 64-op
@@ -23,14 +27,13 @@ func TestCollectorMatchesEngineStats(t *testing.T) {
 		// holding locks and deadlock.
 		w := sim.Generate(sim.GenConfig{
 			Txns: 24, DBSize: 8, LocksPerTxn: 4,
-			HotSet: 3, HotProb: 0.8, PadOps: 40, Seed: 7,
+			HotSet: 3, HotProb: 0.8, PadOps: 40, Seed: 7 + int64(shards),
 		})
 		reg := obs.NewRegistry()
 		c := obs.NewCollector(reg)
 		out, err := runtime.Run(w.NewStore(), w.Programs, runtime.Options{
 			Strategy: core.MCS,
 			Policy:   deadlock.OrderedMinCost{},
-			Shards:   shards,
 			OnEvent:  c.OnEvent,
 		})
 		if err != nil {

@@ -5,8 +5,8 @@
 //
 // Everything is fed by the structured core.Event stream the engine
 // already emits — the collector and tracer are just event sinks chained
-// onto core.Config.OnEvent — plus the point-in-time snapshot hook
-// (core.Snapshotter) for the live inspector.
+// onto core.Config.OnEvent — plus the point-in-time snapshot
+// (core.System.DebugSnapshot) for the live inspector.
 // The hot path costs a handful of atomic increments per event; tracing
 // is off by default and short-circuits on one atomic load.
 package obs

@@ -92,7 +92,7 @@ type frame struct {
 
 // Pool is the paged entity backend: a heap file plus a bounded frame
 // cache. All methods are safe for concurrent use (one internal mutex —
-// shards and checkpoints call in concurrently).
+// the engine and the checkpointer call in concurrently).
 type Pool struct {
 	mu       sync.Mutex
 	f        *os.File

@@ -25,7 +25,6 @@ import (
 	"partialrollback/internal/entity"
 	"partialrollback/internal/exec"
 	"partialrollback/internal/hybrid"
-	"partialrollback/internal/shard"
 	"partialrollback/internal/txn"
 )
 
@@ -42,10 +41,6 @@ type Options struct {
 	HybridAllocator hybrid.Allocator
 	// MaxStepsPerTxn bounds each transaction's total steps (0: 1M).
 	MaxStepsPerTxn int
-	// Shards selects the engine: 0 or 1 runs a single core.System, a
-	// larger value partitions the engine into that many shards
-	// (internal/shard) so disjoint transactions execute in parallel.
-	Shards int
 	// LockWait forwards to core.Config.LockWait (engine-lock wait
 	// observer, nanoseconds per step-path acquisition).
 	LockWait func(ns int64)
@@ -61,7 +56,7 @@ type Options struct {
 
 // Outcome reports a completed concurrent run.
 type Outcome struct {
-	System core.Engine
+	System *core.System
 	Stats  core.Stats
 	IDs    []txn.ID
 }
@@ -79,7 +74,7 @@ func Run(store *entity.Store, programs []*txn.Program, opt Options) (*Outcome, e
 			tap(e)
 		}
 	}
-	cfg := core.Config{
+	sys := core.New(core.Config{
 		Store:           store,
 		Strategy:        opt.Strategy,
 		Policy:          opt.Policy,
@@ -90,13 +85,7 @@ func Run(store *entity.Store, programs []*txn.Program, opt Options) (*Outcome, e
 		CommitLog:       opt.CommitLog,
 		OnEvent:         onEvent,
 		LockWait:        opt.LockWait,
-	}
-	var sys core.Engine
-	if opt.Shards > 1 {
-		sys = shard.New(opt.Shards, cfg)
-	} else {
-		sys = core.New(cfg)
-	}
+	})
 
 	ids := make([]txn.ID, 0, len(programs))
 	for _, p := range programs {

@@ -63,24 +63,26 @@ func TestConcurrentWithPrevention(t *testing.T) {
 }
 
 // TestConcurrentBurst runs the concurrent driver's bursting loop (run
-// with -race): unsharded and sharded, a contended banking workload
-// must fully commit, keep the store's sum constraint, and stay
-// conflict-serializable — bursting amortizes engine-lock acquisitions
-// but must not coarsen conflict resolution.
+// with -race): a contended banking workload must fully commit, keep the
+// store's sum constraint, and stay conflict-serializable — bursting
+// amortizes engine-lock acquisitions but must not coarsen conflict
+// resolution.
 //
 // The burstN labels name the retired -burst modes (-1 was adaptive),
 // kept so the test IDs stay stable; every label now runs the one
 // stepping rule, and N still offsets the workload seed (17+N).
+// label historical: shardsN named the retired in-process shard count;
+// both legs run the one engine, and a non-zero N offsets the seed by N
+// so the legs stay distinct workloads.
 func TestConcurrentBurst(t *testing.T) {
 	for _, n := range []int{1, 4, 16, 64, -1} {
 		for _, shards := range []int{0, 4} {
 			t.Run(fmt.Sprintf("burst%d/shards%d", n, shards), func(t *testing.T) {
 				const accounts, transfers = 6, 40
-				w := paddedBanking(accounts, transfers, int64(17+n))
+				w := paddedBanking(accounts, transfers, int64(17+n+shards))
 				store := w.NewStore()
 				out, err := Run(store, w.Programs, Options{
 					Strategy: core.MCS, RecordHistory: true,
-					Shards: shards,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -117,10 +119,13 @@ func paddedBanking(accounts, transfers int, seed int64) sim.Workload {
 	return w
 }
 
-// TestConcurrentSharded runs the concurrent driver over multi-shard
-// engines (run with -race): a mixed hotspot workload must fully commit,
-// keep the store consistent, pass engine invariants, and stay
-// conflict-serializable in the merged history.
+// TestConcurrentSharded runs the concurrent driver over a mixed
+// hotspot workload (run with -race): it must fully commit, keep the
+// store consistent, pass engine invariants, and stay
+// conflict-serializable.
+//
+// label historical: shardsN named the retired in-process shard count;
+// every leg runs the one engine, and N offsets the seed (13+N).
 func TestConcurrentSharded(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		for _, strat := range []core.Strategy{core.MCS, core.SDG} {
@@ -128,11 +133,11 @@ func TestConcurrentSharded(t *testing.T) {
 				w := sim.Generate(sim.GenConfig{
 					Txns: 24, DBSize: 32, HotSet: 8, HotProb: 0.6,
 					LocksPerTxn: 4, RewriteProb: 0.5, PadOps: longPad,
-					Shape: sim.Mixed, Seed: 13,
+					Shape: sim.Mixed, Seed: 13 + int64(shards),
 				})
 				store := w.NewStore()
 				out, err := Run(store, w.Programs, Options{
-					Strategy: strat, RecordHistory: true, Shards: shards,
+					Strategy: strat, RecordHistory: true,
 				})
 				if err != nil {
 					t.Fatal(err)

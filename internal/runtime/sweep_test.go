@@ -72,9 +72,11 @@ func TestConcurrentStriped(t *testing.T) {
 	}
 }
 
-// TestConcurrentStripedSharded runs the same sweep through a two-shard
-// engine (run with -race), so every shard's engine mutex is contended
-// at once.
+// TestConcurrentStripedSharded runs the same sweep on its own seed (run
+// with -race).
+//
+// label historical: the name is from the retired two-shard engine this
+// sweep once ran through; it now runs the one engine.
 func TestConcurrentStripedSharded(t *testing.T) {
 	for _, strat := range []core.Strategy{core.MCS, core.SDG} {
 		t.Run(strat.String(), func(t *testing.T) {
@@ -86,7 +88,6 @@ func TestConcurrentStripedSharded(t *testing.T) {
 			store := w.NewStore()
 			out, err := Run(store, w.Programs, Options{
 				Strategy: strat, RecordHistory: true,
-				Shards: 2,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -13,19 +13,23 @@ import (
 // byte-for-byte — same event stream, same step count, same stats, same
 // final database, same serial order. This is the contract behind
 // core.System.Step being StepBurst(id, 1).
+//
+// label historical: shardsN named the retired in-process shard count;
+// both legs run the one engine, and N offsets the seed (41+N).
 func TestBurstOneIsStepRegression(t *testing.T) {
 	for _, strat := range []core.Strategy{core.Total, core.MCS, core.SDG} {
 		for _, sched := range []Scheduler{RoundRobin, RandomPick} {
 			for _, shards := range []int{0, 3} {
 				t.Run(fmt.Sprintf("%v/%s/shards%d", strat, sched, shards), func(t *testing.T) {
+					seed := int64(41 + shards)
 					gen := GenConfig{
 						Txns: 10, DBSize: 12, HotSet: 6, HotProb: 0.8,
 						LocksPerTxn: 4, SharedProb: 0.2, RewriteProb: 0.5,
-						PadOps: 2, Shape: Mixed, Seed: 41,
+						PadOps: 2, Shape: Mixed, Seed: seed,
 					}
 					base := RunConfig{
-						Strategy: strat, Scheduler: sched, Seed: 41,
-						Shards: shards, RecordHistory: true,
+						Strategy: strat, Scheduler: sched, Seed: seed,
+						RecordHistory: true,
 					}
 					stepCfg := base
 					stepCfg.Burst = 0 // original Step path
@@ -76,19 +80,21 @@ func TestBurstOneIsStepRegression(t *testing.T) {
 // TestBurstPropertySerializable is the bursty twin of the central
 // randomized sweep: random workloads at every burst level (including
 // far past program length, and exec.StepToCommit's bound of 64) under
-// every rollback strategy, unsharded and sharded, must terminate, keep
-// engine invariants, stay conflict-serializable, and leave the
-// database in the state of their own equivalent serial order.
+// every rollback strategy must terminate, keep engine invariants, stay
+// conflict-serializable, and leave the database in the state of their
+// own equivalent serial order.
 //
 // The burst-1 label named the retired adaptive mode; it is kept so the
 // test IDs stay stable and now runs at 64 with its own seed (7-1).
+// label historical: shardsN named the retired in-process shard count;
+// both legs run the one engine, and N offsets the seed (7+label+N).
 func TestBurstPropertySerializable(t *testing.T) {
 	for _, label := range []int{-1, 2, 4, 16, 64} {
 		for _, shards := range []int{0, 3} {
 			for _, strat := range []core.Strategy{core.Total, core.MCS, core.SDG} {
 				name := fmt.Sprintf("burst%d/shards%d/%v", label, shards, strat)
 				t.Run(name, func(t *testing.T) {
-					seed := int64(7 + label)
+					seed := int64(7 + label + shards)
 					burst := label
 					if burst < 0 {
 						burst = 64
@@ -100,7 +106,7 @@ func TestBurstPropertySerializable(t *testing.T) {
 					})
 					r, err := Run(w, RunConfig{
 						Strategy: strat, Scheduler: Scheduler(int(seed) % 2),
-						Seed: seed, Shards: shards, Burst: burst,
+						Seed: seed, Burst: burst,
 						RecordHistory: true, CheckInvariants: true,
 						MaxSteps: 500000,
 					})

@@ -94,6 +94,54 @@ func TestPropertySerializableAcrossMatrix(t *testing.T) {
 	}
 }
 
+// TestShardPropertySerializable is a second randomized sweep with the
+// central sweep's checks: random workloads under every rollback strategy
+// must terminate, keep engine invariants, stay conflict-serializable,
+// and leave the database in the state of their own equivalent serial
+// order.
+//
+// label historical: shardsN named the retired in-process shard count;
+// every leg runs the one engine, and N offsets the seed (seed+N).
+func TestShardPropertySerializable(t *testing.T) {
+	for _, shards := range []int{2, 3, 4} {
+		for _, strat := range []core.Strategy{core.Total, core.MCS, core.SDG} {
+			for _, seed := range []int64{1, 5, 9} {
+				name := fmt.Sprintf("shards%d/%v/seed%d", shards, strat, seed)
+				t.Run(name, func(t *testing.T) {
+					seed := seed + int64(shards)
+					w := Generate(GenConfig{
+						Txns: 10, DBSize: 14, HotSet: 6, HotProb: 0.7,
+						LocksPerTxn: 4, SharedProb: 0.25, RewriteProb: 0.5,
+						PadOps: 2, Shape: Mixed, Seed: seed,
+					})
+					r, err := Run(w, RunConfig{
+						Strategy: strat, Scheduler: Scheduler(int(seed) % 2),
+						Seed: seed, RecordHistory: true, CheckInvariants: true,
+						MaxSteps: 500000,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if r.Committed != 10 {
+						t.Fatalf("committed %d", r.Committed)
+					}
+					order, err := r.System.Recorder().SerialOrder()
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := runSerialOrder(t, w, order)
+					snap := snapshotOf(t, r)
+					for e, wantV := range want {
+						if snap[e] != wantV {
+							t.Errorf("entity %q = %d, serial oracle %d", e, snap[e], wantV)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // snapshotOf extracts the final database of a finished run.
 func snapshotOf(t *testing.T, r Result) map[string]int64 {
 	t.Helper()

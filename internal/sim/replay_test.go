@@ -7,6 +7,19 @@ import (
 	"partialrollback/internal/core"
 )
 
+// collectEvents runs a workload and returns the result plus the full
+// event stream rendered as strings.
+func collectEvents(t *testing.T, w Workload, rc RunConfig) (Result, []string) {
+	t.Helper()
+	var events []string
+	rc.OnEvent = func(e core.Event) { events = append(events, e.String()) }
+	r, err := Run(w, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, events
+}
+
 // assertSameRun fails unless two runs produced the same stats, step
 // count, event stream, final database and serial order.
 func assertSameRun(t *testing.T, ra, rb Result, ea, eb []string) {
@@ -79,25 +92,4 @@ func TestStripedSequentialRegression(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestStripedShardedSequentialRegression pins a one-shard engine
-// against the flat engine event by event under the deterministic
-// scheduler, on a workload with shared locks.
-func TestStripedShardedSequentialRegression(t *testing.T) {
-	gen := GenConfig{
-		Txns: 12, DBSize: 16, HotSet: 6, HotProb: 0.7,
-		LocksPerTxn: 4, SharedProb: 0.25, RewriteProb: 0.5,
-		PadOps: 2, Shape: Mixed, Seed: 31,
-	}
-	flat := RunConfig{
-		Strategy: core.MCS, Scheduler: RoundRobin, Seed: 31,
-		RecordHistory: true,
-	}
-	sharded := flat
-	sharded.Shards = 1
-
-	rf, ef := collectEvents(t, Generate(gen), flat)
-	rs, es := collectEvents(t, Generate(gen), sharded)
-	assertSameRun(t, rf, rs, ef, es)
 }

@@ -8,7 +8,6 @@ import (
 	"partialrollback/internal/deadlock"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/hybrid"
-	"partialrollback/internal/shard"
 	"partialrollback/internal/txn"
 )
 
@@ -56,14 +55,8 @@ type RunConfig struct {
 	CheckInvariants bool
 	// OnEvent forwards engine events.
 	OnEvent func(core.Event)
-	// Shards selects the engine: 0 steps a single core.System directly
-	// (the original unsharded path), >= 1 routes the run through a
-	// shard.Engine with that many partitions. Shards=1 is semantically
-	// identical to Shards=0 (one shard, identity ID mapping); the
-	// regression tests pin that equivalence.
-	Shards int
-	// Burst selects the stepping call: <= 0 uses Engine.Step (the original
-	// one-op-per-call path), >= 1 uses Engine.StepBurst with that bound.
+	// Burst selects the stepping call: <= 0 uses System.Step (the original
+	// one-op-per-call path), >= 1 uses System.StepBurst with that bound.
 	// Burst=1 is semantically identical to Burst=0 (one operation per
 	// engine acquisition); the regression tests pin that equivalence.
 	// Larger bursts run each scheduled transaction up to Burst
@@ -94,7 +87,7 @@ type Result struct {
 	// AvgRollbackDepth is OpsLost per rollback.
 	AvgRollbackDepth float64
 	// System is the finished engine, for further inspection.
-	System core.Engine
+	System *core.System
 	// Store is the database the run executed against.
 	Store *entity.Store
 }
@@ -118,7 +111,7 @@ func Run(w Workload, rc RunConfig) (Result, error) {
 		maxSteps = 10_000_000
 	}
 	store := w.NewStore()
-	cfg := core.Config{
+	sys := core.New(core.Config{
 		Store:           store,
 		Strategy:        rc.Strategy,
 		Policy:          policy,
@@ -128,13 +121,7 @@ func Run(w Workload, rc RunConfig) (Result, error) {
 		StarvationLimit: rc.StarvationLimit,
 		RecordHistory:   rc.RecordHistory,
 		OnEvent:         rc.OnEvent,
-	}
-	var sys core.Engine
-	if rc.Shards >= 1 {
-		sys = shard.New(rc.Shards, cfg)
-	} else {
-		sys = core.New(cfg)
-	}
+	})
 	ids := make([]txn.ID, 0, len(w.Programs))
 	for _, p := range w.Programs {
 		id, err := sys.Register(p)

@@ -8,7 +8,8 @@ import (
 // TestScanResumesMidSequence: a post-rotation segment starts at
 // whatever sequence number the global counter had reached — Scan must
 // accept a file whose first record is deep into the sequence space,
-// with gaps (other shards own the missing numbers).
+// with gaps (a sealed segment adopted from an older multi-log node
+// skips the numbers its sibling logs held).
 func TestScanResumesMidSequence(t *testing.T) {
 	var buf []byte
 	seqs := []uint64{1000, 1001, 1005, 1100}

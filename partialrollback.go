@@ -34,7 +34,6 @@ import (
 	"partialrollback/internal/optimizer"
 	"partialrollback/internal/runtime"
 	"partialrollback/internal/server"
-	"partialrollback/internal/shard"
 	"partialrollback/internal/txn"
 	"partialrollback/internal/value"
 	"partialrollback/internal/wal"
@@ -42,17 +41,8 @@ import (
 
 // Core engine types.
 type (
-	// Engine is the concurrency-control surface shared by the
-	// single-shard System and the sharded engine (NewSharded): every
-	// driver in this package accepts either.
-	Engine = core.Engine
 	// System is the concurrency control.
 	System = core.System
-	// ShardedEngine partitions the engine into independent shards
-	// (per-shard lock table, wait-for graph and deadlock detection)
-	// with conflict-driven entity placement, so transactions over
-	// disjoint entities execute in parallel.
-	ShardedEngine = shard.Engine
 	// Config configures a System.
 	Config = core.Config
 	// Strategy selects the rollback implementation.
@@ -115,13 +105,6 @@ const (
 
 // New creates a System over store.
 func New(cfg Config) *System { return core.New(cfg) }
-
-// NewSharded creates an engine of n shards configured from cfg — same
-// semantics as a single System (conflicting transactions are co-located
-// on one shard, so deadlock removal by partial rollback applies
-// unchanged), but lock traffic on disjoint entities runs in parallel.
-// n = 1 behaves exactly like New.
-func NewSharded(n int, cfg Config) *ShardedEngine { return shard.New(n, cfg) }
 
 // Transaction programs.
 type (
