@@ -55,12 +55,10 @@ func TestConcurrentCheckpointsAreCommitConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	notif := exec.NewNotifier()
 	eng := core.New(core.Config{
 		Store:     store,
 		Strategy:  core.MCS,
 		CommitLog: set,
-		OnEvent:   notif.OnEvent,
 	})
 	cp := checkpoint.New(set, eng, storeSnapshotter(store), checkpoint.Options{
 		Interval: 2 * time.Millisecond,
@@ -74,7 +72,6 @@ func TestConcurrentCheckpointsAreCommitConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		notif.Register(id)
 		ids = append(ids, id)
 	}
 	var wg sync.WaitGroup
@@ -83,8 +80,7 @@ func TestConcurrentCheckpointsAreCommitConsistent(t *testing.T) {
 		wg.Add(1)
 		go func(id txn.ID) {
 			defer wg.Done()
-			wake := notif.Register(id)
-			if err := exec.StepToCommit(context.Background(), eng, id, wake, 0); err != nil {
+			if err := exec.StepToCommit(context.Background(), eng, id, 0); err != nil {
 				errCh <- err
 			}
 		}(id)

@@ -160,4 +160,11 @@ type StepResult struct {
 	// configured: the ticket to wait on (outside the engine mutex)
 	// before acknowledging the commit to anyone.
 	Durable CommitAck
+	// Wake is set when Outcome is Blocked, BlockedDeadlock or
+	// StillWaiting: the transaction's one-slot wake channel, which
+	// receives a token when the transaction becomes runnable again
+	// (granted or rolled back, §2 rule 2). A transition inside this very
+	// step leaves its token too, so a driver parks on Wake with no
+	// Status re-check and loses no wake.
+	Wake <-chan struct{}
 }

@@ -282,6 +282,7 @@ func (s *System) rollbackTo(t *tstate, q int) error {
 		t.status = StatusRunning
 		t.waitEntity = ""
 		t.waitEnt = intern.None
+		t.signalWake()
 		s.refreshWaiters(waited)
 		s.applyGrants(grants)
 	}

@@ -66,6 +66,9 @@ func (s *System) StepBurst(id txn.ID, max int) (StepResult, int, error) {
 			steps++
 		}
 		if res.Outcome != Progressed || steps >= max {
+			if res.Outcome == Blocked || res.Outcome == BlockedDeadlock || res.Outcome == StillWaiting {
+				res.Wake = t.wake
+			}
 			return res, steps, nil
 		}
 	}
@@ -198,6 +201,9 @@ func (s *System) stepLock(t *tstate, op *txn.Op) (StepResult, error) {
 
 	// Wait response (§2 rule 2).
 	t.status = StatusWaiting
+	if t.wake == nil {
+		t.wake = make(chan struct{}, 1)
+	}
 	t.waitEntity = op.Entity
 	t.waitEnt = ent
 	t.stats.Waits++
@@ -256,6 +262,7 @@ func (s *System) finishGrant(t *tstate, ent intern.ID, entityName string, mode l
 		t.waitEntity = ""
 		t.waitEnt = intern.None
 		s.wf.RemoveAllWaitsBy(t.id)
+		t.signalWake()
 	}
 	if s.recorder != nil {
 		m := history.Read

@@ -160,7 +160,9 @@ type Config struct {
 	// a byte-identical commit path.
 	CommitLog CommitLogger
 	// OnEvent, when non-nil, receives every engine event. It runs under
-	// the engine mutex, so it must not call back into the System.
+	// the engine mutex, so it must not call back into the System. It is
+	// a tap only (tracer, metrics, the server's RolledBack frames):
+	// waking parked drivers is the engine's own job (StepResult.Wake).
 	OnEvent func(Event)
 	// LockWait, when non-nil, observes the nanoseconds each engine-lock
 	// acquisition on the step path blocked before entering the critical
@@ -239,6 +241,12 @@ type tstate struct {
 	lockStates []lockStateRec
 	waitEntity string
 	waitEnt    intern.ID
+	// wake is the one-slot channel t's driver parks on while t waits
+	// (StepResult.Wake). It is made at t's first wait and signalled at
+	// the two points a waiter becomes runnable again: its request is
+	// granted (finishGrant) or it is rolled back (rollbackTo, which
+	// Abort also goes through).
+	wake chan struct{}
 
 	// pinned holds the lock-set entity IDs pinned in the paged store at
 	// Register (empty on the memory backend). Pins keep those pages
@@ -280,6 +288,16 @@ func (t *tstate) dropSlot(ent intern.ID) {
 			t.slots = t.slots[:len(t.slots)-1]
 			return
 		}
+	}
+}
+
+// signalWake leaves one token on t's wake channel: t was waiting and
+// is runnable again. It never blocks; a token already there covers
+// this transition too, so no wake is lost.
+func (t *tstate) signalWake() {
+	select {
+	case t.wake <- struct{}{}:
+	default:
 	}
 }
 

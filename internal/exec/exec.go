@@ -12,69 +12,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"partialrollback/internal/core"
 	"partialrollback/internal/txn"
 )
-
-// Notifier routes engine events to per-transaction wake channels so a
-// goroutine parked on a blocked transaction resumes when the engine
-// grants its lock or rolls it back (either way it is runnable again).
-// Pass OnEvent to core.Config.OnEvent (or call it from a composite
-// event handler). All methods are safe for concurrent use and OnEvent
-// never blocks, so it is safe to invoke under the engine mutex.
-type Notifier struct {
-	mu   sync.Mutex
-	wake map[txn.ID]chan struct{}
-}
-
-// NewNotifier returns an empty Notifier.
-func NewNotifier() *Notifier {
-	return &Notifier{wake: map[txn.ID]chan struct{}{}}
-}
-
-// Register creates (or returns) the wake channel for id.
-func (n *Notifier) Register(id txn.ID) chan struct{} {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ch, ok := n.wake[id]
-	if !ok {
-		ch = make(chan struct{}, 1)
-		n.wake[id] = ch
-	}
-	return ch
-}
-
-// Unregister drops id's wake channel.
-func (n *Notifier) Unregister(id txn.ID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.wake, id)
-}
-
-// Wake kicks id's wake channel, if registered (non-blocking).
-func (n *Notifier) Wake(id txn.ID) {
-	n.mu.Lock()
-	ch := n.wake[id]
-	n.mu.Unlock()
-	if ch == nil {
-		return
-	}
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
-}
-
-// OnEvent forwards grant/rollback/abort events as wakeups.
-func (n *Notifier) OnEvent(e core.Event) {
-	switch e.Kind {
-	case core.EventGrant, core.EventRollback, core.EventAbort:
-		n.Wake(e.Txn)
-	}
-}
 
 // ctxCheckInterval bounds how many uninterrupted steps StepToCommit
 // executes between context checks.
@@ -87,7 +29,12 @@ const ctxCheckInterval = 256
 const maxBurst = 64
 
 // StepToCommit drives one transaction to commit: it steps the
-// transaction while it progresses and parks on wake while it waits.
+// transaction while it progresses and, while it waits, parks on the
+// wake channel the blocked step returned (core.StepResult.Wake). The
+// engine signals that channel when it grants the request or rolls the
+// transaction back, including during the blocked step itself, so the
+// park needs no status re-check.
+//
 // When the engine rolls the transaction back (deadlock victim, wound,
 // starvation escalation), its program counter has been reset and the
 // loop simply keeps stepping — re-executing from the rollback point.
@@ -107,7 +54,7 @@ const maxBurst = 64
 // attempted engine operations (waiting polls count one so a livelocked
 // transaction cannot spin forever against a zero budget; a burst never
 // overruns the remaining budget); maxSteps <= 0 means 1,000,000.
-func StepToCommit(ctx context.Context, sys *core.System, id txn.ID, wake <-chan struct{}, maxSteps int) error {
+func StepToCommit(ctx context.Context, sys *core.System, id txn.ID, maxSteps int) error {
 	if maxSteps <= 0 {
 		maxSteps = 1_000_000
 	}
@@ -149,11 +96,8 @@ func StepToCommit(ctx context.Context, sys *core.System, id txn.ID, wake <-chan 
 			runtime.Gosched()
 			continue
 		case core.Blocked, core.BlockedDeadlock, core.StillWaiting:
-			if st, err := sys.Status(id); err == nil && st == core.StatusRunning {
-				continue // rolled back or granted during the same step
-			}
 			select {
-			case <-wake:
+			case <-res.Wake:
 			case <-ctx.Done():
 				return ctx.Err()
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,21 +20,18 @@ import (
 // commit through the shared loop.
 func TestStepToCommitDeadlock(t *testing.T) {
 	for _, strategy := range []core.Strategy{core.Total, core.MCS, core.SDG} {
-		notif := NewNotifier()
 		store := entity.NewUniformStore("e", 4, 100)
-		sys := core.New(core.Config{Store: store, Strategy: strategy, OnEvent: notif.OnEvent})
+		sys := core.New(core.Config{Store: store, Strategy: strategy})
 		progs := []struct{ from, to string }{{"e0", "e1"}, {"e1", "e0"}}
 		var wg sync.WaitGroup
 		errCh := make(chan error, len(progs))
-		for i, p := range progs {
+		for _, p := range progs {
 			id := sys.MustRegister(sim.TransferProgram("t", p.from, p.to, 1, 3))
-			wake := notif.Register(id)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				errCh <- StepToCommit(context.Background(), sys, id, wake, 0)
+				errCh <- StepToCommit(context.Background(), sys, id, 0)
 			}()
-			_ = i
 		}
 		wg.Wait()
 		close(errCh)
@@ -55,18 +53,16 @@ func TestStepToCommitDeadlock(t *testing.T) {
 // cancels the context: the loop must return ctx.Err() promptly, leaving
 // the transaction registered for the caller to abort.
 func TestStepToCommitContextCancel(t *testing.T) {
-	notif := NewNotifier()
 	store := entity.NewUniformStore("e", 4, 100)
-	sys := core.New(core.Config{Store: store, OnEvent: notif.OnEvent})
+	sys := core.New(core.Config{Store: store})
 	holder := sys.MustRegister(sim.TransferProgram("holder", "e0", "e1", 1, 0))
 	if _, err := sys.Step(holder); err != nil { // holder takes e0
 		t.Fatal(err)
 	}
 	waiter := sys.MustRegister(sim.TransferProgram("waiter", "e0", "e2", 1, 0))
-	wake := notif.Register(waiter)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	err := StepToCommit(ctx, sys, waiter, wake, 0)
+	err := StepToCommit(ctx, sys, waiter, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want DeadlineExceeded", err)
 	}
@@ -74,8 +70,7 @@ func TestStepToCommitContextCancel(t *testing.T) {
 		t.Fatalf("abort after cancel: %v", err)
 	}
 	// The holder must still be able to commit.
-	wakeH := notif.Register(holder)
-	if err := StepToCommit(context.Background(), sys, holder, wakeH, 0); err != nil {
+	if err := StepToCommit(context.Background(), sys, holder, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -84,7 +79,9 @@ func TestStepToCommitContextCancel(t *testing.T) {
 // transaction runs up to maxBurst operations per engine acquisition,
 // counted through core.Config.LockWait (called once per StepBurst). A
 // 22-op uniform-shaped program commits in one acquisition and a 150-op
-// program in ceil(150/64) = 3.
+// program in ceil(150/64) = 3. A waiter costs one acquisition to block
+// and one after its wake: the immediate grant before the block leaves
+// no wake token behind, so there is no spurious poll.
 func TestStepToCommitAcquisitions(t *testing.T) {
 	uniform := sim.Generate(sim.GenConfig{Txns: 50, DBSize: 4096, LocksPerTxn: 4,
 		SharedProb: 0.8, PadOps: 2, Shape: sim.Scattered, Seed: 1})
@@ -109,16 +106,45 @@ func TestStepToCommitAcquisitions(t *testing.T) {
 	}
 	for _, c := range cases {
 		acquisitions := 0
-		notif := NewNotifier()
-		sys := core.New(core.Config{Store: c.store, OnEvent: notif.OnEvent,
+		sys := core.New(core.Config{Store: c.store,
 			LockWait: func(int64) { acquisitions++ }})
 		id := sys.MustRegister(c.prog)
-		if err := StepToCommit(context.Background(), sys, id, notif.Register(id), 0); err != nil {
+		if err := StepToCommit(context.Background(), sys, id, 0); err != nil {
 			t.Fatal(err)
 		}
 		if acquisitions != c.want {
 			t.Errorf("%d-op program: %d engine acquisitions, want %d", len(c.prog.Ops), acquisitions, c.want)
 		}
+	}
+
+	// Contended: the holder takes e0; the waiter is granted e1, blocks
+	// on e0 and parks; the holder commits in one burst.
+	var acquisitions atomic.Int64
+	sys := core.New(core.Config{Store: entity.NewUniformStore("e", 4, 100),
+		LockWait: func(int64) { acquisitions.Add(1) }})
+	holder := sys.MustRegister(sim.TransferProgram("holder", "e0", "e2", 1, 0))
+	waiter := sys.MustRegister(txn.NewProgram("waiter").LockX("e1").LockX("e0").MustBuild())
+	if res, err := sys.Step(holder); err != nil || res.Outcome != core.Progressed {
+		t.Fatalf("holder takes e0: %v, %v", res.Outcome, err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- StepToCommit(context.Background(), sys, waiter, 0) }()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, _ := sys.Status(waiter); st == core.StatusWaiting {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never blocked on e0")
+		}
+	}
+	if res, _, err := sys.StepBurst(holder, maxBurst); err != nil || res.Outcome != core.Committed {
+		t.Fatalf("holder commit: %v, %v", res.Outcome, err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := acquisitions.Load() - 2; got != 2 { // less the holder's two
+		t.Errorf("contended waiter: %d engine acquisitions, want 2", got)
 	}
 }
 
@@ -302,21 +328,6 @@ func TestRetry(t *testing.T) {
 			t.Fatalf("err=%v", err)
 		}
 	})
-}
-
-func TestNotifierWakeUnknown(t *testing.T) {
-	n := NewNotifier()
-	n.Wake(99) // must not panic
-	ch := n.Register(1)
-	n.OnEvent(core.Event{Kind: core.EventGrant, Txn: 1})
-	n.OnEvent(core.Event{Kind: core.EventGrant, Txn: 1}) // non-blocking when full
-	select {
-	case <-ch:
-	default:
-		t.Fatal("no wakeup delivered")
-	}
-	n.Unregister(1)
-	n.Wake(1) // no-op after unregister
 }
 
 // TestBackoffJitterDeterminism: an injected Jitter source supersedes

@@ -1,12 +1,12 @@
 // Package runtime drives a core.System with one goroutine per
 // transaction — the "transactions are concurrently executing programs"
 // view of the paper's model, realized with Go's native concurrency.
-// Transactions step themselves; blocked ones park on a wakeup channel
-// signalled when the engine grants their lock or rolls them back
-// (either way they become runnable again). The park/step/re-execute
-// loop itself lives in internal/exec and is shared with the network
-// server (internal/server), which runs the same loop once per client
-// session.
+// Transactions step themselves; blocked ones park on the wake channel
+// their blocked step returned, which the engine signals when it grants
+// their lock or rolls them back (either way they become runnable
+// again). The park/step/re-execute loop itself lives in internal/exec
+// and is shared with the network server (internal/server), which runs
+// the same loop once per client session.
 //
 // The deterministic drivers in internal/sim are preferred for
 // experiments; this driver exists to exercise the engine under real
@@ -48,8 +48,7 @@ type Options struct {
 	// acknowledgement (its StepToCommit returning) then waits for its
 	// write-set to be durable.
 	CommitLog core.CommitLogger
-	// OnEvent, when non-nil, additionally receives every engine event
-	// (after the driver's own wake notifier) — the hook the
+	// OnEvent forwards to core.Config.OnEvent — the hook the
 	// observability collector and tracer chain onto.
 	OnEvent func(core.Event)
 }
@@ -63,17 +62,9 @@ type Outcome struct {
 
 // Run executes all programs concurrently to commit and returns the
 // engine for inspection. It fails if any transaction errors or exceeds
-// its step bound.
+// its step bound; such a transaction is aborted, so the others, which
+// may be waiting on its locks, still run to commit before Run returns.
 func Run(store *entity.Store, programs []*txn.Program, opt Options) (*Outcome, error) {
-	notif := exec.NewNotifier()
-	onEvent := notif.OnEvent
-	if opt.OnEvent != nil {
-		tap := opt.OnEvent
-		onEvent = func(e core.Event) {
-			notif.OnEvent(e)
-			tap(e)
-		}
-	}
 	sys := core.New(core.Config{
 		Store:           store,
 		Strategy:        opt.Strategy,
@@ -83,7 +74,7 @@ func Run(store *entity.Store, programs []*txn.Program, opt Options) (*Outcome, e
 		HybridAllocator: opt.HybridAllocator,
 		RecordHistory:   opt.RecordHistory,
 		CommitLog:       opt.CommitLog,
-		OnEvent:         onEvent,
+		OnEvent:         opt.OnEvent,
 		LockWait:        opt.LockWait,
 	})
 
@@ -93,7 +84,6 @@ func Run(store *entity.Store, programs []*txn.Program, opt Options) (*Outcome, e
 		if err != nil {
 			return nil, err
 		}
-		notif.Register(id)
 		ids = append(ids, id)
 	}
 
@@ -103,9 +93,8 @@ func Run(store *entity.Store, programs []*txn.Program, opt Options) (*Outcome, e
 		wg.Add(1)
 		go func(id txn.ID) {
 			defer wg.Done()
-			wake := notif.Register(id)
-			if err := exec.StepToCommit(context.Background(), sys, id, wake, opt.MaxStepsPerTxn); err != nil {
-				errCh <- fmt.Errorf("runtime: %w", err)
+			if err := exec.StepToCommit(context.Background(), sys, id, opt.MaxStepsPerTxn); err != nil {
+				errCh <- fmt.Errorf("runtime: %w", abort(sys, id, err))
 			}
 		}(id)
 	}
@@ -122,4 +111,20 @@ func Run(store *entity.Store, programs []*txn.Program, opt Options) (*Outcome, e
 		return nil, fmt.Errorf("runtime: run finished with uncommitted transactions")
 	}
 	return &Outcome{System: sys, Stats: sys.Stats(), IDs: ids}, nil
+}
+
+// abort releases a failed transaction's locks so the transactions
+// waiting on them can finish, and returns err joined with any abort
+// failure. A transaction that committed needs nothing; one in its
+// shrinking phase cannot be rolled back, so it is stepped to commit.
+func abort(sys *core.System, id txn.ID, err error) error {
+	aerr := sys.Abort(id)
+	switch {
+	case aerr == nil, errors.Is(aerr, core.ErrCommitted):
+		return err
+	case errors.Is(aerr, core.ErrShrinking):
+		return errors.Join(err, exec.StepToCommit(context.Background(), sys, id, 0))
+	default:
+		return errors.Join(err, aerr)
+	}
 }

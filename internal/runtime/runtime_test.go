@@ -1,13 +1,18 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"partialrollback/internal/core"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/sim"
+	"partialrollback/internal/txn"
+	"partialrollback/internal/value"
 )
 
 func bankStore(accounts int, balance int64) *entity.Store {
@@ -156,5 +161,45 @@ func TestConcurrentSharded(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRunAbortsFailedTransaction: F takes a and then fails at run time
+// (division by a zero local); W, which needs a after 700 pad ops, must
+// still commit, because Run aborts F and so releases a. Run returns
+// F's error.
+func TestRunAbortsFailedTransaction(t *testing.T) {
+	store := entity.NewStore(map[string]int64{"a": 1, "b": 2})
+	f := txn.NewProgram("F").Local("x", 0).Local("zero", 0).
+		LockX("a").
+		Compute("x", value.Div(value.C(1), value.L("zero"))).
+		MustBuild()
+	wb := txn.NewProgram("W").Local("pad", 0).LockX("b")
+	for i := 0; i < 700; i++ {
+		wb.Compute("pad", value.Add(value.L("pad"), value.C(1)))
+	}
+	w := wb.LockX("a").MustBuild()
+
+	var commits atomic.Int64
+	tap := func(e core.Event) {
+		if e.Kind == core.EventCommit {
+			commits.Add(1)
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(store, []*txn.Program{f, w}, Options{Strategy: core.MCS, OnEvent: tap})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, value.ErrDivideByZero) {
+			t.Fatalf("Run: %v, want an error wrapping %v", err, value.ErrDivideByZero)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return: the failed transaction kept its locks")
+	}
+	if n := commits.Load(); n != 1 {
+		t.Errorf("%d commits seen, want W's", n)
 	}
 }

@@ -48,7 +48,6 @@ import (
 	"partialrollback/internal/durable"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/exec"
-	"partialrollback/internal/hybrid"
 	"partialrollback/internal/obs"
 	"partialrollback/internal/txn"
 	"partialrollback/internal/wire"
@@ -58,13 +57,10 @@ import (
 type Config struct {
 	// Store is the global database served. Required.
 	Store *entity.Store
-	// Strategy, Policy, Prevention, HybridBudget and HybridAllocator
-	// configure the engine exactly as core.Config does.
-	Strategy        core.Strategy
-	Policy          deadlock.Policy
-	Prevention      core.Prevention
-	HybridBudget    int
-	HybridAllocator hybrid.Allocator
+	// Strategy and Policy configure the engine exactly as core.Config
+	// does.
+	Strategy core.Strategy
+	Policy   deadlock.Policy
 	// MaxSessions bounds concurrently served connections. Default 256.
 	MaxSessions int
 	// Backlog bounds connections allowed to wait for a session slot;
@@ -76,15 +72,11 @@ type Config struct {
 	// included; past it the transaction is rolled back to its initial
 	// state and the client told to retry. Default 30s.
 	RequestTimeout time.Duration
-	// MaxStepsPerTxn bounds engine steps per transaction (0: 1M).
-	MaxStepsPerTxn int
 	// MaxStreams bounds concurrently active streams per connection;
 	// past it new streams are refused with the retryable CodeBusy.
 	// Each active stream runs in its own goroutine, so this also bounds
 	// a connection's goroutines. Default 4096.
 	MaxStreams int
-	// StarvationLimit forwards to core.Config.StarvationLimit.
-	StarvationLimit int
 	// LockWait forwards to core.Config.LockWait — wire it to
 	// obs.Collector.ObserveLockWait to populate pr_engine_lock_wait_ns.
 	LockWait func(ns int64)
@@ -105,9 +97,8 @@ type Config struct {
 // with Listen (or serve individual connections with ServeConn), stop
 // with Shutdown.
 type Server struct {
-	cfg   Config
-	sys   *core.System
-	notif *exec.Notifier
+	cfg Config
+	sys *core.System
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -161,7 +152,6 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:     cfg,
-		notif:   exec.NewNotifier(),
 		drainCh: make(chan struct{}),
 		conns:   map[net.Conn]bool{},
 		routes:  map[txn.ID]sender{},
@@ -170,15 +160,11 @@ func New(cfg Config) *Server {
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	ecfg := core.Config{
-		Store:           cfg.Store,
-		Strategy:        cfg.Strategy,
-		Policy:          cfg.Policy,
-		Prevention:      cfg.Prevention,
-		HybridBudget:    cfg.HybridBudget,
-		HybridAllocator: cfg.HybridAllocator,
-		StarvationLimit: cfg.StarvationLimit,
-		OnEvent:         s.onEvent,
-		LockWait:        cfg.LockWait,
+		Store:    cfg.Store,
+		Strategy: cfg.Strategy,
+		Policy:   cfg.Policy,
+		OnEvent:  s.onEvent,
+		LockWait: cfg.LockWait,
 	}
 	if cfg.Durable != nil {
 		ecfg.CommitLog = cfg.Durable
@@ -191,10 +177,9 @@ func New(cfg Config) *Server {
 // shutdown checks, tests).
 func (s *Server) System() *core.System { return s.sys }
 
-// onEvent fans engine events out to the wake notifier, the owning
-// stream (as a rollback notification), and the configured tap.
+// onEvent fans engine events out to the owning stream (as a rollback
+// notification) and the configured tap.
 func (s *Server) onEvent(e core.Event) {
-	s.notif.OnEvent(e)
 	if e.Kind == core.EventRollback {
 		s.mu.Lock()
 		sn, routed := s.routes[e.Txn]
@@ -753,7 +738,6 @@ func (s *Server) execTxn(sn sender, prog *txn.Program) {
 		return
 	}
 	s.txnsServed.Add(1)
-	wake := s.notif.Register(id)
 	s.mu.Lock()
 	s.routes[id] = sn
 	s.mu.Unlock()
@@ -761,11 +745,10 @@ func (s *Server) execTxn(sn sender, prog *txn.Program) {
 		s.mu.Lock()
 		delete(s.routes, id)
 		s.mu.Unlock()
-		s.notif.Unregister(id)
 	}()
 
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
-	err = exec.StepToCommit(ctx, s.sys, id, wake, s.cfg.MaxStepsPerTxn)
+	err = exec.StepToCommit(ctx, s.sys, id, 0)
 	cancel()
 	switch {
 	case err == nil:
