@@ -57,8 +57,6 @@ func main() {
 	flag.IntVar(&cfg.MaxStreams, "max-streams", cfg.MaxStreams, "maximum concurrently active streams per connection (excess streams are refused with the retryable BUSY)")
 	flag.StringVar(&cfg.WAL, "wal", cfg.WAL, "write-ahead log directory: commits are durable and replayed on restart (empty = memory only)")
 	flag.StringVar(&cfg.Fsync, "fsync", cfg.Fsync, "wal fsync discipline: always (fsync per commit) | group (batched fsync) | off (write-through, no fsync)")
-	flag.DurationVar(&cfg.GroupWindow, "group-window", cfg.GroupWindow, "group-commit collection window (-fsync group only)")
-	flag.IntVar(&cfg.GroupMax, "group-max", cfg.GroupMax, "flush a commit group early once this many commits are pending")
 	flag.DurationVar(&cfg.CheckpointInterval, "checkpoint-interval", cfg.CheckpointInterval, "take a checkpoint (snapshot + log compaction) this often; 0 disables the time trigger (requires -wal)")
 	flag.Int64Var(&cfg.CheckpointBytes, "checkpoint-bytes", cfg.CheckpointBytes, "take a checkpoint once this many new log bytes accumulate; 0 disables the byte trigger (requires -wal)")
 	flag.IntVar(&cfg.Retain, "retain", cfg.Retain, "checkpoints kept on disk; sealed log segments are deleted only once the oldest retained checkpoint covers them")

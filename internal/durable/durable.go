@@ -35,9 +35,11 @@
 //
 // Appends only enqueue encoded records (the engine mutex is never held
 // across IO); the log's flusher goroutine writes and fsyncs batches.
-// Commit acknowledgements wait on a ticket for their batch — exactly
-// the storage-axis twin of the server's coalesced frame writes: many
-// logical completions, one syscall.
+// There is no timer: the flusher takes everything pending, makes it
+// durable, and repeats, so commits that arrive while one fsync is in
+// flight share the next one. Commit acknowledgements wait on a ticket
+// for their batch — exactly the storage-axis twin of the server's
+// coalesced frame writes: many logical completions, one syscall.
 package durable
 
 import (
@@ -63,11 +65,10 @@ type SyncMode int
 
 const (
 	// SyncGroup batches concurrent commits into one fsync: the flusher
-	// waits up to Options.Window for more commits to join (flushing
-	// early at Options.MaxBatch), then makes the whole batch durable
-	// with a single write+fsync. Commits are acknowledged only after
-	// their batch's fsync — durability is never traded away, only
-	// latency.
+	// makes everything pending durable with a single write+fsync, and
+	// commits enqueued meanwhile form the next batch. Commits are
+	// acknowledged only after their batch's fsync — durability is never
+	// traded away.
 	SyncGroup SyncMode = iota
 	// SyncAlways gives every write-commit its own write+fsync — the
 	// classical forced-log discipline, and the baseline group commit is
@@ -113,15 +114,6 @@ var ErrClosed = errors.New("durable: log closed")
 type Options struct {
 	// Mode selects the fsync discipline. Default SyncGroup.
 	Mode SyncMode
-	// Window is the group-commit collection delay: how long a flush
-	// waits for more commits to join the batch. Only SyncGroup uses it.
-	// 0 means the default (2ms); negative disables the wait (batching
-	// then only captures commits that queued while the previous fsync
-	// was in flight).
-	Window time.Duration
-	// MaxBatch flushes a group early once this many write-commits are
-	// pending. Default 64.
-	MaxBatch int
 	// OnFlush, when non-nil, is called after every durable batch,
 	// outside all locks (metrics export).
 	OnFlush func(FlushInfo)
@@ -237,14 +229,6 @@ func Open(dir string, logs int, store *entity.Store, opts Options) (*Set, *Recov
 	start := time.Now()
 	if logs != 1 {
 		return nil, nil, fmt.Errorf("durable: a log set has exactly 1 log, not %d", logs)
-	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 64
-	}
-	if opts.Window == 0 {
-		opts.Window = 2 * time.Millisecond
-	} else if opts.Window < 0 {
-		opts.Window = 0
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("durable: %w", err)

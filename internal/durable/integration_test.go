@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"partialrollback/internal/core"
 	"partialrollback/internal/entity"
@@ -65,7 +64,7 @@ func TestConcurrentCommitDurability(t *testing.T) {
 	dir := t.TempDir()
 	w := sim.CounterWorkload(counters, txns, 11)
 	store := w.NewStore()
-	set, _ := mustOpen(t, dir, 1, store, Options{Mode: SyncGroup, Window: time.Millisecond})
+	set, _ := mustOpen(t, dir, 1, store, Options{Mode: SyncGroup})
 	defer set.Close()
 
 	out, err := runtime.Run(store, w.Programs, runtime.Options{
@@ -155,7 +154,7 @@ func TestEngineRecoveryEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	w := sim.BankingWorkload(accounts, transfers, 100, 7)
 	store := w.NewStore()
-	set, _ := mustOpen(t, dir, 1, store, Options{Mode: SyncGroup, Window: time.Millisecond})
+	set, _ := mustOpen(t, dir, 1, store, Options{Mode: SyncGroup})
 
 	if _, err := runtime.Run(store, w.Programs, runtime.Options{
 		Strategy:  core.MCS,

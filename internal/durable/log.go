@@ -41,23 +41,22 @@ type Log struct {
 	file File
 	path string // active segment path; "" for injected test files (rotation disabled)
 
-	mu             sync.Mutex
-	work           sync.Cond // signals the flusher: pending or closing, or rotation done
-	durable        sync.Cond // signals waiters: durableSeq, err, or flushing moved
-	pending        []pend
-	pendingCommits int
-	lastSeq        uint64 // highest seq enqueued to this log
-	durableSeq     uint64 // highest seq durably flushed
-	fileLastSeq    uint64 // highest seq written to the active segment file
-	fileBytes      int64  // bytes in the active segment file
-	flushing       bool   // flusher is mid-IO outside the mutex
-	rotating       bool   // rotate owns the file; flusher must not touch it
-	err            error  // sticky first failure; everything after fails
-	closing        bool
-	done           chan struct{} // flusher exited
-	pool           [][]byte      // recycled pend buffers
-	wbuf           []byte        // flusher's batch concatenation buffer
-	st             Stats
+	mu          sync.Mutex
+	work        sync.Cond // signals the flusher: pending or closing, or rotation done
+	durable     sync.Cond // signals waiters: durableSeq, err, or flushing moved
+	pending     []pend
+	lastSeq     uint64 // highest seq enqueued to this log
+	durableSeq  uint64 // highest seq durably flushed
+	fileLastSeq uint64 // highest seq written to the active segment file
+	fileBytes   int64  // bytes in the active segment file
+	flushing    bool   // flusher is mid-IO outside the mutex
+	rotating    bool   // rotate owns the file; flusher must not touch it
+	err         error  // sticky first failure; everything after fails
+	closing     bool
+	done        chan struct{} // flusher exited
+	pool        [][]byte      // recycled pend buffers
+	wbuf        []byte        // flusher's batch concatenation buffer
+	st          Stats
 }
 
 // newLog starts a log over an already-open active segment file.
@@ -76,16 +75,30 @@ func newLog(set *Set, f File, path string, fileBytes int64, fileLastSeq uint64) 
 // ticket: any transaction able to observe the installed value must
 // first take the entity's lock — which happens-after this append under
 // the same engine mutex — so that transaction's own commit ticket
-// (which waits for the log tail) covers this record.
+// (which waits for the log tail) covers this record. An install whose
+// name cannot be encoded fails the log, so that covering ticket reports
+// the loss instead of succeeding without the record.
 func (l *Log) LogInstall(w core.CommitWrite) {
 	l.mu.Lock()
-	if l.err == nil && !l.closing && len(w.Name) <= 0xffff {
-		seq := l.set.gseq.Add(1)
-		p := pend{buf: l.takeBufLocked(), lastSeq: seq, records: 1}
-		p.buf = wal.AppendRecord(p.buf, w.Name, w.Val, seq)
-		l.pushLocked(p)
+	defer l.mu.Unlock()
+	if l.err != nil || l.closing || l.checkNameLocked(w.Name) != nil {
+		return
 	}
-	l.mu.Unlock()
+	seq := l.set.gseq.Add(1)
+	p := pend{buf: l.takeBufLocked(), lastSeq: seq, records: 1}
+	p.buf = wal.AppendRecord(p.buf, w.Name, w.Val, seq)
+	l.pushLocked(p)
+}
+
+// checkNameLocked makes a name too long for the record format the
+// log's sticky error, waking every waiter.
+func (l *Log) checkNameLocked(name string) error {
+	if len(name) <= 0xffff {
+		return nil
+	}
+	l.err = fmt.Errorf("durable: entity name too long (%d bytes)", len(name))
+	l.durable.Broadcast()
+	return l.err
 }
 
 // LogCommit enqueues a committing transaction's write-set and returns
@@ -106,10 +119,7 @@ func (l *Log) LogCommit(writes []core.CommitWrite) core.CommitAck {
 		return errAck{err}
 	}
 	for _, w := range writes {
-		if len(w.Name) > 0xffff {
-			err := fmt.Errorf("durable: entity name too long (%d bytes)", len(w.Name))
-			l.err = err
-			l.durable.Broadcast()
+		if err := l.checkNameLocked(w.Name); err != nil {
 			l.mu.Unlock()
 			return errAck{err}
 		}
@@ -144,7 +154,6 @@ func (l *Log) LogCommit(writes []core.CommitWrite) core.CommitAck {
 func (l *Log) pushLocked(p pend) {
 	l.lastSeq = p.lastSeq
 	l.pending = append(l.pending, p)
-	l.pendingCommits += p.commits
 	l.st.Appends += int64(p.records)
 	l.st.Commits += int64(p.commits)
 	l.work.Signal()
@@ -273,10 +282,13 @@ func (l *Log) status() LogStatus {
 	}
 }
 
-// flusher is the log's single IO goroutine: it takes batches off the
-// pending queue, concatenates them into one write, fsyncs per the sync
-// mode, and advances durableSeq. It exits when closed with an empty
-// queue, so Close never loses acknowledged-to-be-pending records.
+// flusher is the log's single IO goroutine, a leader loop with no
+// timer: it takes everything pending, concatenates it into one write,
+// fsyncs per the sync mode, advances durableSeq, and repeats. Commits
+// enqueued while a write+fsync is in flight form the next batch, so a
+// commit is only ever acknowledged by an fsync that started after it
+// was enqueued. It exits when closed with an empty queue, so Close
+// never loses acknowledged-to-be-pending records.
 func (l *Log) flusher() {
 	defer close(l.done)
 	for {
@@ -291,16 +303,6 @@ func (l *Log) flusher() {
 			return
 		}
 		mode := l.set.opts.Mode
-		// Group mode: hold the batch open for the window so concurrent
-		// committers join it, unless it is already full or closing.
-		if mode == SyncGroup && l.set.opts.Window > 0 && !l.closing && l.pendingCommits < l.set.opts.MaxBatch {
-			l.mu.Unlock()
-			time.Sleep(l.set.opts.Window)
-			l.mu.Lock()
-			for l.rotating { // a rotation may have started during the window
-				l.work.Wait()
-			}
-		}
 		// Take the batch: everything pending, except under SyncAlways,
 		// where exactly one write-commit (plus any unlock installs queued
 		// before it) gets its own fsync.
@@ -329,7 +331,6 @@ func (l *Log) flusher() {
 			l.pending[i] = pend{}
 		}
 		l.pending = l.pending[:rest]
-		l.pendingCommits -= commits
 		failed := l.err != nil
 		l.flushing = true
 		l.mu.Unlock()

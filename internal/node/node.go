@@ -50,10 +50,8 @@ type Config struct {
 	RequestTimeout, IdleTimeout time.Duration
 	MaxStreams                  int
 
-	WAL         string // log directory; empty = memory only
-	Fsync       string // always|group|off
-	GroupWindow time.Duration
-	GroupMax    int
+	WAL   string // log directory; empty = memory only
+	Fsync string // always|group|off
 
 	CheckpointInterval time.Duration // requires WAL
 	CheckpointBytes    int64         // requires WAL
@@ -87,8 +85,6 @@ func Defaults() Config {
 		IdleTimeout:    2 * time.Minute,
 		MaxStreams:     4096,
 		Fsync:          "group",
-		GroupWindow:    2 * time.Millisecond,
-		GroupMax:       64,
 		Retain:         2,
 		Store:          "mem",
 		PoolPages:      64,
@@ -263,10 +259,7 @@ func (n *Node) openWAL(registry *obs.Registry) error {
 	if err != nil {
 		return err
 	}
-	opts := durable.Options{Mode: mode, Window: cfg.GroupWindow, MaxBatch: cfg.GroupMax}
-	if cfg.GroupWindow <= 0 {
-		opts.Window = -1
-	}
+	opts := durable.Options{Mode: mode}
 	if registry != nil {
 		appends := registry.NewCounter("pr_wal_appends_total", "Log records made durable.")
 		batches := registry.NewCounter("pr_wal_fsync_batches_total", "Durable flush batches (fsyncs, unless -fsync off).")

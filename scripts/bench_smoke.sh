@@ -17,6 +17,6 @@ go test -race -count=1 -run 'ZeroAlloc|RegisterAllocs' -bench . -benchtime 1x \
     ./internal/lock ./internal/waitfor ./internal/core ./internal/value
 
 # The entity-store benchmarks (uniform-store construction, paged-pool
-# paths) and the server's stream round trip live apart from the
-# zero-alloc pins: both allocate by design.
-go test -race -count=1 -run 'NONE' -bench . -benchtime 1x ./internal/entity ./internal/server
+# paths), the server's stream round trip and the log's group commit
+# live apart from the zero-alloc pins: they allocate by design.
+go test -race -count=1 -run 'NONE' -bench . -benchtime 1x ./internal/entity ./internal/server ./internal/durable
