@@ -212,8 +212,9 @@ func (m *Mux) ensure() (net.Conn, int64, error) {
 // epoch.
 func (m *Mux) readLoop(nc net.Conn, ep int64) {
 	br := bufio.NewReader(nc)
+	var dec wire.Decoder
 	for {
-		f, _, err := wire.ReadFrame(br)
+		f, _, err := dec.ReadFrame(br)
 		if err != nil {
 			m.teardown(nc, ep, err)
 			return

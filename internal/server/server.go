@@ -461,6 +461,8 @@ type conn struct {
 	// together cost one read syscall; all reads must go through br
 	// (buffered bytes are invisible to nc).
 	br *bufio.Reader
+	// dec decodes every frame br delivers; only the reader uses it.
+	dec wire.Decoder
 
 	outMu     sync.Mutex
 	out       chan outFrame
@@ -629,7 +631,7 @@ func (s *Server) runSession(nc net.Conn) {
 			return
 		}
 		_ = nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		f, n, err := wire.ReadFrame(c.br)
+		f, n, err := c.dec.ReadFrame(c.br)
 		s.bytesIn.Add(int64(n))
 		if err != nil {
 			// Only a malformed frame (including one in a retired

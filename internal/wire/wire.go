@@ -31,6 +31,18 @@
 // string length, op and local counts, and expression size/depth all
 // have hard limits, so a malicious or corrupted peer cannot force large
 // allocations or deep recursion (see the fuzz tests).
+//
+// Each connection decodes through one Decoder. It reuses its payload
+// buffer, and within one frame it decodes each repeated name and each
+// repeated op expression once: a program that locks five entities and
+// pads every lock interval with forty identical computes carries a
+// handful of distinct names and expressions in hundreds of ops. The
+// memo lasts one frame. Sharing is safe because every string is copied
+// out of the payload and the engine only reads expression trees. The
+// limits are unchanged: before a memo lookup, a non-allocating scan
+// applies exactly the checks decoding applies, and an expression that
+// fails it is decoded the ordinary way, so every error is the one a
+// fresh decode reports.
 package wire
 
 import (
@@ -295,12 +307,27 @@ func appendExpr(b []byte, e value.Expr) ([]byte, error) {
 	}
 }
 
-// decoder consumes a payload body with bounds checks.
-type decoder struct {
-	b []byte
+// retainLimit bounds what a Decoder keeps between frames. After a
+// larger payload it drops its payload buffer and memo maps instead of
+// keeping them, so one MaxFrame frame does not pin a megabyte (and map
+// buckets sized for it) for the rest of the connection.
+const retainLimit = 64 << 10
+
+// Decoder decodes frames. A long-lived Decoder (one per connection)
+// reuses its payload buffer; within one frame it interns a program's
+// names and gives ops with byte-identical expression encodings one
+// shared tree, and it empties both memos after every frame, so nothing
+// decoded survives into the next request (see the package doc). The
+// zero value is ready to use; a Decoder is not safe for concurrent use.
+type Decoder struct {
+	b     []byte                // the unread rest of the payload being decoded
+	hdr   [4]byte               // ReadFrame's length prefix
+	buf   []byte                // ReadFrame's payload buffer
+	names map[string]string     // this frame's names, interned
+	exprs map[string]value.Expr // this frame's op expressions by encoding
 }
 
-func (d *decoder) uvarint() (uint64, error) {
+func (d *Decoder) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(d.b)
 	if n <= 0 {
 		return 0, protoErr("truncated varint")
@@ -309,7 +336,7 @@ func (d *decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (d *decoder) varint() (int64, error) {
+func (d *Decoder) varint() (int64, error) {
 	v, n := binary.Varint(d.b)
 	if n <= 0 {
 		return 0, protoErr("truncated varint")
@@ -318,7 +345,7 @@ func (d *decoder) varint() (int64, error) {
 	return v, nil
 }
 
-func (d *decoder) byte() (byte, error) {
+func (d *Decoder) byte() (byte, error) {
 	if len(d.b) == 0 {
 		return 0, protoErr("truncated byte")
 	}
@@ -327,23 +354,48 @@ func (d *decoder) byte() (byte, error) {
 	return v, nil
 }
 
-func (d *decoder) string() (string, error) {
+// stringBytes consumes a length-prefixed string and returns its bytes,
+// still inside the payload.
+func (d *Decoder) stringBytes() ([]byte, error) {
 	n, err := d.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > MaxString {
-		return "", protoErr("string length %d exceeds %d", n, MaxString)
+		return nil, protoErr("string length %d exceeds %d", n, MaxString)
 	}
 	if uint64(len(d.b)) < n {
-		return "", protoErr("truncated string")
+		return nil, protoErr("truncated string")
 	}
-	s := string(d.b[:n])
+	s := d.b[:n]
 	d.b = d.b[n:]
 	return s, nil
 }
 
-func (d *decoder) expr(depth int, budget *int) (value.Expr, error) {
+func (d *Decoder) string() (string, error) {
+	b, err := d.stringBytes()
+	return string(b), err
+}
+
+// name decodes an entity or local name, interned for the rest of the
+// frame.
+func (d *Decoder) name() (string, error) {
+	b, err := d.stringBytes()
+	if err != nil {
+		return "", err
+	}
+	if s, ok := d.names[string(b)]; ok {
+		return s, nil
+	}
+	s := string(b)
+	if d.names == nil {
+		d.names = make(map[string]string)
+	}
+	d.names[s] = s
+	return s, nil
+}
+
+func (d *Decoder) expr(depth int, budget *int) (value.Expr, error) {
 	if depth > MaxExprDepth {
 		return nil, protoErr("expression deeper than %d", MaxExprDepth)
 	}
@@ -363,7 +415,7 @@ func (d *decoder) expr(depth int, budget *int) (value.Expr, error) {
 		}
 		return value.Const(v), nil
 	case 1:
-		s, err := d.string()
+		s, err := d.name()
 		if err != nil {
 			return nil, err
 		}
@@ -390,7 +442,72 @@ func (d *decoder) expr(depth int, budget *int) (value.Expr, error) {
 	}
 }
 
-func (d *decoder) locals(max int) ([]LocalDecl, error) {
+// exprLen returns the encoded length of the expression at the start of
+// b without allocating. It applies exactly expr's limits (depth, node
+// budget, tags, operators, string length, truncation): ok is false
+// wherever expr would fail.
+func exprLen(b []byte, depth int, budget *int) (n int, ok bool) {
+	if depth > MaxExprDepth {
+		return 0, false
+	}
+	*budget--
+	if *budget < 0 || len(b) == 0 {
+		return 0, false
+	}
+	switch b[0] {
+	case 0:
+		_, k := binary.Varint(b[1:])
+		return 1 + k, k > 0
+	case 1:
+		l, k := binary.Uvarint(b[1:])
+		if k <= 0 || l > MaxString || uint64(len(b)-1-k) < l {
+			return 0, false
+		}
+		return 1 + k + int(l), true
+	case 2:
+		if len(b) < 2 || value.BinOp(b[1]) > value.OpMax {
+			return 0, false
+		}
+		l, ok := exprLen(b[2:], depth+1, budget)
+		if !ok {
+			return 0, false
+		}
+		r, ok := exprLen(b[2+l:], depth+1, budget)
+		return 2 + l + r, ok
+	default:
+		return 0, false
+	}
+}
+
+// opExpr decodes one operation's expression with its own MaxExprNodes
+// budget. An encoding already decoded in this frame yields the tree
+// decoded then.
+func (d *Decoder) opExpr() (value.Expr, error) {
+	budget := MaxExprNodes
+	n, ok := exprLen(d.b, 0, &budget)
+	budget = MaxExprNodes
+	if !ok {
+		return d.expr(0, &budget) // names the violation
+	}
+	key := d.b[:n]
+	if e, hit := d.exprs[string(key)]; hit {
+		d.b = d.b[n:]
+		return e, nil
+	}
+	e, err := d.expr(0, &budget)
+	if err != nil {
+		return nil, err
+	}
+	if d.exprs == nil {
+		d.exprs = make(map[string]value.Expr)
+	}
+	d.exprs[string(key)] = e
+	return e, nil
+}
+
+// locals decodes a local declaration list. A BeginProgram's names are
+// interned, since its ops name them again; a Committed's are not.
+func (d *Decoder) locals(max int, intern bool) ([]LocalDecl, error) {
 	n, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -403,7 +520,12 @@ func (d *decoder) locals(max int) ([]LocalDecl, error) {
 	}
 	out := make([]LocalDecl, 0, n)
 	for i := uint64(0); i < n; i++ {
-		name, err := d.string()
+		var name string
+		if intern {
+			name, err = d.name()
+		} else {
+			name, err = d.string()
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -419,7 +541,7 @@ func (d *decoder) locals(max int) ([]LocalDecl, error) {
 // ops decodes a BeginProgram operation list. Each expression gets its
 // own MaxExprNodes budget, so the limits are per operation, not per
 // program.
-func (d *decoder) ops(max int) ([]txn.Op, error) {
+func (d *Decoder) ops(max int) ([]txn.Op, error) {
 	n, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -450,38 +572,36 @@ func (d *decoder) ops(max int) ([]txn.Op, error) {
 			if mode == 1 {
 				op.Kind = txn.OpLockX
 			}
-			if op.Entity, err = d.string(); err != nil {
+			if op.Entity, err = d.name(); err != nil {
 				return nil, err
 			}
 		case opUnlock:
 			op.Kind = txn.OpUnlock
-			if op.Entity, err = d.string(); err != nil {
+			if op.Entity, err = d.name(); err != nil {
 				return nil, err
 			}
 		case opRead:
 			op.Kind = txn.OpRead
-			if op.Entity, err = d.string(); err != nil {
+			if op.Entity, err = d.name(); err != nil {
 				return nil, err
 			}
-			if op.Local, err = d.string(); err != nil {
+			if op.Local, err = d.name(); err != nil {
 				return nil, err
 			}
 		case opWrite:
 			op.Kind = txn.OpWrite
-			if op.Entity, err = d.string(); err != nil {
+			if op.Entity, err = d.name(); err != nil {
 				return nil, err
 			}
-			budget := MaxExprNodes
-			if op.Expr, err = d.expr(0, &budget); err != nil {
+			if op.Expr, err = d.opExpr(); err != nil {
 				return nil, err
 			}
 		case opCompute:
 			op.Kind = txn.OpCompute
-			if op.Local, err = d.string(); err != nil {
+			if op.Local, err = d.name(); err != nil {
 				return nil, err
 			}
-			budget := MaxExprNodes
-			if op.Expr, err = d.expr(0, &budget); err != nil {
+			if op.Expr, err = d.opExpr(); err != nil {
 				return nil, err
 			}
 		case opLastLock:
@@ -496,7 +616,7 @@ func (d *decoder) ops(max int) ([]txn.Op, error) {
 	return out, nil
 }
 
-func (d *decoder) done() error {
+func (d *Decoder) done() error {
 	if len(d.b) != 0 {
 		return protoErr("%d trailing bytes", len(d.b))
 	}
@@ -622,14 +742,30 @@ func appendOp(b []byte, op txn.Op) ([]byte, error) {
 
 // DecodeFrame parses one payload (the frame with its length prefix
 // already stripped) into its stream tag and message.
-func DecodeFrame(payload []byte) (Frame, error) {
+func DecodeFrame(payload []byte) (Frame, error) { return new(Decoder).DecodeFrame(payload) }
+
+// DecodeFrame parses one payload like the package-level DecodeFrame,
+// with d's per-frame memos. The decoded frame never refers to payload.
+func (d *Decoder) DecodeFrame(payload []byte) (Frame, error) {
+	f, err := d.frame(payload)
+	d.b = nil
+	if len(payload) > retainLimit {
+		d.names, d.exprs = nil, nil
+	} else {
+		clear(d.names)
+		clear(d.exprs)
+	}
+	return f, err
+}
+
+func (d *Decoder) frame(payload []byte) (Frame, error) {
 	if len(payload) < 1 {
 		return Frame{}, protoErr("payload of %d bytes", len(payload))
 	}
 	if payload[0] != Version3 {
 		return Frame{}, protoErr("version %d, want %d", payload[0], Version3)
 	}
-	d := &decoder{b: payload[1:]}
+	d.b = payload[1:]
 	stream, err := d.uvarint()
 	if err != nil {
 		return Frame{}, err
@@ -653,7 +789,7 @@ func DecodeFrame(payload []byte) (Frame, error) {
 
 // decodeMsg decodes the fields of one message of type t from d (the
 // stream tag and type byte already consumed).
-func decodeMsg(t Type, d *decoder) (Msg, error) {
+func decodeMsg(t Type, d *Decoder) (Msg, error) {
 	var m Msg
 	var err error
 	switch t {
@@ -664,7 +800,7 @@ func decodeMsg(t Type, d *decoder) (Msg, error) {
 		if x.Name, err = d.string(); err != nil {
 			return nil, err
 		}
-		if x.Locals, err = d.locals(MaxLocals); err != nil {
+		if x.Locals, err = d.locals(MaxLocals, true); err != nil {
 			return nil, err
 		}
 		if x.Ops, err = d.ops(MaxOps); err != nil {
@@ -676,7 +812,7 @@ func decodeMsg(t Type, d *decoder) (Msg, error) {
 		if x.Txn, err = d.varint(); err != nil {
 			return nil, err
 		}
-		if x.Locals, err = d.locals(MaxLocals); err != nil {
+		if x.Locals, err = d.locals(MaxLocals, false); err != nil {
 			return nil, err
 		}
 		for _, p := range []*int64{
@@ -739,23 +875,34 @@ func decodeMsg(t Type, d *decoder) (Msg, error) {
 // ReadFrame reads one frame from r and decodes it, returning the frame
 // and the total bytes consumed. I/O failures are returned as-is;
 // malformed content is reported wrapped in ErrProtocol.
-func ReadFrame(r io.Reader) (Frame, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadFrame(r io.Reader) (Frame, int, error) { return new(Decoder).ReadFrame(r) }
+
+// ReadFrame reads and decodes one frame like the package-level
+// ReadFrame, into d's reused payload buffer.
+func (d *Decoder) ReadFrame(r io.Reader) (Frame, int, error) {
+	if _, err := io.ReadFull(r, d.hdr[:]); err != nil {
 		return Frame{}, 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(d.hdr[:])
 	if n > MaxFrame {
 		return Frame{}, 4, protoErr("frame of %d bytes exceeds %d", n, MaxFrame)
 	}
-	payload := make([]byte, n)
+	var payload []byte
+	if n > retainLimit {
+		payload = make([]byte, n)
+	} else {
+		if cap(d.buf) < int(n) {
+			d.buf = make([]byte, n)
+		}
+		payload = d.buf[:n]
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return Frame{}, 4, err
 	}
-	f, err := DecodeFrame(payload)
+	f, err := d.DecodeFrame(payload)
 	return f, 4 + int(n), err
 }
 
@@ -789,7 +936,8 @@ func ProgramFrame(p *txn.Program) (BeginProgram, error) {
 // missing trailing Commit is appended exactly as txn.Builder.Build
 // would. The §2 static rules are not checked here: the engine's
 // Register is the one validator (and analyser) of every program, and
-// its error text is what the client receives.
+// its error text is what the client receives. The program shares bp's
+// op list; appending the Commit copies it, so bp.Ops is never written.
 func (bp BeginProgram) Program() (*txn.Program, error) {
 	if len(bp.Locals) > MaxLocals {
 		return nil, protoErr("%d locals exceeds %d", len(bp.Locals), MaxLocals)
@@ -804,9 +952,9 @@ func (bp BeginProgram) Program() (*txn.Program, error) {
 		}
 		p.Locals[l.Name] = l.Val
 	}
-	p.Ops = make([]txn.Op, len(bp.Ops), len(bp.Ops)+1)
-	copy(p.Ops, bp.Ops)
-	if n := len(p.Ops); n == 0 || p.Ops[n-1].Kind != txn.OpCommit {
+	n := len(bp.Ops)
+	p.Ops = bp.Ops[:n:n]
+	if n == 0 || p.Ops[n-1].Kind != txn.OpCommit {
 		p.Ops = append(p.Ops, txn.Op{Kind: txn.OpCommit})
 	}
 	return p, nil
