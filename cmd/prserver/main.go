@@ -44,7 +44,7 @@ func main() {
 	cfg := node.Defaults()
 	flag.StringVar(&cfg.Addr, "addr", cfg.Addr, "listen address")
 	flag.StringVar(&cfg.Strategy, "strategy", cfg.Strategy, "rollback strategy: total|mcs|sdg|hybrid")
-	flag.StringVar(&cfg.Policy, "policy", cfg.Policy, "victim policy: min-cost|ordered-min-cost|requester|youngest-victim|greedy")
+	flag.StringVar(&cfg.Policy, "policy", cfg.Policy, "victim policy: min-cost|ordered-min-cost|requester|youngest-victim")
 	flag.IntVar(&cfg.Entities, "entities", cfg.Entities, "number of uniform entities e0..eN-1")
 	flag.Int64Var(&cfg.Init, "init", cfg.Init, "initial value of each uniform entity")
 	flag.IntVar(&cfg.Accounts, "accounts", cfg.Accounts, "number of bank accounts acct0..acctM-1 (0 disables)")

@@ -31,7 +31,7 @@ var (
 	pad       = flag.Int("pad", 3, "compute padding per lock interval")
 	shape     = flag.String("shape", "scattered", "write shape: scattered|clustered|three-phase|mixed")
 	strategy  = flag.String("strategy", "mcs", "rollback strategy: total|mcs|sdg|hybrid")
-	policy    = flag.String("policy", "ordered-min-cost", "victim policy: min-cost|ordered-min-cost|requester|youngest-victim|greedy")
+	policy    = flag.String("policy", "ordered-min-cost", "victim policy: min-cost|ordered-min-cost|requester|youngest-victim")
 	sched     = flag.String("scheduler", "round-robin", "scheduler: round-robin|random")
 	seed      = flag.Int64("seed", 42, "workload and scheduler seed")
 	prevent   = flag.String("prevention", "", "prevention mode: wound-wait|wait-die (empty = detection)")

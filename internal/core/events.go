@@ -79,16 +79,23 @@ func (e Event) String() string {
 	}
 }
 
+// ReportedCycles bounds DeadlockReport.Cycles, a sample: one request
+// can close exponentially many cycles.
+const ReportedCycles = 64
+
 // DeadlockReport describes one detected-and-resolved deadlock.
 type DeadlockReport struct {
 	// Requester caused the conflict whose wait closed the cycles.
 	Requester txn.ID
 	// Entity is the entity the requester asked for.
 	Entity string
-	// Cycles are the simple cycles through Requester (each starts at
-	// Requester; member i waits for member i+1).
+	// Cycles is a sample of the simple cycles through Requester: the
+	// first ReportedCycles in enumeration order (each starts at
+	// Requester; member i waits for member i+1). It feeds traces,
+	// metrics and the figures; victim choice does not read it.
 	Cycles [][]txn.ID
-	// Candidates maps every cycle participant to its rollback plan,
+	// Candidates maps every participant (member of the requester's
+	// strongly connected component) to its rollback plan,
 	// letting callers inspect the §3.1 cost comparison (Figure 1's
 	// 4 vs 6 vs 5).
 	Candidates map[txn.ID]deadlock.Victim

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"partialrollback/internal/history"
@@ -306,11 +307,16 @@ func (s *System) CheckInvariants() error {
 	for id := range s.txns {
 		ids = append(ids, id)
 	}
-	rebuilt := waitfor.Rebuild(s.locks, ids)
-	got := fmt.Sprint(s.wf.Arcs())
-	want := fmt.Sprint(rebuilt.Arcs())
-	if got != want {
-		return fmt.Errorf("core: concurrency graph diverged:\n got %s\nwant %s", got, want)
+	got, want := s.wf.Arcs(), waitfor.Rebuild(s.locks, ids).Arcs()
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("core: concurrency graph diverged:\n got %v\nwant %v", got, want)
+	}
+	// Every deadlock is resolved by the step whose wait closed it, so
+	// between steps the graph is acyclic. A detection adds only the
+	// requester's arcs to it, so the graph minus the requester is
+	// acyclic there too, which victim selection relies on.
+	if s.wf.HasCycle() {
+		return fmt.Errorf("core: concurrency graph has a cycle between steps:\n%s", s.wf)
 	}
 	for id, t := range s.txns {
 		if t.status == StatusCommitted {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"partialrollback/internal/intern"
 	"partialrollback/internal/txn"
 )
 
@@ -43,32 +44,32 @@ func (p Prevention) String() string {
 }
 
 // preventConflict applies the configured prevention mode after t's
-// request for entityName blocked on the given holders. It returns the
+// request for t.waitEnt blocked on the given holders. It returns the
 // step outcome to report.
-func (s *System) preventConflict(t *tstate, entityName string, blockers []txn.ID) (StepResult, error) {
+func (s *System) preventConflict(t *tstate, blockers []txn.ID) (StepResult, error) {
 	switch s.cfg.Prevention {
 	case WoundWait:
-		return s.woundWait(t, entityName, blockers)
+		return s.woundWait(t, blockers)
 	case WaitDie:
-		return s.waitDie(t, entityName, blockers)
+		return s.waitDie(t, blockers)
 	default:
 		return StepResult{}, fmt.Errorf("core: preventConflict called without prevention mode")
 	}
 }
 
 // woundWait wounds every conflicting holder younger than t, rolling it
-// back just far enough to release entityName (strategy-adjusted).
-// Holders that can no longer be rolled back (shrinking phase or
-// declared last lock) are waited for instead — they can never join a
-// cycle, so the wait is safe.
-func (s *System) woundWait(t *tstate, entityName string, blockers []txn.ID) (StepResult, error) {
-	wounded := false
+// back just far enough to release t's awaited entity
+// (strategy-adjusted). Holders that can no longer be rolled back
+// (shrinking phase or declared last lock) are waited for instead —
+// they can never join a cycle, so the wait is safe.
+func (s *System) woundWait(t *tstate, blockers []txn.ID) (StepResult, error) {
+	contested := []intern.ID{t.waitEnt}
 	for _, b := range blockers {
 		h, ok := s.txns[b]
 		if !ok || h.entry < t.entry {
 			continue // older holder: wait for it
 		}
-		plan, ok := s.planRollback(h, map[string]bool{entityName: true})
+		plan, ok := s.planRollback(h, contested)
 		if !ok {
 			continue // unwoundable (shrinking/declared); safe to wait
 		}
@@ -76,15 +77,11 @@ func (s *System) woundWait(t *tstate, entityName string, blockers []txn.ID) (Ste
 			return StepResult{}, err
 		}
 		s.stats.Wounds++
-		wounded = true
 	}
 	if t.status == StatusRunning {
 		// The wounds released the entity and our queued request was
 		// promoted.
 		return StepResult{Outcome: Progressed}, nil
-	}
-	if wounded {
-		return StepResult{Outcome: Blocked}, nil
 	}
 	return StepResult{Outcome: Blocked}, nil
 }
@@ -92,8 +89,7 @@ func (s *System) woundWait(t *tstate, entityName string, blockers []txn.ID) (Ste
 // waitDie lets t wait only if it is older than every conflicting
 // holder; otherwise t dies: it is rolled back to its initial state (and
 // will re-run from scratch when next scheduled).
-func (s *System) waitDie(t *tstate, entityName string, blockers []txn.ID) (StepResult, error) {
-	_ = entityName
+func (s *System) waitDie(t *tstate, blockers []txn.ID) (StepResult, error) {
 	die := false
 	for _, b := range blockers {
 		if h, ok := s.txns[b]; ok && h.entry < t.entry {

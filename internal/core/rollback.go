@@ -47,41 +47,17 @@ func (s *System) refreshWaiters(ent intern.ID) {
 	}
 }
 
-// contestedEntities maps each deadlock participant to the entities it
-// holds that some cycle predecessor is waiting for — the entities whose
-// release by that participant helps break a cycle.
-func (s *System) contestedEntities(cycles [][]txn.ID) map[txn.ID]map[string]bool {
-	out := map[txn.ID]map[string]bool{}
-	for _, c := range cycles {
-		for i := range c {
-			waiter := c[i]
-			holder := c[(i+1)%len(c)]
-			for _, e := range s.wf.Label(waiter, holder) {
-				if out[holder] == nil {
-					out[holder] = map[string]bool{}
-				}
-				out[holder][e] = true
-			}
-		}
-	}
-	return out
-}
-
 // planRollback computes the §3.1 rollback plan for one deadlock
 // participant: the latest lock state at which it holds none of its
 // contested entities, adjusted to the latest well-defined state under
 // the single-copy strategy or to the initial state under total
 // restart, and the state-index cost of rolling back there.
-func (s *System) planRollback(t *tstate, contested map[string]bool) (deadlock.Victim, bool) {
+func (s *System) planRollback(t *tstate, contested []intern.ID) (deadlock.Victim, bool) {
 	if t.unlocked || t.declaredLast || t.status == StatusCommitted || len(contested) == 0 {
 		return deadlock.Victim{}, false
 	}
 	target := t.lockIndex
-	for e := range contested {
-		ent, ok := s.names.Lookup(e)
-		if !ok {
-			continue
-		}
+	for _, ent := range contested {
 		sl := t.findSlot(ent)
 		if sl == nil {
 			continue
@@ -112,44 +88,34 @@ func (s *System) planRollback(t *tstate, contested map[string]bool) (deadlock.Vi
 }
 
 // resolveDeadlock handles §2 rule 3: the wait of requester on
-// entityName closed the given cycles; pick victims per the configured
-// policy and roll each back.
-func (s *System) resolveDeadlock(requester *tstate, entityName string, cycles [][]txn.ID) (*DeadlockReport, error) {
+// entityName closed one or more cycles; pick victims from the
+// requester's strongly connected component per the configured policy
+// and roll each back. Each member's contested entities are the labels
+// on its arcs in from the component: every such arc lies on a cycle
+// through the requester, so this is the union over all of them.
+func (s *System) resolveDeadlock(requester *tstate, entityName string) (*DeadlockReport, error) {
 	s.stats.Deadlocks++
-	contested := s.contestedEntities(cycles)
-	info := deadlock.Info{
-		Requester: requester.id,
-		Cycles:    cycles,
-		Plan: func(id txn.ID) (deadlock.Victim, bool) {
-			t, ok := s.txns[id]
-			if !ok {
-				return deadlock.Victim{}, false
-			}
-			return s.planRollback(t, contested[id])
-		},
-		Entry: func(id txn.ID) int64 {
-			if t, ok := s.txns[id]; ok {
-				return t.entry
-			}
-			return 0
-		},
-		Preemptions: func(id txn.ID) int64 {
-			if t, ok := s.txns[id]; ok {
-				return t.stats.Rollbacks
-			}
-			return 0
-		},
-	}
+	comp := s.wf.ComponentOf(requester.id)
 	report := &DeadlockReport{
 		Requester:  requester.id,
 		Entity:     entityName,
-		Cycles:     cycles,
-		Candidates: map[txn.ID]deadlock.Victim{},
+		Cycles:     s.wf.CyclesThrough(requester.id, ReportedCycles),
+		Candidates: make(map[txn.ID]deadlock.Victim, len(comp.Members)),
 	}
-	for _, id := range info.Participants() {
-		if v, ok := info.Plan(id); ok {
+	for i, id := range comp.Members {
+		if v, ok := s.planRollback(s.txns[id], comp.Contested[i]); ok {
 			report.Candidates[id] = v
 		}
+	}
+	info := deadlock.Info{
+		Requester: requester.id,
+		Members:   comp.Members,
+		Succ:      comp.Succ,
+		Plan: func(id txn.ID) (deadlock.Victim, bool) {
+			v, ok := report.Candidates[id]
+			return v, ok
+		},
+		Entry: func(id txn.ID) int64 { return s.txns[id].entry },
 	}
 	victims, err := s.policy.Choose(info)
 	if err != nil {
@@ -169,12 +135,11 @@ func (s *System) resolveDeadlock(requester *tstate, entityName string, cycles []
 	}
 	// The victims' releases must have broken every cycle; if the
 	// requester still waits it must now wait safely.
-	if requester.status == StatusWaiting {
-		if left := s.wf.CyclesThrough(requester.id, 1); len(left) > 0 {
-			return report, fmt.Errorf("core: policy %q left a cycle unbroken: %v", s.policy.Name(), left[0])
-		}
+	if requester.status == StatusWaiting && s.wf.HasCycleThrough(requester.id) {
+		left := s.wf.CyclesThrough(requester.id, 1)
+		return report, fmt.Errorf("core: policy %q left a cycle unbroken: %v", s.policy.Name(), left[0])
 	}
-	if err := s.escalateStarvation(cycles); err != nil {
+	if err := s.escalateStarvation(comp.Members); err != nil {
 		return report, err
 	}
 	return report, nil
@@ -187,26 +152,19 @@ func (s *System) resolveDeadlock(requester *tstate, entityName string, cycles []
 // back to release it. Minimal cycle-breaking alone can otherwise starve
 // an old waiter indefinitely: each resolution frees only one of several
 // holds (e.g. one of two shared locks) and the ring re-forms.
-func (s *System) escalateStarvation(cycles [][]txn.ID) error {
+func (s *System) escalateStarvation(members []txn.ID) error {
 	if s.cfg.StarvationLimit < 0 {
 		return nil
 	}
-	seen := map[txn.ID]bool{}
 	var starved []*tstate
-	for _, c := range cycles {
-		for _, id := range c {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			t, ok := s.txns[id]
-			if !ok || t.status != StatusWaiting {
-				continue
-			}
-			t.starveRounds++
-			if t.starveRounds >= s.cfg.StarvationLimit {
-				starved = append(starved, t)
-			}
+	for _, id := range members {
+		t, ok := s.txns[id]
+		if !ok || t.status != StatusWaiting {
+			continue
+		}
+		t.starveRounds++
+		if t.starveRounds >= s.cfg.StarvationLimit {
+			starved = append(starved, t)
 		}
 	}
 	sort.Slice(starved, func(i, j int) bool { return starved[i].entry < starved[j].entry })
@@ -214,13 +172,13 @@ func (s *System) escalateStarvation(cycles [][]txn.ID) error {
 		if t.status != StatusWaiting {
 			continue // an earlier escalation unblocked it
 		}
-		entityName := t.waitEntity
-		for _, h := range s.locks.Holders(entityName) {
+		ent := t.waitEnt
+		for _, h := range s.locks.HoldersAppend(ent, nil) {
 			holder, ok := s.txns[h]
 			if !ok || holder.entry <= t.entry {
 				continue // only younger holders are wounded
 			}
-			plan, ok := s.planRollback(holder, map[string]bool{entityName: true})
+			plan, ok := s.planRollback(holder, []intern.ID{ent})
 			if !ok {
 				continue
 			}

@@ -213,24 +213,19 @@ func (s *System) stepLock(t *tstate, op *txn.Op) (StepResult, error) {
 	}
 	s.emit(Event{Kind: EventWait, Txn: t.id, Entity: op.Entity})
 
+	res := StepResult{Outcome: Blocked}
 	if s.cfg.Prevention != NoPrevention {
-		res, err := s.preventConflict(t, op.Entity, blockers)
-		if err != nil || t.status != StatusWaiting {
+		var err error
+		if res, err = s.preventConflict(t, blockers); err != nil || t.status != StatusWaiting {
 			return res, err
 		}
-		// Safety net: shared-lock grants can jump timestamp checks, so
-		// a cycle can still form in rare interleavings; fall through to
-		// detection if one did.
-		if len(s.wf.CyclesThrough(t.id, 1)) == 0 {
-			return res, nil
-		}
 	}
-
-	cycles := s.wf.CyclesThrough(t.id, s.cfg.MaxCycles)
-	if len(cycles) == 0 {
-		return StepResult{Outcome: Blocked}, nil
+	// Under prevention this is a safety net: shared-lock grants can jump
+	// timestamp checks, so a cycle can still form in rare interleavings.
+	if !s.wf.HasCycleThrough(t.id) {
+		return res, nil
 	}
-	report, err := s.resolveDeadlock(t, op.Entity, cycles)
+	report, err := s.resolveDeadlock(t, op.Entity)
 	if err != nil {
 		return StepResult{}, err
 	}

@@ -134,8 +134,6 @@ type Config struct {
 	Policy deadlock.Policy
 	// RecordHistory enables the serializability recorder.
 	RecordHistory bool
-	// MaxCycles bounds cycle enumeration per detection. Default 64.
-	MaxCycles int
 	// Prevention replaces detection with a timestamp rule (§3.3
 	// distributed operation). Default NoPrevention.
 	Prevention Prevention
@@ -401,9 +399,6 @@ func New(cfg Config) *System {
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = deadlock.OrderedMinCost{}
-	}
-	if cfg.MaxCycles <= 0 {
-		cfg.MaxCycles = 64
 	}
 	if cfg.StarvationLimit == 0 {
 		cfg.StarvationLimit = 8

@@ -1,23 +1,29 @@
 // Package deadlock implements victim selection for deadlock removal
 // (§3). Detection itself is a cycle search in the concurrency graph
 // (internal/waitfor); this package decides *who* to roll back and *how
-// far*, given the cycles closed by one lock request and per-victim
-// rollback plans computed by the engine.
+// far*, given the requester's strongly connected component and
+// per-member rollback plans computed by the engine.
 //
 // All cycles closed by a single wait response pass through the
-// requesting transaction (§3.2), so rolling back the requester always
-// suffices; the policies below trade optimality (minimum summed
-// rollback cost, an NP-complete vertex-cut problem in general) against
-// the potentially-infinite-mutual-preemption hazard of Figure 2, which
-// Theorem 2 eliminates with a time-invariant partial order on
-// transactions.
+// requesting transaction r (§3.2), so rolling back r always suffices.
+// §3.2 calls the cheapest victim set — a minimum-cost vertex set that
+// meets every cycle — NP-complete, as it is for arbitrary cycle
+// families. The engine's instance is polynomial. The engine resolves
+// every deadlock as the wait that closes it is made, so the graph
+// minus r is acyclic, and each member has one fixed plan cost. A cycle
+// through r is then r followed by a path from one of r's successors to
+// one of its predecessors, and the cheapest cover is either r alone or
+// a minimum-cost vertex cut separating those two sets: one small
+// max-flow. The policies trade that optimum against the potentially
+// infinite mutual preemption of Figure 2, which Theorem 2 eliminates
+// with a time-invariant partial order on transactions.
 package deadlock
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
-	"partialrollback/internal/graph"
 	"partialrollback/internal/txn"
 )
 
@@ -38,48 +44,28 @@ type Info struct {
 	// Requester is the transaction whose lock request closed the
 	// cycle(s).
 	Requester txn.ID
-	// Cycles lists the simple cycles through Requester, each starting
-	// at Requester.
-	Cycles [][]txn.ID
+	// Members is Requester's strongly connected component of the
+	// concurrency graph in ascending ID order: the transactions on some
+	// cycle through Requester, Requester included.
+	Members []txn.ID
+	// Succ[i] lists, ascending, the indices in Members of the members
+	// Members[i] waits for. The graph it describes minus Requester must
+	// be acyclic.
+	Succ [][]int
 	// Plan computes the rollback plan for a deadlock participant: the
-	// latest lock state at which it would hold none of the cycle
-	// entities it currently blocks (adjusted to a well-defined state
-	// under the single-copy strategy), and the cost of rolling back to
-	// it. ok is false if the transaction cannot be rolled back.
+	// latest lock state at which it would hold none of the entities
+	// other members wait for (adjusted to a well-defined state under
+	// the single-copy strategy), and the cost of rolling back to it. ok
+	// is false if the transaction cannot be rolled back.
 	Plan func(id txn.ID) (v Victim, ok bool)
 	// Entry returns the transaction's entry sequence number (its
 	// position in the Theorem 2 ordering; smaller means earlier).
 	Entry func(id txn.ID) int64
-	// Preemptions returns how many times the transaction has already
-	// been rolled back (victim aging; may be nil, treated as zero).
-	Preemptions func(id txn.ID) int64
-}
-
-func (in Info) preemptions(id txn.ID) int64 {
-	if in.Preemptions == nil {
-		return 0
-	}
-	return in.Preemptions(id)
-}
-
-// Participants returns the distinct transactions on any cycle, sorted.
-func (in Info) Participants() []txn.ID {
-	set := map[txn.ID]bool{}
-	for _, c := range in.Cycles {
-		for _, id := range c {
-			set[id] = true
-		}
-	}
-	out := make([]txn.ID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Policy selects the victim set for a deadlock. Implementations must
-// return victims whose combined rollback breaks every cycle in Info.
+// return victims whose combined rollback breaks every cycle through
+// the requester.
 type Policy interface {
 	// Name identifies the policy in metrics and experiment rows.
 	Name() string
@@ -89,7 +75,7 @@ type Policy interface {
 
 // ParsePolicy returns the policy whose Name is s.
 func ParsePolicy(s string) (Policy, error) {
-	for _, p := range []Policy{MinCost{}, OrderedMinCost{}, Requester{}, Oldest{}, Greedy{}} {
+	for _, p := range []Policy{MinCost{}, OrderedMinCost{}, Requester{}, Oldest{}} {
 		if p.Name() == s {
 			return p, nil
 		}
@@ -97,46 +83,240 @@ func ParsePolicy(s string) (Policy, error) {
 	return nil, fmt.Errorf("unknown policy %q", s)
 }
 
-// maxExactCut bounds the exhaustive vertex-cut search; deadlock cycles
-// involve few transactions, so this is generous.
-const maxExactCut = 20
+// instance is one Choose call's view of an Info: the requester's index
+// and every member's plan, computed once.
+type instance struct {
+	Info
+	r     int
+	plans []Victim
+	ok    []bool // ok[i]: Members[i] can be rolled back
+}
 
-// chooseByCut picks a minimum-cost victim set restricted to allowed
-// (nil means all participants), via exact search with greedy fallback.
-func chooseByCut(in Info, allowed map[txn.ID]bool) ([]Victim, error) {
-	plans := map[txn.ID]Victim{}
-	inst := graph.CutInstance{Cost: map[int]int64{}}
-	for _, c := range in.Cycles {
-		cycle := make([]int, len(c))
-		for i, id := range c {
-			cycle[i] = int(id)
+func newInstance(in Info) *instance {
+	x := &instance{Info: in, plans: make([]Victim, len(in.Members)), ok: make([]bool, len(in.Members))}
+	for i, id := range in.Members {
+		if id == in.Requester {
+			x.r = i
 		}
-		inst.Cycles = append(inst.Cycles, cycle)
+		x.plans[i], x.ok[i] = in.Plan(id)
 	}
-	for _, id := range in.Participants() {
-		if allowed != nil && !allowed[id] {
+	return x
+}
+
+func (x *instance) entry(i int) int64 { return x.Entry(x.Members[i]) }
+
+// victims returns the plans of the members in set, in ascending ID
+// order.
+func (x *instance) victims(set []int) []Victim {
+	slices.Sort(set)
+	out := make([]Victim, len(set))
+	for k, i := range set {
+		out[k] = x.plans[i]
+	}
+	return out
+}
+
+// reach marks the members reachable from start without entering a
+// removed member or the requester; back reports whether some path
+// reaches the requester.
+func (x *instance) reach(start int, removed []bool) (seen []bool, back bool) {
+	seen = make([]bool, len(x.Members))
+	stack := []int{start}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range x.Succ[u] {
+			if w == x.r {
+				back = true
+			} else if !removed[w] && !seen[w] {
+				seen[w] = true
+				stack = append(stack, w)
+			}
+		}
+	}
+	return seen, back
+}
+
+// firstCycle returns the first cycle through the requester that avoids
+// the removed members, in the order waitfor.Graph.CyclesThrough
+// enumerates cycles (successors in ascending ID order), as member
+// indices starting at the requester; nil when none is left. The graph
+// minus the requester is acyclic, so a member from which the requester
+// was not reached never reaches it: one DFS with a dead mark suffices.
+func (x *instance) firstCycle(removed []bool) []int {
+	dead := make([]bool, len(x.Members))
+	path := []int{x.r}
+	var dfs func(u int) bool
+	dfs = func(u int) bool {
+		for _, w := range x.Succ[u] {
+			if w == x.r {
+				return true
+			}
+			if removed[w] || dead[w] {
+				continue
+			}
+			path = append(path, w)
+			if dfs(w) {
+				return true
+			}
+			path = path[:len(path)-1]
+			dead[w] = true
+		}
+		return false
+	}
+	if dfs(x.r) {
+		return path
+	}
+	return nil
+}
+
+// cut returns a minimum-cost set of members other than the requester
+// whose removal leaves no cycle through it, and its cost; cost[i] < 0
+// marks member i as not removable, and ok is false when no such set
+// exists. It is one max-flow over the split graph: member v becomes
+// v_in -> v_out with capacity cost[v], an arc u -> w between
+// non-requester members becomes u_out -> w_in, the source feeds the
+// requester's successors and its predecessors drain into the sink, all
+// with unbounded capacity.
+func (x *instance) cut(cost []int64) (set []int, total int64, ok bool) {
+	n := len(x.Members)
+	inf := int64(1)
+	for i, c := range cost {
+		if i != x.r && c > 0 {
+			inf += c
+		}
+	}
+	net := newNetwork(2*n + 2)
+	src, sink := 2*n, 2*n+1
+	for v := range x.Members {
+		if v == x.r {
 			continue
 		}
-		v, ok := in.Plan(id)
-		if !ok {
+		c := cost[v]
+		if c < 0 {
+			c = inf
+		}
+		net.add(2*v, 2*v+1, c)
+	}
+	for u, succ := range x.Succ {
+		for _, w := range succ {
+			switch {
+			case u == x.r:
+				net.add(src, 2*w, inf)
+			case w == x.r:
+				net.add(2*u+1, sink, inf)
+			default:
+				net.add(2*u+1, 2*w, inf)
+			}
+		}
+	}
+	total, source := net.maxFlow(src, sink, inf)
+	if total >= inf {
+		return nil, 0, false
+	}
+	for v := range x.Members {
+		if v != x.r && source[2*v] && !source[2*v+1] {
+			set = append(set, v)
+		}
+	}
+	return set, total, true
+}
+
+// cheapest returns the cheapest set of members, drawn from those that
+// are allowed (nil allows all) and can be rolled back, whose removal
+// breaks every cycle through the requester (the requester alone when
+// it is allowed and no cut is cheaper). Ties go to the set whose
+// ID-ordered bitmask is smallest, the one an exhaustive subset search
+// in ascending order finds first: candidates are excluded in
+// descending ID order while the optimal cost holds.
+func (x *instance) cheapest(allowed []bool) ([]Victim, bool) {
+	excluded := make([]bool, len(x.Members))
+	cost := make([]int64, len(x.Members))
+	best := func() ([]int, int64, bool) {
+		for i := range cost {
+			cost[i] = -1
+			if (allowed == nil || allowed[i]) && x.ok[i] && !excluded[i] {
+				cost[i] = x.plans[i].Cost
+			}
+		}
+		set, total, ok := x.cut(cost)
+		if c := cost[x.r]; c >= 0 && (!ok || c <= total) {
+			return []int{x.r}, c, true
+		}
+		return set, total, ok
+	}
+	set, opt, ok := best()
+	if !ok {
+		return nil, false
+	}
+	for i := len(x.Members) - 1; i >= 0; i-- {
+		excluded[i] = true
+		if !slices.Contains(set, i) {
 			continue
 		}
-		plans[id] = v
-		inst.Cost[int(id)] = v.Cost
+		if s, c, ok := best(); ok && c == opt {
+			set = s
+		} else {
+			excluded[i] = false
+		}
 	}
-	cut, _, ok := graph.MinCostCutExact(inst, maxExactCut)
-	if !ok {
-		cut, _, ok = graph.MinCostCutGreedy(inst)
+	return x.victims(set), true
+}
+
+// network is a flow network with residual capacities; edge e's reverse
+// is e^1.
+type network struct {
+	adj [][]int // node -> edge indices
+	to  []int
+	cap []int64
+}
+
+func newNetwork(nodes int) *network { return &network{adj: make([][]int, nodes)} }
+
+func (n *network) add(u, v int, c int64) {
+	n.adj[u] = append(n.adj[u], len(n.to))
+	n.to = append(n.to, v)
+	n.cap = append(n.cap, c)
+	n.adj[v] = append(n.adj[v], len(n.to))
+	n.to = append(n.to, u)
+	n.cap = append(n.cap, 0)
+}
+
+// maxFlow pushes flow from s to t along shortest augmenting paths
+// (Edmonds–Karp) until none is left or the flow reaches limit. It
+// returns the flow and the nodes reachable from s in the final
+// residual graph, the source side of a minimum cut.
+func (n *network) maxFlow(s, t int, limit int64) (int64, []bool) {
+	var flow int64
+	via := make([]int, len(n.adj)) // edge that reached each node
+	seen := make([]bool, len(n.adj))
+	queue := make([]int, 0, len(n.adj))
+	for {
+		clear(seen)
+		seen[s] = true
+		queue = append(queue[:0], s)
+		for head := 0; head < len(queue) && !seen[t]; head++ {
+			u := queue[head]
+			for _, e := range n.adj[u] {
+				if w := n.to[e]; n.cap[e] > 0 && !seen[w] {
+					seen[w], via[w] = true, e
+					queue = append(queue, w)
+				}
+			}
+		}
+		if !seen[t] || flow >= limit {
+			return flow, seen
+		}
+		b := limit - flow
+		for v := t; v != s; v = n.to[via[v]^1] {
+			b = min(b, n.cap[via[v]])
+		}
+		for v := t; v != s; v = n.to[via[v]^1] {
+			n.cap[via[v]] -= b
+			n.cap[via[v]^1] += b
+		}
+		flow += b
 	}
-	if !ok {
-		return nil, fmt.Errorf("deadlock: no rollback-capable victim set covers all cycles (requester %v)", in.Requester)
-	}
-	victims := make([]Victim, 0, len(cut))
-	for _, v := range cut {
-		victims = append(victims, plans[txn.ID(v)])
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].Txn < victims[j].Txn })
-	return victims, nil
 }
 
 // MinCost is the §3.1 cost-optimal policy: the cheapest victim set that
@@ -149,43 +329,12 @@ type MinCost struct{}
 func (MinCost) Name() string { return "min-cost" }
 
 // Choose implements Policy.
-func (MinCost) Choose(in Info) ([]Victim, error) { return chooseByCut(in, nil) }
-
-// Greedy is MinCost with the greedy cut heuristic forced, for the E8
-// exact-vs-greedy comparison.
-type Greedy struct{}
-
-// Name implements Policy.
-func (Greedy) Name() string { return "greedy" }
-
-// Choose implements Policy.
-func (Greedy) Choose(in Info) ([]Victim, error) {
-	plans := map[txn.ID]Victim{}
-	inst := graph.CutInstance{Cost: map[int]int64{}}
-	for _, c := range in.Cycles {
-		cycle := make([]int, len(c))
-		for i, id := range c {
-			cycle[i] = int(id)
-		}
-		inst.Cycles = append(inst.Cycles, cycle)
-	}
-	for _, id := range in.Participants() {
-		v, ok := in.Plan(id)
-		if !ok {
-			continue
-		}
-		plans[id] = v
-		inst.Cost[int(id)] = v.Cost
-	}
-	cut, _, ok := graph.MinCostCutGreedy(inst)
+func (MinCost) Choose(in Info) ([]Victim, error) {
+	x := newInstance(in)
+	victims, ok := x.cheapest(nil)
 	if !ok {
-		return nil, fmt.Errorf("deadlock: greedy found no cover (requester %v)", in.Requester)
+		return nil, fmt.Errorf("deadlock: no rollback-capable victim set covers all cycles (requester %v)", in.Requester)
 	}
-	victims := make([]Victim, 0, len(cut))
-	for _, v := range cut {
-		victims = append(victims, plans[txn.ID(v)])
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].Txn < victims[j].Txn })
 	return victims, nil
 }
 
@@ -213,11 +362,10 @@ func (Requester) Choose(in Info) ([]Victim, error) {
 // rolled back as a result of a conflict caused by T_j only if T_i
 // entered the system strictly later than T_j (entry order is the
 // time-invariant partial order ω). Among the permitted victim sets the
-// cheapest cover is chosen. When no strictly-younger participant can
-// cover the cycles — the requester is the youngest — the requester
-// itself backs off (the wait-die degenerate case): the youngest
-// self-preempting cannot sustain mutual preemption, because every other
-// participant keeps its progress.
+// cheapest cover is chosen: the cut in which every member not
+// strictly younger than the requester is unremovable. When no such cut
+// exists — e.g. the requester is the youngest — the fallback below
+// applies.
 //
 // The strictness matters: allowing an *older* requester to self-preempt
 // while a younger victim was available creates exactly the symmetric
@@ -229,18 +377,15 @@ type OrderedMinCost struct{}
 func (OrderedMinCost) Name() string { return "ordered-min-cost" }
 
 // Choose implements Policy.
-func (o OrderedMinCost) Choose(in Info) ([]Victim, error) {
-	reqEntry := in.Entry(in.Requester)
-	younger := map[txn.ID]bool{}
-	for _, id := range in.Participants() {
-		if id != in.Requester && in.Entry(id) > reqEntry {
-			younger[id] = true
-		}
+func (OrderedMinCost) Choose(in Info) ([]Victim, error) {
+	x := newInstance(in)
+	reqEntry := x.entry(x.r)
+	younger := make([]bool, len(in.Members))
+	for i := range younger {
+		younger[i] = i != x.r && x.entry(i) > reqEntry
 	}
-	if len(younger) > 0 {
-		if victims, err := chooseByCut(in, younger); err == nil {
-			return victims, nil
-		}
+	if victims, ok := x.cheapest(younger); ok {
+		return victims, nil
 	}
 	// No strictly-younger victim set covers every cycle (e.g. some
 	// cycle's other members are all older than the requester — possible
@@ -251,51 +396,25 @@ func (o OrderedMinCost) Choose(in Info) ([]Victim, error) {
 	// *youngest* member. The globally oldest active transaction is never
 	// anyone's youngest, so its progress is monotone and the system
 	// cannot churn forever.
-	remaining := in.Cycles
-	var victims []Victim
-	chosen := map[txn.ID]bool{}
-	for len(remaining) > 0 {
-		cycle := remaining[0]
-		var best txn.ID
-		found := false
-		covered := false
-		for _, id := range cycle {
-			if chosen[id] {
-				covered = true
-				break
-			}
-			if _, ok := in.Plan(id); !ok {
-				continue
-			}
-			if !found || in.Entry(id) > in.Entry(best) {
-				best, found = id, true
+	removed := make([]bool, len(in.Members))
+	var chosen []int
+	for cycle := x.firstCycle(removed); cycle != nil; cycle = x.firstCycle(removed) {
+		best := -1
+		for _, v := range cycle {
+			if x.ok[v] && (best < 0 || x.entry(v) > x.entry(best)) {
+				best = v
 			}
 		}
-		if !covered {
-			if !found {
-				return nil, fmt.Errorf("deadlock: ordered policy has no legal victim (requester %v)", in.Requester)
-			}
-			chosen[best] = true
-			v, _ := in.Plan(best)
-			victims = append(victims, v)
+		if best < 0 {
+			return nil, fmt.Errorf("deadlock: ordered policy has no legal victim (requester %v)", in.Requester)
 		}
-		var kept [][]txn.ID
-		for _, c := range remaining {
-			hit := false
-			for _, m := range c {
-				if chosen[m] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				kept = append(kept, c)
-			}
+		removed[best] = true
+		chosen = append(chosen, best)
+		if best == x.r {
+			break
 		}
-		remaining = kept
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].Txn < victims[j].Txn })
-	return victims, nil
+	return x.victims(chosen), nil
 }
 
 // Oldest rolls back the participant with the latest entry time (the
@@ -308,52 +427,33 @@ func (Oldest) Name() string { return "youngest-victim" }
 
 // Choose implements Policy.
 func (Oldest) Choose(in Info) ([]Victim, error) {
-	// The youngest participant may not cover all cycles by itself when
-	// several cycles exist; cover cycles greedily youngest-first.
-	parts := in.Participants()
-	sort.Slice(parts, func(i, j int) bool {
-		ei, ej := in.Entry(parts[i]), in.Entry(parts[j])
-		if ei != ej {
-			return ei > ej // youngest first
-		}
-		return parts[i] < parts[j]
-	})
-	remaining := make([][]txn.ID, len(in.Cycles))
-	copy(remaining, in.Cycles)
-	var victims []Victim
-	for _, id := range parts {
-		if len(remaining) == 0 {
+	x := newInstance(in)
+	// The youngest participant may not break every cycle by itself;
+	// members are taken youngest first while they still lie on a cycle
+	// through the requester.
+	order := make([]int, len(in.Members))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return x.entry(order[i]) > x.entry(order[j]) })
+	removed := make([]bool, len(in.Members))
+	var chosen []int
+	for _, v := range order {
+		fwd, left := x.reach(x.r, removed)
+		if !left {
 			break
 		}
-		covers := false
-		var kept [][]txn.ID
-		for _, c := range remaining {
-			hit := false
-			for _, m := range c {
-				if m == id {
-					hit = true
-					break
-				}
-			}
-			if hit {
-				covers = true
-			} else {
-				kept = append(kept, c)
-			}
-		}
-		if !covers {
+		if _, back := x.reach(v, removed); !x.ok[v] || v != x.r && !(fwd[v] && back) {
 			continue
 		}
-		v, ok := in.Plan(id)
-		if !ok {
-			continue
+		removed[v] = true
+		chosen = append(chosen, v)
+		if v == x.r {
+			break
 		}
-		victims = append(victims, v)
-		remaining = kept
 	}
-	if len(remaining) > 0 {
+	if _, left := x.reach(x.r, removed); left && !removed[x.r] {
 		return nil, fmt.Errorf("deadlock: youngest-victim could not cover all cycles (requester %v)", in.Requester)
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].Txn < victims[j].Txn })
-	return victims, nil
+	return x.victims(chosen), nil
 }

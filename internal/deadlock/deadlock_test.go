@@ -2,17 +2,56 @@ package deadlock
 
 import (
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"partialrollback/internal/txn"
 )
 
-// makeInfo builds an Info over fixed cycles with per-txn costs, entries
-// and targets.
+// makeInfo builds an Info over the union of the given cycles' arcs
+// (each cycle lists its members in wait order, starting at the
+// requester) with per-txn costs, entries and targets.
 func makeInfo(requester txn.ID, cycles [][]txn.ID, costs map[txn.ID]int64, entries map[txn.ID]int64) Info {
+	var arcs [][2]txn.ID
+	for _, c := range cycles {
+		for i := range c {
+			arcs = append(arcs, [2]txn.ID{c[i], c[(i+1)%len(c)]})
+		}
+	}
+	return makeArcInfo(requester, arcs, costs, entries)
+}
+
+// makeArcInfo builds an Info whose component is every transaction on
+// the given waiter->holder arcs.
+func makeArcInfo(requester txn.ID, arcs [][2]txn.ID, costs map[txn.ID]int64, entries map[txn.ID]int64) Info {
+	set := map[txn.ID]bool{requester: true}
+	for _, a := range arcs {
+		set[a[0]], set[a[1]] = true, true
+	}
+	var members []txn.ID
+	for id := range set {
+		members = append(members, id)
+	}
+	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	idx := map[txn.ID]int{}
+	for i, id := range members {
+		idx[id] = i
+	}
+	succ := make([][]int, len(members))
+	for _, a := range arcs {
+		u, w := idx[a[0]], idx[a[1]]
+		if !slices.Contains(succ[u], w) {
+			succ[u] = append(succ[u], w)
+		}
+	}
+	for _, s := range succ {
+		sort.Ints(s)
+	}
 	return Info{
 		Requester: requester,
-		Cycles:    cycles,
+		Members:   members,
+		Succ:      succ,
 		Plan: func(id txn.ID) (Victim, bool) {
 			c, ok := costs[id]
 			if !ok {
@@ -37,10 +76,22 @@ func victims(t *testing.T, p Policy, in Info) []txn.ID {
 	return out
 }
 
+// TestParticipants pins that victims come from the requester's
+// component only, even when a transaction outside it has a cheaper
+// plan.
 func TestParticipants(t *testing.T) {
-	in := makeInfo(1, [][]txn.ID{{1, 3}, {1, 2, 3}}, nil, nil)
-	if got := in.Participants(); !reflect.DeepEqual(got, []txn.ID{1, 2, 3}) {
-		t.Errorf("participants = %v", got)
+	in := makeInfo(1, [][]txn.ID{{1, 3}, {1, 2, 3}},
+		map[txn.ID]int64{1: 9, 2: 5, 3: 7, 4: 0},
+		map[txn.ID]int64{1: 1, 2: 2, 3: 3, 4: 4})
+	if !reflect.DeepEqual(in.Members, []txn.ID{1, 2, 3}) {
+		t.Fatalf("members = %v", in.Members)
+	}
+	for _, p := range []Policy{MinCost{}, OrderedMinCost{}, Requester{}, Oldest{}} {
+		for _, v := range victims(t, p, in) {
+			if v == 4 {
+				t.Errorf("%s chose T4, which is on no cycle", p.Name())
+			}
+		}
 	}
 }
 
@@ -134,29 +185,6 @@ func TestOrderedRespectsTheorem2Relation(t *testing.T) {
 	}
 }
 
-func TestGreedyCoversAllCycles(t *testing.T) {
-	in := makeInfo(1,
-		[][]txn.ID{{1, 2}, {1, 3}, {1, 2, 3}},
-		map[txn.ID]int64{1: 9, 2: 2, 3: 2},
-		map[txn.ID]int64{1: 1, 2: 2, 3: 3})
-	got := victims(t, Greedy{}, in)
-	cover := map[txn.ID]bool{}
-	for _, v := range got {
-		cover[v] = true
-	}
-	for _, c := range in.Cycles {
-		hit := false
-		for _, m := range c {
-			if cover[m] {
-				hit = true
-			}
-		}
-		if !hit {
-			t.Errorf("cycle %v uncovered by %v", c, got)
-		}
-	}
-}
-
 func TestYoungestVictim(t *testing.T) {
 	in := makeInfo(1,
 		[][]txn.ID{{1, 2, 3}},
@@ -183,7 +211,6 @@ func TestPolicyNames(t *testing.T) {
 		"min-cost":         MinCost{},
 		"ordered-min-cost": OrderedMinCost{},
 		"requester":        Requester{},
-		"greedy":           Greedy{},
 		"youngest-victim":  Oldest{},
 	}
 	for want, p := range names {

@@ -18,11 +18,14 @@
 package dist
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"partialrollback/internal/core"
+	"partialrollback/internal/deadlock"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/history"
 	"partialrollback/internal/lock"
@@ -499,13 +502,12 @@ func (e *msgEngine) siteLockRequest(s *msgSite, m *message) error {
 		s.wf.AddWait(m.txn, b, m.entity)
 	}
 	// Site-ordered acquisition makes every cycle local to this site.
-	cycles := s.wf.CyclesThrough(m.txn, 16)
-	if len(cycles) == 0 {
+	if !s.wf.HasCycleThrough(m.txn) {
 		return nil
 	}
 	e.metrics.Deadlocks++
 	e.metrics.PerSiteDeadlocks[s.id]++
-	return e.resolveLocalDeadlock(s, m.txn, m.entity, cycles)
+	return e.resolveLocalDeadlock(s, m.txn)
 }
 
 // grantFrom completes a grant at site s and notifies the requester.
@@ -648,84 +650,46 @@ func (e *msgEngine) refreshSiteWaiters(s *msgSite, ent string) {
 	}
 }
 
-// resolveLocalDeadlock picks the youngest participant holding a
-// contested entity and asks its home site to roll it back past that
-// entity. The youngest-victim rule is Theorem 2-compatible (the oldest
-// transaction in the system is never preempted).
-func (e *msgEngine) resolveLocalDeadlock(s *msgSite, requester txn.ID, reqEntity string, cycles [][]txn.ID) error {
-	// Contested entities per participant, from the cycle arcs.
-	contested := map[txn.ID]map[string]bool{}
-	for _, c := range cycles {
-		for i := range c {
-			waiter := c[i]
-			holder := c[(i+1)%len(c)]
-			for _, ent := range s.wf.Label(waiter, holder) {
-				if contested[holder] == nil {
-					contested[holder] = map[string]bool{}
-				}
-				contested[holder][ent] = true
-			}
-		}
-	}
-	// Participants sorted youngest first.
-	var parts []txn.ID
-	for id := range contested {
-		parts = append(parts, id)
-	}
-	sort.Slice(parts, func(i, j int) bool {
-		ei, ej := e.agents[parts[i]].entry, e.agents[parts[j]].entry
-		if ei != ej {
-			return ei > ej
-		}
-		return parts[i] < parts[j]
+// resolveLocalDeadlock applies the youngest-victim rule
+// (deadlock.Oldest; Theorem 2-compatible, since the oldest transaction
+// in the system is never preempted) to the requester's component, and
+// asks each victim's home site to roll it back past a contested
+// entity.
+func (e *msgEngine) resolveLocalDeadlock(s *msgSite, requester txn.ID) error {
+	comp := s.wf.ComponentOf(requester)
+	victims, err := deadlock.Oldest{}.Choose(deadlock.Info{
+		Requester: requester,
+		Members:   comp.Members,
+		Succ:      comp.Succ,
+		Plan: func(id txn.ID) (deadlock.Victim, bool) {
+			a := e.agents[id]
+			return deadlock.Victim{Txn: id}, !a.unlocked && !a.declared
+		},
+		Entry: func(id txn.ID) int64 { return e.agents[id].entry },
 	})
-	remaining := cycles
-	for _, id := range parts {
-		if len(remaining) == 0 {
-			break
-		}
-		var kept [][]txn.ID
-		covers := false
-		for _, c := range remaining {
-			hit := false
-			for _, member := range c {
-				if member == id {
-					hit = true
-					break
-				}
-			}
-			if hit {
-				covers = true
-			} else {
-				kept = append(kept, c)
-			}
-		}
-		if !covers {
-			continue
-		}
-		a := e.agents[id]
-		if a.unlocked || a.declared {
-			continue
-		}
+	if err != nil {
+		return fmt.Errorf("dist: site %d: %w", s.id, err)
+	}
+	// Messages go out youngest first, the order the rule takes victims.
+	slices.SortStableFunc(victims, func(a, b deadlock.Victim) int { return cmp.Compare(e.agents[b.Txn].entry, e.agents[a.Txn].entry) })
+	for _, v := range victims {
 		// One contested entity suffices to name the rollback point; the
 		// home computes the strategy-adjusted target over all of them.
+		i, _ := slices.BinarySearch(comp.Members, v.Txn)
 		var ent string
-		for ce := range contested[id] {
-			if ent == "" || ce < ent {
-				ent = ce
+		for _, l := range comp.Contested[i] {
+			if name := s.wf.Names().Name(l); ent == "" || name < ent {
+				ent = name
 			}
 		}
-		rm := &message{kind: msgRollback, to: a.home, txn: id, entity: ent}
+		a := e.agents[v.Txn]
+		rm := &message{kind: msgRollback, to: a.home, txn: v.Txn, entity: ent}
 		if s.id == a.home {
 			rm.at = e.now
 			e.send(rm)
 		} else {
 			e.sendRemote(s.id, rm)
 		}
-		remaining = kept
-	}
-	if len(remaining) > 0 {
-		return fmt.Errorf("dist: site %d could not cover all cycles (requester %v)", s.id, requester)
 	}
 	return nil
 }

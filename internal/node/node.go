@@ -38,7 +38,7 @@ import (
 type Config struct {
 	Addr     string // listen address
 	Strategy string // total|mcs|sdg|hybrid
-	Policy   string // min-cost|ordered-min-cost|requester|youngest-victim|greedy
+	Policy   string // min-cost|ordered-min-cost|requester|youngest-victim
 
 	// The store: Entities uniform entities "e0".."eN-1" initialised to
 	// Init, plus Accounts bank accounts "acct0".."acctM-1" at Balance

@@ -15,14 +15,18 @@
 // Representation: per-node adjacency (out-edges carrying label sets of
 // interned entity IDs, plus a reverse in-list), so RemoveTxn is
 // O(degree) and the no-deadlock fast path — HasCycleThrough's stamped
-// DFS over reachable nodes — allocates nothing. Simple-cycle
-// enumeration (the rare deadlock path) still mirrors
-// graph.Digraph.AllCyclesThrough exactly, successors in ascending ID
-// order, so victim selection stays byte-identical.
+// DFS over reachable nodes — allocates nothing. On a deadlock,
+// ComponentOf hands victim selection the requester's strongly
+// connected component in two linear DFS passes. Simple-cycle
+// enumeration (CyclesThrough) mirrors graph.Digraph.AllCyclesThrough
+// exactly, successors in ascending ID order; it feeds only reports and
+// error text.
 package waitfor
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"partialrollback/internal/intern"
@@ -54,6 +58,7 @@ type node struct {
 	in     []txn.ID // waiters with an arc to this node
 	stamp  uint64   // visited mark for stamped traversals
 	onPath bool     // cycle-enumeration path membership
+	idx    int      // position in the last ComponentOf result
 }
 
 // Graph is the concurrency graph. The zero value is not usable; call
@@ -300,96 +305,17 @@ func (g *Graph) Arcs() []Arc {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Waiter != b.Waiter {
-			return a.Waiter < b.Waiter
-		}
-		if a.Holder != b.Holder {
-			return a.Holder < b.Holder
-		}
-		return a.Entity < b.Entity
+	slices.SortFunc(out, func(a, b Arc) int {
+		return cmp.Or(cmp.Compare(a.Waiter, b.Waiter), cmp.Compare(a.Holder, b.Holder), cmp.Compare(a.Entity, b.Entity))
 	})
 	return out
 }
 
-// WaitsFor returns the holders waiter currently waits for, sorted.
-func (g *Graph) WaitsFor(waiter txn.ID) []txn.ID {
-	n := g.nodes[waiter]
-	out := make([]txn.ID, 0, outDegree(n))
-	if n != nil {
-		for i := range n.out {
-			out = append(out, n.out[i].to)
-		}
-	}
-	sortTxnIDs(out)
-	return out
-}
-
-// WaitedOnBy returns the waiters blocked on holder, sorted.
-func (g *Graph) WaitedOnBy(holder txn.ID) []txn.ID {
-	n := g.nodes[holder]
-	if n == nil {
-		return make([]txn.ID, 0)
-	}
-	out := append(make([]txn.ID, 0, len(n.in)), n.in...)
-	sortTxnIDs(out)
-	return out
-}
-
-func outDegree(n *node) int {
-	if n == nil {
-		return 0
-	}
-	return len(n.out)
-}
-
-// Label returns the entities labeling the waiter->holder arc, sorted.
-func (g *Graph) Label(waiter, holder txn.ID) []string {
-	n := g.nodes[waiter]
-	if n == nil {
-		return make([]string, 0)
-	}
-	for i := range n.out {
-		if n.out[i].to == holder {
-			out := make([]string, 0, len(n.out[i].labels))
-			for _, l := range n.out[i].labels {
-				out = append(out, g.names.Name(l))
-			}
-			sort.Strings(out)
-			return out
-		}
-	}
-	return make([]string, 0)
-}
-
-// HasCycle reports whether any directed cycle (deadlock) exists.
+// HasCycle reports whether any directed cycle (deadlock) exists: one
+// HasCycleThrough per node, quadratic, for checks and figures only.
 func (g *Graph) HasCycle() bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[txn.ID]int, len(g.nodes))
-	var visit func(n *node) bool
-	visit = func(n *node) bool {
-		color[n.id] = gray
-		for i := range n.out {
-			w := g.nodes[n.out[i].to]
-			switch color[w.id] {
-			case gray:
-				return true
-			case white:
-				if visit(w) {
-					return true
-				}
-			}
-		}
-		color[n.id] = black
-		return false
-	}
-	for _, n := range g.nodes {
-		if color[n.id] == white && visit(n) {
+	for id := range g.nodes {
+		if g.HasCycleThrough(id) {
 			return true
 		}
 	}
@@ -492,6 +418,86 @@ func (g *Graph) HasCycleThrough(id txn.ID) bool {
 	return false
 }
 
+// Component is the strongly connected component of a requester in
+// the concurrency graph: the transactions reachable from it that also
+// reach it. While the graph minus the requester is acyclic (the engine
+// resolves every deadlock when the request that closes it waits), the
+// members are exactly the transactions on some cycle through the
+// requester, and every arc between members lies on such a cycle.
+type Component struct {
+	// Members lists the component in ascending ID order, requester
+	// included.
+	Members []txn.ID
+	// Succ[i] lists, ascending, the indices in Members of the members
+	// Members[i] waits for.
+	Succ [][]int
+	// Contested[i] lists the entities Members[i] holds that another
+	// member waits for: the labels on arcs into it from inside the
+	// component, i.e. the union over every cycle through the requester.
+	Contested [][]intern.ID
+}
+
+// ComponentOf returns id's strongly connected component: one forward
+// stamped DFS from id, then one backward DFS over the in-lists that
+// stays inside the forward-reached set. It has no cap; a transaction
+// on no cycle gets the one-member component {id}.
+func (g *Graph) ComponentOf(id txn.ID) Component {
+	r := g.nodes[id]
+	if r == nil {
+		return Component{Members: []txn.ID{id}, Succ: make([][]int, 1), Contested: make([][]intern.ID, 1)}
+	}
+	fwd := g.nextStamp()
+	r.stamp = fwd
+	g.stack = append(g.stack[:0], r)
+	for len(g.stack) > 0 {
+		x := g.stack[len(g.stack)-1]
+		g.stack = g.stack[:len(g.stack)-1]
+		for i := range x.out {
+			if w := g.nodes[x.out[i].to]; w.stamp != fwd {
+				w.stamp = fwd
+				g.stack = append(g.stack, w)
+			}
+		}
+	}
+	in := g.nextStamp()
+	r.stamp = in
+	members := []*node{r}
+	g.stack = append(g.stack[:0], r)
+	for len(g.stack) > 0 {
+		x := g.stack[len(g.stack)-1]
+		g.stack = g.stack[:len(g.stack)-1]
+		for _, p := range x.in {
+			if w := g.nodes[p]; w.stamp == fwd {
+				w.stamp = in
+				members = append(members, w)
+				g.stack = append(g.stack, w)
+			}
+		}
+	}
+	slices.SortFunc(members, func(a, b *node) int { return cmp.Compare(a.id, b.id) })
+	c := Component{
+		Members:   make([]txn.ID, len(members)),
+		Succ:      make([][]int, len(members)),
+		Contested: make([][]intern.ID, len(members)),
+	}
+	for i, m := range members {
+		m.idx = i
+		c.Members[i] = m.id
+	}
+	for i, m := range members {
+		for k := range m.out {
+			w := g.nodes[m.out[k].to]
+			if w.stamp != in {
+				continue
+			}
+			c.Succ[i] = append(c.Succ[i], w.idx)
+			c.Contested[w.idx] = append(c.Contested[w.idx], m.out[k].labels...)
+		}
+		sort.Ints(c.Succ[i])
+	}
+	return c
+}
+
 // CyclesThrough enumerates the simple cycles containing id, up to
 // limit (limit <= 0: unlimited). Each cycle starts at id. The
 // no-cycle case is answered by HasCycleThrough without allocating;
@@ -544,46 +550,6 @@ func (g *Graph) CyclesThrough(id txn.ID, limit int) [][]txn.ID {
 	}
 	g.path = g.path[:0]
 	return cycles
-}
-
-// WouldDeadlock reports whether making waiter wait for the given
-// holders would close at least one cycle, i.e. whether waiter is
-// reachable from any holder. Zero allocations (stamped DFS).
-func (g *Graph) WouldDeadlock(waiter txn.ID, holders []txn.ID) bool {
-	for _, h := range holders {
-		if h == waiter || g.reachable(h, waiter) {
-			return true
-		}
-	}
-	return false
-}
-
-// reachable reports whether to is reachable from from (including
-// from == to, matching the historical PathExists).
-func (g *Graph) reachable(from, to txn.ID) bool {
-	nf := g.nodes[from]
-	nt := g.nodes[to]
-	if nf == nil || nt == nil {
-		return false
-	}
-	s := g.nextStamp()
-	nf.stamp = s
-	g.stack = append(g.stack[:0], nf)
-	for len(g.stack) > 0 {
-		x := g.stack[len(g.stack)-1]
-		g.stack = g.stack[:len(g.stack)-1]
-		if x == nt {
-			return true
-		}
-		for i := range x.out {
-			w := g.nodes[x.out[i].to]
-			if w.stamp != s {
-				w.stamp = s
-				g.stack = append(g.stack, w)
-			}
-		}
-	}
-	return false
 }
 
 // Rebuild reconstructs the graph from a lock table: for every queued

@@ -19,14 +19,8 @@ func TestArcsAndLabels(t *testing.T) {
 	if len(arcs) != 3 {
 		t.Fatalf("arcs = %v", arcs)
 	}
-	if got := g.Label(1, 2); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("labels = %v", got)
-	}
-	if got := g.WaitsFor(1); len(got) != 1 || got[0] != 2 {
-		t.Errorf("waits for = %v", got)
-	}
-	if got := g.WaitedOnBy(2); len(got) != 2 {
-		t.Errorf("waited on by = %v", got)
+	if got := fmt.Sprint(arcs); got != "[T1 -a-> T2 T1 -b-> T2 T3 -a-> T2]" {
+		t.Errorf("arcs = %s", got)
 	}
 }
 
@@ -39,7 +33,7 @@ func TestRemoveWaitDropsArcWhenLabelsEmpty(t *testing.T) {
 		t.Error("label removal dropped arc early")
 	}
 	g.RemoveWait(1, 2, "b")
-	if len(g.Arcs()) != 0 || len(g.WaitsFor(1)) != 0 {
+	if len(g.Arcs()) != 0 {
 		t.Error("arc should be gone")
 	}
 	g.RemoveWait(9, 9, "z") // no-op
@@ -63,11 +57,8 @@ func TestRemoveAllWaitsBy(t *testing.T) {
 	g.AddWait(1, 3, "b")
 	g.AddWait(4, 1, "c")
 	g.RemoveAllWaitsBy(1)
-	if len(g.WaitsFor(1)) != 0 {
-		t.Error("outgoing arcs remain")
-	}
-	if len(g.WaitedOnBy(1)) != 1 {
-		t.Error("incoming arcs must survive")
+	if got := g.Arcs(); len(got) != 1 || got[0] != (Arc{Waiter: 4, Holder: 1, Entity: "c"}) {
+		t.Errorf("arcs = %v, want only the incoming 4 -c-> 1", got)
 	}
 }
 
@@ -88,21 +79,19 @@ func TestCyclesAndForest(t *testing.T) {
 	if g.HasCycle() || !g.IsForest() {
 		t.Error("chain")
 	}
-	if g.WouldDeadlock(3, []txn.ID{4}) {
-		t.Error("no path 4->3... wait direction: holder 4 unknown")
+	if g.HasCycleThrough(3) {
+		t.Error("chain has no cycle through 3")
 	}
-	if !g.WouldDeadlock(3, []txn.ID{3}) {
-		t.Error("self-wait is a deadlock")
+	if c := g.ComponentOf(3); len(c.Members) != 1 || c.Members[0] != 3 {
+		t.Errorf("chain component of 3 = %v, want [T3]", c.Members)
 	}
-	// 3 waiting on 1 would close the cycle (path 1 -> 3 exists? we need
-	// 3 -> ... -> 1... WouldDeadlock(waiter=3, holders=[1]): checks path
-	// 1 ~> 3, which exists via 1->2->3.
-	if !g.WouldDeadlock(3, []txn.ID{1}) {
-		t.Error("cycle not predicted")
-	}
+	// 3 waiting on 1 closes the cycle 3 -> 1 -> 2 -> 3.
 	g.AddWait(3, 1, "c")
-	if !g.HasCycle() || g.IsForest() {
+	if !g.HasCycle() || g.IsForest() || !g.HasCycleThrough(3) {
 		t.Error("cycle not detected")
+	}
+	if c := g.ComponentOf(3); fmt.Sprint(c.Members) != "[T1 T2 T3]" {
+		t.Errorf("component of 3 = %v, want [T1 T2 T3]", c.Members)
 	}
 	cycles := g.CyclesThrough(3, 0)
 	if len(cycles) != 1 || len(cycles[0]) != 3 || cycles[0][0] != 3 {
@@ -125,6 +114,37 @@ func TestMultiCyclesThroughRequester(t *testing.T) {
 		if c[0] != 1 {
 			t.Errorf("cycle must start at requester: %v", c)
 		}
+	}
+}
+
+// TestComponentOf checks the requester's component, its arcs and each
+// member's contested entities on Figure 3(c)'s shape plus a waiter (4)
+// and a holder (5) that lie on no cycle.
+func TestComponentOf(t *testing.T) {
+	g := New()
+	g.AddWait(2, 1, "a")
+	g.AddWait(3, 1, "b")
+	g.AddWait(1, 2, "f")
+	g.AddWait(1, 3, "f")
+	g.AddWait(4, 1, "a")
+	g.AddWait(2, 5, "g")
+	c := g.ComponentOf(1)
+	if got := fmt.Sprint(c.Members, c.Succ); got != "[T1 T2 T3] [[1 2] [0] [0]]" {
+		t.Errorf("members, succ = %s", got)
+	}
+	var contested []string
+	for _, ls := range c.Contested {
+		var names []string
+		for _, l := range ls {
+			names = append(names, g.Names().Name(l))
+		}
+		contested = append(contested, strings.Join(names, ","))
+	}
+	if got := strings.Join(contested, " "); got != "a,b f f" {
+		t.Errorf("contested = %q, want T1 {a,b}, T2 {f}, T3 {f}", got)
+	}
+	if c := g.ComponentOf(9); len(c.Members) != 1 || c.Members[0] != 9 {
+		t.Errorf("unknown transaction's component = %v", c.Members)
 	}
 }
 
