@@ -145,10 +145,10 @@ func main() {
 		}
 	}
 	if *check {
-		if _, err := res.System.Recorder().CheckSerializable(); err != nil {
+		if _, err := res.Recorder.CheckSerializable(); err != nil {
 			log.Fatalf("serializability check failed: %v", err)
 		}
-		order, err := res.System.Recorder().SerialOrder()
+		order, err := res.Recorder.SerialOrder()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func main() {
 		if err := store.CheckConsistent(); err != nil {
 			log.Fatalf("%v: invariant broken: %v", strategy, err)
 		}
-		if _, err := out.System.Recorder().CheckSerializable(); err != nil {
+		if _, err := out.Recorder.CheckSerializable(); err != nil {
 			log.Fatalf("%v: %v", strategy, err)
 		}
 		s := out.Stats

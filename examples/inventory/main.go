@@ -80,12 +80,12 @@ func main() {
 
 	deadlocks := 0
 	multiCycle := 0
+	rec := pr.NewRecorder()
 	sys := pr.New(pr.Config{
-		Store:         store,
-		Strategy:      pr.SDG, // single-copy: no extra storage over total restart
-		Policy:        pr.OrderedMinCost{},
-		RecordHistory: true,
-		OnEvent: func(e pr.Event) {
+		Store:    store,
+		Strategy: pr.SDG, // single-copy: no extra storage over total restart
+		Policy:   pr.OrderedMinCost{},
+		OnEvent: rec.Hook(func(e pr.Event) {
 			if e.Deadlock != nil {
 				deadlocks++
 				if len(e.Deadlock.Cycles) > 1 {
@@ -93,7 +93,7 @@ func main() {
 				}
 				fmt.Printf("  deadlock: %v\n", e.Deadlock)
 			}
-		},
+		}),
 	})
 
 	var ids []pr.TxnID
@@ -115,7 +115,7 @@ func main() {
 		fmt.Printf("  %-10s stock=%3d price=%d\n", it,
 			store.MustGet("stock:"+it), store.MustGet("price:"+it))
 	}
-	if _, err := sys.Recorder().CheckSerializable(); err != nil {
+	if _, err := rec.CheckSerializable(); err != nil {
 		log.Fatal(err)
 	}
 	st := sys.Stats()

@@ -20,15 +20,16 @@ func main() {
 	store.AddConstraint(pr.SumConstraint("total", 300, "checking", "savings"))
 
 	// The engine: multi-copy partial rollback, Theorem 2-safe victim
-	// policy, with history recording so we can verify serializability.
+	// policy, with a history recorder on the event stream so we can
+	// verify serializability.
+	rec := pr.NewRecorder()
 	sys := pr.New(pr.Config{
-		Store:         store,
-		Strategy:      pr.MCS,
-		Policy:        pr.OrderedMinCost{},
-		RecordHistory: true,
-		OnEvent: func(e pr.Event) {
+		Store:    store,
+		Strategy: pr.MCS,
+		Policy:   pr.OrderedMinCost{},
+		OnEvent: rec.Hook(func(e pr.Event) {
 			fmt.Println("  event:", e)
-		},
+		}),
 	})
 
 	// Two transfers that lock the accounts in opposite orders — the
@@ -70,10 +71,10 @@ func main() {
 	if err := store.CheckConsistent(); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := sys.Recorder().CheckSerializable(); err != nil {
+	if _, err := rec.CheckSerializable(); err != nil {
 		log.Fatal(err)
 	}
-	order, _ := sys.Recorder().SerialOrder()
+	order, _ := rec.SerialOrder()
 	fmt.Printf("consistent and conflict-serializable (equivalent serial order %v)\n", order)
 	st := sys.Stats()
 	fmt.Printf("deadlocks=%d rollbacks=%d ops lost=%d (a total restart would have lost the victim's entire progress)\n",

@@ -12,11 +12,12 @@ import (
 func TestFacadeQuickstart(t *testing.T) {
 	store := pr.NewStore(map[string]int64{"checking": 100, "savings": 200})
 	store.AddConstraint(pr.SumConstraint("total", 300, "checking", "savings"))
+	rec := pr.NewRecorder()
 	sys := pr.New(pr.Config{
-		Store:         store,
-		Strategy:      pr.MCS,
-		Policy:        pr.OrderedMinCost{},
-		RecordHistory: true,
+		Store:    store,
+		Strategy: pr.MCS,
+		Policy:   pr.OrderedMinCost{},
+		OnEvent:  rec.OnEvent,
 	})
 	a := sys.MustRegister(pr.NewProgram("to-savings").
 		Local("c", 0).Local("s", 0).
@@ -51,7 +52,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	if sys.Stats().Deadlocks == 0 {
 		t.Error("round-robin opposite-order transfers must deadlock")
 	}
-	if _, err := sys.Recorder().CheckSerializable(); err != nil {
+	if _, err := rec.CheckSerializable(); err != nil {
 		t.Error(err)
 	}
 }
@@ -78,7 +79,7 @@ func TestFacadeConcurrentRun(t *testing.T) {
 	if out.Stats.Commits != 3 {
 		t.Errorf("commits = %d", out.Stats.Commits)
 	}
-	if _, err := out.System.Recorder().CheckSerializable(); err != nil {
+	if _, err := out.Recorder.CheckSerializable(); err != nil {
 		t.Error(err)
 	}
 }

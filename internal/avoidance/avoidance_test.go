@@ -84,7 +84,7 @@ func TestSortLockOrderEliminatesDeadlocks(t *testing.T) {
 	if r.Stats.Deadlocks != 0 {
 		t.Errorf("ordered locking must be deadlock-free, got %d", r.Stats.Deadlocks)
 	}
-	if _, err := r.System.Recorder().CheckSerializable(); err != nil {
+	if _, err := r.Recorder.CheckSerializable(); err != nil {
 		t.Error(err)
 	}
 }

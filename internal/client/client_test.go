@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"partialrollback/internal/exec"
-	"partialrollback/internal/obs"
 	"partialrollback/internal/sim"
 	"partialrollback/internal/txn"
 	"partialrollback/internal/wire"
@@ -221,9 +220,10 @@ func TestRunCancelDuringBackoff(t *testing.T) {
 	}
 }
 
+// TestRunMetrics: Run reports its attempts and every rollback
+// notification streamed across them on the Result.
 func TestRunMetrics(t *testing.T) {
 	prog := sim.TransferProgram("t", "e0", "e1", 1, 0)
-	mt := &obs.ClientMetrics{}
 	cfg := testMuxConfig(pipeDialer(t, func(conn net.Conn) {
 		serveScript(t, conn,
 			[]wire.Msg{
@@ -233,43 +233,27 @@ func TestRunMetrics(t *testing.T) {
 			[]wire.Msg{committedReply()},
 		)
 	}))
-	cfg.Metrics = mt
 	m := NewMux(cfg)
 	defer m.Close()
-	if _, err := m.Run(context.Background(), prog); err != nil {
+	res, err := m.Run(context.Background(), prog)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mt.Attempts.Load(); got != 2 {
-		t.Errorf("attempts = %d, want 2", got)
+	if res.Attempts != 2 {
+		t.Errorf("attempts = %d, want 2", res.Attempts)
 	}
-	if got := mt.Retries.Load(); got != 1 {
-		t.Errorf("retries = %d, want 1", got)
-	}
-	if got := mt.Commits.Load(); got != 1 {
-		t.Errorf("commits = %d, want 1", got)
-	}
-	if got := mt.RollbacksObserved.Load(); got != 1 {
+	if got := len(res.RolledBack); got != 1 {
 		t.Errorf("rollbacks observed = %d, want 1", got)
 	}
-	if got := mt.Failures.Load(); got != 0 {
-		t.Errorf("failures = %d, want 0", got)
-	}
 
-	// A terminal failure counts once and does not count a commit.
+	// A terminal failure returns no result.
 	cfg2 := testMuxConfig(pipeDialer(t, func(conn net.Conn) {
 		serveScript(t, conn, []wire.Msg{wire.Error{Code: wire.CodeBadRequest, Msg: "bad"}})
 	}))
-	cfg2.Metrics = mt
 	m2 := NewMux(cfg2)
 	defer m2.Close()
-	if _, err := m2.Run(context.Background(), prog); err == nil {
-		t.Fatal("want terminal error")
-	}
-	if got := mt.Failures.Load(); got != 1 {
-		t.Errorf("failures = %d, want 1", got)
-	}
-	if got := mt.Commits.Load(); got != 1 {
-		t.Errorf("commits after failure = %d, want 1", got)
+	if res, err := m2.Run(context.Background(), prog); err == nil || res != nil {
+		t.Fatalf("want terminal error and no result, got %v, %v", res, err)
 	}
 }
 

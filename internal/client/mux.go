@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"partialrollback/internal/exec"
-	"partialrollback/internal/obs"
 	"partialrollback/internal/txn"
 	"partialrollback/internal/wire"
 )
@@ -104,9 +103,6 @@ type MuxConfig struct {
 	// notification routed to any of this Mux's streams. It must be
 	// safe for concurrent use.
 	OnRollback func(wire.RolledBack)
-	// Metrics, when non-nil, accumulates attempt/retry counters and
-	// commit latencies across every stream.
-	Metrics *obs.ClientMetrics
 }
 
 // Mux is a multiplexed client: one shared socket carrying many
@@ -403,33 +399,17 @@ func (m *Mux) Run(ctx context.Context, prog *txn.Program) (*Result, error) {
 		last     *Result
 		rollback []wire.RolledBack
 	)
-	start := time.Now()
 	attempts, err := exec.Retry(ctx, m.cfg.MaxAttempts, m.cfg.Backoff, nil,
 		func(context.Context) error {
-			if mt := m.cfg.Metrics; mt != nil {
-				mt.Attempts.Add(1)
-			}
 			r, err := m.RunOnce(prog)
 			if r != nil {
 				rollback = append(rollback, r.RolledBack...)
-				if mt := m.cfg.Metrics; mt != nil {
-					mt.RollbacksObserved.Add(int64(len(r.RolledBack)))
-				}
 			}
 			last = r
 			return err
 		}, Retryable)
-	if mt := m.cfg.Metrics; mt != nil && attempts > 1 {
-		mt.Retries.Add(int64(attempts - 1))
-	}
 	if err != nil {
-		if mt := m.cfg.Metrics; mt != nil {
-			mt.Failures.Add(1)
-		}
 		return nil, err
-	}
-	if mt := m.cfg.Metrics; mt != nil {
-		mt.ObserveCommit(time.Since(start))
 	}
 	last.Attempts = attempts
 	last.RolledBack = rollback

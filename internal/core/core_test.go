@@ -28,41 +28,6 @@ func stepToCommit(t *testing.T, s *System, id txn.ID) {
 	t.Fatalf("%v did not commit", id)
 }
 
-func TestSingleTransactionLifecycle(t *testing.T) {
-	store := entity.NewStore(map[string]int64{"a": 10, "b": 20})
-	s := New(Config{Store: store, Strategy: MCS, RecordHistory: true})
-	p := txn.NewProgram("T").
-		Local("x", 0).Local("y", 1).
-		LockX("a").
-		Read("a", "x").
-		Compute("y", value.Add(value.L("x"), value.C(5))).
-		Write("a", value.L("y")).
-		LockS("b").
-		Read("b", "x").
-		Unlock("b").
-		MustBuild()
-	id := s.MustRegister(p)
-	stepToCommit(t, s, id)
-	if got := store.MustGet("a"); got != 15 {
-		t.Errorf("a = %d, want 15", got)
-	}
-	if got := store.MustGet("b"); got != 20 {
-		t.Errorf("b = %d", got)
-	}
-	st, _ := s.Status(id)
-	if st != StatusCommitted {
-		t.Error("status")
-	}
-	if _, err := s.Recorder().CheckSerializable(); err != nil {
-		t.Error(err)
-	}
-	// Stepping a committed transaction is a no-op.
-	res, err := s.Step(id)
-	if err != nil || res.Outcome != AlreadyCommitted {
-		t.Errorf("step after commit: %v %v", res.Outcome, err)
-	}
-}
-
 func TestUnlockInstallsValueEarly(t *testing.T) {
 	store := entity.NewStore(map[string]int64{"a": 1})
 	s := New(Config{Store: store, Strategy: Total})
@@ -324,6 +289,53 @@ func TestEventStream(t *testing.T) {
 		if kinds[i] != want[i] {
 			t.Errorf("event %d = %v, want %v", i, kinds[i], want[i])
 		}
+	}
+}
+
+// TestReleaseEventsPrecedeGrants: when an unlock or a commit promotes
+// a queued waiter, the EventUnlock or EventCommit comes before the
+// waiter's EventGrant, so an event consumer never sees two conflicting
+// holds overlap.
+func TestReleaseEventsPrecedeGrants(t *testing.T) {
+	store := entity.NewStore(map[string]int64{"a": 0, "b": 0})
+	var events []string
+	s := New(Config{Store: store, Strategy: MCS, OnEvent: func(e Event) {
+		events = append(events, e.String())
+	}})
+	t1 := s.MustRegister(txn.NewProgram("T1").Local("x", 0).
+		LockX("a").LockX("b").Write("b", value.C(1)).Unlock("a").MustBuild())
+	t2 := s.MustRegister(txn.NewProgram("T2").Local("x", 0).
+		LockX("a").MustBuild())
+	t3 := s.MustRegister(txn.NewProgram("T3").Local("x", 0).
+		LockS("b").Read("b", "x").MustBuild())
+	for _, st := range []struct {
+		id   txn.ID
+		want Outcome
+	}{
+		{t1, Progressed}, {t1, Progressed}, {t1, Progressed}, // lock a, lock b, write b
+		{t2, Blocked}, {t3, Blocked},
+		{t1, Progressed}, // unlock a: promotes T2
+		{t1, Committed},  // releases b: promotes T3
+	} {
+		res, err := s.Step(st.id)
+		if err != nil || res.Outcome != st.want {
+			t.Fatalf("step %v: %v, %v; want %v", st.id, res.Outcome, err, st.want)
+		}
+	}
+	at := func(ev string) int {
+		for i, e := range events {
+			if e == ev {
+				return i
+			}
+		}
+		t.Fatalf("no %q in %v", ev, events)
+		return -1
+	}
+	if at("unlock T1 a") > at("grant T2 a") {
+		t.Errorf("T2's grant precedes the unlock that caused it: %v", events)
+	}
+	if at("commit T1") > at("grant T3 b") {
+		t.Errorf("T3's grant precedes the commit that caused it: %v", events)
 	}
 }
 

@@ -1,9 +1,10 @@
-package core
+package core_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"partialrollback/internal/core"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/txn"
 	"partialrollback/internal/value"
@@ -88,9 +89,9 @@ func FuzzProgramExecution(f *testing.F) {
 		}
 		p2 = p2.Clone()
 		p2.Name = "F2"
-		for _, strat := range []Strategy{Total, MCS, SDG, Hybrid} {
+		for _, strat := range []core.Strategy{core.Total, core.MCS, core.SDG, core.Hybrid} {
 			store := entity.NewStore(map[string]int64{"a": 1, "b": 2, "c": 3, "d": 4})
-			s := New(Config{Store: store, Strategy: strat, RecordHistory: true})
+			s, rec := recorded(core.Config{Store: store, Strategy: strat})
 			id1, err := s.Register(p1)
 			if err != nil {
 				t.Skip() // e.g. locks an entity the store lacks (impossible here)
@@ -116,7 +117,7 @@ func FuzzProgramExecution(f *testing.F) {
 			if err := s.CheckInvariants(); err != nil {
 				t.Fatalf("%v: %v", strat, err)
 			}
-			if _, err := s.Recorder().CheckSerializable(); err != nil {
+			if _, err := rec.CheckSerializable(); err != nil {
 				t.Fatalf("%v: %v", strat, err)
 			}
 			_ = id1

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"partialrollback/internal/history"
 	"partialrollback/internal/lock"
 	"partialrollback/internal/txn"
 	"partialrollback/internal/waitfor"
@@ -213,10 +212,6 @@ func (s *System) GraphHasCycle() bool {
 	defer s.mu.Unlock()
 	return s.wf.HasCycle()
 }
-
-// Recorder returns the serializability recorder, or nil if history
-// recording is disabled.
-func (s *System) Recorder() *history.Recorder { return s.recorder }
 
 // Strategy returns the configured rollback strategy.
 func (s *System) Strategy() Strategy { return s.cfg.Strategy }

@@ -1,18 +1,20 @@
-package core
+package core_test
 
 import (
 	"fmt"
 	"reflect"
 	"testing"
 
+	"partialrollback/internal/core"
 	"partialrollback/internal/deadlock"
 	"partialrollback/internal/entity"
+	"partialrollback/internal/history"
 	"partialrollback/internal/txn"
 	"partialrollback/internal/value"
 )
 
 // ladderDepth is the number of rungs in the ladder deadlock: 2^7 = 128
-// cycles, twice ReportedCycles.
+// cycles, twice core.ReportedCycles.
 const ladderDepth = 7
 
 // buildLadder registers r -> {a1,b1} -> ... -> {a7,b7} -> r: r holds
@@ -25,13 +27,13 @@ const ladderDepth = 7
 // and r costs 31. The first 64 cycles in enumeration order all pass
 // through a1, so a cut over them alone is {a1}, which leaves every b1
 // cycle unbroken.
-func buildLadder(t *testing.T, policy deadlock.Policy) (s *System, r txn.ID, rungs [ladderDepth + 1][2]txn.ID) {
+func buildLadder(t *testing.T, policy deadlock.Policy) (s *core.System, rec *history.Recorder, r txn.ID, rungs [ladderDepth + 1][2]txn.ID) {
 	t.Helper()
 	init := map[string]int64{}
 	for i := 0; i <= ladderDepth; i++ {
 		init[fmt.Sprintf("e%d", i)] = 0
 	}
-	s = New(Config{Store: entity.NewStore(init), Strategy: MCS, Policy: policy, RecordHistory: true})
+	s, rec = recorded(core.Config{Store: entity.NewStore(init), Strategy: core.MCS, Policy: policy})
 	prog := func(name, held, want string, pad int) *txn.Program {
 		b := txn.NewProgram(name).Local("x", 0).LockS(held)
 		for k := 0; k < pad; k++ {
@@ -54,7 +56,7 @@ func buildLadder(t *testing.T, policy deadlock.Policy) (s *System, r txn.ID, run
 			padOf[rungs[i][j]] = pad
 		}
 	}
-	step := func(id txn.ID, want Outcome) {
+	step := func(id txn.ID, want core.Outcome) {
 		t.Helper()
 		res, err := s.Step(id)
 		if err != nil {
@@ -68,15 +70,15 @@ func buildLadder(t *testing.T, policy deadlock.Policy) (s *System, r txn.ID, run
 	// exclusive request.
 	for _, id := range s.IDs() {
 		for k := 0; k <= padOf[id]; k++ {
-			step(id, Progressed)
+			step(id, core.Progressed)
 		}
 	}
 	for _, id := range s.IDs() {
 		if id != r {
-			step(id, Blocked)
+			step(id, core.Blocked)
 		}
 	}
-	return s, r, rungs
+	return s, rec, r, rungs
 }
 
 // TestLadderDeadlockBreaksEveryCycle closes 128 cycles with one
@@ -93,16 +95,16 @@ func TestLadderDeadlockBreaksEveryCycle(t *testing.T) {
 		{deadlock.Requester{}, 0},
 	} {
 		t.Run(tc.policy.Name(), func(t *testing.T) {
-			s, r, rungs := buildLadder(t, tc.policy)
+			s, rec, r, rungs := buildLadder(t, tc.policy)
 			res, err := s.Step(r)
 			if err != nil {
 				t.Fatalf("closing request: %v", err)
 			}
-			if res.Outcome != BlockedDeadlock {
+			if res.Outcome != core.BlockedDeadlock {
 				t.Fatalf("closing request: outcome %v, want a deadlock", res.Outcome)
 			}
-			if got := len(res.Deadlock.Cycles); got != ReportedCycles {
-				t.Errorf("report samples %d cycles, want %d", got, ReportedCycles)
+			if got := len(res.Deadlock.Cycles); got != core.ReportedCycles {
+				t.Errorf("report samples %d cycles, want %d", got, core.ReportedCycles)
 			}
 			if got := len(res.Deadlock.Candidates); got != 2*ladderDepth+1 {
 				t.Errorf("%d candidates, want every member (%d)", got, 2*ladderDepth+1)
@@ -124,8 +126,8 @@ func TestLadderDeadlockBreaksEveryCycle(t *testing.T) {
 			if s.GraphHasCycle() {
 				t.Fatal("a cycle survived the resolution")
 			}
-			runAll(t, s)
-			if _, err := s.Recorder().CheckSerializable(); err != nil {
+			core.RunAll(t, s)
+			if _, err := rec.CheckSerializable(); err != nil {
 				t.Error(err)
 			}
 		})

@@ -9,18 +9,6 @@ import (
 	"partialrollback/internal/value"
 )
 
-// runSerially executes programs one after another, alone, on store —
-// the ground truth any serializable concurrent execution must match for
-// some order.
-func runSerially(t *testing.T, store *entity.Store, programs []*txn.Program) {
-	t.Helper()
-	s := New(Config{Store: store, Strategy: Total})
-	for _, p := range programs {
-		id := s.MustRegister(p)
-		stepToCommit(t, s, id)
-	}
-}
-
 // prefixRollbackProgram is a program whose values depend on everything
 // executed so far, so incorrect state restoration shows up in the final
 // database.
@@ -36,55 +24,6 @@ func chainProgram(name string, entities []string, bump int64) *txn.Program {
 		b.Write(e, value.Add(value.L("v"), value.Add(value.Mod(value.L("acc"), value.C(97)), value.C(bump))))
 	}
 	return b.MustBuild()
-}
-
-// TestSerialEquivalenceOracle: for every strategy, a concurrent
-// deadlocking execution must leave the database exactly as the
-// history's equivalent serial order would.
-func TestSerialEquivalenceOracle(t *testing.T) {
-	entities := []string{"a", "b", "c", "d"}
-	mkStore := func() *entity.Store {
-		return entity.NewStore(map[string]int64{"a": 11, "b": 23, "c": 5, "d": 8})
-	}
-	programs := []*txn.Program{
-		chainProgram("P1", []string{"a", "b", "c"}, 1),
-		chainProgram("P2", []string{"c", "b", "a"}, 2),
-		chainProgram("P3", []string{"b", "d", "a"}, 3),
-		chainProgram("P4", []string{"d", "c"}, 4),
-	}
-	for _, strat := range []Strategy{Total, MCS, SDG, Hybrid} {
-		t.Run(strat.String(), func(t *testing.T) {
-			store := mkStore()
-			s := New(Config{Store: store, Strategy: strat, RecordHistory: true})
-			ids := make([]txn.ID, len(programs))
-			progByID := map[txn.ID]*txn.Program{}
-			for i, p := range programs {
-				ids[i] = s.MustRegister(p)
-				progByID[ids[i]] = p
-			}
-			runAll(t, s)
-			if s.Stats().Deadlocks == 0 {
-				t.Log("warning: no deadlocks provoked")
-			}
-			order, err := s.Recorder().SerialOrder()
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle := mkStore()
-			var serialProgs []*txn.Program
-			for _, id := range order {
-				serialProgs = append(serialProgs, progByID[id].Clone())
-			}
-			runSerially(t, oracle, serialProgs)
-			for _, e := range entities {
-				got := store.MustGet(e)
-				want := oracle.MustGet(e)
-				if got != want {
-					t.Errorf("%s: entity %q = %d, serial oracle %d (order %v)", strat, e, got, want, order)
-				}
-			}
-		})
-	}
 }
 
 // TestDeterminism: the engine is a pure function of (programs, step

@@ -257,9 +257,6 @@ func (s *System) rollbackTo(t *tstate, q int) error {
 	}
 	sortNameEnts(s.releaseBuf)
 	for _, ne := range s.releaseBuf {
-		if s.recorder != nil {
-			s.recorder.OnRetract(t.id, ne.name)
-		}
 		t.dropSlot(ne.ent)
 		if err := s.releaseAndRefresh(t, ne.ent); err != nil {
 			return err

@@ -53,30 +53,6 @@ func TestSharedGrantRefreshesWaiterArcs(t *testing.T) {
 	runAll(t, s)
 }
 
-// TestMultiCycleSharedDeadlockResolved reproduces the Figure 3(c) shape
-// inside a full closed run: an exclusive request on a doubly-shared
-// entity closes two cycles; the engine must clear both and finish.
-func TestMultiCycleSharedDeadlockResolved(t *testing.T) {
-	store := entity.NewStore(map[string]int64{"a": 0, "b": 0, "f": 0})
-	s := New(Config{Store: store, Strategy: SDG, RecordHistory: true})
-	t1 := s.MustRegister(txn.NewProgram("T1").Local("x", 0).
-		LockX("a").LockX("b").LockX("f").Read("f", "x").MustBuild())
-	t2 := s.MustRegister(txn.NewProgram("T2").Local("x", 0).
-		LockS("f").Read("f", "x").LockS("a").MustBuild())
-	t3 := s.MustRegister(txn.NewProgram("T3").Local("x", 0).
-		LockS("f").Read("f", "x").LockS("b").MustBuild())
-	_ = t1
-	_ = t2
-	_ = t3
-	runAll(t, s)
-	if s.Stats().Deadlocks == 0 {
-		t.Error("expected a multi-cycle deadlock")
-	}
-	if _, err := s.Recorder().CheckSerializable(); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestSharedReadersSeeStableValue: a shared holder's reads are
 // unaffected by a writer queued behind it.
 func TestSharedReadersSeeStableValue(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"partialrollback/internal/entity"
 	"partialrollback/internal/txn"
 	"partialrollback/internal/value"
 )
@@ -46,34 +45,4 @@ func transferProg(name, from, to string, amount int64) *txn.Program {
 		Write(from, value.Sub(value.L("x"), value.C(amount))).
 		Write(to, value.Add(value.L("y"), value.C(amount))).
 		MustBuild()
-}
-
-func TestSmokeDeadlockEveryStrategy(t *testing.T) {
-	for _, strat := range []Strategy{Total, MCS, SDG, Hybrid} {
-		t.Run(strat.String(), func(t *testing.T) {
-			store := entity.NewStore(map[string]int64{"a": 100, "b": 200})
-			store.AddConstraint(entity.SumConstraint("total", 300, "a", "b"))
-			s := New(Config{Store: store, Strategy: strat, RecordHistory: true})
-			t1 := s.MustRegister(transferProg("T1", "a", "b", 10))
-			t2 := s.MustRegister(transferProg("T2", "b", "a", 5))
-			_ = t1
-			_ = t2
-			runAll(t, s)
-			if err := store.CheckConsistent(); err != nil {
-				t.Fatal(err)
-			}
-			if got := store.MustGet("a"); got != 95 {
-				t.Errorf("a = %d, want 95", got)
-			}
-			if got := store.MustGet("b"); got != 205 {
-				t.Errorf("b = %d, want 205", got)
-			}
-			if s.Stats().Deadlocks == 0 {
-				t.Errorf("expected at least one deadlock under round-robin interleaving")
-			}
-			if _, err := s.Recorder().CheckSerializable(); err != nil {
-				t.Errorf("serializability: %v", err)
-			}
-		})
-	}
 }

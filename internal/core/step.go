@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"partialrollback/internal/history"
 	"partialrollback/internal/hybrid"
 	"partialrollback/internal/intern"
 	"partialrollback/internal/lock"
@@ -123,7 +122,6 @@ func (s *System) stepLocked(t *tstate) (StepResult, error) {
 		}
 		t.unlocked = true
 		s.advance(t)
-		s.emit(Event{Kind: EventUnlock, Txn: t.id, Entity: op.Entity})
 		return StepResult{Outcome: Progressed}, nil
 	case txn.OpDeclareLastLock:
 		t.declaredLast = true
@@ -259,13 +257,6 @@ func (s *System) finishGrant(t *tstate, ent intern.ID, entityName string, mode l
 		s.wf.RemoveAllWaitsBy(t.id)
 		t.signalWake()
 	}
-	if s.recorder != nil {
-		m := history.Read
-		if mode == lock.Exclusive {
-			m = history.Write
-		}
-		s.recorder.OnGrant(t.id, entityName, m)
-	}
 	s.advance(t)
 	s.stats.Grants++
 	// A shared grant can jump past queued exclusive waiters; those
@@ -338,7 +329,8 @@ func (s *System) assignLocal(t *tstate, localName string, v int64) error {
 
 // unlockEntity releases one entity during the shrinking phase,
 // installing the local copy as the new global value for exclusive
-// holds.
+// holds. EventUnlock goes out before the release, so it precedes the
+// grants the release causes.
 func (s *System) unlockEntity(t *tstate, ent intern.ID, entityName string) error {
 	sl := t.findSlot(ent)
 	if sl == nil {
@@ -352,9 +344,7 @@ func (s *System) unlockEntity(t *tstate, ent intern.ID, entityName string) error
 			s.cfg.CommitLog.LogInstall(CommitWrite{Ent: ent, Name: entityName, Val: sl.copy})
 		}
 	}
-	if s.recorder != nil {
-		s.recorder.OnRelease(t.id, entityName)
-	}
+	s.emit(Event{Kind: EventUnlock, Txn: t.id, Entity: entityName})
 	t.dropSlot(ent)
 	if t.mcs != nil {
 		t.mcs.OnUnlockID(ent)
@@ -362,13 +352,15 @@ func (s *System) unlockEntity(t *tstate, ent intern.ID, entityName string) error
 	return s.releaseAndRefresh(t, ent)
 }
 
-// commit terminates t: installs all exclusive local copies, releases
-// every lock (in name order, for deterministic event streams), and
-// removes t from the concurrency graph. With a commit log configured
-// it hands the write-set to the logger and returns the durability
-// ticket the caller's acknowledgement must wait on (outside the engine
-// mutex); LogCommit runs before any later commit on this engine can,
-// so log order respects per-entity install order.
+// commit terminates t: installs all exclusive local copies, hands the
+// write-set to the commit log, emits EventCommit, then releases every
+// lock (in name order, for deterministic event streams) and removes t
+// from the concurrency graph. Installing and logging before the first
+// release keeps the event stream causal: EventCommit precedes the
+// grants its releases cause. With a commit log configured it returns
+// the durability ticket the caller's acknowledgement must wait on
+// (outside the engine mutex); LogCommit runs before any later commit
+// on this engine can, so log order respects per-entity install order.
 func (s *System) commit(t *tstate) (CommitAck, error) {
 	s.releaseBuf = s.releaseBuf[:0]
 	for i := range t.slots {
@@ -389,26 +381,22 @@ func (s *System) commit(t *tstate) (CommitAck, error) {
 				s.writesBuf = append(s.writesBuf, CommitWrite{Ent: ne.ent, Name: ne.name, Val: sl.copy})
 			}
 		}
-		if s.recorder != nil {
-			s.recorder.OnRelease(t.id, ne.name)
-		}
-		if err := s.releaseAndRefresh(t, ne.ent); err != nil {
-			return nil, err
-		}
 	}
 	var ack CommitAck
 	if logged {
 		ack = s.cfg.CommitLog.LogCommit(s.writesBuf)
+	}
+	s.stats.Commits++
+	s.emit(Event{Kind: EventCommit, Txn: t.id})
+	for _, ne := range s.releaseBuf {
+		if err := s.releaseAndRefresh(t, ne.ent); err != nil {
+			return nil, err
+		}
 	}
 	t.slots = t.slots[:0]
 	t.status = StatusCommitted
 	t.pc = len(t.prog.Ops)
 	s.unpinAll(t)
 	s.wf.RemoveTxn(t.id)
-	if s.recorder != nil {
-		s.recorder.OnCommit(t.id)
-	}
-	s.stats.Commits++
-	s.emit(Event{Kind: EventCommit, Txn: t.id})
 	return ack, nil
 }

@@ -21,7 +21,6 @@ import (
 
 	"partialrollback/internal/deadlock"
 	"partialrollback/internal/entity"
-	"partialrollback/internal/history"
 	"partialrollback/internal/hybrid"
 	"partialrollback/internal/intern"
 	"partialrollback/internal/lock"
@@ -132,8 +131,6 @@ type Config struct {
 	// Policy selects deadlock victims. Default deadlock.OrderedMinCost
 	// (the Theorem 2 safe policy).
 	Policy deadlock.Policy
-	// RecordHistory enables the serializability recorder.
-	RecordHistory bool
 	// Prevention replaces detection with a timestamp rule (§3.3
 	// distributed operation). Default NoPrevention.
 	Prevention Prevention
@@ -159,8 +156,15 @@ type Config struct {
 	CommitLog CommitLogger
 	// OnEvent, when non-nil, receives every engine event. It runs under
 	// the engine mutex, so it must not call back into the System. It is
-	// a tap only (tracer, metrics, the server's RolledBack frames):
-	// waking parked drivers is the engine's own job (StepResult.Wake).
+	// a tap only (tracer, metrics, the server's RolledBack frames, the
+	// serializability oracle history.Recorder.OnEvent): waking parked
+	// drivers is the engine's own job (StepResult.Wake).
+	//
+	// Releases are emitted before the grants they cause: EventUnlock
+	// and EventCommit precede the EventGrant of every waiter their
+	// releases promote, so a consumer sees no two conflicting holds
+	// overlap. EventRollback is emitted last, after the grants its
+	// releases cause; the holds it retracts never happened.
 	OnEvent func(Event)
 	// LockWait, when non-nil, observes the nanoseconds each engine-lock
 	// acquisition on the step path blocked before entering the critical
@@ -365,13 +369,12 @@ type Stats struct {
 type System struct {
 	mu sync.Mutex
 
-	cfg      Config
-	store    *entity.Store
-	names    *intern.Table // the store's interner, shared with locks and wf
-	locks    *lock.Table
-	wf       *waitfor.Graph
-	policy   deadlock.Policy
-	recorder *history.Recorder
+	cfg    Config
+	store  *entity.Store
+	names  *intern.Table // the store's interner, shared with locks and wf
+	locks  *lock.Table
+	wf     *waitfor.Graph
+	policy deadlock.Policy
 
 	txns   map[txn.ID]*tstate
 	nextID txn.ID
@@ -404,7 +407,7 @@ func New(cfg Config) *System {
 		cfg.StarvationLimit = 8
 	}
 	names := cfg.Store.Interner()
-	s := &System{
+	return &System{
 		cfg:    cfg,
 		store:  cfg.Store,
 		names:  names,
@@ -413,10 +416,6 @@ func New(cfg Config) *System {
 		policy: cfg.Policy,
 		txns:   map[txn.ID]*tstate{},
 	}
-	if cfg.RecordHistory {
-		s.recorder = history.NewRecorder()
-	}
-	return s
 }
 
 // Register adds an execution instance of prog and returns its ID. It is

@@ -3,13 +3,17 @@
 // remark that "rollbacks do not interfere with the serializability of
 // the two-phase protocol" (§2).
 //
-// The engine reports a grant when a lock is acquired and a release when
-// the entity is unlocked with its value installed (or the transaction
-// commits). Episodes discarded by rollback are retracted: the rolled
-// back computation never happened, so it must not constrain the
-// serialization order. The checker builds the conflict graph over
-// committed transactions (edges ordered by hold-interval precedence on
-// each entity) and verifies it is acyclic.
+// A Recorder is driven by engine events: subscribe Recorder.OnEvent to
+// core.Config.OnEvent (or to any tap that forwards it, such as
+// server.Config.OnEvent) and it observes whatever drives the engine,
+// one process or a network node. A grant opens a hold; an unlock or
+// the commit closes it. Holds discarded by rollback are retracted: the
+// rolled back computation never happened, so it must not constrain the
+// serialization order. The engine emits each release before the grants
+// it causes, so the recorder's logical clock orders them the same way.
+// The checker builds the conflict graph over committed transactions
+// (edges ordered by hold-interval precedence on each entity) and
+// verifies it is acyclic.
 package history
 
 import (
@@ -17,6 +21,7 @@ import (
 	"sort"
 	"sync"
 
+	"partialrollback/internal/core"
 	"partialrollback/internal/graph"
 	"partialrollback/internal/txn"
 )
@@ -56,6 +61,10 @@ type Recorder struct {
 	// open maps (txn, entity) to the grant clock and mode of the
 	// in-progress hold.
 	open map[txn.ID]map[string]openHold
+	// granted lists each live transaction's granted entities in grant
+	// order. Under OnEvent entry i is the lock acquired at lock index i,
+	// so a rollback to lock state q retracts entries q and later.
+	granted map[txn.ID][]string
 	// done holds completed episodes of transactions not yet committed
 	// (a two-phase transaction may unlock before committing).
 	done map[txn.ID][]Episode
@@ -71,16 +80,10 @@ type openHold struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
 	return &Recorder{
-		open: map[txn.ID]map[string]openHold{},
-		done: map[txn.ID][]Episode{},
+		open:    map[txn.ID]map[string]openHold{},
+		granted: map[txn.ID][]string{},
+		done:    map[txn.ID][]Episode{},
 	}
-}
-
-// Tick advances and returns the logical clock.
-func (r *Recorder) Tick() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tick()
 }
 
 // tick advances the clock; caller holds r.mu.
@@ -89,11 +92,57 @@ func (r *Recorder) tick() int64 {
 	return r.clock
 }
 
-// Now returns the current clock without advancing it.
-func (r *Recorder) Now() int64 {
+// OnEvent records one engine event; pass it as core.Config.OnEvent.
+// EventGrant opens a hold (mode from Detail: "S" reads, "X" writes),
+// EventUnlock closes one, EventCommit closes the rest and commits,
+// EventAbort discards the transaction, and EventRollback retracts the
+// holds acquired at lock index ToLockState or later. Other kinds are
+// ignored. It relies on the engine emitting each release before the
+// grants that release causes.
+func (r *Recorder) OnEvent(e core.Event) {
+	switch e.Kind {
+	case core.EventGrant:
+		m := Read
+		if e.Detail == "X" {
+			m = Write
+		}
+		r.OnGrant(e.Txn, e.Entity, m)
+	case core.EventUnlock:
+		r.OnRelease(e.Txn, e.Entity)
+	case core.EventCommit:
+		r.OnCommit(e.Txn)
+	case core.EventAbort:
+		r.OnAbort(e.Txn)
+	case core.EventRollback:
+		r.retractFrom(e.Txn, e.ToLockState)
+	}
+}
+
+// retractFrom discards id's in-progress holds acquired at lock index q
+// or later (a rollback to lock state q).
+func (r *Recorder) retractFrom(id txn.ID, q int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.clock
+	g := r.granted[id]
+	if q >= len(g) {
+		return
+	}
+	for _, name := range g[q:] {
+		delete(r.open[id], name)
+	}
+	r.granted[id] = g[:q]
+}
+
+// Hook returns an event hook that feeds r and then next, for drivers
+// whose caller may bring its own hook; next may be nil.
+func (r *Recorder) Hook(next func(core.Event)) func(core.Event) {
+	if next == nil {
+		return r.OnEvent
+	}
+	return func(e core.Event) {
+		r.OnEvent(e)
+		next(e)
+	}
 }
 
 // OnGrant records that id acquired entity in mode.
@@ -105,6 +154,7 @@ func (r *Recorder) OnGrant(id txn.ID, entityName string, m Mode) {
 		r.open[id] = map[string]openHold{}
 	}
 	r.open[id][entityName] = openHold{grant: t, mode: m}
+	r.granted[id] = append(r.granted[id], entityName)
 }
 
 // OnRelease completes the hold of entity by id (unlock with install, or
@@ -152,16 +202,21 @@ func (r *Recorder) OnCommit(id txn.ID) {
 		r.onRelease(id, e)
 	}
 	r.committed = append(r.committed, r.done[id]...)
-	delete(r.done, id)
-	delete(r.open, id)
+	r.drop(id)
 }
 
 // OnAbort discards everything recorded for id.
 func (r *Recorder) OnAbort(id txn.ID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.drop(id)
+}
+
+// drop forgets id's uncommitted holds and episodes; caller holds r.mu.
+func (r *Recorder) drop(id txn.ID) {
 	delete(r.done, id)
 	delete(r.open, id)
+	delete(r.granted, id)
 }
 
 // Committed returns the committed episodes (shared slice; treat as

@@ -1,10 +1,12 @@
 package history
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"partialrollback/internal/core"
 	"partialrollback/internal/txn"
 )
 
@@ -144,11 +146,80 @@ func TestRWandWRConflicts(t *testing.T) {
 	}
 }
 
+// TestClock: every grant and release takes the next tick of the
+// recorder's logical clock, and commit closes open holds in name order.
 func TestClock(t *testing.T) {
 	r := NewRecorder()
-	t0 := r.Now()
-	t1 := r.Tick()
-	if t1 != t0+1 || r.Now() != t1 {
-		t.Error("clock")
+	r.OnGrant(1, "b", Write)
+	r.OnGrant(1, "a", Read)
+	r.OnGrant(1, "c", Write)
+	r.OnRelease(1, "c")
+	r.OnCommit(1)
+	want := []Episode{
+		{Txn: 1, Entity: "c", Mode: Write, Grant: 3, Release: 4},
+		{Txn: 1, Entity: "a", Mode: Read, Grant: 2, Release: 5},
+		{Txn: 1, Entity: "b", Mode: Write, Grant: 1, Release: 6},
+	}
+	if got := r.Committed(); !reflect.DeepEqual(got, want) {
+		t.Errorf("episodes = %+v, want %+v", got, want)
+	}
+}
+
+// TestOnEventRollbackRetractsFromLockState feeds a recorder engine
+// events by hand: T1 holds a (X), b (S), c (X) and d (S) at lock
+// indexes 0-3 and is rolled back to lock state 2, so exactly c and d
+// are retracted; after re-acquiring d it commits. T2's episodes on b
+// and c follow T1's surviving hold and retracted one.
+func TestOnEventRollbackRetractsFromLockState(t *testing.T) {
+	r := NewRecorder()
+	grant := func(id txn.ID, ent, mode string) {
+		r.OnEvent(core.Event{Kind: core.EventGrant, Txn: id, Entity: ent, Detail: mode})
+	}
+	grant(1, "a", "X")
+	grant(1, "b", "S")
+	grant(1, "c", "X")
+	grant(1, "d", "S")
+	r.OnEvent(core.Event{Kind: core.EventWait, Txn: 1, Entity: "e"})
+	r.OnEvent(core.Event{Kind: core.EventRollback, Txn: 1, ToLockState: 2, FromState: 9, ToState: 4, Lost: 5})
+	grant(2, "c", "X") // granted from T1's retracted hold
+	grant(2, "b", "S") // shares T1's surviving hold
+	r.OnEvent(core.Event{Kind: core.EventCommit, Txn: 2})
+	grant(1, "d", "S")
+	r.OnEvent(core.Event{Kind: core.EventCommit, Txn: 1})
+
+	var got []string
+	for _, ep := range r.Committed() {
+		got = append(got, fmt.Sprintf("%v:%s:%v", ep.Txn, ep.Entity, ep.Mode))
+	}
+	want := []string{"T2:b:R", "T2:c:W", "T1:a:W", "T1:b:R", "T1:d:R"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("committed episodes = %v, want %v", got, want)
+	}
+	edges, err := r.CheckSerializable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// T2's c never conflicts with the retracted c of T1, and b and d
+	// are shared by everyone: no edges.
+	if len(edges) != 0 {
+		t.Errorf("edges = %v, want none", edges)
+	}
+}
+
+// TestOnEventAbortLeavesNothing: an aborted transaction's holds and
+// closed episodes are discarded, and a later commit event for its ID
+// records nothing.
+func TestOnEventAbortLeavesNothing(t *testing.T) {
+	r := NewRecorder()
+	r.OnEvent(core.Event{Kind: core.EventGrant, Txn: 1, Entity: "a", Detail: "X"})
+	r.OnEvent(core.Event{Kind: core.EventGrant, Txn: 1, Entity: "b", Detail: "S"})
+	r.OnEvent(core.Event{Kind: core.EventRollback, Txn: 1, ToLockState: 0})
+	r.OnEvent(core.Event{Kind: core.EventAbort, Txn: 1})
+	r.OnEvent(core.Event{Kind: core.EventCommit, Txn: 1})
+	if got := r.Committed(); len(got) != 0 {
+		t.Errorf("aborted transaction left %v", got)
+	}
+	if len(r.open) != 0 || len(r.granted) != 0 || len(r.done) != 0 {
+		t.Errorf("live state left: open %v granted %v done %v", r.open, r.granted, r.done)
 	}
 }

@@ -351,23 +351,6 @@ func (t *Table) RemoveWaiterID(id txn.ID, ent intern.ID, grants []GrantID) ([]Gr
 	return grants, false
 }
 
-// ReleaseAll drops every lock id holds and retracts its queued request
-// if any, returning all resulting grants. Entities are released in
-// sorted-name order. The engine does not use it: commit and rollback
-// release lock by lock, because each release installs a value and
-// emits an event.
-func (t *Table) ReleaseAll(id txn.ID) []Grant {
-	var gids []GrantID
-	if ent, ok := t.waiting[id]; ok {
-		gids, _ = t.RemoveWaiterID(id, ent, gids)
-	}
-	for _, name := range t.HeldBy(id) {
-		ent, _ := t.names.Lookup(name)
-		gids, _ = t.ReleaseID(id, ent, gids)
-	}
-	return t.grantsFromIDs(gids)
-}
-
 func (t *Table) grantsFromIDs(gids []GrantID) []Grant {
 	if len(gids) == 0 {
 		return nil

@@ -163,25 +163,6 @@ func TestRemoveWaiter(t *testing.T) {
 	}
 }
 
-func TestReleaseAll(t *testing.T) {
-	tab := NewTable()
-	mustAcquire(t, tab, 1, "a", Exclusive)
-	mustAcquire(t, tab, 1, "b", Shared)
-	if g, _, _ := tab.Acquire(2, "a", Exclusive); g {
-		t.Fatal()
-	}
-	grants := tab.ReleaseAll(1)
-	if len(grants) != 1 || grants[0].Txn != 2 {
-		t.Errorf("grants = %v", grants)
-	}
-	if len(tab.HeldBy(1)) != 0 {
-		t.Error("locks remain")
-	}
-	if err := tab.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQueueAndHolders(t *testing.T) {
 	tab := NewTable()
 	mustAcquire(t, tab, 1, "a", Exclusive)

@@ -63,7 +63,7 @@ func TestConcurrentPagedBank(t *testing.T) {
 			if err := out.System.CheckInvariants(); err != nil {
 				t.Error(err)
 			}
-			if _, err := out.System.Recorder().CheckSerializable(); err != nil {
+			if _, err := out.Recorder.CheckSerializable(); err != nil {
 				t.Error(err)
 			}
 			st := store.PoolStats()

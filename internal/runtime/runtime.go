@@ -24,6 +24,7 @@ import (
 	"partialrollback/internal/deadlock"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/exec"
+	"partialrollback/internal/history"
 	"partialrollback/internal/hybrid"
 	"partialrollback/internal/txn"
 )
@@ -34,7 +35,8 @@ type Options struct {
 	Policy   deadlock.Policy
 	// Prevention optionally enables §3.3 timestamp rules.
 	Prevention core.Prevention
-	// RecordHistory enables the serializability recorder.
+	// RecordHistory subscribes a serializability recorder to the
+	// engine's events; Outcome.Recorder returns it.
 	RecordHistory bool
 	// HybridBudget / HybridAllocator configure the Hybrid strategy.
 	HybridBudget    int
@@ -58,6 +60,8 @@ type Outcome struct {
 	System *core.System
 	Stats  core.Stats
 	IDs    []txn.ID
+	// Recorder holds the run's history when RecordHistory was set.
+	Recorder *history.Recorder
 }
 
 // Run executes all programs concurrently to commit and returns the
@@ -65,6 +69,12 @@ type Outcome struct {
 // its step bound; such a transaction is aborted, so the others, which
 // may be waiting on its locks, still run to commit before Run returns.
 func Run(store *entity.Store, programs []*txn.Program, opt Options) (*Outcome, error) {
+	var rec *history.Recorder
+	onEvent := opt.OnEvent
+	if opt.RecordHistory {
+		rec = history.NewRecorder()
+		onEvent = rec.Hook(onEvent)
+	}
 	sys := core.New(core.Config{
 		Store:           store,
 		Strategy:        opt.Strategy,
@@ -72,9 +82,8 @@ func Run(store *entity.Store, programs []*txn.Program, opt Options) (*Outcome, e
 		Prevention:      opt.Prevention,
 		HybridBudget:    opt.HybridBudget,
 		HybridAllocator: opt.HybridAllocator,
-		RecordHistory:   opt.RecordHistory,
 		CommitLog:       opt.CommitLog,
-		OnEvent:         opt.OnEvent,
+		OnEvent:         onEvent,
 		LockWait:        opt.LockWait,
 	})
 
@@ -110,7 +119,7 @@ func Run(store *entity.Store, programs []*txn.Program, opt Options) (*Outcome, e
 	if !sys.AllCommitted() {
 		return nil, fmt.Errorf("runtime: run finished with uncommitted transactions")
 	}
-	return &Outcome{System: sys, Stats: sys.Stats(), IDs: ids}, nil
+	return &Outcome{System: sys, Stats: sys.Stats(), IDs: ids, Recorder: rec}, nil
 }
 
 // abort releases a failed transaction's locks so the transactions

@@ -41,7 +41,7 @@ func TestConcurrentBankTransfers(t *testing.T) {
 			if out.Stats.Commits != transfers {
 				t.Errorf("commits = %d, want %d", out.Stats.Commits, transfers)
 			}
-			if _, err := out.System.Recorder().CheckSerializable(); err != nil {
+			if _, err := out.Recorder.CheckSerializable(); err != nil {
 				t.Error(err)
 			}
 		})
@@ -60,7 +60,7 @@ func TestConcurrentWithPrevention(t *testing.T) {
 			if err := store.CheckConsistent(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := out.System.Recorder().CheckSerializable(); err != nil {
+			if _, err := out.Recorder.CheckSerializable(); err != nil {
 				t.Error(err)
 			}
 		})
@@ -101,7 +101,7 @@ func TestConcurrentBurst(t *testing.T) {
 				if err := out.System.CheckInvariants(); err != nil {
 					t.Error(err)
 				}
-				if _, err := out.System.Recorder().CheckSerializable(); err != nil {
+				if _, err := out.Recorder.CheckSerializable(); err != nil {
 					t.Error(err)
 				}
 			})
@@ -156,7 +156,7 @@ func TestConcurrentSharded(t *testing.T) {
 				if err := out.System.CheckInvariants(); err != nil {
 					t.Error(err)
 				}
-				if _, err := out.System.Recorder().CheckSerializable(); err != nil {
+				if _, err := out.Recorder.CheckSerializable(); err != nil {
 					t.Error(err)
 				}
 			})

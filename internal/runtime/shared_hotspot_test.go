@@ -44,7 +44,7 @@ func TestSharedHotspotConcurrent(t *testing.T) {
 			if err := out.System.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := out.System.Recorder().CheckSerializable(); err != nil {
+			if _, err := out.Recorder.CheckSerializable(); err != nil {
 				t.Fatal(err)
 			}
 			t.Logf("%d commits, %d deadlocks", out.Stats.Commits, out.Stats.Deadlocks)

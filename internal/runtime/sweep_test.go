@@ -64,7 +64,7 @@ func TestConcurrentStriped(t *testing.T) {
 				if err := out.System.CheckInvariants(); err != nil {
 					t.Error(err)
 				}
-				if _, err := out.System.Recorder().CheckSerializable(); err != nil {
+				if _, err := out.Recorder.CheckSerializable(); err != nil {
 					t.Error(err)
 				}
 			})
@@ -101,7 +101,7 @@ func TestConcurrentStripedSharded(t *testing.T) {
 			if err := out.System.CheckInvariants(); err != nil {
 				t.Error(err)
 			}
-			if _, err := out.System.Recorder().CheckSerializable(); err != nil {
+			if _, err := out.Recorder.CheckSerializable(); err != nil {
 				t.Error(err)
 			}
 		})
@@ -130,7 +130,7 @@ func TestConcurrentStripedBank(t *testing.T) {
 	if err := out.System.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
-	if _, err := out.System.Recorder().CheckSerializable(); err != nil {
+	if _, err := out.Recorder.CheckSerializable(); err != nil {
 		t.Error(err)
 	}
 }

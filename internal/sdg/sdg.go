@@ -21,8 +21,6 @@ package sdg
 import (
 	"fmt"
 	"sort"
-
-	"partialrollback/internal/graph"
 )
 
 // Interval records the destruction interval of one write: states q
@@ -233,28 +231,4 @@ func (g *Graph) RestoreActionFor(target string, q int) RestoreAction {
 		return ResetPristine
 	}
 	return KeepCurrent
-}
-
-// Export renders the state-dependency graph in the paper's Figure 4
-// form: vertices are lock states 0..n, chained by consecutive edges,
-// with an extra edge {u-1, j} for each written target's destruction
-// interval (u = first-write index, j = last-write index, j > u). The
-// articulation points of this graph that are interior vertices
-// correspond to the well-defined states (Corollary 1).
-func (g *Graph) Export() *graph.Undirected {
-	u := graph.NewUndirected()
-	for q := 0; q <= g.n; q++ {
-		u.AddNode(q)
-		if q > 0 {
-			u.AddEdge(q-1, q)
-		}
-	}
-	for _, iv := range g.Intervals() {
-		lo := iv.First - 1
-		if lo < 0 {
-			lo = 0
-		}
-		u.AddEdge(lo, iv.Last)
-	}
-	return u
 }

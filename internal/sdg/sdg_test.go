@@ -6,7 +6,33 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"partialrollback/internal/graph"
 )
+
+// export renders the state-dependency graph in the paper's Figure 4
+// form: vertices are lock states 0..n, chained by consecutive edges,
+// with an extra edge {u-1, j} for each written target's destruction
+// interval (u = first-write index, j = last-write index, j > u). The
+// articulation points of this graph that are interior vertices
+// correspond to the well-defined states (Corollary 1).
+func export(g *Graph) *graph.Undirected {
+	u := graph.NewUndirected()
+	for q := 0; q <= g.n; q++ {
+		u.AddNode(q)
+		if q > 0 {
+			u.AddEdge(q-1, q)
+		}
+	}
+	for _, iv := range g.Intervals() {
+		lo := iv.First - 1
+		if lo < 0 {
+			lo = 0
+		}
+		u.AddEdge(lo, iv.Last)
+	}
+	return u
+}
 
 func TestEmptyGraphAllWellDefined(t *testing.T) {
 	g := New()
@@ -174,7 +200,7 @@ func TestExportArticulationCorrespondence(t *testing.T) {
 	sim("A", 1, 4)
 	sim("D", 4, 5)
 	sim("B", 5, 6)
-	u := g.Export()
+	u := export(g)
 	arts := map[int]bool{}
 	for _, v := range u.ArticulationPoints() {
 		arts[v] = true

@@ -60,11 +60,11 @@ func TestBurstOneIsStepRegression(t *testing.T) {
 							t.Errorf("entity %q = %d under burst=1, %d under step", e, sb[e], v)
 						}
 					}
-					os, err := rs.System.Recorder().SerialOrder()
+					os, err := rs.Recorder.SerialOrder()
 					if err != nil {
 						t.Fatal(err)
 					}
-					ob, err := rb.System.Recorder().SerialOrder()
+					ob, err := rb.Recorder.SerialOrder()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -116,7 +116,7 @@ func TestBurstPropertySerializable(t *testing.T) {
 					if r.Committed != 10 {
 						t.Fatalf("committed %d", r.Committed)
 					}
-					order, err := r.System.Recorder().SerialOrder()
+					order, err := r.Recorder.SerialOrder()
 					if err != nil {
 						t.Fatal(err)
 					}

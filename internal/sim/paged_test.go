@@ -93,11 +93,11 @@ func TestPagedStoreSequentialRegression(t *testing.T) {
 						t.Errorf("entity %q = %d paged, %d mem", e, sp[e], v)
 					}
 				}
-				om, err := rm.System.Recorder().SerialOrder()
+				om, err := rm.Recorder.SerialOrder()
 				if err != nil {
 					t.Fatal(err)
 				}
-				op, err := rp.System.Recorder().SerialOrder()
+				op, err := rp.Recorder.SerialOrder()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -76,7 +76,7 @@ func TestPropertySerializableAcrossMatrix(t *testing.T) {
 					if r.Committed != 8 {
 						t.Fatalf("committed %d", r.Committed)
 					}
-					order, err := r.System.Recorder().SerialOrder()
+					order, err := r.Recorder.SerialOrder()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -125,7 +125,7 @@ func TestShardPropertySerializable(t *testing.T) {
 					if r.Committed != 10 {
 						t.Fatalf("committed %d", r.Committed)
 					}
-					order, err := r.System.Recorder().SerialOrder()
+					order, err := r.Recorder.SerialOrder()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -169,7 +169,7 @@ func TestPreventionModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.System.Recorder().CheckSerializable(); err != nil {
+			if _, err := r.Recorder.CheckSerializable(); err != nil {
 				t.Error(err)
 			}
 			st := r.Stats
@@ -266,7 +266,7 @@ func TestLongHaulRandomSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, strat, err)
 			}
-			order, err := r.System.Recorder().SerialOrder()
+			order, err := r.Recorder.SerialOrder()
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, strat, err)
 			}

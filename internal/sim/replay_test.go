@@ -48,11 +48,11 @@ func assertSameRun(t *testing.T, ra, rb Result, ea, eb []string) {
 			t.Errorf("entity %q = %d in b, %d in a", e, sb[e], v)
 		}
 	}
-	oa, err := ra.System.Recorder().SerialOrder()
+	oa, err := ra.Recorder.SerialOrder()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ob, err := rb.System.Recorder().SerialOrder()
+	ob, err := rb.Recorder.SerialOrder()
 	if err != nil {
 		t.Fatal(err)
 	}

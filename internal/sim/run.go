@@ -7,6 +7,7 @@ import (
 	"partialrollback/internal/core"
 	"partialrollback/internal/deadlock"
 	"partialrollback/internal/entity"
+	"partialrollback/internal/history"
 	"partialrollback/internal/hybrid"
 	"partialrollback/internal/txn"
 )
@@ -40,7 +41,8 @@ type RunConfig struct {
 	Seed int64
 	// MaxSteps bounds total engine steps (0: 10M) to catch livelock.
 	MaxSteps int64
-	// RecordHistory enables the serializability recorder (slower).
+	// RecordHistory subscribes a serializability recorder to the
+	// engine's events (slower); Result.Recorder returns it.
 	RecordHistory bool
 	// Prevention optionally enables a §3.3 timestamp rule instead of
 	// detection.
@@ -88,6 +90,8 @@ type Result struct {
 	AvgRollbackDepth float64
 	// System is the finished engine, for further inspection.
 	System *core.System
+	// Recorder holds the run's history when RecordHistory was set.
+	Recorder *history.Recorder
 	// Store is the database the run executed against.
 	Store *entity.Store
 }
@@ -111,6 +115,12 @@ func Run(w Workload, rc RunConfig) (Result, error) {
 		maxSteps = 10_000_000
 	}
 	store := w.NewStore()
+	var rec *history.Recorder
+	onEvent := rc.OnEvent
+	if rc.RecordHistory {
+		rec = history.NewRecorder()
+		onEvent = rec.Hook(onEvent)
+	}
 	sys := core.New(core.Config{
 		Store:           store,
 		Strategy:        rc.Strategy,
@@ -119,8 +129,7 @@ func Run(w Workload, rc RunConfig) (Result, error) {
 		HybridBudget:    rc.HybridBudget,
 		HybridAllocator: rc.HybridAllocator,
 		StarvationLimit: rc.StarvationLimit,
-		RecordHistory:   rc.RecordHistory,
-		OnEvent:         rc.OnEvent,
+		OnEvent:         onEvent,
 	})
 	ids := make([]txn.ID, 0, len(w.Programs))
 	for _, p := range w.Programs {
@@ -197,6 +206,7 @@ func Run(w Workload, rc RunConfig) (Result, error) {
 		TotalOps:  totalOps,
 		UsefulOps: totalOps - stats.OpsLost,
 		System:    sys,
+		Recorder:  rec,
 	}
 	if totalOps > 0 {
 		res.LostRatio = float64(stats.OpsLost) / float64(totalOps)
@@ -205,21 +215,4 @@ func Run(w Workload, rc RunConfig) (Result, error) {
 		res.AvgRollbackDepth = float64(stats.OpsLost) / float64(stats.Rollbacks)
 	}
 	return res, nil
-}
-
-// CompareStrategies runs the same workload under every strategy with
-// the same scheduler seed and returns the results keyed by strategy —
-// the core comparison of experiment E9.
-func CompareStrategies(w Workload, rc RunConfig) (map[core.Strategy]Result, error) {
-	out := map[core.Strategy]Result{}
-	for _, st := range []core.Strategy{core.Total, core.MCS, core.SDG} {
-		rc := rc
-		rc.Strategy = st
-		res, err := Run(w, rc)
-		if err != nil {
-			return nil, err
-		}
-		out[st] = res
-	}
-	return out, nil
 }

@@ -35,7 +35,7 @@ func TestSharedHotspotManyCycles(t *testing.T) {
 			if r.Committed != len(w.Programs) {
 				t.Fatalf("committed %d of %d", r.Committed, len(w.Programs))
 			}
-			if _, err := r.System.Recorder().CheckSerializable(); err != nil {
+			if _, err := r.Recorder.CheckSerializable(); err != nil {
 				t.Fatal(err)
 			}
 		})

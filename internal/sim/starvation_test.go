@@ -62,7 +62,7 @@ func TestEscalationPreservesCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, err := r.System.Recorder().SerialOrder()
+	order, err := r.Recorder.SerialOrder()
 	if err != nil {
 		t.Fatal(err)
 	}

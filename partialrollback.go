@@ -30,6 +30,7 @@ import (
 	"partialrollback/internal/core"
 	"partialrollback/internal/deadlock"
 	"partialrollback/internal/entity"
+	"partialrollback/internal/history"
 	"partialrollback/internal/hybrid"
 	"partialrollback/internal/optimizer"
 	"partialrollback/internal/runtime"
@@ -105,6 +106,16 @@ const (
 
 // New creates a System over store.
 func New(cfg Config) *System { return core.New(cfg) }
+
+// Recorder is the serializability oracle: it records lock-hold
+// episodes from engine events and checks that the committed history is
+// conflict-serializable (CheckSerializable, SerialOrder).
+type Recorder = history.Recorder
+
+// NewRecorder returns an empty Recorder; subscribe it with
+// Config{OnEvent: rec.OnEvent} (or rec.Hook(next) to keep another
+// hook). RunOptions.RecordHistory does this for RunConcurrent.
+func NewRecorder() *Recorder { return history.NewRecorder() }
 
 // Transaction programs.
 type (
