@@ -1,9 +1,11 @@
 // Command prserver serves the partial-rollback engine over TCP using
 // the wire protocol in internal/wire. Clients (internal/client, as
-// bench/ drives it) ship whole transaction programs; the server executes
-// them with partial-rollback deadlock removal and streams every
-// rollback back as a notification. internal/node assembles the node;
-// this command parses its flags and handles signals.
+// bench/ drives it) ship whole transaction programs; the server takes
+// each program's locks first, in entity-name order, so no transaction
+// can deadlock, and streams every rollback (a transaction aborted at
+// its deadline or at shutdown) back as a notification. internal/node
+// assembles the node; this command parses its flags and handles
+// signals.
 //
 // The database is a uniform store of -entities entities "e0".."eN-1"
 // initialized to -init, plus -accounts bank accounts "acct0".."acctM-1"
@@ -11,8 +13,7 @@
 //
 // Usage:
 //
-//	prserver -addr :7415 -strategy sdg -policy ordered-min-cost \
-//	         -entities 64 -accounts 16 -max-sessions 128
+//	prserver -addr :7415 -entities 64 -accounts 16 -max-sessions 128
 //
 // With -admin ADDR an HTTP admin endpoint additionally serves
 // Prometheus/JSON metrics (/metrics), the live wait-for-graph inspector
@@ -43,8 +44,6 @@ func main() {
 	log.SetPrefix("prserver: ")
 	cfg := node.Defaults()
 	flag.StringVar(&cfg.Addr, "addr", cfg.Addr, "listen address")
-	flag.StringVar(&cfg.Strategy, "strategy", cfg.Strategy, "rollback strategy: total|mcs|sdg|hybrid")
-	flag.StringVar(&cfg.Policy, "policy", cfg.Policy, "victim policy: min-cost|ordered-min-cost|requester|youngest-victim")
 	flag.IntVar(&cfg.Entities, "entities", cfg.Entities, "number of uniform entities e0..eN-1")
 	flag.Int64Var(&cfg.Init, "init", cfg.Init, "initial value of each uniform entity")
 	flag.IntVar(&cfg.Accounts, "accounts", cfg.Accounts, "number of bank accounts acct0..acctM-1 (0 disables)")
@@ -81,8 +80,8 @@ func main() {
 	if cfg.WAL != "" {
 		wal = fmt.Sprintf("%s(fsync=%s)", cfg.WAL, cfg.Fsync)
 	}
-	log.Printf("listening on %s (strategy=%s policy=%s entities=%d accounts=%d wal=%s store=%s)",
-		n.Addr(), cfg.Strategy, cfg.Policy, cfg.Entities, cfg.Accounts, wal, cfg.Store)
+	log.Printf("listening on %s (entities=%d accounts=%d wal=%s store=%s)",
+		n.Addr(), cfg.Entities, cfg.Accounts, wal, cfg.Store)
 	if a := n.AdminAddr(); a != "" {
 		log.Printf("admin on http://%s (metrics, debug/waitfor, debug/txns, pprof; trace=%v)", a, cfg.Trace > 0)
 	}

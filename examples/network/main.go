@@ -1,14 +1,17 @@
-// Network: the partial-rollback engine as a service. An in-process TCP
-// server hosts the database; three clients connect and concurrently run
-// transfers around a lock ring (a→b, b→c, c→a), the canonical deadlock.
-// The engine detects the cycle and partially rolls one victim back —
-// each rollback streams to the owning client as a notification — and
-// every transfer still commits, over the wire, with the ring's total
-// conserved.
+// Network: the engine as a service. An in-process TCP server hosts the
+// database; three clients connect and concurrently run transfers around
+// a lock ring (a→b, b→c, c→a), the canonical deadlock when each
+// transfer locks its source first. The server receives every program
+// whole, so it takes each one's locks first, in entity-name order (the
+// c→a transfer locks a, then c): the ring cannot close, every transfer
+// commits over the wire with 0 deadlocks and 0 rollbacks, and the
+// ring's total is conserved. The deadlock and its partial rollback
+// still happen in the in-process examples, which run programs as
+// written.
 //
 // Run with:
 //
-//	go run ./examples/network [-rounds 5] [-strategy mcs]
+//	go run ./examples/network [-rounds 5]
 package main
 
 import (
@@ -23,27 +26,13 @@ import (
 )
 
 var (
-	rounds   = flag.Int("rounds", 5, "transfers per client")
-	strategy = flag.String("strategy", "mcs", "rollback strategy: total|mcs|sdg")
-	pad      = flag.Int("pad", 3000, "computation between the two locks (bigger = more overlap)")
+	rounds = flag.Int("rounds", 5, "transfers per client")
+	pad    = flag.Int("pad", 3000, "computation between the two locks (bigger = more overlap)")
 )
 
-func parseStrategy(s string) pr.Strategy {
-	switch s {
-	case "total":
-		return pr.Total
-	case "mcs":
-		return pr.MCS
-	case "sdg":
-		return pr.SDG
-	}
-	log.Fatalf("unknown strategy %q", s)
-	return 0
-}
-
 // transfer moves amount from one account to the next, with enough
-// computation between the two lock requests that concurrent ring
-// neighbours overlap and deadlock.
+// computation between the two lock requests that, run as written,
+// concurrent ring neighbours would overlap and deadlock.
 func transfer(name, from, to string, amount int64) *pr.Program {
 	b := pr.NewProgram(name).
 		Local("x", 0).Local("y", 0).Local("w", 0).
@@ -68,12 +57,12 @@ func main() {
 	store := pr.NewStore(map[string]int64{"a": 100, "b": 100, "c": 100})
 	store.AddConstraint(pr.SumConstraint("ring-total", 300, "a", "b", "c"))
 
-	srv := pr.NewServer(pr.ServerConfig{Store: store, Strategy: parseStrategy(*strategy)})
+	srv := pr.NewServer(pr.ServerConfig{Store: store})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}
 	addr := srv.Addr().String()
-	fmt.Printf("server on %s (strategy=%s)\n\n", addr, *strategy)
+	fmt.Printf("server on %s\n\n", addr)
 
 	ring := []struct{ from, to string }{{"a", "b"}, {"b", "c"}, {"c", "a"}}
 	var (
@@ -94,11 +83,7 @@ func main() {
 					log.Fatalf("client %d: %v", i, err)
 				}
 				mu.Lock()
-				for _, rb := range res.RolledBack {
-					rollbacks++
-					fmt.Printf("client %d: txn %d rolled back %d→%d (lost %d ops) — deadlock removed\n",
-						i, rb.Txn, rb.FromState, rb.ToState, rb.Lost)
-				}
+				rollbacks += len(res.RolledBack)
 				fmt.Printf("client %d: %-14s committed (ops=%d lost=%d waits=%d attempts=%d)\n",
 					i, name, res.Outcome.OpsExecuted, res.Outcome.OpsLost, res.Outcome.Waits, res.Attempts)
 				mu.Unlock()
@@ -107,8 +92,6 @@ func main() {
 	}
 	wg.Wait()
 
-	fmt.Printf("\n%d rollback notifications received over the wire\n", rollbacks)
-
 	// Server-side view of the same run.
 	c := pr.NewClient(pr.ClientConfig{Addr: addr})
 	defer c.Close()
@@ -116,12 +99,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("server counters:")
+	var deadlocks int64
+	fmt.Println("\nserver counters:")
 	for _, cn := range counters {
+		if cn.Name == "deadlocks" {
+			deadlocks = cn.Val
+		}
 		if cn.Val != 0 {
 			fmt.Printf("  %-18s %d\n", cn.Name, cn.Val)
 		}
 	}
+	fmt.Printf("\n%d deadlocks; %d rollback notifications received over the wire\n", deadlocks, rollbacks)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

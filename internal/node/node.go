@@ -24,7 +24,6 @@ import (
 
 	"partialrollback/internal/checkpoint"
 	"partialrollback/internal/core"
-	"partialrollback/internal/deadlock"
 	"partialrollback/internal/durable"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/intern"
@@ -36,9 +35,7 @@ import (
 // Config describes a node. Each exported field is one cmd/prserver flag
 // of the same meaning; Defaults returns the flags' defaults.
 type Config struct {
-	Addr     string // listen address
-	Strategy string // total|mcs|sdg|hybrid
-	Policy   string // min-cost|ordered-min-cost|requester|youngest-victim
+	Addr string // listen address
 
 	// The store: Entities uniform entities "e0".."eN-1" initialised to
 	// Init, plus Accounts bank accounts "acct0".."acctM-1" at Balance
@@ -74,8 +71,6 @@ type Config struct {
 func Defaults() Config {
 	return Config{
 		Addr:           "127.0.0.1:7415",
-		Strategy:       "mcs",
-		Policy:         "ordered-min-cost",
 		Entities:       64,
 		Accounts:       16,
 		Balance:        100,
@@ -109,14 +104,6 @@ type Node struct {
 // starts serving. Conflicting settings are refused before anything is
 // created; any later failure releases what was built.
 func Start(cfg Config) (*Node, error) {
-	st, err := core.ParseStrategy(cfg.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	pol, err := deadlock.ParsePolicy(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
 	switch {
 	case cfg.Store != "mem" && cfg.Store != "paged":
 		return nil, fmt.Errorf("unknown -store %q (want mem or paged)", cfg.Store)
@@ -126,14 +113,14 @@ func Start(cfg Config) (*Node, error) {
 		return nil, errors.New("-trace requires -admin")
 	}
 	n := &Node{cfg: cfg}
-	if err := n.start(st, pol); err != nil {
+	if err := n.start(); err != nil {
 		n.release(false)
 		return nil, err
 	}
 	return n, nil
 }
 
-func (n *Node) start(st core.Strategy, pol deadlock.Policy) error {
+func (n *Node) start() error {
 	cfg := n.cfg
 	// The metrics registry exists before the store so the paged
 	// backend's read-miss histogram can observe faults from the first
@@ -156,8 +143,6 @@ func (n *Node) start(st core.Strategy, pol deadlock.Policy) error {
 	}
 	scfg := server.Config{
 		Store:          n.store,
-		Strategy:       st,
-		Policy:         pol,
 		MaxSessions:    cfg.MaxSessions,
 		Backlog:        cfg.Backlog,
 		RequestTimeout: cfg.RequestTimeout,

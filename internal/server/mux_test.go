@@ -424,19 +424,20 @@ func TestMuxDuplicateStreamDesync(t *testing.T) {
 	shutdownNow(t, srv)
 }
 
-// TestMuxRollbackNotifications forces a deadlock between two streams of
-// one connection: the victim's partial-rollback notification must be
-// routed to the stream that owns the transaction, and both streams must
-// still commit.
+// TestMuxRollbackNotifications runs transfers in opposite directions
+// over the same pair from two streams of one connection: because the
+// server orders every program's locks, they never deadlock and no
+// stream is rolled back. The server's one remaining rollback is the
+// abort of a transaction that waits past its deadline; its
+// notification must reach the stream that owns the transaction, ahead
+// of the stream's CodeRolledBack verdict.
 func TestMuxRollbackNotifications(t *testing.T) {
 	store := entity.NewUniformStore("e", 4, 100)
-	srv := New(Config{Store: store, Strategy: core.SDG})
+	srv := New(Config{Store: store})
 
 	m := muxClient(srv, client.MuxConfig{MaxAttempts: 8})
 	defer m.Close()
 
-	// Two transfers in opposite directions over the same pair collide
-	// reliably under enough repetition.
 	var wg sync.WaitGroup
 	errCh := make(chan error, 2)
 	var notes int64
@@ -446,7 +447,9 @@ func TestMuxRollbackNotifications(t *testing.T) {
 		if i == 1 {
 			from, to = "e1", "e0"
 		}
-		prog := sim.TransferProgram("xfer", from, to, 1, 3)
+		// Padded past exec's 64-op burst so that the two interleave
+		// between their locks; run as sent they would deadlock.
+		prog := sim.TransferProgram("xfer", from, to, 1, 100)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -473,11 +476,33 @@ func TestMuxRollbackNotifications(t *testing.T) {
 	if err := store.CheckConsistent(); err != nil {
 		t.Error(err)
 	}
-	// Deadlocks between the two streams are probabilistic; only insist
-	// the plumbing carried notifications when rollbacks happened.
-	if rb := counter(t, srv, "rollbacks_partial") + counter(t, srv, "rollbacks_total"); rb > 0 {
-		t.Logf("observed %d rollbacks, %d notifications routed to streams", rb, notes)
+	if dl := counter(t, srv, "deadlocks"); dl != 0 || notes != 0 {
+		t.Errorf("deadlocks = %d, rollback notifications = %d, want 0 and 0", dl, notes)
 	}
+	shutdownNow(t, srv)
+
+	// The deadline abort: the waiter takes e1, then waits on the
+	// holder's e3 until its 100 ms deadline rolls it back from lock
+	// state 1 to 0.
+	srv = New(Config{Store: entity.NewUniformStore("e", 4, 100), RequestTimeout: 100 * time.Millisecond})
+	holder := mustRegister(t, srv, sim.TransferProgram("holder", "e3", "e2", 1, 0))
+	if _, err := srv.System().Step(holder); err != nil {
+		t.Fatal(err)
+	}
+	m = muxClient(srv, client.MuxConfig{})
+	defer m.Close()
+	res, err := m.RunOnce(sim.TransferProgram("waiter", "e3", "e1", 1, 0))
+	var se *client.ServerError
+	if !errors.As(err, &se) || se.Code != wire.CodeRolledBack {
+		t.Fatalf("err = %v, want CodeRolledBack", err)
+	}
+	if res == nil || len(res.RolledBack) != 1 {
+		t.Fatalf("result %+v, want one rollback notification on the waiter's stream", res)
+	}
+	if rb := res.RolledBack[0]; rb.Txn == int64(holder) || rb.ToLockState != 0 {
+		t.Errorf("notification %+v, want the waiter rolled back to lock state 0", rb)
+	}
+	driveToCommit(t, srv, holder)
 	shutdownNow(t, srv)
 }
 

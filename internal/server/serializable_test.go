@@ -17,10 +17,13 @@ import (
 // TestNodeHistorySerializable puts the serializability oracle on the
 // real serving path: a history.Recorder subscribed to Config.OnEvent
 // watches 64 concurrent client.Mux streams run a contended workload
-// through the server's stream goroutines. Every transaction must
-// commit, the recorded history must be conflict-serializable with
-// every committing run in its serial order, and replaying the programs
-// one at a time in that order must reproduce the served database.
+// through the server's stream goroutines, on hotspot's generator with
+// and without shared locks. Every transaction must commit with no
+// deadlock and no rollback, because the server takes each program's
+// locks in one entity order; the recorded history must be
+// conflict-serializable with every committing run in its serial order,
+// and replaying the programs one at a time in that order must
+// reproduce the served database.
 func TestNodeHistorySerializable(t *testing.T) {
 	const streams = 64
 	for _, tc := range []struct {
@@ -30,10 +33,7 @@ func TestNodeHistorySerializable(t *testing.T) {
 		perStream int
 	}{
 		{"hotspot", 0, 40, 3},
-		// Shared locks over the hot set thrash on the node at higher
-		// load (no Theorem 2 ordering under shared locks yet), so one
-		// transaction per stream.
-		{"shared", 0.5, 10, 1},
+		{"shared", 0.5, 40, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := sim.GenConfig{
@@ -90,7 +90,10 @@ func TestNodeHistorySerializable(t *testing.T) {
 			if st.Commits != int64(len(w.Programs)) {
 				t.Fatalf("commits = %d, want %d", st.Commits, len(w.Programs))
 			}
-			t.Logf("deadlocks=%d rollbacks=%d aborts=%d", st.Deadlocks, st.Rollbacks, st.Aborts)
+			if st.Deadlocks != 0 || st.Rollbacks != 0 {
+				t.Fatalf("deadlocks=%d rollbacks=%d, want none: the server orders every program's locks",
+					st.Deadlocks, st.Rollbacks)
+			}
 			order, err := rec.SerialOrder()
 			if err != nil {
 				t.Fatal(err)

@@ -6,11 +6,12 @@
 // A client ships each transaction as one BeginProgram frame on a stream
 // of its choosing (see internal/wire); the reader admits it and starts
 // its goroutine, so thousands of streams execute concurrently over one
-// socket. The stream's goroutine registers the program and drives it
-// to commit with the shared re-execution loop from internal/exec: when
-// the engine picks the transaction as a deadlock victim it is partially
-// rolled back and the loop transparently re-executes it from the
-// rollback point, exactly as the in-process runtime does. Each §2
+// socket. The stream's goroutine registers the program with its lock
+// requests first, in entity-name order (txn.OrderLocks), and drives it
+// to commit with the shared re-execution loop from internal/exec.
+// Because every served transaction acquires its locks in that one
+// order, none can deadlock: the engine's only rollback here is the
+// restart of a transaction aborted at its deadline or at shutdown. Each
 // rollback is sent to the stream as a RolledBack notification; the
 // final reply is Committed (with the transaction's outcome counters) or
 // an Error. The writer coalesces frames across all streams into single
@@ -44,7 +45,6 @@ import (
 	"time"
 
 	"partialrollback/internal/core"
-	"partialrollback/internal/deadlock"
 	"partialrollback/internal/durable"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/exec"
@@ -57,10 +57,10 @@ import (
 type Config struct {
 	// Store is the global database served. Required.
 	Store *entity.Store
-	// Strategy and Policy configure the engine exactly as core.Config
-	// does.
+	// Strategy configures the engine exactly as core.Config does. Served
+	// transactions cannot deadlock, so it only decides how an aborted
+	// transaction is rolled back to its initial state.
 	Strategy core.Strategy
-	Policy   deadlock.Policy
 	// MaxSessions bounds concurrently served connections. Default 256.
 	MaxSessions int
 	// Backlog bounds connections allowed to wait for a session slot;
@@ -162,7 +162,6 @@ func New(cfg Config) *Server {
 	ecfg := core.Config{
 		Store:    cfg.Store,
 		Strategy: cfg.Strategy,
-		Policy:   cfg.Policy,
 		OnEvent:  s.onEvent,
 		LockWait: cfg.LockWait,
 	}
@@ -731,10 +730,12 @@ func (s *Server) serveStream(sn sender, bp wire.BeginProgram) {
 	s.execTxn(sn, prog)
 }
 
-// execTxn registers prog, drives it to commit with the shared
-// re-execution loop, and sends the verdict to sn.
+// execTxn registers prog with its locks taken first in entity-name
+// order, drives it to commit with the shared re-execution loop, and
+// sends the verdict to sn. An invalid prog is registered as sent, so
+// the engine's refusal names prog's own operation.
 func (s *Server) execTxn(sn sender, prog *txn.Program) {
-	id, err := s.sys.Register(prog)
+	id, err := s.sys.Register(txn.OrderLocks(prog))
 	if err != nil {
 		sn.send(wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
 		return

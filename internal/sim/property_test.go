@@ -280,3 +280,81 @@ func TestLongHaulRandomSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestPropertyOrderedLocksNeverDeadlock is E24's sweep: hotspot's
+// generator, with and without shared locks, under every strategy that
+// keeps rollback targets (total|mcs|sdg) and both schedulers. Passed
+// through txn.OrderLocks, the programs never raise EventDeadlock, never
+// roll back, execute exactly their own length, and leave a
+// serializable history whose serial replay reproduces the store. The
+// as-sent counters are logged beside them (-v) for EXPERIMENTS.md.
+func TestPropertyOrderedLocksNeverDeadlock(t *testing.T) {
+	const txns = 32
+	for _, shared := range []float64{0, 0.5} {
+		for _, strat := range []core.Strategy{core.Total, core.MCS, core.SDG} {
+			for _, seed := range []int64{1, 2, 3} {
+				sched := Scheduler(int(seed) % 2)
+				name := fmt.Sprintf("shared%.1f/%v/%v/seed%d", shared, strat, sched, seed)
+				t.Run(name, func(t *testing.T) {
+					sent := Generate(GenConfig{
+						Txns: txns, DBSize: 64, HotSet: 6, HotProb: 0.9, LocksPerTxn: 5,
+						SharedProb: shared, PadOps: 40, Shape: Clustered, Seed: seed,
+					})
+					ordered := sent
+					ordered.Programs = make([]*txn.Program, len(sent.Programs))
+					length := int64(0)
+					for i, p := range sent.Programs {
+						ordered.Programs[i] = txn.OrderLocks(p)
+						length += int64(len(p.Ops) - 1) // TotalOps omits Commit
+					}
+					deadlocks := 0
+					r, err := Run(ordered, RunConfig{
+						Strategy: strat, Scheduler: sched, Seed: seed,
+						RecordHistory: true,
+						OnEvent: func(e core.Event) {
+							if e.Kind == core.EventDeadlock {
+								deadlocks++
+							}
+						},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if r.Committed != txns {
+						t.Fatalf("committed %d of %d", r.Committed, txns)
+					}
+					if deadlocks != 0 || r.Stats.Deadlocks != 0 || r.Stats.Rollbacks != 0 {
+						t.Fatalf("ordered programs: %d deadlock events, stats deadlocks=%d rollbacks=%d",
+							deadlocks, r.Stats.Deadlocks, r.Stats.Rollbacks)
+					}
+					if r.TotalOps != length {
+						t.Errorf("ordered programs executed %d ops, want their length %d", r.TotalOps, length)
+					}
+					order, err := r.Recorder.SerialOrder()
+					if err != nil {
+						t.Fatal(err)
+					}
+					snap := snapshotOf(t, r)
+					for e, want := range runSerialOrder(t, ordered, order) {
+						if snap[e] != want {
+							t.Errorf("entity %q = %d, serial oracle %d", e, snap[e], want)
+						}
+					}
+
+					base, err := Run(sent, RunConfig{Strategy: strat, Scheduler: sched, Seed: seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Logf("per commit  as sent: steps %.1f executed %.1f rolled back %.1f deadlocks %.2f waits %.2f"+
+						" | ordered: steps %.1f executed %.1f waits %.2f",
+						perCommit(base.Steps, txns), perCommit(base.TotalOps, txns),
+						perCommit(base.Stats.OpsLost, txns), perCommit(base.Stats.Deadlocks, txns),
+						perCommit(base.Stats.Waits, txns),
+						perCommit(r.Steps, txns), perCommit(r.TotalOps, txns), perCommit(r.Stats.Waits, txns))
+				})
+			}
+		}
+	}
+}
+
+func perCommit(n int64, commits int) float64 { return float64(n) / float64(commits) }

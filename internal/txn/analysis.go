@@ -60,11 +60,7 @@ func Analyze(p *Program) *Analysis {
 
 // ValidateAnalyze checks p against the §2 static rules (see Validate
 // for the full list) and computes its Analysis in the same traversal of
-// p.Ops. Lock holdings are tracked in a small slice instead of a map,
-// and expression references are checked by walking the tree directly
-// instead of materializing a reference list, so validation itself stays
-// off the allocator for typical programs; the only map built is
-// LocalSlot.
+// p.Ops.
 //
 // The analysis is always returned, complete to the extent the program
 // allows; the error is the first rule violation, exactly as Validate
@@ -95,7 +91,16 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 		a.LocalSlot[name] = s
 		a.InitLocals[s] = p.Locals[name]
 	}
+	return a, check(p, a)
+}
 
+// check applies the §2 static rules to p and, when a is non-nil, fills
+// a's per-op fields and lock requests as it goes. Lock holdings are
+// tracked in a small slice instead of a map, and expression references
+// are checked by walking the tree directly instead of materializing a
+// reference list, so with a nil a a valid program that holds at most
+// eight locks at once is checked without allocating.
+func check(p *Program, a *Analysis) error {
 	var firstErr error
 	if p.Name == "" {
 		firstErr = fmt.Errorf("txn: program must have a name")
@@ -126,8 +131,22 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 				firstErr = fmt.Errorf("txn %s: op %d (%s): %s", p.Name, i, o, fmt.Sprintf(format, args...))
 			}
 		}
-		a.LockIndexOf[i] = li
-		a.OpLocalSlot[i] = -1
+		// assign resolves the local that a Read or Compute op sets.
+		assign := func(kind string) {
+			if a == nil {
+				if _, ok := p.Locals[o.Local]; ok {
+					return
+				}
+			} else if s, ok := a.LocalSlot[o.Local]; ok {
+				a.OpLocalSlot[i] = s
+				return
+			}
+			fail("%s into undeclared local %q", kind, o.Local)
+		}
+		if a != nil {
+			a.LockIndexOf[i] = li
+			a.OpLocalSlot[i] = -1
+		}
 		if i != len(p.Ops)-1 && o.Kind == OpCommit {
 			fail("Commit before end of program")
 		}
@@ -152,12 +171,14 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 			}
 			held = append(held, heldLock{entity: o.Entity, kind: o.Kind})
 			seenLock = true
-			a.Requests = append(a.Requests, LockRequest{
-				OpIndex:   i,
-				Entity:    o.Entity,
-				Exclusive: o.Kind == OpLockX,
-				LockIndex: li,
-			})
+			if a != nil {
+				a.Requests = append(a.Requests, LockRequest{
+					OpIndex:   i,
+					Entity:    o.Entity,
+					Exclusive: o.Kind == OpLockX,
+					LockIndex: li,
+				})
+			}
 			li++
 		case OpUnlock:
 			if k := findHeld(o.Entity); k < 0 {
@@ -170,11 +191,7 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 			if findHeld(o.Entity) < 0 {
 				fail("read of unlocked entity %q", o.Entity)
 			}
-			if s, ok := a.LocalSlot[o.Local]; ok {
-				a.OpLocalSlot[i] = s
-			} else {
-				fail("read into undeclared local %q", o.Local)
-			}
+			assign("read")
 		case OpWrite:
 			if !seenLock {
 				fail("write before first lock request")
@@ -189,11 +206,7 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 			if !seenLock {
 				fail("compute before first lock request")
 			}
-			if s, ok := a.LocalSlot[o.Local]; ok {
-				a.OpLocalSlot[i] = s
-			} else {
-				fail("compute into undeclared local %q", o.Local)
-			}
+			assign("compute")
 			if err := checkRefs(p, o.Expr); err != nil {
 				fail("%v", err)
 			}
@@ -211,7 +224,7 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 	if firstErr == nil && (len(p.Ops) == 0 || p.Ops[len(p.Ops)-1].Kind != OpCommit) {
 		firstErr = fmt.Errorf("txn %s: program must end with Commit", p.Name)
 	}
-	return a, firstErr
+	return firstErr
 }
 
 // Writes holds the §4 write-interval facts of a program: for every

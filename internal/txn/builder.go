@@ -117,12 +117,10 @@ func (b *Builder) MustBuild() *Program {
 //   - nothing but Commit follows once DeclareLastLock is emitted except
 //     reads, writes, computes and unlocks (no lock requests).
 //
-// Validate is a thin wrapper over ValidateAnalyze, which checks these
-// rules and computes the program's static Analysis in one traversal.
-func Validate(p *Program) error {
-	_, err := ValidateAnalyze(p)
-	return err
-}
+// Validate builds no Analysis (ValidateAnalyze checks the same rules
+// and builds one), so checking a valid program that holds at most
+// eight locks at once allocates nothing.
+func Validate(p *Program) error { return check(p, nil) }
 
 // checkRefs verifies an expression references only declared locals,
 // walking the tree directly so well-formed expressions cost no
