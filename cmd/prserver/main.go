@@ -1,8 +1,9 @@
 // Command prserver serves the partial-rollback engine over TCP using
 // the wire protocol in internal/wire. Clients (internal/client, as
-// bench/ drives it) ship whole transaction programs; the server takes
-// each program's locks first, in entity-name order, so no transaction
-// can deadlock, and streams every rollback (a transaction aborted at
+// bench/ drives it) ship whole transaction programs; the engine's
+// Register takes each program's locks first, in entity-ID order
+// (core.Config.OrderLocks), so no transaction can deadlock, and the
+// server streams every rollback (a transaction aborted at
 // its deadline or at shutdown) back as a notification. internal/node
 // assembles the node; this command parses its flags and handles
 // signals.

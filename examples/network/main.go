@@ -2,8 +2,10 @@
 // database; three clients connect and concurrently run transfers around
 // a lock ring (a→b, b→c, c→a), the canonical deadlock when each
 // transfer locks its source first. The server receives every program
-// whole, so it takes each one's locks first, in entity-name order (the
-// c→a transfer locks a, then c): the ring cannot close, every transfer
+// whole, so its engine's Register takes each one's locks first, in
+// entity-ID order (core.Config.OrderLocks; NewStore interns a, b, c in
+// that order, so the c→a transfer locks a, then c): the ring cannot
+// close, every transfer
 // commits over the wire with 0 deadlocks and 0 rollbacks, and the
 // ring's total is conserved. The deadlock and its partial rollback
 // still happen in the in-process examples, which run programs as

@@ -139,12 +139,33 @@ func TestRegisterAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkRegister measures one MCS Register + Abort of a
-// uniform-shaped program: what registration costs per transaction on
-// the node's default strategy.
+// hotspotProgram is shaped like the bench "hotspot" workload's
+// transactions (sim.Generate with 5 exclusive locks, 40 pad ops,
+// clustered): per entity a lock, a read, 40 pad computes and two
+// writes — 221 ops over 10 locals. Its locks do not come in ascending
+// entity-ID order, so an ordering engine reorders it.
+func hotspotProgram() *txn.Program {
+	b := txn.NewProgram("hotspot")
+	for k, e := range []string{"e4", "e1", "e5", "e0", "e3"} {
+		v, pad := "v"+strconv.Itoa(k), "s"+strconv.Itoa(k)
+		b.Local(v, 0).Local(pad, 0)
+		b.LockX(e).Read(e, v)
+		for i := 0; i < 40; i++ {
+			b.Compute(pad, value.Add(value.L(pad), value.C(1)))
+		}
+		for i := 0; i < 2; i++ {
+			b.Write(e, value.Add(value.L(v), value.Add(value.Mod(value.L(pad), value.C(7)), value.C(1))))
+		}
+	}
+	return b.MustBuild()
+}
+
+// BenchmarkRegister measures one Register + Abort of a hotspot-shaped
+// program on the node's engine configuration: strategy Total with
+// Config.OrderLocks, so registration also builds the execution order.
 func BenchmarkRegister(b *testing.B) {
-	s := New(Config{Store: entity.NewUniformStore("e", 4096, 0), Strategy: MCS})
-	prog := uniformProgram()
+	s := New(Config{Store: entity.NewUniformStore("e", 64, 0), OrderLocks: true})
+	prog := hotspotProgram()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

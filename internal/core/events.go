@@ -20,7 +20,9 @@ const (
 	EventUnlock
 	EventCommit
 	// EventAbort: the transaction was rolled back to its initial state
-	// and removed from the system (see System.Abort).
+	// and removed from the system, or, when a step failed after its
+	// first unlock, its remaining locks were released uninstalled (see
+	// System.Abort).
 	EventAbort
 )
 

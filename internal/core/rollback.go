@@ -214,6 +214,26 @@ func (s *System) restoreSingleCopy(t *tstate, q int) error {
 	return nil
 }
 
+// releaseFrom releases, in name order (deterministic event streams),
+// every lock t acquired at lock index q or later, discarding its local
+// copies.
+func (s *System) releaseFrom(t *tstate, q int) error {
+	s.releaseBuf = s.releaseBuf[:0]
+	for i := range t.slots {
+		if t.slots[i].heldAt >= q {
+			s.releaseBuf = append(s.releaseBuf, nameEnt{name: s.names.Name(t.slots[i].ent), ent: t.slots[i].ent})
+		}
+	}
+	sortNameEnts(s.releaseBuf)
+	for _, ne := range s.releaseBuf {
+		t.dropSlot(ne.ent)
+		if err := s.releaseAndRefresh(t, ne.ent); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // rollbackTo rolls t back to lock state q (§2's rollback operation):
 // retract its pending request if waiting, release every lock acquired
 // at lock index >= q, restore local variables and local copies per the
@@ -245,22 +265,11 @@ func (s *System) rollbackTo(t *tstate, q int) error {
 		s.applyGrants(grants)
 	}
 
-	// Release locks acquired at or after lock state q, in name order
-	// (deterministic event streams). Global values were never modified
-	// (updates are deferred to unlock/commit), so releasing restores
-	// them per the paper's rollback step 1-2.
-	s.releaseBuf = s.releaseBuf[:0]
-	for i := range t.slots {
-		if t.slots[i].heldAt >= q {
-			s.releaseBuf = append(s.releaseBuf, nameEnt{name: s.names.Name(t.slots[i].ent), ent: t.slots[i].ent})
-		}
-	}
-	sortNameEnts(s.releaseBuf)
-	for _, ne := range s.releaseBuf {
-		t.dropSlot(ne.ent)
-		if err := s.releaseAndRefresh(t, ne.ent); err != nil {
-			return err
-		}
+	// Global values were never modified (updates are deferred to
+	// unlock/commit), so releasing restores them per the paper's
+	// rollback step 1-2.
+	if err := s.releaseFrom(t, q); err != nil {
+		return err
 	}
 
 	// Restore local variables and surviving local copies (steps 3-4).

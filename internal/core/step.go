@@ -59,6 +59,7 @@ func (s *System) StepBurst(id txn.ID, max int) (StepResult, int, error) {
 	for {
 		res, err := s.stepLocked(t)
 		if err != nil {
+			t.failed = true
 			return res, steps, err
 		}
 		if res.Outcome != AlreadyCommitted && res.Outcome != StillWaiting {
@@ -74,6 +75,7 @@ func (s *System) StepBurst(id txn.ID, max int) (StepResult, int, error) {
 }
 
 // stepLocked executes t's next atomic operation. Caller holds s.mu.
+// Errors name the op by its as-sent index.
 func (s *System) stepLocked(t *tstate) (StepResult, error) {
 	switch t.status {
 	case StatusCommitted:
@@ -82,42 +84,43 @@ func (s *System) stepLocked(t *tstate) (StepResult, error) {
 		return StepResult{Outcome: StillWaiting}, nil
 	}
 	s.stats.Steps++
-	op := &t.prog.Ops[t.pc]
+	i := t.opIndex()
+	op := &t.prog.Ops[i]
 	switch op.Kind {
 	case txn.OpLockS, txn.OpLockX:
-		return s.stepLock(t, op)
+		return s.stepLock(t, i, op)
 	case txn.OpRead:
-		v, err := s.readEntity(t, t.opEnt[t.pc], op.Entity)
+		v, err := s.readEntity(t, t.opEnt[i], op.Entity)
 		if err != nil {
 			return StepResult{}, err
 		}
-		if err := s.assignLocal(t, op.Local, v); err != nil {
+		if err := s.assignLocal(t, i, op.Local, v); err != nil {
 			return StepResult{}, err
 		}
 		s.advance(t)
 		return StepResult{Outcome: Progressed}, nil
 	case txn.OpWrite:
-		v, err := s.evalExpr(t)
+		v, err := s.evalExpr(t, i)
 		if err != nil {
 			return StepResult{}, err
 		}
-		if err := s.writeEntity(t, t.opEnt[t.pc], op.Entity, v); err != nil {
+		if err := s.writeEntity(t, i, op.Entity, v); err != nil {
 			return StepResult{}, err
 		}
 		s.advance(t)
 		return StepResult{Outcome: Progressed}, nil
 	case txn.OpCompute:
-		v, err := s.evalExpr(t)
+		v, err := s.evalExpr(t, i)
 		if err != nil {
 			return StepResult{}, err
 		}
-		if err := s.assignLocal(t, op.Local, v); err != nil {
+		if err := s.assignLocal(t, i, op.Local, v); err != nil {
 			return StepResult{}, err
 		}
 		s.advance(t)
 		return StepResult{Outcome: Progressed}, nil
 	case txn.OpUnlock:
-		if err := s.unlockEntity(t, t.opEnt[t.pc], op.Entity); err != nil {
+		if err := s.unlockEntity(t, t.opEnt[i], op.Entity); err != nil {
 			return StepResult{}, err
 		}
 		t.unlocked = true
@@ -137,7 +140,7 @@ func (s *System) stepLocked(t *tstate) (StepResult, error) {
 		}
 		return StepResult{Outcome: Committed, Durable: ack}, nil
 	default:
-		return StepResult{}, fmt.Errorf("core: %v op %d: unknown kind %v", t.id, t.pc, op.Kind)
+		return StepResult{}, fmt.Errorf("core: %v op %d: unknown kind %v", t.id, i, op.Kind)
 	}
 }
 
@@ -148,19 +151,19 @@ func (s *System) advance(t *tstate) {
 	t.stats.OpsExecuted++
 }
 
-// evalExpr evaluates the current op's expression against the
-// transaction's slot-indexed locals (no per-eval Env allocation).
-func (s *System) evalExpr(t *tstate) (int64, error) {
-	v, err := value.EvalSlots(t.prog.Ops[t.pc].Expr, t.analysis.LocalSlot, t.locals)
+// evalExpr evaluates op i's expression against the transaction's
+// slot-indexed locals (no per-eval Env allocation).
+func (s *System) evalExpr(t *tstate, i int) (int64, error) {
+	v, err := value.EvalSlots(t.prog.Ops[i].Expr, t.analysis.LocalSlot, t.locals)
 	if err != nil {
-		return 0, fmt.Errorf("core: %v op %d: %w", t.id, t.pc, err)
+		return 0, fmt.Errorf("core: %v op %d: %w", t.id, i, err)
 	}
 	return v, nil
 }
 
 // stepLock handles a lock-request operation for a running transaction.
-func (s *System) stepLock(t *tstate, op *txn.Op) (StepResult, error) {
-	ent := t.opEnt[t.pc]
+func (s *System) stepLock(t *tstate, i int, op *txn.Op) (StepResult, error) {
+	ent := t.opEnt[i]
 	mode := lock.Shared
 	if op.Kind == txn.OpLockX {
 		mode = lock.Exclusive
@@ -291,8 +294,10 @@ func (s *System) readEntity(t *tstate, ent intern.ID, entityName string) (int64,
 	return s.store.MustGetID(ent), nil
 }
 
-// writeEntity updates t's local copy of an exclusively held entity.
-func (s *System) writeEntity(t *tstate, ent intern.ID, entityName string, v int64) error {
+// writeEntity updates t's local copy of an exclusively held entity
+// (op i's target).
+func (s *System) writeEntity(t *tstate, i int, entityName string, v int64) error {
+	ent := t.opEnt[i]
 	sl := t.findSlot(ent)
 	if sl == nil || sl.mode != lock.Exclusive {
 		return fmt.Errorf("core: %v write to entity %q without exclusive lock", t.id, entityName)
@@ -304,14 +309,15 @@ func (s *System) writeEntity(t *tstate, ent intern.ID, entityName string, v int6
 		}
 	}
 	if t.sdg != nil {
-		t.sdg.OnWrite(t.writes.OpTarget[t.pc])
+		t.sdg.OnWrite(t.writes.OpTarget[i])
 	}
 	return nil
 }
 
-// assignLocal updates a local variable (Read destination or Compute).
-func (s *System) assignLocal(t *tstate, localName string, v int64) error {
-	slot := t.analysis.OpLocalSlot[t.pc]
+// assignLocal updates the local variable op i assigns (Read
+// destination or Compute).
+func (s *System) assignLocal(t *tstate, i int, localName string, v int64) error {
+	slot := t.analysis.OpLocalSlot[i]
 	if slot < 0 {
 		return fmt.Errorf("core: %v assignment to undeclared local %q", t.id, localName)
 	}
@@ -322,7 +328,7 @@ func (s *System) assignLocal(t *tstate, localName string, v int64) error {
 		}
 	}
 	if t.sdg != nil {
-		t.sdg.OnWrite(t.writes.OpTarget[t.pc])
+		t.sdg.OnWrite(t.writes.OpTarget[i])
 	}
 	return nil
 }

@@ -16,7 +16,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"partialrollback/internal/deadlock"
@@ -171,6 +173,17 @@ type Config struct {
 	// section — the direct measure of how much the engine mutex itself
 	// throttles throughput (rendered as pr_engine_lock_wait_ns).
 	LockWait func(ns int64)
+	// OrderLocks runs every registered program with its lock requests
+	// first, in ascending entity-ID order, then its other operations as
+	// sent. Register validates the program as sent, and every error
+	// names as-sent op indexes. One global acquisition order with no
+	// upgrades admits no wait-for cycle, and under 2PL taking a lock
+	// earlier changes nothing a program computes. txn.OrderLocks (name
+	// order) is its test oracle. It requires Strategy Total (New panics
+	// otherwise): txn.Writes, which SDG and Hybrid read, numbers lock
+	// states as sent, and an engine that cannot deadlock needs no
+	// rollback but Abort's restart.
+	OrderLocks bool
 }
 
 // Status is a transaction's execution status.
@@ -228,6 +241,11 @@ type tstate struct {
 	// opEnt[i] is the interned entity of Ops[i] (intern.None when op i
 	// has no entity operand). Read-only after Register.
 	opEnt []intern.ID
+	// order[pc] is the as-sent index of the pc-th op executed, under
+	// Config.OrderLocks; nil when the program runs as sent. The program,
+	// its analysis and opEnt stay indexed as sent. Read-only after
+	// Register.
+	order []int32
 	entry int64 // entry order (Theorem 2 partial order)
 
 	status     Status
@@ -258,7 +276,11 @@ type tstate struct {
 	// the transaction registered, so it keeps its pins.
 	pinned []intern.ID
 
-	unlocked     bool // entered shrinking phase; never rolled back again
+	unlocked bool // entered shrinking phase; never rolled back again
+	// failed records that a step of t returned an error. Past its first
+	// unlock such a transaction can neither roll back nor commit, so
+	// Abort releases what it holds without installing (see Abort).
+	failed       bool
 	declaredLast bool
 	// starveRounds counts deadlock resolutions this transaction's
 	// current wait has survived; reset on grant and on rollback.
@@ -269,6 +291,14 @@ type tstate struct {
 	hyb *hybrid.State
 
 	stats TxnStats
+}
+
+// opIndex returns the as-sent index of t's next op.
+func (t *tstate) opIndex() int {
+	if t.order == nil {
+		return t.pc
+	}
+	return int(t.order[t.pc])
 }
 
 // findSlot returns the slot for ent, or nil if not held.
@@ -394,11 +424,15 @@ type System struct {
 	stats Stats
 }
 
-// New creates a System. It panics if cfg.Store is nil (a programming
-// error, not a runtime condition).
+// New creates a System. It panics if cfg.Store is nil or if
+// cfg.OrderLocks is set with a Strategy other than Total (programming
+// errors, not runtime conditions).
 func New(cfg Config) *System {
 	if cfg.Store == nil {
 		panic("core: Config.Store is required")
+	}
+	if cfg.OrderLocks && cfg.Strategy != Total {
+		panic(fmt.Sprintf("core: Config.OrderLocks requires strategy total, not %v", cfg.Strategy))
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = deadlock.OrderedMinCost{}
@@ -425,7 +459,8 @@ func New(cfg Config) *System {
 //
 // Registration computes only what the configured strategy reads: the
 // write-interval analysis (txn.Writes) is built for SDG and Hybrid
-// alone, before the transaction is published.
+// alone, and the execution order for Config.OrderLocks alone, before
+// the transaction is published.
 func (s *System) Register(prog *txn.Program) (txn.ID, error) {
 	a, err := txn.ValidateAnalyze(prog)
 	if err != nil {
@@ -442,6 +477,10 @@ func (s *System) Register(prog *txn.Program) (txn.ID, error) {
 			opEnt[i] = s.names.Intern(o.Entity)
 		}
 	}
+	var order []int32
+	if s.cfg.OrderLocks {
+		order = lockOrder(prog, a, opEnt)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
@@ -453,6 +492,7 @@ func (s *System) Register(prog *txn.Program) (txn.ID, error) {
 		analysis: a,
 		writes:   w,
 		opEnt:    opEnt,
+		order:    order,
 		entry:    s.entry,
 		status:   StatusRunning,
 		locals:   make([]int64, len(a.InitLocals)),
@@ -479,6 +519,35 @@ func (s *System) Register(prog *txn.Program) (txn.ID, error) {
 	s.wf.AddTxn(id)
 	s.emit(Event{Kind: EventRegister, Txn: id, Detail: prog.Name})
 	return id, nil
+}
+
+// lockOrder returns the execution order of prog under
+// Config.OrderLocks: the as-sent indexes of its lock requests sorted by
+// entity ID, then those of its other ops as sent. It returns nil, and
+// allocates nothing, when the lock requests already lead in ascending
+// ID order, as every program that takes one lock first does. IDs are
+// distinct: a valid program locks an entity at most once.
+func lockOrder(prog *txn.Program, a *txn.Analysis, opEnt []intern.ID) []int32 {
+	reqs := a.Requests
+	lead := 0
+	for lead < len(reqs) && reqs[lead].OpIndex == lead &&
+		(lead == 0 || opEnt[lead-1] < opEnt[lead]) {
+		lead++
+	}
+	if lead == len(reqs) {
+		return nil
+	}
+	order := make([]int32, 0, len(prog.Ops))
+	for _, r := range reqs {
+		order = append(order, int32(r.OpIndex))
+	}
+	slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(opEnt[x], opEnt[y]) })
+	for i := range prog.Ops {
+		if !prog.Ops[i].Kind.IsLockRequest() {
+			order = append(order, int32(i))
+		}
+	}
+	return order
 }
 
 // admitLockSet makes one pass over t's lock requests, by the entity IDs

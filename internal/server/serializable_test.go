@@ -45,7 +45,6 @@ func TestNodeHistorySerializable(t *testing.T) {
 			rec := history.NewRecorder()
 			srv := New(Config{
 				Store:          store,
-				Strategy:       core.MCS,
 				RequestTimeout: 5 * time.Second,
 				OnEvent:        rec.OnEvent,
 			})

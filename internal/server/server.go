@@ -6,17 +6,19 @@
 // A client ships each transaction as one BeginProgram frame on a stream
 // of its choosing (see internal/wire); the reader admits it and starts
 // its goroutine, so thousands of streams execute concurrently over one
-// socket. The stream's goroutine registers the program with its lock
-// requests first, in entity-name order (txn.OrderLocks), and drives it
-// to commit with the shared re-execution loop from internal/exec.
+// socket. The stream's goroutine registers the program and drives it to
+// commit with the shared re-execution loop from internal/exec. The
+// engine runs with core.Config.OrderLocks, so Register orders each
+// program in its one validation pass: lock requests first, in
+// ascending entity-ID order, then the other operations as sent.
 // Because every served transaction acquires its locks in that one
 // order, none can deadlock: the engine's only rollback here is the
-// restart of a transaction aborted at its deadline or at shutdown. Each
-// rollback is sent to the stream as a RolledBack notification; the
-// final reply is Committed (with the transaction's outcome counters) or
-// an Error. The writer coalesces frames across all streams into single
-// writes. Every accepted stream is guaranteed a terminal reply,
-// shutdown included.
+// restart (strategy Total) of a transaction aborted at its deadline or
+// at shutdown. Each rollback is sent to the stream as a RolledBack
+// notification; the final reply is Committed (with the transaction's
+// outcome counters) or an Error. The writer coalesces frames across all
+// streams into single writes. Every accepted stream is guaranteed a
+// terminal reply, shutdown included.
 //
 // Problems with the connection itself — refused at accept, or a frame
 // that fails to decode — are reported as an Error on wire.ConnStream
@@ -57,10 +59,6 @@ import (
 type Config struct {
 	// Store is the global database served. Required.
 	Store *entity.Store
-	// Strategy configures the engine exactly as core.Config does. Served
-	// transactions cannot deadlock, so it only decides how an aborted
-	// transaction is rolled back to its initial state.
-	Strategy core.Strategy
 	// MaxSessions bounds concurrently served connections. Default 256.
 	MaxSessions int
 	// Backlog bounds connections allowed to wait for a session slot;
@@ -160,10 +158,10 @@ func New(cfg Config) *Server {
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	ecfg := core.Config{
-		Store:    cfg.Store,
-		Strategy: cfg.Strategy,
-		OnEvent:  s.onEvent,
-		LockWait: cfg.LockWait,
+		Store:      cfg.Store,
+		OrderLocks: true,
+		OnEvent:    s.onEvent,
+		LockWait:   cfg.LockWait,
 	}
 	if cfg.Durable != nil {
 		ecfg.CommitLog = cfg.Durable
@@ -730,12 +728,13 @@ func (s *Server) serveStream(sn sender, bp wire.BeginProgram) {
 	s.execTxn(sn, prog)
 }
 
-// execTxn registers prog with its locks taken first in entity-name
-// order, drives it to commit with the shared re-execution loop, and
-// sends the verdict to sn. An invalid prog is registered as sent, so
-// the engine's refusal names prog's own operation.
+// execTxn registers prog, drives it to commit with the shared
+// re-execution loop, and sends the verdict to sn. The engine orders
+// prog's locks inside Register (core.Config.OrderLocks) after checking
+// prog as sent, so a refusal or a run-time error names prog's own
+// operation.
 func (s *Server) execTxn(sn sender, prog *txn.Program) {
-	id, err := s.sys.Register(txn.OrderLocks(prog))
+	id, err := s.sys.Register(prog)
 	if err != nil {
 		sn.send(wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
 		return
@@ -835,23 +834,22 @@ func (s *Server) drainShrinking(id txn.ID) error {
 // committedReply snapshots a committed transaction's outcome and
 // retires its engine state.
 func (s *Server) committedReply(id txn.ID) wire.Committed {
-	st := s.sys.TxnStatsOf(id)
-	locals, _ := s.sys.Locals(id)
-	decls := make([]wire.LocalDecl, 0, len(locals))
-	for name, v := range locals {
-		decls = append(decls, wire.LocalDecl{Name: name, Val: v})
+	// Every caller has seen id commit and nothing else retires it, so
+	// Retire cannot fail here.
+	r, _ := s.sys.Retire(id)
+	decls := make([]wire.LocalDecl, len(r.Locals))
+	for i, v := range r.Locals {
+		decls[i] = wire.LocalDecl{Name: r.LocalNames[i], Val: v}
 	}
-	sort.Slice(decls, func(i, j int) bool { return decls[i].Name < decls[j].Name })
-	_ = s.sys.Forget(id)
 	return wire.Committed{
 		Txn:    int64(id),
 		Locals: decls,
 		Stats: wire.TxnOutcome{
-			OpsExecuted: st.OpsExecuted,
-			OpsLost:     st.OpsLost,
-			Rollbacks:   st.Rollbacks,
-			Restarts:    st.Restarts,
-			Waits:       st.Waits,
+			OpsExecuted: r.Stats.OpsExecuted,
+			OpsLost:     r.Stats.OpsLost,
+			Rollbacks:   r.Stats.Rollbacks,
+			Restarts:    r.Stats.Restarts,
+			Waits:       r.Stats.Waits,
 		},
 	}
 }

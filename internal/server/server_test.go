@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,7 +75,6 @@ func TestPipeE2EBanking(t *testing.T) {
 	store := w.NewStore()
 	srv := New(Config{
 		Store:          store,
-		Strategy:       core.SDG,
 		RequestTimeout: 15 * time.Second,
 	})
 	base := runtime.NumGoroutine()
@@ -453,6 +455,100 @@ func TestBadProgramKeepsSession(t *testing.T) {
 	shutdownNow(t, srv)
 }
 
+// TestShrinkingFailureReleasesLocks sends a valid program whose
+// compute divides by zero after its first unlock. It can neither roll
+// back nor commit: the client gets CodeInternal, and the lock it still
+// holds (e1) must be released, so a transfer over e0 and e1 commits at
+// once instead of waiting out its deadline, and the engine keeps no
+// transaction.
+func TestShrinkingFailureReleasesLocks(t *testing.T) {
+	const timeout = 10 * time.Second
+	store := entity.NewUniformStore("e", 2, 5)
+	var aborts atomic.Int64
+	srv := New(Config{Store: store, RequestTimeout: timeout, OnEvent: func(e core.Event) {
+		if e.Kind == core.EventAbort {
+			aborts.Add(1)
+		}
+	}})
+	c := muxClient(srv, client.MuxConfig{RequestTimeout: 2 * timeout})
+	defer c.Close()
+
+	bad := txn.NewProgram("div").Local("x", 0).
+		LockX("e0").LockX("e1").
+		Write("e0", value.C(7)).
+		Unlock("e0").
+		Compute("x", value.Div(value.C(1), value.L("x"))).
+		MustBuild()
+	_, err := c.RunOnce(bad)
+	var se *client.ServerError
+	if !errors.As(err, &se) || se.Code != wire.CodeInternal || !strings.Contains(se.Msg, "op 4") {
+		t.Fatalf("err = %v, want CodeInternal naming op 4", err)
+	}
+	start := time.Now()
+	if _, err := c.RunOnce(sim.TransferProgram("xfer", "e0", "e1", 1, 0)); err != nil {
+		t.Fatalf("transfer after the failed program: %v", err)
+	}
+	if d := time.Since(start); d > timeout/5 {
+		t.Errorf("transfer took %v, want well inside the %v deadline", d, timeout)
+	}
+	if ids := srv.System().IDs(); len(ids) != 0 {
+		t.Errorf("engine still holds %v", ids)
+	}
+	if n := aborts.Load(); n != 1 {
+		t.Errorf("%d abort events, want 1", n)
+	}
+	// The unlock installed e0 = 7 before the failure; that install
+	// stays. e1 keeps its initial 5: the failed program's copy is
+	// discarded. The transfer then moved 1 from e0 to e1.
+	if v, _ := store.Get("e0"); v != 6 {
+		t.Errorf("e0 = %d, want 6", v)
+	}
+	if v, _ := store.Get("e1"); v != 6 {
+		t.Errorf("e1 = %d, want 6", v)
+	}
+	shutdownNow(t, srv)
+}
+
+// TestCommittedReplyBytes checks the Committed frame built from one
+// Retire call byte for byte against the one built the former way: the
+// transaction's counters, its locals as a map sorted by name, then
+// Forget.
+func TestCommittedReplyBytes(t *testing.T) {
+	w := sim.Generate(sim.GenConfig{Txns: 8, DBSize: 64, HotSet: 6, HotProb: 0.9, LocksPerTxn: 5,
+		SharedProb: 0.5, PadOps: 3, Shape: sim.Scattered, Seed: 3})
+	srv := New(Config{Store: w.NewStore()})
+	defer shutdownNow(t, srv)
+	for _, p := range append(w.Programs, sim.CounterProgram("inc", "e7")) {
+		id := mustRegister(t, srv, p)
+		driveToCommit(t, srv, id)
+		st := srv.System().TxnStatsOf(id)
+		locals, err := srv.System().Locals(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := wire.Committed{Txn: int64(id), Stats: wire.TxnOutcome{OpsExecuted: st.OpsExecuted,
+			OpsLost: st.OpsLost, Rollbacks: st.Rollbacks, Restarts: st.Restarts, Waits: st.Waits}}
+		for name, v := range locals {
+			want.Locals = append(want.Locals, wire.LocalDecl{Name: name, Val: v})
+		}
+		sort.Slice(want.Locals, func(i, j int) bool { return want.Locals[i].Name < want.Locals[j].Name })
+		wantBytes, err := wire.AppendTagged(nil, 1, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotBytes, err := wire.AppendTagged(nil, 1, srv.committedReply(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBytes, wantBytes) {
+			t.Fatalf("%s: reply %x, want %x", p.Name, gotBytes, wantBytes)
+		}
+		if ids := srv.System().IDs(); len(ids) != 0 {
+			t.Fatalf("%s: engine still holds %v", p.Name, ids)
+		}
+	}
+}
+
 // TestStatsOverWire asks for the counter snapshot after a commit.
 func TestStatsOverWire(t *testing.T) {
 	store := entity.NewUniformStore("e", 2, 0)
@@ -538,7 +634,7 @@ func TestListenBusyReject(t *testing.T) {
 // served as slots free.
 func TestSessionLimitOverTCP(t *testing.T) {
 	store := entity.NewUniformStore("e", 8, 100)
-	srv := New(Config{Store: store, MaxSessions: 2, Backlog: 8, Strategy: core.MCS})
+	srv := New(Config{Store: store, MaxSessions: 2, Backlog: 8})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +716,6 @@ func TestPipeE2EBankingSharded(t *testing.T) {
 	store := w.NewStore()
 	srv := New(Config{
 		Store:          store,
-		Strategy:       core.SDG,
 		RequestTimeout: 15 * time.Second,
 	})
 	base := runtime.NumGoroutine()
@@ -684,7 +779,6 @@ func TestCountersConcurrentWithSessions(t *testing.T) {
 	store := w.NewStore()
 	srv := New(Config{
 		Store:          store,
-		Strategy:       core.MCS,
 		RequestTimeout: 15 * time.Second,
 	})
 

@@ -13,7 +13,9 @@ import (
 // admit no wait-for cycle, so they never deadlock. The form computes
 // what p computes, because under two-phase locking an entity changes
 // only through its holder, so taking a lock earlier changes no value
-// the program reads.
+// the program reads. sim's ordered sweep (E24) registers this form. The
+// node's engine does the same in entity-ID order inside Register
+// (core.Config.OrderLocks), with this function as its test oracle.
 //
 // OrderLocks returns p itself, allocating nothing, when p's lock
 // requests already lead in strictly ascending order, which every

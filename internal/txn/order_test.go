@@ -99,9 +99,11 @@ func TestOrderLocksReturnsP(t *testing.T) {
 	}
 }
 
-// TestOrderLocksAllocs pins the cost on the serving path: a counter
-// program (all of the durable and paged workloads) comes back as is,
-// and a hotspot program costs the new Program and its op slice.
+// TestOrderLocksAllocs pins the rewrite's cost: a counter program comes
+// back as is, and a hotspot program costs the new Program and its op
+// slice. The node does not call it (its engine orders inside Register,
+// by entity ID, under core.Config.OrderLocks); sim's ordered sweep for
+// E24 does, and core's FuzzOrderedRegister uses it as the oracle.
 func TestOrderLocksAllocs(t *testing.T) {
 	counter := sim.CounterProgram("inc", "e7")
 	if allocs := testing.AllocsPerRun(100, func() {
