@@ -100,7 +100,7 @@ func figure4() {
 		p := figures.Figure4T(variant.prog)
 		a := txn.Analyze(p)
 		var ivs [][2]int
-		for _, idxs := range a.Writes(p).WriteLockIndexes {
+		for _, idxs := range txn.AnalyzeWrites(p).WriteLockIndexes {
 			if len(idxs) > 1 {
 				ivs = append(ivs, [2]int{idxs[0], idxs[len(idxs)-1]})
 			}
@@ -124,7 +124,7 @@ func figure5() {
 		{"Figure 5 (variant): three-phase form", figures.Figure5ThreePhase()},
 	} {
 		a := txn.Analyze(v.prog)
-		w := a.Writes(v.prog)
+		w := txn.AnalyzeWrites(v.prog)
 		var wd []int
 		for q, ok := range w.StaticWellDefined() {
 			if ok {

@@ -12,8 +12,9 @@ import (
 // TestComputeReadWriteStepsZeroAlloc pins the tentpole property on the
 // engine's op-execution path: once a transaction holds its locks,
 // stepping read/compute/write operations allocates nothing — locals
-// live in a slot-indexed slice, expressions are pre-compiled, and the
-// eval stack is reused.
+// live in a slot-indexed slice, and each expression runs as postfix
+// code over them (value.Code.Eval) with its value stack on the Go
+// stack.
 func TestComputeReadWriteStepsZeroAlloc(t *testing.T) {
 	store := entity.NewStore(map[string]int64{"a": 1})
 	s := New(Config{Store: store})

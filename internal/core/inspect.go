@@ -26,7 +26,7 @@ func (s *System) ProgramName(id txn.ID) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t, ok := s.txns[id]; ok {
-		return t.prog.Name
+		return t.x.Name
 	}
 	return ""
 }
@@ -40,7 +40,7 @@ func (s *System) Locals(id txn.ID) (map[string]int64, error) {
 		return nil, err
 	}
 	out := make(map[string]int64, len(t.locals))
-	for slot, name := range t.analysis.LocalNames {
+	for slot, name := range t.x.Locals[:len(t.x.Init)] {
 		out[name] = t.locals[slot]
 	}
 	return out, nil

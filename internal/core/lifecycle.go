@@ -69,7 +69,7 @@ func (s *System) Abort(id txn.ID) error {
 	s.unpinAll(t)
 	s.wf.RemoveTxn(id)
 	s.stats.Aborts++
-	s.emit(Event{Kind: EventAbort, Txn: id, Detail: t.prog.Name})
+	s.emit(Event{Kind: EventAbort, Txn: id, Detail: t.x.Name})
 	return nil
 }
 
@@ -107,5 +107,5 @@ func (s *System) Retire(id txn.ID) (Retired, error) {
 	}
 	delete(s.txns, id)
 	// t is unreachable now, so its locals slice can be handed out as is.
-	return Retired{Stats: t.stats, LocalNames: t.analysis.LocalNames, Locals: t.locals}, nil
+	return Retired{Stats: t.stats, LocalNames: t.x.Locals[:len(t.x.Init)], Locals: t.locals}, nil
 }

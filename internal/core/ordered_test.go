@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"partialrollback/internal/core"
@@ -139,17 +140,11 @@ func asSentError(p, q *txn.Program, err error) string {
 	})
 }
 
-// FuzzOrderedRegister checks Config.OrderLocks against its oracle,
-// txn.OrderLocks. Each input is a BeginProgram payload, decoded as the
-// node decodes a request, and a string of edits (see editProgram) that
-// turn it into the program p. An engine with the switch
-// registers and runs p; a plain engine registers and runs
-// txn.OrderLocks(p), which orders by entity name where the switch
-// orders by entity ID. They must agree: the same refusal text for an
-// invalid p; for a valid one, the same commit with the same counters,
-// locals and final store, or the same run-time failure (named by p's
-// own op index) that leaves the same store once aborted.
-func FuzzOrderedRegister(f *testing.F) {
+// orderedSeeds returns FuzzOrderedRegister's seed programs: four
+// hotspot and four uniform generator programs, then programs whose
+// locks already lead in ascending ID order, ascend by name but not by
+// ID, divide by zero, or break a §2 rule.
+func orderedSeeds() []*txn.Program {
 	hot := sim.Generate(sim.GenConfig{Txns: 4, DBSize: 64, HotSet: 6, HotProb: 0.9, LocksPerTxn: 5,
 		PadOps: 40, Shape: sim.Clustered, Seed: 1}).Programs
 	uniform := sim.Generate(sim.GenConfig{Txns: 4, DBSize: orderedEntities, LocksPerTxn: 4,
@@ -174,6 +169,22 @@ func FuzzOrderedRegister(f *testing.F) {
 			{Kind: txn.OpLockX, Entity: "e9"}, {Kind: txn.OpRead, Entity: "e3", Local: "x"},
 			{Kind: txn.OpLockX, Entity: "e3"}, {Kind: txn.OpCommit}}},
 	)
+	return seeds
+}
+
+// FuzzOrderedRegister checks Config.OrderLocks against its oracle,
+// txn.OrderLocks. Each input is a BeginProgram payload, decoded as the
+// node decodes a request, and a string of edits (see editProgram) that
+// turn it into the program p. An engine with the switch
+// registers and runs p; a plain engine registers and runs
+// txn.OrderLocks(p), which orders by entity name where the switch
+// orders by entity ID. They must agree: the same refusal text for an
+// invalid p; for a valid one, the same commit with the same counters,
+// locals and final store, or the same run-time failure (named by p's
+// own op index) that leaves the same store once aborted.
+func FuzzOrderedRegister(f *testing.F) {
+	seeds := orderedSeeds()
+	hot, uniform := seeds[:4], seeds[4:8]
 	for _, p := range seeds {
 		f.Add(programPayload(f, p), []byte{})
 	}
@@ -242,11 +253,11 @@ func FuzzOrderedRegister(f *testing.F) {
 // TestOrderedRegisterAllocs pins what the ordering switch costs on the
 // node's path. A one-lock counter program (every durable and paged
 // request) needs no execution order, so its register, run to commit
-// and Retire allocate exactly what they do on a plain engine: 12. A
+// and Retire allocate exactly what they do on a plain engine: 9. A
 // hotspot program that must be reordered costs its order slice, one
 // allocation more than a plain registration.
 func TestOrderedRegisterAllocs(t *testing.T) {
-	const counterAllocs = 12
+	const counterAllocs = 9
 	cycle := func(s *core.System, p *txn.Program, run bool) {
 		id, err := s.Register(p)
 		if err != nil {
@@ -273,17 +284,7 @@ func TestOrderedRegisterAllocs(t *testing.T) {
 	if plain, ordered := allocs(false, counter, true), allocs(true, counter, true); plain != counterAllocs || ordered != counterAllocs {
 		t.Errorf("counter program: %v allocations plain, %v ordered, want %d and %d", plain, ordered, counterAllocs, counterAllocs)
 	}
-	var hot *txn.Program
-	for _, p := range sim.Generate(sim.GenConfig{Txns: 64, DBSize: 64, HotSet: 6, HotProb: 0.9, LocksPerTxn: 5,
-		PadOps: 40, Shape: sim.Clustered, Seed: 1}).Programs {
-		if txn.OrderLocks(p) != p {
-			hot = p
-			break
-		}
-	}
-	if hot == nil {
-		t.Fatal("no hotspot program needs reordering")
-	}
+	hot := hotspotProgram(t)
 	if plain, ordered := allocs(false, hot, false), allocs(true, hot, false); ordered != plain+1 {
 		t.Errorf("hotspot program: %v allocations ordered, want %v (plain) + 1", ordered, plain)
 	}
@@ -301,5 +302,30 @@ func TestOrderLocksRequiresTotal(t *testing.T) {
 			}()
 			core.New(core.Config{Store: entity.NewUniformStore("e", 1, 0), Strategy: st, OrderLocks: true})
 		}()
+	}
+}
+
+// TestOrderLocksAcquiresByID: an ordering engine takes every lock
+// first, in ascending entity-ID order, whatever order the program sends
+// them in. On this store e2's ID is below e10's, though "e10" < "e2".
+func TestOrderLocksAcquiresByID(t *testing.T) {
+	for _, p := range []*txn.Program{
+		txn.NewProgram("desc").LockX("e10").LockS("e2").MustBuild(),
+		txn.NewProgram("asc").LockS("e2").LockX("e10").MustBuild(),
+		txn.NewProgram("late").Local("x", 0).LockX("e10").Compute("x", value.C(1)).
+			LockS("e2").Read("e2", "x").MustBuild(),
+	} {
+		s := core.New(core.Config{Store: entity.NewUniformStore("e", 64, 0), OrderLocks: true})
+		id := s.MustRegister(p)
+		var held []string
+		for range 2 {
+			if _, err := s.Step(id); err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, strings.Join(s.Held(id), " "))
+		}
+		if want := []string{"e2", "e10 e2"}; !slices.Equal(held, want) {
+			t.Errorf("%s: held %q after its first two steps, want %q", p.Name, held, want)
+		}
 	}
 }

@@ -206,9 +206,9 @@ func (s *System) restoreSingleCopy(t *tstate, q int) error {
 			sl.copy = s.store.MustGetID(sl.ent)
 		}
 	}
-	for slot, name := range t.analysis.LocalNames {
-		if t.sdg.RestoreActionFor("l:"+name, q) == sdg.ResetPristine {
-			t.locals[slot] = t.analysis.InitLocals[slot]
+	for slot, init := range t.x.Init {
+		if t.sdg.RestoreActionFor("l:"+t.x.Locals[slot], q) == sdg.ResetPristine {
+			t.locals[slot] = init
 		}
 	}
 	return nil
@@ -278,7 +278,7 @@ func (s *System) rollbackTo(t *tstate, q int) error {
 		if q != 0 {
 			return fmt.Errorf("core: total strategy rollback target %d != 0", q)
 		}
-		copy(t.locals, t.analysis.InitLocals)
+		copy(t.locals, t.x.Init)
 	case MCS:
 		if t.mcs.LockIndex() != t.lockIndex {
 			return fmt.Errorf("core: %v MCS lock index out of sync (%d != %d)", t.id, t.mcs.LockIndex(), t.lockIndex)

@@ -83,7 +83,7 @@ func (s *System) DebugSnapshot() DebugSnapshot {
 	for id, t := range s.txns {
 		ts := TxnSnapshot{
 			ID:          id,
-			Program:     t.prog.Name,
+			Program:     t.x.Name,
 			Status:      t.status.String(),
 			Entry:       t.entry,
 			PC:          t.pc,

@@ -8,7 +8,6 @@ import (
 	"partialrollback/internal/intern"
 	"partialrollback/internal/lock"
 	"partialrollback/internal/txn"
-	"partialrollback/internal/value"
 )
 
 // lockEngine takes the engine mutex, reporting the blocked nanoseconds
@@ -85,16 +84,16 @@ func (s *System) stepLocked(t *tstate) (StepResult, error) {
 	}
 	s.stats.Steps++
 	i := t.opIndex()
-	op := &t.prog.Ops[i]
+	op := &t.x.Ops[i]
 	switch op.Kind {
 	case txn.OpLockS, txn.OpLockX:
-		return s.stepLock(t, i, op)
+		return s.stepLock(t, op)
 	case txn.OpRead:
-		v, err := s.readEntity(t, t.opEnt[i], op.Entity)
+		v, err := s.readEntity(t, op.Ent)
 		if err != nil {
 			return StepResult{}, err
 		}
-		if err := s.assignLocal(t, i, op.Local, v); err != nil {
+		if err := s.assignLocal(t, i, op, v); err != nil {
 			return StepResult{}, err
 		}
 		s.advance(t)
@@ -104,7 +103,7 @@ func (s *System) stepLocked(t *tstate) (StepResult, error) {
 		if err != nil {
 			return StepResult{}, err
 		}
-		if err := s.writeEntity(t, i, op.Entity, v); err != nil {
+		if err := s.writeEntity(t, i, op.Ent, v); err != nil {
 			return StepResult{}, err
 		}
 		s.advance(t)
@@ -114,13 +113,13 @@ func (s *System) stepLocked(t *tstate) (StepResult, error) {
 		if err != nil {
 			return StepResult{}, err
 		}
-		if err := s.assignLocal(t, i, op.Local, v); err != nil {
+		if err := s.assignLocal(t, i, op, v); err != nil {
 			return StepResult{}, err
 		}
 		s.advance(t)
 		return StepResult{Outcome: Progressed}, nil
 	case txn.OpUnlock:
-		if err := s.unlockEntity(t, t.opEnt[i], op.Entity); err != nil {
+		if err := s.unlockEntity(t, t.ents[op.Ent], t.x.Entities[op.Ent]); err != nil {
 			return StepResult{}, err
 		}
 		t.unlocked = true
@@ -151,10 +150,10 @@ func (s *System) advance(t *tstate) {
 	t.stats.OpsExecuted++
 }
 
-// evalExpr evaluates op i's expression against the transaction's
-// slot-indexed locals (no per-eval Env allocation).
+// evalExpr evaluates op i's compiled expression against the
+// transaction's slot-indexed locals, allocation-free.
 func (s *System) evalExpr(t *tstate, i int) (int64, error) {
-	v, err := value.EvalSlots(t.prog.Ops[i].Expr, t.analysis.LocalSlot, t.locals)
+	v, err := t.x.Expr(i).Eval(t.locals, t.x.Foreign, t)
 	if err != nil {
 		return 0, fmt.Errorf("core: %v op %d: %w", t.id, i, err)
 	}
@@ -162,8 +161,8 @@ func (s *System) evalExpr(t *tstate, i int) (int64, error) {
 }
 
 // stepLock handles a lock-request operation for a running transaction.
-func (s *System) stepLock(t *tstate, i int, op *txn.Op) (StepResult, error) {
-	ent := t.opEnt[i]
+func (s *System) stepLock(t *tstate, op *txn.ExecOp) (StepResult, error) {
+	ent, name := t.ents[op.Ent], t.x.Entities[op.Ent]
 	mode := lock.Shared
 	if op.Kind == txn.OpLockX {
 		mode = lock.Exclusive
@@ -196,7 +195,7 @@ func (s *System) stepLock(t *tstate, i int, op *txn.Op) (StepResult, error) {
 		return StepResult{}, err
 	}
 	if granted {
-		s.finishGrant(t, ent, op.Entity, mode)
+		s.finishGrant(t, ent, name, mode)
 		return StepResult{Outcome: Progressed}, nil
 	}
 
@@ -205,14 +204,14 @@ func (s *System) stepLock(t *tstate, i int, op *txn.Op) (StepResult, error) {
 	if t.wake == nil {
 		t.wake = make(chan struct{}, 1)
 	}
-	t.waitEntity = op.Entity
+	t.waitEntity = name
 	t.waitEnt = ent
 	t.stats.Waits++
 	s.stats.Waits++
 	for _, b := range blockers {
 		s.wf.AddWaitID(t.id, b, ent)
 	}
-	s.emit(Event{Kind: EventWait, Txn: t.id, Entity: op.Entity})
+	s.emit(Event{Kind: EventWait, Txn: t.id, Entity: name})
 
 	res := StepResult{Outcome: Blocked}
 	if s.cfg.Prevention != NoPrevention {
@@ -226,7 +225,7 @@ func (s *System) stepLock(t *tstate, i int, op *txn.Op) (StepResult, error) {
 	if !s.wf.HasCycleThrough(t.id) {
 		return res, nil
 	}
-	report, err := s.resolveDeadlock(t, op.Entity)
+	report, err := s.resolveDeadlock(t, name)
 	if err != nil {
 		return StepResult{}, err
 	}
@@ -280,13 +279,14 @@ func (s *System) applyGrants(grants []lock.GrantID) {
 	}
 }
 
-// readEntity returns the value t observes for a locked entity: its
+// readEntity returns the value t observes for its locked entity e: its
 // local copy for exclusive holds, the (stable) global value for shared
 // holds.
-func (s *System) readEntity(t *tstate, ent intern.ID, entityName string) (int64, error) {
+func (s *System) readEntity(t *tstate, e int32) (int64, error) {
+	ent := t.ents[e]
 	sl := t.findSlot(ent)
 	if sl == nil {
-		return 0, fmt.Errorf("core: %v read of unheld entity %q", t.id, entityName)
+		return 0, fmt.Errorf("core: %v read of unheld entity %q", t.id, t.x.Entities[e])
 	}
 	if sl.mode == lock.Exclusive {
 		return sl.copy, nil
@@ -294,13 +294,13 @@ func (s *System) readEntity(t *tstate, ent intern.ID, entityName string) (int64,
 	return s.store.MustGetID(ent), nil
 }
 
-// writeEntity updates t's local copy of an exclusively held entity
+// writeEntity updates t's local copy of its exclusively held entity e
 // (op i's target).
-func (s *System) writeEntity(t *tstate, i int, entityName string, v int64) error {
-	ent := t.opEnt[i]
+func (s *System) writeEntity(t *tstate, i int, e int32, v int64) error {
+	ent := t.ents[e]
 	sl := t.findSlot(ent)
 	if sl == nil || sl.mode != lock.Exclusive {
-		return fmt.Errorf("core: %v write to entity %q without exclusive lock", t.id, entityName)
+		return fmt.Errorf("core: %v write to entity %q without exclusive lock", t.id, t.x.Entities[e])
 	}
 	sl.copy = v
 	if t.mcs != nil {
@@ -315,15 +315,12 @@ func (s *System) writeEntity(t *tstate, i int, entityName string, v int64) error
 }
 
 // assignLocal updates the local variable op i assigns (Read
-// destination or Compute).
-func (s *System) assignLocal(t *tstate, i int, localName string, v int64) error {
-	slot := t.analysis.OpLocalSlot[i]
-	if slot < 0 {
-		return fmt.Errorf("core: %v assignment to undeclared local %q", t.id, localName)
-	}
-	t.locals[slot] = v
+// destination or Compute): a declared slot, since Register validated
+// the program.
+func (s *System) assignLocal(t *tstate, i int, op *txn.ExecOp, v int64) error {
+	t.locals[op.Local] = v
 	if t.mcs != nil {
-		if err := t.mcs.WriteLocalSlot(slot, v); err != nil {
+		if err := t.mcs.WriteLocalSlot(int(op.Local), v); err != nil {
 			return err
 		}
 	}
@@ -401,7 +398,7 @@ func (s *System) commit(t *tstate) (CommitAck, error) {
 	}
 	t.slots = t.slots[:0]
 	t.status = StatusCommitted
-	t.pc = len(t.prog.Ops)
+	t.pc = len(t.x.Ops)
 	s.unpinAll(t)
 	s.wf.RemoveTxn(t.id)
 	return ack, nil

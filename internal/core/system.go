@@ -232,19 +232,20 @@ type lockSlot struct {
 
 // tstate is the runtime state of one registered transaction.
 type tstate struct {
-	id       txn.ID
-	prog     *txn.Program
-	analysis *txn.Analysis
+	id txn.ID
+	// x is the program in executable form; every operand is an index.
+	x *txn.Exec
 	// writes is the program's write-interval analysis, built at Register
 	// under SDG and Hybrid only (nil otherwise). Read-only after Register.
 	writes *txn.Writes
-	// opEnt[i] is the interned entity of Ops[i] (intern.None when op i
-	// has no entity operand). Read-only after Register.
-	opEnt []intern.ID
+	// ents[e] is the store's ID of x.Entities[e], resolved once per
+	// distinct entity; entBuf backs it for up to eight entities.
+	// Read-only after Register.
+	ents   []intern.ID
+	entBuf [8]intern.ID
 	// order[pc] is the as-sent index of the pc-th op executed, under
-	// Config.OrderLocks; nil when the program runs as sent. The program,
-	// its analysis and opEnt stay indexed as sent. Read-only after
-	// Register.
+	// Config.OrderLocks; nil when the program runs as sent. The program
+	// stays indexed as sent. Read-only after Register.
 	order []int32
 	entry int64 // entry order (Theorem 2 partial order)
 
@@ -253,8 +254,8 @@ type tstate struct {
 	stateIndex int64
 	lockIndex  int
 
-	// locals is indexed by the analysis' local slot (LocalSlot /
-	// LocalNames); slots holds the held locks in grant order.
+	// locals is indexed by the program's local slot (x.Locals); slots
+	// holds the held locks in grant order.
 	locals []int64
 	slots  []lockSlot
 
@@ -291,6 +292,16 @@ type tstate struct {
 	hyb *hybrid.State
 
 	stats TxnStats
+}
+
+// Local implements value.Env for foreign expressions (value.IForeign):
+// the current value of a declared local.
+func (t *tstate) Local(name string) (int64, bool) {
+	s, ok := slices.BinarySearch(t.x.Locals[:len(t.x.Init)], name)
+	if !ok {
+		return 0, false
+	}
+	return t.locals[s], true
 }
 
 // opIndex returns the as-sent index of t's next op.
@@ -452,56 +463,52 @@ func New(cfg Config) *System {
 	}
 }
 
-// Register adds an execution instance of prog and returns its ID. It is
-// the node's only validator: a program that breaks a §2 static rule
-// (see txn.Validate) or locks an undefined entity is rejected with an
-// error and nothing is registered.
+// Register adds an execution instance of prog and returns its ID: it
+// compiles prog to its executable form (txn.Compile) and registers that
+// (RegisterExec).
+func (s *System) Register(prog *txn.Program) (txn.ID, error) {
+	return s.RegisterExec(txn.Compile(prog))
+}
+
+// RegisterExec adds an execution instance of x and returns its ID. It
+// is the node's only validator: a program that breaks a §2 static rule
+// (x.Validate) or locks an undefined entity is rejected with an error
+// and nothing is registered. Each distinct entity is resolved to its
+// store ID once, by lookup: a rejected program leaves no trace in the
+// store's interner.
 //
 // Registration computes only what the configured strategy reads: the
 // write-interval analysis (txn.Writes) is built for SDG and Hybrid
 // alone, and the execution order for Config.OrderLocks alone, before
 // the transaction is published.
-func (s *System) Register(prog *txn.Program) (txn.ID, error) {
-	a, err := txn.ValidateAnalyze(prog)
-	if err != nil {
+func (s *System) RegisterExec(x *txn.Exec) (txn.ID, error) {
+	if err := x.Validate(); err != nil {
 		return txn.None, err
 	}
-	var w *txn.Writes
-	if s.cfg.Strategy == SDG || s.cfg.Strategy == Hybrid {
-		w = a.Writes(prog)
-	}
-	opEnt := make([]intern.ID, len(prog.Ops))
-	for i, o := range prog.Ops {
-		opEnt[i] = intern.None
-		if o.Entity != "" {
-			opEnt[i] = s.names.Intern(o.Entity)
+	t := &tstate{x: x, status: StatusRunning, waitEnt: intern.None}
+	t.ents = t.entBuf[:0]
+	for _, name := range x.Entities {
+		id, ok := s.names.Lookup(name)
+		if !ok {
+			id = intern.None
 		}
+		t.ents = append(t.ents, id)
 	}
-	var order []int32
+	if s.cfg.Strategy == SDG || s.cfg.Strategy == Hybrid {
+		t.writes = x.Writes()
+	}
 	if s.cfg.OrderLocks {
-		order = lockOrder(prog, a, opEnt)
+		t.order = lockOrder(x, t.ents)
 	}
+	t.locals = slices.Clone(x.Init)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
 	s.entry++
-	id := s.nextID
-	t := &tstate{
-		id:       id,
-		prog:     prog,
-		analysis: a,
-		writes:   w,
-		opEnt:    opEnt,
-		order:    order,
-		entry:    s.entry,
-		status:   StatusRunning,
-		locals:   make([]int64, len(a.InitLocals)),
-		waitEnt:  intern.None,
-	}
-	copy(t.locals, a.InitLocals)
+	t.id, t.entry = s.nextID, s.entry
 	switch s.cfg.Strategy {
 	case MCS:
-		t.mcs = mcs.NewSlots(s.names, a.LocalNames, a.LocalSlot, a.InitLocals)
+		t.mcs = mcs.NewSlots(s.names, x.Locals[:len(x.Init)], x.Init)
 	case SDG:
 		t.sdg = sdg.New()
 	case Hybrid:
@@ -509,50 +516,53 @@ func (s *System) Register(prog *txn.Program) (txn.ID, error) {
 		if budget < 0 {
 			budget = 0
 		}
-		t.hyb = hybrid.New(w, budget, s.cfg.HybridAllocator)
+		t.hyb = hybrid.New(t.writes, budget, s.cfg.HybridAllocator)
 		t.sdg = t.hyb.SDG()
 	}
 	if err := s.admitLockSet(t); err != nil {
 		return txn.None, err
 	}
-	s.txns[id] = t
-	s.wf.AddTxn(id)
-	s.emit(Event{Kind: EventRegister, Txn: id, Detail: prog.Name})
-	return id, nil
+	s.txns[t.id] = t
+	s.wf.AddTxn(t.id)
+	s.emit(Event{Kind: EventRegister, Txn: t.id, Detail: x.Name})
+	return t.id, nil
 }
 
-// lockOrder returns the execution order of prog under
-// Config.OrderLocks: the as-sent indexes of its lock requests sorted by
-// entity ID, then those of its other ops as sent. It returns nil, and
-// allocates nothing, when the lock requests already lead in ascending
-// ID order, as every program that takes one lock first does. IDs are
-// distinct: a valid program locks an entity at most once.
-func lockOrder(prog *txn.Program, a *txn.Analysis, opEnt []intern.ID) []int32 {
-	reqs := a.Requests
+// lockOrder returns the execution order of x under Config.OrderLocks:
+// the as-sent indexes of its lock requests sorted by entity ID, then
+// those of its other ops as sent. It returns nil, and allocates
+// nothing, when the lock requests already lead in ascending ID order,
+// as every program that takes one lock first does. IDs are distinct: a
+// valid program locks an entity at most once.
+func lockOrder(x *txn.Exec, ents []intern.ID) []int32 {
+	ops := x.Ops
+	isLock := func(o txn.ExecOp) bool { return o.Kind.IsLockRequest() }
 	lead := 0
-	for lead < len(reqs) && reqs[lead].OpIndex == lead &&
-		(lead == 0 || opEnt[lead-1] < opEnt[lead]) {
+	for lead < len(ops) && isLock(ops[lead]) &&
+		(lead == 0 || ents[ops[lead-1].Ent] < ents[ops[lead].Ent]) {
 		lead++
 	}
-	if lead == len(reqs) {
+	if !slices.ContainsFunc(ops[lead:], isLock) {
 		return nil
 	}
-	order := make([]int32, 0, len(prog.Ops))
-	for _, r := range reqs {
-		order = append(order, int32(r.OpIndex))
+	order := make([]int32, 0, len(ops))
+	for i, o := range ops {
+		if isLock(o) {
+			order = append(order, int32(i))
+		}
 	}
-	slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(opEnt[x], opEnt[y]) })
-	for i := range prog.Ops {
-		if !prog.Ops[i].Kind.IsLockRequest() {
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(ents[ops[a].Ent], ents[ops[b].Ent]) })
+	for i, o := range ops {
+		if !isLock(o) {
 			order = append(order, int32(i))
 		}
 	}
 	return order
 }
 
-// admitLockSet makes one pass over t's lock requests, by the entity IDs
-// Register interned. It verifies every locked entity exists, so
-// execution cannot fail mid-flight on an undefined one (checked per
+// admitLockSet makes one pass over t's distinct entities, which in a
+// valid program are exactly its lock set. It verifies every one exists,
+// so execution cannot fail mid-flight on an undefined one (checked per
 // registration, not per program: the store's defined set can change via
 // Restore). On the paged backend it also pins each entity's page
 // resident, so no later step faults: every engine store access (grant
@@ -562,28 +572,30 @@ func lockOrder(prog *txn.Program, a *txn.Analysis, opEnt []intern.ID) []int32 {
 func (s *System) admitLockSet(t *tstate) error {
 	paged := s.store.Paged()
 	if paged {
-		t.pinned = make([]intern.ID, 0, len(t.analysis.Requests))
+		t.pinned = make([]intern.ID, 0, len(t.ents))
 	}
 	missing := ""
-	for _, r := range t.analysis.Requests {
-		ent := t.opEnt[r.OpIndex]
+	for e, ent := range t.ents {
+		name := t.x.Entities[e]
+		// A name the interner lacks resolved to intern.None, which no
+		// store defines.
 		if _, ok := s.store.GetID(ent); !ok {
-			if missing == "" || r.Entity < missing {
-				missing = r.Entity
+			if missing == "" || name < missing {
+				missing = name
 			}
 			continue
 		}
 		if paged && missing == "" {
 			if err := s.store.PinID(ent); err != nil {
 				s.unpinAll(t)
-				return fmt.Errorf("core: program %s pin %q: %w", t.prog.Name, r.Entity, err)
+				return fmt.Errorf("core: program %s pin %q: %w", t.x.Name, name, err)
 			}
 			t.pinned = append(t.pinned, ent)
 		}
 	}
 	if missing != "" {
 		s.unpinAll(t)
-		return fmt.Errorf("core: program %s locks undefined entity %q", t.prog.Name, missing)
+		return fmt.Errorf("core: program %s locks undefined entity %q", t.x.Name, missing)
 	}
 	return nil
 }

@@ -233,10 +233,10 @@ func MsgRun(w sim.Workload, cfg MsgConfig) (MsgResult, error) {
 	}
 	// Register agents.
 	for i, p := range w.Programs {
-		analysis, err := txn.ValidateAnalyze(p)
-		if err != nil {
+		if err := txn.Validate(p); err != nil {
 			return MsgResult{}, err
 		}
+		analysis := txn.Analyze(p)
 		a := &msgAgent{
 			id:        txn.ID(i + 1),
 			prog:      p,

@@ -134,7 +134,7 @@ func E14Optimizer(seed int64) ([]E14Row, *Table, error) {
 		var wd, states int
 		for _, p := range programs {
 			a := txn.Analyze(p)
-			wd += a.Writes(p).WellDefinedCount()
+			wd += txn.AnalyzeWrites(p).WellDefinedCount()
 			states += a.NumLocks() + 1
 		}
 		return float64(wd) / float64(states)

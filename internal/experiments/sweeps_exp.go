@@ -104,7 +104,7 @@ func E10Structure(seed int64) ([]E10Row, *Table, error) {
 		var wd, states int
 		for _, p := range w.Programs {
 			a := txn.Analyze(p)
-			wd += a.Writes(p).WellDefinedCount()
+			wd += txn.AnalyzeWrites(p).WellDefinedCount()
 			states += a.NumLocks() + 1
 		}
 		ratio := float64(wd) / float64(states)

@@ -98,7 +98,7 @@ func Figure4Store() *entity.Store {
 // articulation points of its exported state-dependency graph.
 func articulationWellDefined(p *txn.Program) (bool, error) {
 	a := txn.Analyze(p)
-	w := a.Writes(p)
+	w := txn.AnalyzeWrites(p)
 	n := a.NumLocks()
 	// Build the SDG the way internal/sdg exports it: chain plus write
 	// interval edges {u-1, j}.
@@ -143,7 +143,7 @@ func RunFigure4() (*Figure4Result, error) {
 			res.WellDefinedT = append(res.WellDefinedT, q)
 		}
 	}
-	for q, ok := range aTP.Writes(progTP).StaticWellDefined() {
+	for q, ok := range txn.AnalyzeWrites(progTP).StaticWellDefined() {
 		if ok {
 			res.WellDefinedTPrime = append(res.WellDefinedTPrime, q)
 		}

@@ -29,6 +29,7 @@ package mcs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"partialrollback/internal/intern"
@@ -56,8 +57,7 @@ type Copies struct {
 	// transaction holds few locks). localStacks is indexed by slot.
 	entStacks   []entStack
 	localStacks [][]elem
-	localNames  []string
-	localSlot   map[string]int
+	localNames  []string // sorted; a local's slot is its index
 	freeElems   [][]elem
 	// lockIndex is the number of lock requests the transaction has
 	// executed; writes occurring now have this lock index.
@@ -78,27 +78,24 @@ func New(locals map[string]int64) *Copies {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	slot := make(map[string]int, len(names))
 	inits := make([]int64, len(names))
 	for i, n := range names {
-		slot[n] = i
 		inits[i] = locals[n]
 	}
-	return NewSlots(intern.NewTable(), names, slot, inits)
+	return NewSlots(intern.NewTable(), names, inits)
 }
 
 // NewSlots returns MCS state with entity names interned through names
 // (normally the store's shared interner) and locals pre-resolved to
-// slots: localNames[s] has initial value inits[s], and localSlot is the
-// inverse of localNames. The slices and the map are shared, not copied
-// (the engine passes its txn.Analysis, which is immutable after
-// registration). This is the constructor the engine's hot path uses.
-func NewSlots(names *intern.Table, localNames []string, localSlot map[string]int, inits []int64) *Copies {
+// slots: localNames, sorted, names slot s, whose initial value is
+// inits[s]. The slices are shared, not copied (the engine passes its
+// txn.Exec, which is immutable). This is the constructor the engine's
+// hot path uses.
+func NewSlots(names *intern.Table, localNames []string, inits []int64) *Copies {
 	c := &Copies{
 		names:       names,
 		localStacks: make([][]elem, len(localNames)),
 		localNames:  localNames,
-		localSlot:   localSlot,
 	}
 	// Every local's bottom element lives in one backing array; each
 	// stack has capacity 1, so its first push moves it to its own array.
@@ -195,7 +192,7 @@ func (c *Copies) WriteEntityID(ent intern.ID, v int64) error {
 
 // WriteLocal records a write of v to a local variable.
 func (c *Copies) WriteLocal(name string, v int64) error {
-	s, ok := c.localSlot[name]
+	s, ok := slices.BinarySearch(c.localNames, name)
 	if !ok {
 		return fmt.Errorf("mcs: write to undeclared local %q", name)
 	}
@@ -239,7 +236,7 @@ func (c *Copies) EntityValueID(ent intern.ID) (int64, bool) {
 
 // LocalValue returns the current value of a local variable.
 func (c *Copies) LocalValue(name string) (int64, bool) {
-	s, ok := c.localSlot[name]
+	s, ok := slices.BinarySearch(c.localNames, name)
 	if !ok {
 		return 0, false
 	}

@@ -288,7 +288,7 @@ func TestMultipleRollbacks(t *testing.T) {
 
 func TestSlotAPIAndIncrementalPeaks(t *testing.T) {
 	names := intern.NewTable()
-	c := NewSlots(names, []string{"x", "y"}, map[string]int{"x": 0, "y": 1}, []int64{5, 6})
+	c := NewSlots(names, []string{"x", "y"}, []int64{5, 6})
 	a := names.Intern("a")
 	c.OnLockID(a, true, 100)
 	if err := c.WriteEntityID(a, 101); err != nil {
@@ -331,7 +331,7 @@ func TestSlotAPIAndIncrementalPeaks(t *testing.T) {
 
 func TestHotPathZeroAlloc(t *testing.T) {
 	names := intern.NewTable()
-	c := NewSlots(names, []string{"x"}, map[string]int{"x": 0}, []int64{0})
+	c := NewSlots(names, []string{"x"}, []int64{0})
 	a := names.Intern("a")
 	if n := testing.AllocsPerRun(200, func() {
 		c.OnLockID(a, true, 1)

@@ -153,7 +153,7 @@ func TestComputeChainMoves(t *testing.T) {
 		t.Errorf("moved computes = %d, want 2", res.MovedComputes)
 	}
 	a := txn.Analyze(res.Program)
-	if w := a.Writes(res.Program); w.WellDefinedCount() != a.NumLocks()+1 {
+	if w := txn.AnalyzeWrites(res.Program); w.WellDefinedCount() != a.NumLocks()+1 {
 		t.Errorf("optimized program still destroys states: %v", w.StaticWellDefined())
 	}
 	ok, err := Equivalent(p, res.Program, storeABC())

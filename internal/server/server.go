@@ -4,13 +4,18 @@
 // Each connection is served by a connection object with one reader
 // goroutine, one writer goroutine and one goroutine per active stream.
 // A client ships each transaction as one BeginProgram frame on a stream
-// of its choosing (see internal/wire); the reader admits it and starts
-// its goroutine, so thousands of streams execute concurrently over one
-// socket. The stream's goroutine registers the program and drives it to
-// commit with the shared re-execution loop from internal/exec. The
-// engine runs with core.Config.OrderLocks, so Register orders each
-// program in its one validation pass: lock requests first, in
-// ascending entity-ID order, then the other operations as sent.
+// of its choosing (see internal/wire). The reader decodes the frame
+// straight into the program's executable form (wire.Decoder.ReadRequest
+// builds a txn.Exec: entity indexes, local slots and compiled
+// expressions, with no txn.Program in between), admits the stream and
+// starts its goroutine, so thousands of streams execute concurrently
+// over one socket. The stream's goroutine registers the program
+// (core.System.RegisterExec, which validates it: §2 checks stay off the
+// reader) and drives it to commit with the shared re-execution loop
+// from internal/exec. The engine runs with core.Config.OrderLocks, so
+// registration orders each program in its one validation pass: lock
+// requests first, in ascending entity-ID order, then the other
+// operations as sent.
 // Because every served transaction acquires its locks in that one
 // order, none can deadlock: the engine's only rollback here is the
 // restart (strategy Total) of a transaction aborted at its deadline or
@@ -458,7 +463,8 @@ type conn struct {
 	// together cost one read syscall; all reads must go through br
 	// (buffered bytes are invisible to nc).
 	br *bufio.Reader
-	// dec decodes every frame br delivers; only the reader uses it.
+	// dec decodes every frame br delivers, a BeginProgram straight into
+	// its executable form; only the reader uses it.
 	dec wire.Decoder
 
 	outMu     sync.Mutex
@@ -628,7 +634,7 @@ func (s *Server) runSession(nc net.Conn) {
 			return
 		}
 		_ = nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		f, n, err := c.dec.ReadFrame(c.br)
+		req, n, err := c.dec.ReadRequest(c.br)
 		s.bytesIn.Add(int64(n))
 		if err != nil {
 			// Only a malformed frame (including one in a retired
@@ -642,33 +648,33 @@ func (s *Server) runSession(nc net.Conn) {
 			return
 		}
 		s.framesIn.Add(1)
-		if closeConn := s.handleFrame(c, f); closeConn {
+		if closeConn := s.handleFrame(c, req); closeConn {
 			return
 		}
 	}
 }
 
 // handleFrame routes one frame: Stats is answered inline on its stream,
-// BeginProgram opens a stream served by its own goroutine. It reports
-// whether the connection must be closed.
-func (s *Server) handleFrame(c *conn, f wire.Frame) (closeConn bool) {
-	sn := sender{c: c, stream: f.Stream}
-	if f.Stream == wire.ConnStream {
+// a BeginProgram (no Msg) opens a stream served by its own goroutine.
+// It reports whether the connection must be closed.
+func (s *Server) handleFrame(c *conn, req wire.Request) (closeConn bool) {
+	sn := sender{c: c, stream: req.Stream}
+	if req.Stream == wire.ConnStream {
 		s.protoErrors.Add(1)
 		sn.send(wire.Error{Code: wire.CodeBadRequest, Msg: "stream 0 is reserved for connection errors"})
 		return true
 	}
-	switch x := f.Msg.(type) {
+	switch req.Msg.(type) {
+	case nil:
+		return s.dispatchStream(c, sn, req)
 	case wire.Stats:
 		sn.send(wire.StatsReply{Counters: s.Counters()})
 		return false
-	case wire.BeginProgram:
-		return s.dispatchStream(c, sn, x)
 	default:
 		// A server-to-client message (Committed, RolledBack, ...): the
 		// peer is confused; desync.
 		s.protoErrors.Add(1)
-		sn.send(wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("unexpected %s on stream %d", f.Msg.Type(), f.Stream)})
+		sn.send(wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("unexpected %s on stream %d", req.Msg.Type(), req.Stream)})
 		return true
 	}
 }
@@ -680,7 +686,7 @@ func (s *Server) handleFrame(c *conn, f wire.Frame) (closeConn bool) {
 // sides disagree about stream state — a desync, so the connection is
 // closed. Hitting MaxStreams is load, not confusion: the stream is
 // refused with the retryable CodeBusy and the connection lives on.
-func (s *Server) dispatchStream(c *conn, sn sender, bp wire.BeginProgram) (closeConn bool) {
+func (s *Server) dispatchStream(c *conn, sn sender, req wire.Request) (closeConn bool) {
 	c.streamMu.Lock()
 	if c.streams[sn.stream] {
 		c.streamMu.Unlock()
@@ -700,7 +706,7 @@ func (s *Server) dispatchStream(c *conn, sn sender, bp wire.BeginProgram) (close
 	c.muxWG.Add(1)
 	go func() {
 		defer c.muxWG.Done()
-		s.serveStream(sn, bp)
+		s.serveStream(sn, req)
 	}()
 	return false
 }
@@ -709,7 +715,7 @@ func (s *Server) dispatchStream(c *conn, sn sender, bp wire.BeginProgram) (close
 // stream-level failure ends only the stream: thousands of healthy
 // streams may share the connection, so the conn is never closed from
 // here.
-func (s *Server) serveStream(sn sender, bp wire.BeginProgram) {
+func (s *Server) serveStream(sn sender, req wire.Request) {
 	defer func() {
 		sn.c.streamMu.Lock()
 		delete(sn.c.streams, sn.stream)
@@ -720,21 +726,20 @@ func (s *Server) serveStream(sn sender, bp wire.BeginProgram) {
 		sn.send(wire.Error{Code: wire.CodeShutdown, Msg: "server shutting down"})
 		return
 	}
-	prog, err := bp.Program()
-	if err != nil {
-		sn.send(wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
+	if req.Refused != nil {
+		sn.send(wire.Error{Code: wire.CodeBadRequest, Msg: req.Refused.Error()})
 		return
 	}
-	s.execTxn(sn, prog)
+	s.execTxn(sn, req.Prog)
 }
 
 // execTxn registers prog, drives it to commit with the shared
-// re-execution loop, and sends the verdict to sn. The engine orders
-// prog's locks inside Register (core.Config.OrderLocks) after checking
-// prog as sent, so a refusal or a run-time error names prog's own
-// operation.
-func (s *Server) execTxn(sn sender, prog *txn.Program) {
-	id, err := s.sys.Register(prog)
+// re-execution loop, and sends the verdict to sn. The engine validates
+// prog as sent and orders its locks inside RegisterExec
+// (core.Config.OrderLocks), so a refusal or a run-time error names
+// prog's own operation.
+func (s *Server) execTxn(sn sender, prog *txn.Exec) {
+	id, err := s.sys.RegisterExec(prog)
 	if err != nil {
 		sn.send(wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
 		return

@@ -1,10 +1,6 @@
 package txn
 
-import (
-	"fmt"
-	"slices"
-	"sort"
-)
+import "slices"
 
 // LockRequest describes one lock request site in a program.
 type LockRequest struct {
@@ -20,218 +16,41 @@ type LockRequest struct {
 	LockIndex int
 }
 
-// Analysis holds the slice-indexed static facts about a program that
-// every rollback strategy reads: its lock requests, each op's lock
-// index and the locals resolved to dense slots. The §4 write-interval
-// facts live apart, in Writes, because only the single-copy strategy
-// and the §5 structure measures need them.
+// Analysis holds the static facts about a program's lock structure: its
+// lock requests. The §4 write-interval facts live apart, in Writes,
+// because only the single-copy strategy and the §5 structure measures
+// need them. The engine reads no Analysis: it runs the program's
+// executable form (Exec), whose expressions are compiled over local
+// slots by Compile or, on the node, by the wire decoder.
 type Analysis struct {
 	// Requests lists the program's lock requests in order; the k-th
 	// entry has LockIndex k.
 	Requests []LockRequest
-	// LockIndexOf[i] is the lock index of Ops[i]: the number of lock
-	// requests strictly before op i.
-	LockIndexOf []int
-
-	// The fields below are the execution plan for the allocation-free
-	// hot path: locals resolved to dense slots at analysis time, so
-	// Step indexes a slice instead of hashing strings. Expressions stay
-	// in tree form — every driver registers a program exactly once, so
-	// value.EvalSlots over the tree beats any per-Register compilation.
-
-	// LocalNames lists the program's local variables in slot order
-	// (sorted by name); LocalSlot is the inverse mapping.
-	LocalNames []string
-	LocalSlot  map[string]int
-	// InitLocals[s] is the declared initial value of slot s.
-	InitLocals []int64
-	// OpLocalSlot[i] is the slot of the local a Read or Compute op i
-	// assigns, or -1 for every other op (and for an undeclared local).
-	OpLocalSlot []int
 }
 
 // Analyze computes the static Analysis for p. The program is assumed
 // valid (see Validate); on an invalid program the returned analysis is
-// best-effort. It is a thin wrapper over ValidateAnalyze.
+// best-effort.
 func Analyze(p *Program) *Analysis {
-	a, _ := ValidateAnalyze(p)
-	return a
-}
-
-// ValidateAnalyze checks p against the §2 static rules (see Validate
-// for the full list) and computes its Analysis in the same traversal of
-// p.Ops.
-//
-// The analysis is always returned, complete to the extent the program
-// allows; the error is the first rule violation, exactly as Validate
-// reports it.
-func ValidateAnalyze(p *Program) (*Analysis, error) {
-	n := len(p.Ops)
-	locks := 0
-	for i := range p.Ops {
-		if p.Ops[i].Kind.IsLockRequest() {
-			locks++
-		}
-	}
-	// LockIndexOf and OpLocalSlot share one backing array.
-	perOp := make([]int, 2*n)
-	a := &Analysis{
-		Requests:    make([]LockRequest, 0, locks),
-		LockIndexOf: perOp[:n:n],
-		OpLocalSlot: perOp[n:],
-	}
-	a.LocalNames = make([]string, 0, len(p.Locals))
-	for name := range p.Locals {
-		a.LocalNames = append(a.LocalNames, name)
-	}
-	sort.Strings(a.LocalNames)
-	a.LocalSlot = make(map[string]int, len(a.LocalNames))
-	a.InitLocals = make([]int64, len(a.LocalNames))
-	for s, name := range a.LocalNames {
-		a.LocalSlot[name] = s
-		a.InitLocals[s] = p.Locals[name]
-	}
-	return a, check(p, a)
-}
-
-// check applies the §2 static rules to p and, when a is non-nil, fills
-// a's per-op fields and lock requests as it goes. Lock holdings are
-// tracked in a small slice instead of a map, and expression references
-// are checked by walking the tree directly instead of materializing a
-// reference list, so with a nil a a valid program that holds at most
-// eight locks at once is checked without allocating.
-func check(p *Program, a *Analysis) error {
-	var firstErr error
-	if p.Name == "" {
-		firstErr = fmt.Errorf("txn: program must have a name")
-	}
-	// held tracks current lock holdings as a slice: programs lock a
-	// handful of entities, so a linear scan beats a map and allocates
-	// nothing beyond the one backing array.
-	type heldLock struct {
-		entity string
-		kind   OpKind
-	}
-	held := make([]heldLock, 0, 8)
-	findHeld := func(entity string) int {
-		for k := range held {
-			if held[k].entity == entity {
-				return k
-			}
-		}
-		return -1
-	}
-	unlocked := false
-	declaredLast := false
-	seenLock := false
-	li := 0
+	a := &Analysis{}
 	for i, o := range p.Ops {
-		fail := func(format string, args ...any) {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("txn %s: op %d (%s): %s", p.Name, i, o, fmt.Sprintf(format, args...))
-			}
-		}
-		// assign resolves the local that a Read or Compute op sets.
-		assign := func(kind string) {
-			if a == nil {
-				if _, ok := p.Locals[o.Local]; ok {
-					return
-				}
-			} else if s, ok := a.LocalSlot[o.Local]; ok {
-				a.OpLocalSlot[i] = s
-				return
-			}
-			fail("%s into undeclared local %q", kind, o.Local)
-		}
-		if a != nil {
-			a.LockIndexOf[i] = li
-			a.OpLocalSlot[i] = -1
-		}
-		if i != len(p.Ops)-1 && o.Kind == OpCommit {
-			fail("Commit before end of program")
-		}
-		switch o.Kind {
-		case OpLockS, OpLockX:
-			if unlocked {
-				fail("lock request after unlock violates two-phase rule")
-			}
-			if _, clash := p.Locals[o.Entity]; clash {
-				// Writes tracks write targets by name; entity and local
-				// namespaces must therefore be disjoint.
-				fail("entity %q collides with a local variable name", o.Entity)
-			}
-			if declaredLast {
-				fail("lock request after DeclareLastLock")
-			}
-			if findHeld(o.Entity) >= 0 {
-				fail("entity %q already locked", o.Entity)
-			}
-			if o.Entity == "" {
-				fail("lock request without entity")
-			}
-			held = append(held, heldLock{entity: o.Entity, kind: o.Kind})
-			seenLock = true
-			if a != nil {
-				a.Requests = append(a.Requests, LockRequest{
-					OpIndex:   i,
-					Entity:    o.Entity,
-					Exclusive: o.Kind == OpLockX,
-					LockIndex: li,
-				})
-			}
-			li++
-		case OpUnlock:
-			if k := findHeld(o.Entity); k < 0 {
-				fail("unlock of entity %q not held", o.Entity)
-			} else {
-				held = append(held[:k], held[k+1:]...)
-			}
-			unlocked = true
-		case OpRead:
-			if findHeld(o.Entity) < 0 {
-				fail("read of unlocked entity %q", o.Entity)
-			}
-			assign("read")
-		case OpWrite:
-			if !seenLock {
-				fail("write before first lock request")
-			}
-			if k := findHeld(o.Entity); k < 0 || held[k].kind != OpLockX {
-				fail("write to entity %q requires a held exclusive lock", o.Entity)
-			}
-			if err := checkRefs(p, o.Expr); err != nil {
-				fail("%v", err)
-			}
-		case OpCompute:
-			if !seenLock {
-				fail("compute before first lock request")
-			}
-			assign("compute")
-			if err := checkRefs(p, o.Expr); err != nil {
-				fail("%v", err)
-			}
-		case OpDeclareLastLock:
-			if declaredLast {
-				fail("DeclareLastLock repeated")
-			}
-			declaredLast = true
-		case OpCommit:
-			// position checked above
-		default:
-			fail("unknown op kind")
+		if o.Kind.IsLockRequest() {
+			a.Requests = append(a.Requests, LockRequest{
+				OpIndex:   i,
+				Entity:    o.Entity,
+				Exclusive: o.Kind == OpLockX,
+				LockIndex: len(a.Requests),
+			})
 		}
 	}
-	if firstErr == nil && (len(p.Ops) == 0 || p.Ops[len(p.Ops)-1].Kind != OpCommit) {
-		firstErr = fmt.Errorf("txn %s: program must end with Commit", p.Name)
-	}
-	return firstErr
+	return a
 }
 
 // Writes holds the §4 write-interval facts of a program: for every
 // write target (entity or local), the lock indexes at which it is
 // written. Only the single-copy strategy (SDG, and Hybrid built on it)
 // and the §5 structure measures read them, so they are built on demand
-// by Analysis.Writes rather than by every registration.
+// (Exec.Writes) rather than by every registration.
 type Writes struct {
 	// EntityLockIndex maps each locked entity to the LockIndex of its
 	// request.
@@ -252,36 +71,9 @@ type Writes struct {
 	numLocks int
 }
 
-// Writes computes the write-interval facts of p, which must be the
-// program a was computed from. A read assigns its destination local, so
-// it counts as a local write for rollback purposes.
-func (a *Analysis) Writes(p *Program) *Writes {
-	w := &Writes{
-		EntityLockIndex:     make(map[string]int, len(a.Requests)),
-		FirstWriteLockIndex: map[string]int{},
-		WriteLockIndexes:    map[string][]int{},
-		OpTarget:            make([]string, len(p.Ops)),
-		numLocks:            len(a.Requests),
-	}
-	for _, r := range a.Requests {
-		w.EntityLockIndex[r.Entity] = r.LockIndex
-	}
-	for i, o := range p.Ops {
-		switch o.Kind {
-		case OpRead, OpCompute:
-			w.note(o.Local, a.LockIndexOf[i])
-			w.OpTarget[i] = "l:" + o.Local
-		case OpWrite:
-			w.note(o.Entity, a.LockIndexOf[i])
-			w.OpTarget[i] = "e:" + o.Entity
-		}
-	}
-	return w
-}
-
-// AnalyzeWrites computes p's write-interval facts from scratch:
-// Analyze(p).Writes(p), for callers that need nothing else.
-func AnalyzeWrites(p *Program) *Writes { return Analyze(p).Writes(p) }
+// AnalyzeWrites computes p's write-interval facts (Exec.Writes of its
+// executable form).
+func AnalyzeWrites(p *Program) *Writes { return Compile(p).Writes() }
 
 // note records a write of target at lock index li. Ops are visited in
 // program order, where lock indexes never decrease, so each target's

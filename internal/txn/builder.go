@@ -117,36 +117,13 @@ func (b *Builder) MustBuild() *Program {
 //   - nothing but Commit follows once DeclareLastLock is emitted except
 //     reads, writes, computes and unlocks (no lock requests).
 //
-// Validate builds no Analysis (ValidateAnalyze checks the same rules
-// and builds one), so checking a valid program that holds at most
-// eight locks at once allocates nothing.
-func Validate(p *Program) error { return check(p, nil) }
-
-// checkRefs verifies an expression references only declared locals,
-// walking the tree directly so well-formed expressions cost no
-// allocation (Expr.Refs would materialize the reference list).
-func checkRefs(p *Program, e value.Expr) error {
-	switch x := e.(type) {
-	case nil:
-		return fmt.Errorf("missing expression")
-	case value.Const:
-		return nil
-	case value.Local:
-		if _, ok := p.Locals[string(x)]; !ok {
-			return fmt.Errorf("expression references undeclared local %q", string(x))
-		}
-		return nil
-	case value.Binary:
-		if err := checkRefs(p, x.L); err != nil {
-			return err
-		}
-		return checkRefs(p, x.R)
-	default:
-		for _, r := range e.Refs(nil) {
-			if _, ok := p.Locals[r]; !ok {
-				return fmt.Errorf("expression references undeclared local %q", r)
-			}
-		}
-		return nil
-	}
+// Validate checks p through its executable form (Exec.Validate, the
+// one validator), compiled into reused buffers, so checking a valid
+// program that holds at most eight locks at once allocates nothing.
+func Validate(p *Program) error {
+	c := acquire()
+	c.compile(p)
+	err := c.x.Validate()
+	c.release()
+	return err
 }

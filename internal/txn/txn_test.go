@@ -166,7 +166,7 @@ func TestAnalyzeLockIndexes(t *testing.T) {
 			t.Errorf("request %d = %+v", i, r)
 		}
 	}
-	w := a.Writes(p)
+	w := AnalyzeWrites(p)
 	if w.EntityLockIndex["b"] != 1 {
 		t.Errorf("EntityLockIndex[b] = %d", w.EntityLockIndex["b"])
 	}
@@ -203,7 +203,7 @@ func TestStaticWellDefined(t *testing.T) {
 		Write("a", value.L("x")).
 		LockX("d").
 		MustBuild()
-	w := Analyze(p).Writes(p)
+	w := AnalyzeWrites(p)
 	wd := w.StaticWellDefined()
 	want := []bool{true, false, false, true, true} // states 0..4
 	if len(wd) != len(want) {
@@ -275,7 +275,7 @@ func TestWellDefinedMatchesBruteForce(t *testing.T) {
 			MustBuild(),
 	}
 	for _, p := range progs {
-		got := Analyze(p).Writes(p).StaticWellDefined()
+		got := AnalyzeWrites(p).StaticWellDefined()
 		want := bruteWellDefined(p)
 		for q := range want {
 			if got[q] != want[q] {
@@ -354,6 +354,10 @@ func TestStrings(t *testing.T) {
 	}
 }
 
+// TestAnalysisExecutionPlan checks the execution plan the engine runs:
+// Compile's locals in name-sorted slot order with their initial values,
+// each op's slot and entity index, write targets, and expressions
+// compiled over slots computing what the tree walker does.
 func TestAnalysisExecutionPlan(t *testing.T) {
 	p := NewProgram("plan").
 		Local("b", 2).
@@ -363,19 +367,27 @@ func TestAnalysisExecutionPlan(t *testing.T) {
 		Compute("b", value.Add(value.L("a"), value.C(3))).
 		Write("e1", value.L("b")).
 		MustBuild()
-	a := Analyze(p)
-	if len(a.LocalNames) != 2 || a.LocalNames[0] != "a" || a.LocalNames[1] != "b" {
-		t.Fatalf("LocalNames = %v, want [a b] (slot order sorted by name)", a.LocalNames)
+	x := Compile(p)
+	if len(x.Locals) != 2 || x.Locals[0] != "a" || x.Locals[1] != "b" {
+		t.Fatalf("Locals = %v, want [a b] (slot order sorted by name)", x.Locals)
 	}
-	if a.InitLocals[a.LocalSlot["a"]] != 1 || a.InitLocals[a.LocalSlot["b"]] != 2 {
-		t.Fatalf("InitLocals = %v out of sync with slots %v", a.InitLocals, a.LocalSlot)
+	if len(x.Init) != 2 || x.Init[0] != 1 || x.Init[1] != 2 {
+		t.Fatalf("Init = %v, want [1 2]", x.Init)
 	}
-	w := a.Writes(p)
+	if len(x.Entities) != 1 || x.Entities[0] != "e1" {
+		t.Fatalf("Entities = %v, want [e1]", x.Entities)
+	}
+	w := x.Writes()
+	slot := map[string]int32{"a": 0, "b": 1}
 	for i, o := range p.Ops {
+		xo := x.Ops[i]
+		if got := x.Op(i); got.String() != o.String() {
+			t.Errorf("op %d renders %s, want %s", i, got, o)
+		}
 		switch o.Kind {
 		case OpRead, OpCompute:
-			if a.OpLocalSlot[i] != a.LocalSlot[o.Local] {
-				t.Errorf("op %d (%s): OpLocalSlot = %d, want %d", i, o, a.OpLocalSlot[i], a.LocalSlot[o.Local])
+			if xo.Local != slot[o.Local] {
+				t.Errorf("op %d (%s): slot %d, want %d", i, o, xo.Local, slot[o.Local])
 			}
 			if want := "l:" + o.Local; w.OpTarget[i] != want {
 				t.Errorf("op %d (%s): OpTarget = %q, want %q", i, o, w.OpTarget[i], want)
@@ -385,19 +397,22 @@ func TestAnalysisExecutionPlan(t *testing.T) {
 				t.Errorf("op %d (%s): OpTarget = %q, want %q", i, o, w.OpTarget[i], want)
 			}
 		default:
-			if a.OpLocalSlot[i] != -1 {
-				t.Errorf("op %d (%s): OpLocalSlot = %d, want -1", i, o, a.OpLocalSlot[i])
+			if xo.Local != -1 {
+				t.Errorf("op %d (%s): slot %d, want -1", i, o, xo.Local)
 			}
 			if w.OpTarget[i] != "" {
 				t.Errorf("op %d (%s): OpTarget = %q, want empty", i, o, w.OpTarget[i])
 			}
 		}
+		if o.Entity != "" && x.Entities[xo.Ent] != o.Entity {
+			t.Errorf("op %d (%s): entity %d", i, o, xo.Ent)
+		}
 	}
 	// Slot evaluation over the plan computes what the tree walker does.
 	locals := []int64{10, 0} // a=10, b=0
-	for _, o := range p.Ops {
+	for i, o := range p.Ops {
 		if o.Kind == OpCompute {
-			v, err := value.EvalSlots(o.Expr, a.LocalSlot, locals)
+			v, err := x.Expr(i).Eval(locals, x.Foreign, nil)
 			if err != nil || v != 13 {
 				t.Fatalf("slot compute = %d, %v; want 13", v, err)
 			}

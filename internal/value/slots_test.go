@@ -5,22 +5,54 @@ import (
 	"testing"
 )
 
-// slotView builds a slot mapping plus the matching slice of values from
-// a map of locals, so tests can diff slot evaluation against the
-// tree-walking Env evaluation of the same expression.
-func slotView(locals map[string]int64) (map[string]int, []int64) {
-	slots := map[string]int{}
-	vals := make([]int64, 0, len(locals))
-	for n, v := range locals {
-		slots[n] = len(vals)
-		vals = append(vals, v)
+// slotView resolves names to slots in a fixed order and holds the
+// matching values, so tests can diff compiled slot evaluation against
+// the tree-walking Env evaluation of the same expression.
+type slotView struct {
+	names []string
+	vals  []int64
+}
+
+func newSlotView(locals map[string]int64) *slotView {
+	v := &slotView{}
+	for n, x := range locals {
+		v.names = append(v.names, n)
+		v.vals = append(v.vals, x)
 	}
-	return slots, vals
+	return v
+}
+
+// Slot implements Slots; a name it lacks gets a slot past the values,
+// as an undeclared local does in a program's executable form.
+func (v *slotView) Slot(name string) int64 {
+	for s, n := range v.names {
+		if n == name {
+			return int64(s)
+		}
+	}
+	v.names = append(v.names, name)
+	return int64(len(v.names) - 1)
+}
+
+// Local implements Env.
+func (v *slotView) Local(name string) (int64, bool) {
+	for s, n := range v.names[:len(v.vals)] {
+		if n == name {
+			return v.vals[s], true
+		}
+	}
+	return 0, false
+}
+
+// evalSlots compiles e over v and evaluates the code.
+func (v *slotView) evalSlots(e Expr) (int64, error) {
+	code, foreign := Compile(nil, e, v, nil)
+	return Code(code).Eval(v.vals, foreign, v)
 }
 
 func TestEvalSlotsMatchesEval(t *testing.T) {
 	locals := map[string]int64{"x": 7, "y": -3, "z": 2}
-	slots, vals := slotView(locals)
+	v := newSlotView(locals)
 	exprs := []Expr{
 		C(42),
 		L("x"),
@@ -35,53 +67,56 @@ func TestEvalSlotsMatchesEval(t *testing.T) {
 	}
 	for _, e := range exprs {
 		want, werr := e.Eval(MapEnv(locals))
-		got, gerr := EvalSlots(e, slots, vals)
+		got, gerr := v.evalSlots(e)
 		if want != got || (werr == nil) != (gerr == nil) {
 			t.Errorf("%s: slots = %d,%v; eval = %d,%v", e, got, gerr, want, werr)
+		}
+		code, foreign := Compile(nil, e, v, nil)
+		if back := Code(code).Tree(v.names, foreign); back.String() != e.String() {
+			t.Errorf("%s: compiled code renders as %s", e, back)
 		}
 	}
 }
 
 func TestEvalSlotsErrorSemantics(t *testing.T) {
-	slots, vals := slotView(map[string]int64{"x": 1})
-	// Unknown local errors identically to the tree walker, and the
-	// *left* failure wins when both sides would fail.
+	// An unresolved local fails wrapping ErrUnknownLocal, and the *left*
+	// failure wins when both sides would fail.
 	for _, e := range []Expr{
 		L("ghost"),
 		Add(L("ghost"), L("x")),
 		Add(L("x"), L("ghost")),
 		Add(L("ghost"), Div(L("x"), C(0))),
 	} {
-		want, werr := e.Eval(MapEnv{"x": 1})
-		got, gerr := EvalSlots(e, slots, vals)
-		if werr == nil || gerr == nil {
-			t.Fatalf("%s: expected both to fail (eval err %v, slots err %v)", e, werr, gerr)
+		got, err := newSlotView(map[string]int64{"x": 1}).evalSlots(e)
+		if !errors.Is(err, ErrUnknownLocal) || got != 0 {
+			t.Errorf("%s: slots eval = %d, %v; want 0 and ErrUnknownLocal", e, got, err)
 		}
-		if werr.Error() != gerr.Error() {
-			t.Errorf("%s: slots error %q != eval error %q", e, gerr, werr)
-		}
-		if !errors.Is(gerr, ErrUnknownLocal) {
-			t.Errorf("%s: slots error %v does not wrap ErrUnknownLocal", e, gerr)
-		}
-		if got != want {
-			t.Errorf("%s: values differ on error: %d vs %d", e, got, want)
-		}
+	}
+	if _, err := newSlotView(map[string]int64{"x": 1}).evalSlots(Add(Div(L("x"), C(0)), L("ghost"))); err != ErrDivideByZero {
+		t.Errorf("left division by zero: err = %v, want ErrDivideByZero", err)
 	}
 	// Division and modulo by zero return the sentinel unwrapped.
 	for _, e := range []Expr{Div(L("x"), C(0)), Mod(C(5), Sub(L("x"), C(1)))} {
-		if _, err := EvalSlots(e, slots, vals); err != ErrDivideByZero {
+		if _, err := newSlotView(map[string]int64{"x": 1}).evalSlots(e); err != ErrDivideByZero {
 			t.Errorf("%s: err = %v, want ErrDivideByZero", e, err)
 		}
+	}
+	// An unknown operator fails as the tree walker does.
+	bad := Binary{Op: BinOp(99), L: C(1), R: C(2)}
+	_, werr := bad.Eval(MapEnv{})
+	if _, err := newSlotView(nil).evalSlots(bad); err == nil || err.Error() != werr.Error() {
+		t.Errorf("unknown operator: err = %v, want %v", err, werr)
 	}
 }
 
 func TestEvalSlotsZeroAlloc(t *testing.T) {
-	slots, vals := slotView(map[string]int64{"x": 7, "y": 3})
-	e := Add(Mul(L("x"), L("y")), Min(L("x"), C(100)))
+	v := newSlotView(map[string]int64{"x": 7, "y": 3})
+	code, _ := Compile(nil, Add(Mul(L("x"), L("y")), Min(L("x"), C(100))), v, nil)
+	want := v.vals[v.Slot("x")]*v.vals[v.Slot("y")] + 7
 	if n := testing.AllocsPerRun(200, func() {
-		v, err := EvalSlots(e, slots, vals)
-		if err != nil || v != 28 {
-			t.Fatalf("eval = %d, %v", v, err)
+		got, err := Code(code).Eval(v.vals, nil, nil)
+		if err != nil || got != want {
+			t.Fatalf("eval = %d, %v; want %d", got, err, want)
 		}
 	}); n != 0 {
 		t.Fatalf("slot eval allocates %v per run, want 0", n)
@@ -89,10 +124,15 @@ func TestEvalSlotsZeroAlloc(t *testing.T) {
 }
 
 func TestEvalSlotsForeignExprFallback(t *testing.T) {
-	slots, vals := slotView(map[string]int64{"x": 4})
-	v, err := EvalSlots(Add(doubler{L("x")}, C(1)), slots, vals)
-	if err != nil || v != 9 {
-		t.Fatalf("foreign expr eval = %d, %v; want 9", v, err)
+	v := newSlotView(map[string]int64{"x": 4})
+	e := Add(doubler{L("x")}, C(1))
+	got, err := v.evalSlots(e)
+	if err != nil || got != 9 {
+		t.Fatalf("foreign expr eval = %d, %v; want 9", got, err)
+	}
+	code, foreign := Compile(nil, e, v, nil)
+	if len(foreign) != 1 || Code(code).Tree(v.names, foreign).String() != e.String() {
+		t.Fatalf("foreign expr compiled to %v with %v", code, foreign)
 	}
 }
 

@@ -127,7 +127,12 @@ func (b Binary) Eval(env Env) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	switch b.Op {
+	return b.Op.apply(l, r)
+}
+
+// apply computes l op r, for the tree walker and compiled code alike.
+func (op BinOp) apply(l, r int64) (int64, error) {
+	switch op {
 	case OpAdd:
 		return l + r, nil
 	case OpSub:
@@ -155,7 +160,7 @@ func (b Binary) Eval(env Env) (int64, error) {
 		}
 		return r, nil
 	default:
-		return 0, fmt.Errorf("value: unknown operator %v", b.Op)
+		return 0, fmt.Errorf("value: unknown operator %v", op)
 	}
 }
 

@@ -341,3 +341,83 @@ func chain(depth int) value.Expr {
 	}
 	return e
 }
+
+// TestDecodeRequest reads the benchmark workloads' programs, and
+// programs at the expression limits, through one Decoder's ReadRequest:
+// each must come back as the executable form of the program its client
+// sent, every op rendering as sent, with the locals in name order. A
+// near-MaxFrame program must leave none of its buffers behind.
+func TestDecodeRequest(t *testing.T) {
+	progs := append(hotspotPrograms(20, 1), uniformPrograms(20, 1)...)
+	progs = append(progs, sim.CounterWorkload(64, 20, 1).Programs...)
+	progs = append(progs, mixProgram(), twoOps(fullTree(8)), twoOps(chain(MaxExprDepth)))
+	var stream bytes.Buffer
+	for _, p := range progs {
+		payload := payloadOf(t, p)
+		stream.Write(binary.BigEndian.AppendUint32(nil, uint32(len(payload))))
+		stream.Write(payload)
+	}
+	var d Decoder
+	for i, p := range progs {
+		req, _, err := d.ReadRequest(&stream)
+		if err != nil || req.Refused != nil || req.Msg != nil || req.Stream != 1 {
+			t.Fatalf("program %d: %+v, %v", i, req, err)
+		}
+		x := req.Prog
+		if x.Name != p.Name || len(x.Ops) != len(p.Ops) || len(x.Init) != len(p.Locals) {
+			t.Fatalf("program %d: decoded %q with %d ops and %d locals, sent %q with %d and %d",
+				i, x.Name, len(x.Ops), len(x.Init), p.Name, len(p.Ops), len(p.Locals))
+		}
+		for s, v := range x.Init {
+			if name := x.Locals[s]; p.Locals[name] != v || s > 0 && x.Locals[s-1] >= name {
+				t.Fatalf("program %d: slot %d is %s = %d; locals %v", i, s, name, v, x.Locals)
+			}
+		}
+		for k, o := range p.Ops {
+			if got := x.Op(k).String(); got != o.String() {
+				t.Fatalf("program %d op %d: decoded %s, sent %s", i, k, got, o)
+			}
+		}
+	}
+
+	big := BeginProgram{Name: "big"}
+	for i := 0; i < MaxOps; i++ {
+		big.Ops = append(big.Ops, txn.Op{Kind: txn.OpLockX, Entity: fmt.Sprintf("%0115d", i)})
+	}
+	frame, err := EncodeTagged(1, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, _, err := d.ReadRequest(bytes.NewReader(frame))
+	if err != nil || len(req.Prog.Entities) != MaxOps {
+		t.Fatalf("big frame: %v entities, %v", len(req.Prog.Entities), err)
+	}
+	if cap(d.buf) > retainLimit || cap(d.x.ops) != 0 || cap(d.x.names.buf) != 0 {
+		t.Fatalf("after the big frame: buffer cap %d, op cap %d, name cap %d", cap(d.buf), cap(d.x.ops), cap(d.x.names.buf))
+	}
+}
+
+// BenchmarkDecodeRequest decodes the workloads' programs on the node's
+// path, straight into executable form; BenchmarkDecodeProgram is the
+// reference path.
+func BenchmarkDecodeRequest(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		prog *txn.Program
+	}{
+		{"hotspot", hotspotPrograms(1, 1)[0]},
+		{"uniform", uniformPrograms(3, 1)[2]},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			payload := payloadOf(b, bc.prog)
+			var d Decoder
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.DecodeRequest(payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

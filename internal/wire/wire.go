@@ -32,17 +32,23 @@
 // have hard limits, so a malicious or corrupted peer cannot force large
 // allocations or deep recursion (see the fuzz tests).
 //
-// Each connection decodes through one Decoder. It reuses its payload
-// buffer, and within one frame it decodes each repeated name and each
-// repeated op expression once: a program that locks five entities and
-// pads every lock interval with forty identical computes carries a
-// handful of distinct names and expressions in hundreds of ops. The
-// memo lasts one frame. Sharing is safe because every string is copied
-// out of the payload and the engine only reads expression trees. The
-// limits are unchanged: before a memo lookup, a non-allocating scan
-// applies exactly the checks decoding applies, and an expression that
-// fails it is decoded the ordinary way, so every error is the one a
-// fresh decode reports.
+// Each connection decodes through one Decoder, which reuses its payload
+// buffer. A program that locks five entities and pads every lock
+// interval with forty identical computes carries a handful of distinct
+// names and ops in hundreds of ops, and both decode paths exploit it
+// within one frame. The node's path (ReadRequest) decodes a
+// BeginProgram straight into the engine's executable form, a txn.Exec:
+// each name is looked up once per occurrence in a per-frame table and
+// becomes an entity index or a local slot, expressions are compiled to
+// slot code from the frame bytes, and an op whose bytes repeat its
+// predecessor's is copied, not decoded again. The reference path
+// (DecodeFrame/ReadFrame, then BeginProgram.Program) builds strings and
+// expression trees, sharing each repeated name and each repeated op
+// expression within the frame; sharing is safe because every string is
+// copied out of the payload and the engine only reads expressions. The
+// two paths apply the same checks through the same functions (header,
+// count, rawOp, exprBytes), in the same order, so every error is the
+// one a fresh DecodeFrame reports.
 package wire
 
 import (
@@ -317,14 +323,18 @@ const retainLimit = 64 << 10
 // reuses its payload buffer; within one frame it interns a program's
 // names and gives ops with byte-identical expression encodings one
 // shared tree, and it empties both memos after every frame, so nothing
-// decoded survives into the next request (see the package doc). The
-// zero value is ready to use; a Decoder is not safe for concurrent use.
+// decoded survives into the next request (see the package doc). Its
+// ReadRequest is the node's path: it decodes a BeginProgram straight
+// into executable form, in scratch buffers it reuses across frames.
+// The zero value is ready to use; a Decoder is not safe for concurrent
+// use.
 type Decoder struct {
 	b     []byte                // the unread rest of the payload being decoded
 	hdr   [4]byte               // ReadFrame's length prefix
 	buf   []byte                // ReadFrame's payload buffer
 	names map[string]string     // this frame's names, interned
 	exprs map[string]value.Expr // this frame's op expressions by encoding
+	x     execBuilder           // ReadRequest's program under construction
 }
 
 func (d *Decoder) uvarint() (uint64, error) {
@@ -355,7 +365,7 @@ func (d *Decoder) byte() (byte, error) {
 }
 
 // stringBytes consumes a length-prefixed string and returns its bytes,
-// still inside the payload.
+// still inside the payload (never nil, even when empty).
 func (d *Decoder) stringBytes() ([]byte, error) {
 	n, err := d.uvarint()
 	if err != nil {
@@ -384,15 +394,20 @@ func (d *Decoder) name() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return d.intern(b), nil
+}
+
+// intern returns b as a string, one per distinct name in the frame.
+func (d *Decoder) intern(b []byte) string {
 	if s, ok := d.names[string(b)]; ok {
-		return s, nil
+		return s
 	}
 	s := string(b)
 	if d.names == nil {
 		d.names = make(map[string]string)
 	}
 	d.names[s] = s
-	return s, nil
+	return s
 }
 
 func (d *Decoder) expr(depth int, budget *int) (value.Expr, error) {
@@ -479,47 +494,66 @@ func exprLen(b []byte, depth int, budget *int) (n int, ok bool) {
 	}
 }
 
-// opExpr decodes one operation's expression with its own MaxExprNodes
-// budget. An encoding already decoded in this frame yields the tree
-// decoded then.
-func (d *Decoder) opExpr() (value.Expr, error) {
+// exprBytes consumes one operation's expression with its own
+// MaxExprNodes budget and returns its encoding, checked against every
+// expression limit: both decode paths take expressions from here.
+func (d *Decoder) exprBytes() ([]byte, error) {
 	budget := MaxExprNodes
 	n, ok := exprLen(d.b, 0, &budget)
-	budget = MaxExprNodes
 	if !ok {
-		return d.expr(0, &budget) // names the violation
+		budget = MaxExprNodes
+		if _, err := d.expr(0, &budget); err != nil {
+			return nil, err // names the violation
+		}
+		return nil, protoErr("malformed expression")
 	}
-	key := d.b[:n]
-	if e, hit := d.exprs[string(key)]; hit {
-		d.b = d.b[n:]
+	enc := d.b[:n:n]
+	d.b = d.b[n:]
+	return enc, nil
+}
+
+// opExpr returns the tree an op expression encodes. An encoding already
+// decoded in this frame yields the tree decoded then.
+func (d *Decoder) opExpr(enc []byte) (value.Expr, error) {
+	if e, hit := d.exprs[string(enc)]; hit {
 		return e, nil
 	}
+	rest := d.b
+	d.b = enc
+	budget := MaxExprNodes
 	e, err := d.expr(0, &budget)
+	d.b = rest
 	if err != nil {
 		return nil, err
 	}
 	if d.exprs == nil {
 		d.exprs = make(map[string]value.Expr)
 	}
-	d.exprs[string(key)] = e
+	d.exprs[string(enc)] = e
 	return e, nil
+}
+
+// count decodes a list length and checks it against max.
+func (d *Decoder) count(max int, what string) (int, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(max) {
+		return 0, protoErr("%d %s exceeds %d", n, what, max)
+	}
+	return int(n), nil
 }
 
 // locals decodes a local declaration list. A BeginProgram's names are
 // interned, since its ops name them again; a Committed's are not.
 func (d *Decoder) locals(max int, intern bool) ([]LocalDecl, error) {
-	n, err := d.uvarint()
-	if err != nil {
+	n, err := d.count(max, "locals")
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	if n > uint64(max) {
-		return nil, protoErr("%d locals exceeds %d", n, max)
-	}
-	if n == 0 {
-		return nil, nil
-	}
 	out := make([]LocalDecl, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var name string
 		if intern {
 			name, err = d.name()
@@ -538,78 +572,90 @@ func (d *Decoder) locals(max int, intern bool) ([]LocalDecl, error) {
 	return out, nil
 }
 
+// rawOp is one BeginProgram operation with its operands still encoded:
+// each name and expression the kind carries, as payload bytes; nil for
+// those it does not carry.
+type rawOp struct {
+	kind             txn.OpKind
+	ent, local, expr []byte
+}
+
+// rawOp decodes one operation's tag and operands into r, applying
+// every limit an operation is subject to: both decode paths read ops
+// through it. The checks depend on the op's bytes alone.
+func (d *Decoder) rawOp(r *rawOp) error {
+	tag, err := d.byte()
+	if err != nil {
+		return err
+	}
+	*r = rawOp{}
+	switch tag {
+	case opLock:
+		mode, err := d.byte()
+		if err != nil {
+			return err
+		}
+		if mode > 1 {
+			return protoErr("unknown lock mode %d", mode)
+		}
+		r.kind = txn.OpLockS
+		if mode == 1 {
+			r.kind = txn.OpLockX
+		}
+		r.ent, err = d.stringBytes()
+	case opUnlock:
+		r.kind = txn.OpUnlock
+		r.ent, err = d.stringBytes()
+	case opRead:
+		r.kind = txn.OpRead
+		if r.ent, err = d.stringBytes(); err == nil {
+			r.local, err = d.stringBytes()
+		}
+	case opWrite:
+		r.kind = txn.OpWrite
+		if r.ent, err = d.stringBytes(); err == nil {
+			r.expr, err = d.exprBytes()
+		}
+	case opCompute:
+		r.kind = txn.OpCompute
+		if r.local, err = d.stringBytes(); err == nil {
+			r.expr, err = d.exprBytes()
+		}
+	case opLastLock:
+		r.kind = txn.OpDeclareLastLock
+	case opCommit:
+		r.kind = txn.OpCommit
+	default:
+		return protoErr("unknown op tag %d", tag)
+	}
+	return err
+}
+
 // ops decodes a BeginProgram operation list. Each expression gets its
 // own MaxExprNodes budget, so the limits are per operation, not per
 // program.
 func (d *Decoder) ops(max int) ([]txn.Op, error) {
-	n, err := d.uvarint()
-	if err != nil {
+	n, err := d.count(max, "ops")
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	if n > uint64(max) {
-		return nil, protoErr("%d ops exceeds %d", n, max)
-	}
-	if n == 0 {
-		return nil, nil
-	}
 	out := make([]txn.Op, 0, n)
-	for i := uint64(0); i < n; i++ {
-		tag, err := d.byte()
-		if err != nil {
+	var r rawOp
+	for i := 0; i < n; i++ {
+		if err := d.rawOp(&r); err != nil {
 			return nil, err
 		}
-		var op txn.Op
-		switch tag {
-		case opLock:
-			mode, err := d.byte()
-			if err != nil {
+		op := txn.Op{Kind: r.kind}
+		if r.ent != nil {
+			op.Entity = d.intern(r.ent)
+		}
+		if r.local != nil {
+			op.Local = d.intern(r.local)
+		}
+		if r.expr != nil {
+			if op.Expr, err = d.opExpr(r.expr); err != nil {
 				return nil, err
 			}
-			if mode > 1 {
-				return nil, protoErr("unknown lock mode %d", mode)
-			}
-			op.Kind = txn.OpLockS
-			if mode == 1 {
-				op.Kind = txn.OpLockX
-			}
-			if op.Entity, err = d.name(); err != nil {
-				return nil, err
-			}
-		case opUnlock:
-			op.Kind = txn.OpUnlock
-			if op.Entity, err = d.name(); err != nil {
-				return nil, err
-			}
-		case opRead:
-			op.Kind = txn.OpRead
-			if op.Entity, err = d.name(); err != nil {
-				return nil, err
-			}
-			if op.Local, err = d.name(); err != nil {
-				return nil, err
-			}
-		case opWrite:
-			op.Kind = txn.OpWrite
-			if op.Entity, err = d.name(); err != nil {
-				return nil, err
-			}
-			if op.Expr, err = d.opExpr(); err != nil {
-				return nil, err
-			}
-		case opCompute:
-			op.Kind = txn.OpCompute
-			if op.Local, err = d.name(); err != nil {
-				return nil, err
-			}
-			if op.Expr, err = d.opExpr(); err != nil {
-				return nil, err
-			}
-		case opLastLock:
-			op.Kind = txn.OpDeclareLastLock
-		case opCommit:
-			op.Kind = txn.OpCommit
-		default:
-			return nil, protoErr("unknown op tag %d", tag)
 		}
 		out = append(out, op)
 	}
@@ -748,43 +794,60 @@ func DecodeFrame(payload []byte) (Frame, error) { return new(Decoder).DecodeFram
 // with d's per-frame memos. The decoded frame never refers to payload.
 func (d *Decoder) DecodeFrame(payload []byte) (Frame, error) {
 	f, err := d.frame(payload)
+	d.finish(payload)
+	return f, err
+}
+
+// finish forgets the frame just decoded: its payload and its memos,
+// and after a frame over retainLimit the memory that frame grew.
+func (d *Decoder) finish(payload []byte) {
 	d.b = nil
 	if len(payload) > retainLimit {
 		d.names, d.exprs = nil, nil
+		d.x = execBuilder{}
 	} else {
 		clear(d.names)
 		clear(d.exprs)
 	}
-	return f, err
 }
 
-func (d *Decoder) frame(payload []byte) (Frame, error) {
+// header checks a payload's version byte and decodes its stream tag
+// and message type: both decode paths start here.
+func (d *Decoder) header(payload []byte) (uint32, Type, error) {
 	if len(payload) < 1 {
-		return Frame{}, protoErr("payload of %d bytes", len(payload))
+		return 0, 0, protoErr("payload of %d bytes", len(payload))
 	}
 	if payload[0] != Version3 {
-		return Frame{}, protoErr("version %d, want %d", payload[0], Version3)
+		return 0, 0, protoErr("version %d, want %d", payload[0], Version3)
 	}
 	d.b = payload[1:]
 	stream, err := d.uvarint()
 	if err != nil {
-		return Frame{}, err
+		return 0, 0, err
 	}
 	if stream > MaxStream {
-		return Frame{}, protoErr("stream %d exceeds %d", stream, uint64(MaxStream))
+		return 0, 0, protoErr("stream %d exceeds %d", stream, uint64(MaxStream))
 	}
 	tag, err := d.byte()
 	if err != nil {
+		return 0, 0, err
+	}
+	return uint32(stream), Type(tag), nil
+}
+
+func (d *Decoder) frame(payload []byte) (Frame, error) {
+	stream, t, err := d.header(payload)
+	if err != nil {
 		return Frame{}, err
 	}
-	m, err := decodeMsg(Type(tag), d)
+	m, err := decodeMsg(t, d)
 	if err != nil {
 		return Frame{}, err
 	}
 	if err := d.done(); err != nil {
 		return Frame{}, err
 	}
-	return Frame{Stream: uint32(stream), Msg: m}, nil
+	return Frame{Stream: stream, Msg: m}, nil
 }
 
 // decodeMsg decodes the fields of one message of type t from d (the
@@ -845,17 +908,14 @@ func decodeMsg(t Type, d *Decoder) (Msg, error) {
 		m = x
 	case TStatsReply:
 		var x StatsReply
-		n, err := d.uvarint()
+		n, err := d.count(MaxCounters, "counters")
 		if err != nil {
 			return nil, err
-		}
-		if n > MaxCounters {
-			return nil, protoErr("%d counters exceeds %d", n, MaxCounters)
 		}
 		if n > 0 {
 			x.Counters = make([]Counter, 0, n)
 		}
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			var c Counter
 			if c.Name, err = d.string(); err != nil {
 				return nil, err
@@ -880,12 +940,23 @@ func ReadFrame(r io.Reader) (Frame, int, error) { return new(Decoder).ReadFrame(
 // ReadFrame reads and decodes one frame like the package-level
 // ReadFrame, into d's reused payload buffer.
 func (d *Decoder) ReadFrame(r io.Reader) (Frame, int, error) {
+	payload, n, err := d.readPayload(r)
+	if err != nil {
+		return Frame{}, n, err
+	}
+	f, err := d.DecodeFrame(payload)
+	return f, n, err
+}
+
+// readPayload reads one frame's length prefix and payload, returning
+// the payload and the bytes consumed.
+func (d *Decoder) readPayload(r io.Reader) ([]byte, int, error) {
 	if _, err := io.ReadFull(r, d.hdr[:]); err != nil {
-		return Frame{}, 0, err
+		return nil, 0, err
 	}
 	n := binary.BigEndian.Uint32(d.hdr[:])
 	if n > MaxFrame {
-		return Frame{}, 4, protoErr("frame of %d bytes exceeds %d", n, MaxFrame)
+		return nil, 4, protoErr("frame of %d bytes exceeds %d", n, MaxFrame)
 	}
 	var payload []byte
 	if n > retainLimit {
@@ -900,10 +971,9 @@ func (d *Decoder) ReadFrame(r io.Reader) (Frame, int, error) {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return Frame{}, 4, err
+		return nil, 4, err
 	}
-	f, err := d.DecodeFrame(payload)
-	return f, 4 + int(n), err
+	return payload, 4 + int(n), nil
 }
 
 // --- program <-> message translation ---
