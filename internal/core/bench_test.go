@@ -245,7 +245,8 @@ func BenchmarkStepBurst(b *testing.B) {
 // BenchmarkContendedWait measures the no-deadlock wait check: a second
 // transaction requests an entity an exclusive holder pins, blocks, is
 // polled once, and is then aborted. Covers AcquireID's blocker path,
-// wait-for arc maintenance, and the incremental cycle check.
+// the cycle check's walk of the lock table (waitfor.CycleThrough), and
+// the retraction.
 func BenchmarkContendedWait(b *testing.B) {
 	store := entity.NewStore(map[string]int64{"a": 0})
 	s := New(Config{Store: store})

@@ -67,7 +67,6 @@ func (s *System) Abort(id txn.ID) error {
 	}
 	delete(s.txns, id)
 	s.unpinAll(t)
-	s.wf.RemoveTxn(id)
 	s.stats.Aborts++
 	s.emit(Event{Kind: EventAbort, Txn: id, Detail: t.x.Name})
 	return nil

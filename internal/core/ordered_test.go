@@ -253,11 +253,13 @@ func FuzzOrderedRegister(f *testing.F) {
 // TestOrderedRegisterAllocs pins what the ordering switch costs on the
 // node's path. A one-lock counter program (every durable and paged
 // request) needs no execution order, so its register, run to commit
-// and Retire allocate exactly what they do on a plain engine: 9. A
+// and Retire allocate exactly what they do on a plain engine: 7. A
 // hotspot program that must be reordered costs its order slice, one
-// allocation more than a plain registration.
+// allocation more than a plain registration, and 7 plain from register
+// to Retire: its lock bookkeeping is sized at registration and never
+// grows.
 func TestOrderedRegisterAllocs(t *testing.T) {
-	const counterAllocs = 9
+	const counterAllocs, hotRunAllocs = 7, 7
 	cycle := func(s *core.System, p *txn.Program, run bool) {
 		id, err := s.Register(p)
 		if err != nil {
@@ -287,6 +289,9 @@ func TestOrderedRegisterAllocs(t *testing.T) {
 	hot := hotspotProgram(t)
 	if plain, ordered := allocs(false, hot, false), allocs(true, hot, false); ordered != plain+1 {
 		t.Errorf("hotspot program: %v allocations ordered, want %v (plain) + 1", ordered, plain)
+	}
+	if plain, ordered := allocs(false, hot, true), allocs(true, hot, true); plain != hotRunAllocs || ordered != hotRunAllocs+1 {
+		t.Errorf("hotspot program run to commit: %v allocations plain, %v ordered, want %d and %d", plain, ordered, hotRunAllocs, hotRunAllocs+1)
 	}
 }
 

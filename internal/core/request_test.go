@@ -184,7 +184,7 @@ func TestRejectedRegistrationsKeepInterner(t *testing.T) {
 // BeginProgram.Program and Register) costs 77 allocations for the
 // hotspot frame and 18 for the counter frame.
 const (
-	hotspotFrameAllocs = 10
+	hotspotFrameAllocs = 9
 	counterFrameAllocs = 8
 )
 

@@ -9,42 +9,18 @@ import (
 	"partialrollback/internal/lock"
 	"partialrollback/internal/sdg"
 	"partialrollback/internal/txn"
+	"partialrollback/internal/waitfor"
 )
 
-// releaseAndRefresh releases t's lock on ent, rebuilds the wait-for
-// arcs of the entity's remaining waiters against the new holder set,
-// and applies any promoted grants.
-func (s *System) releaseAndRefresh(t *tstate, ent intern.ID) error {
+// release releases t's lock on ent and applies any promoted grants.
+func (s *System) release(t *tstate, ent intern.ID) error {
 	grants, err := s.locks.ReleaseID(t.id, ent, s.grantsBuf[:0])
 	s.grantsBuf = grants
 	if err != nil {
 		return err
 	}
-	s.refreshWaiters(ent)
 	s.applyGrants(grants)
 	return nil
-}
-
-// refreshWaiters rebuilds the wait-for arcs of every transaction still
-// queued on ent so they point at the current conflicting holders.
-func (s *System) refreshWaiters(ent intern.ID) {
-	if !s.locks.HasWaiters(ent) {
-		return
-	}
-	s.holdersBuf = s.locks.HoldersAppend(ent, s.holdersBuf[:0])
-	s.queueBuf = s.locks.QueueAppend(ent, s.queueBuf[:0])
-	for _, w := range s.queueBuf {
-		s.wf.ClearEntityWaitsID(w.Txn, ent)
-		for _, h := range s.holdersBuf {
-			if h == w.Txn {
-				continue
-			}
-			hm, _ := s.locks.ModeOfID(h, ent)
-			if w.Mode == lock.Exclusive || hm == lock.Exclusive {
-				s.wf.AddWaitID(w.Txn, h, ent)
-			}
-		}
-	}
 }
 
 // planRollback computes the §3.1 rollback plan for one deadlock
@@ -90,16 +66,20 @@ func (s *System) planRollback(t *tstate, contested []intern.ID) (deadlock.Victim
 // resolveDeadlock handles §2 rule 3: the wait of requester on
 // entityName closed one or more cycles; pick victims from the
 // requester's strongly connected component per the configured policy
-// and roll each back. Each member's contested entities are the labels
-// on its arcs in from the component: every such arc lies on a cycle
-// through the requester, so this is the union over all of them.
+// and roll each back. The component comes from the part of the
+// concurrency graph reachable from the requester, built from the lock
+// table now that a cycle is known to exist. Each member's contested
+// entities are the labels on its arcs in from the component: every
+// such arc lies on a cycle through the requester, so this is the union
+// over all of them.
 func (s *System) resolveDeadlock(requester *tstate, entityName string) (*DeadlockReport, error) {
 	s.stats.Deadlocks++
-	comp := s.wf.ComponentOf(requester.id)
+	g := waitfor.RebuildFrom(s.locks, requester.id)
+	comp := g.ComponentOf(requester.id)
 	report := &DeadlockReport{
 		Requester:  requester.id,
 		Entity:     entityName,
-		Cycles:     s.wf.CyclesThrough(requester.id, ReportedCycles),
+		Cycles:     g.CyclesThrough(requester.id, ReportedCycles),
 		Candidates: make(map[txn.ID]deadlock.Victim, len(comp.Members)),
 	}
 	for i, id := range comp.Members {
@@ -135,8 +115,8 @@ func (s *System) resolveDeadlock(requester *tstate, entityName string) (*Deadloc
 	}
 	// The victims' releases must have broken every cycle; if the
 	// requester still waits it must now wait safely.
-	if requester.status == StatusWaiting && s.wf.HasCycleThrough(requester.id) {
-		left := s.wf.CyclesThrough(requester.id, 1)
+	if requester.status == StatusWaiting && s.waitCycle(requester) {
+		left := waitfor.RebuildFrom(s.locks, requester.id).CyclesThrough(requester.id, 1)
 		return report, fmt.Errorf("core: policy %q left a cycle unbroken: %v", s.policy.Name(), left[0])
 	}
 	if err := s.escalateStarvation(comp.Members); err != nil {
@@ -227,7 +207,7 @@ func (s *System) releaseFrom(t *tstate, q int) error {
 	sortNameEnts(s.releaseBuf)
 	for _, ne := range s.releaseBuf {
 		t.dropSlot(ne.ent)
-		if err := s.releaseAndRefresh(t, ne.ent); err != nil {
+		if err := s.release(t, ne.ent); err != nil {
 			return err
 		}
 	}
@@ -255,13 +235,10 @@ func (s *System) rollbackTo(t *tstate, q int) error {
 	if t.status == StatusWaiting {
 		grants, _ := s.locks.RemoveWaiterID(t.id, t.waitEnt, s.grantsBuf[:0])
 		s.grantsBuf = grants
-		s.wf.RemoveAllWaitsBy(t.id)
-		waited := t.waitEnt
 		t.status = StatusRunning
 		t.waitEntity = ""
 		t.waitEnt = intern.None
 		t.signalWake()
-		s.refreshWaiters(waited)
 		s.applyGrants(grants)
 	}
 

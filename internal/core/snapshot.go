@@ -106,7 +106,7 @@ func (s *System) DebugSnapshot() DebugSnapshot {
 		snap.Txns = append(snap.Txns, ts)
 	}
 	sort.Slice(snap.Txns, func(i, j int) bool { return snap.Txns[i].ID < snap.Txns[j].ID })
-	for _, a := range s.wf.Arcs() {
+	for _, a := range s.graph().Arcs() {
 		snap.Arcs = append(snap.Arcs, arcSnapshot(a))
 	}
 	return snap

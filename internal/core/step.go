@@ -8,6 +8,7 @@ import (
 	"partialrollback/internal/intern"
 	"partialrollback/internal/lock"
 	"partialrollback/internal/txn"
+	"partialrollback/internal/waitfor"
 )
 
 // lockEngine takes the engine mutex, reporting the blocked nanoseconds
@@ -208,9 +209,6 @@ func (s *System) stepLock(t *tstate, op *txn.ExecOp) (StepResult, error) {
 	t.waitEnt = ent
 	t.stats.Waits++
 	s.stats.Waits++
-	for _, b := range blockers {
-		s.wf.AddWaitID(t.id, b, ent)
-	}
 	s.emit(Event{Kind: EventWait, Txn: t.id, Entity: name})
 
 	res := StepResult{Outcome: Blocked}
@@ -222,7 +220,7 @@ func (s *System) stepLock(t *tstate, op *txn.ExecOp) (StepResult, error) {
 	}
 	// Under prevention this is a safety net: shared-lock grants can jump
 	// timestamp checks, so a cycle can still form in rare interleavings.
-	if !s.wf.HasCycleThrough(t.id) {
+	if !s.waitCycle(t) {
 		return res, nil
 	}
 	report, err := s.resolveDeadlock(t, name)
@@ -230,6 +228,15 @@ func (s *System) stepLock(t *tstate, op *txn.ExecOp) (StepResult, error) {
 		return StepResult{}, err
 	}
 	return StepResult{Outcome: BlockedDeadlock, Deadlock: report}, nil
+}
+
+// waitCycle reports whether t's wait closes a cycle in the concurrency
+// graph, walking the lock table (waitfor.CycleThrough) with the
+// engine's scratch buffer.
+func (s *System) waitCycle(t *tstate) bool {
+	cycle, buf := waitfor.CycleThrough(s.locks, t.id, s.cycleBuf)
+	s.cycleBuf = buf
+	return cycle
 }
 
 // finishGrant completes a granted lock request for t: bookkeeping,
@@ -256,14 +263,10 @@ func (s *System) finishGrant(t *tstate, ent intern.ID, entityName string, mode l
 		t.status = StatusRunning
 		t.waitEntity = ""
 		t.waitEnt = intern.None
-		s.wf.RemoveAllWaitsBy(t.id)
 		t.signalWake()
 	}
 	s.advance(t)
 	s.stats.Grants++
-	// A shared grant can jump past queued exclusive waiters; those
-	// waiters now wait on this holder too, so their arcs are rebuilt.
-	s.refreshWaiters(ent)
 	s.emit(Event{Kind: EventGrant, Txn: t.id, Entity: entityName, Detail: mode.String()})
 }
 
@@ -352,13 +355,12 @@ func (s *System) unlockEntity(t *tstate, ent intern.ID, entityName string) error
 	if t.mcs != nil {
 		t.mcs.OnUnlockID(ent)
 	}
-	return s.releaseAndRefresh(t, ent)
+	return s.release(t, ent)
 }
 
 // commit terminates t: installs all exclusive local copies, hands the
 // write-set to the commit log, emits EventCommit, then releases every
-// lock (in name order, for deterministic event streams) and removes t
-// from the concurrency graph. Installing and logging before the first
+// lock (in name order, for deterministic event streams). Installing and logging before the first
 // release keeps the event stream causal: EventCommit precedes the
 // grants its releases cause. With a commit log configured it returns
 // the durability ticket the caller's acknowledgement must wait on
@@ -392,7 +394,7 @@ func (s *System) commit(t *tstate) (CommitAck, error) {
 	s.stats.Commits++
 	s.emit(Event{Kind: EventCommit, Txn: t.id})
 	for _, ne := range s.releaseBuf {
-		if err := s.releaseAndRefresh(t, ne.ent); err != nil {
+		if err := s.release(t, ne.ent); err != nil {
 			return nil, err
 		}
 	}
@@ -400,6 +402,5 @@ func (s *System) commit(t *tstate) (CommitAck, error) {
 	t.status = StatusCommitted
 	t.pc = len(t.x.Ops)
 	s.unpinAll(t)
-	s.wf.RemoveTxn(t.id)
 	return ack, nil
 }

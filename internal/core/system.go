@@ -29,7 +29,6 @@ import (
 	"partialrollback/internal/mcs"
 	"partialrollback/internal/sdg"
 	"partialrollback/internal/txn"
-	"partialrollback/internal/waitfor"
 )
 
 // Strategy selects the rollback implementation (§4).
@@ -255,11 +254,16 @@ type tstate struct {
 	lockIndex  int
 
 	// locals is indexed by the program's local slot (x.Locals); slots
-	// holds the held locks in grant order.
-	locals []int64
-	slots  []lockSlot
-
+	// holds the held locks in grant order, and lockStates one record per
+	// lock request issued. A valid program locks each distinct entity
+	// exactly once, so both are made at capacity len(x.Entities) at
+	// Register and never grow: on slotBuf and stateBuf for up to eight
+	// entities.
+	locals     []int64
+	slots      []lockSlot
 	lockStates []lockStateRec
+	slotBuf    [8]lockSlot
+	stateBuf   [8]lockStateRec
 	waitEntity string
 	waitEnt    intern.ID
 	// wake is the one-slot channel t's driver parks on while t waits
@@ -412,9 +416,8 @@ type System struct {
 
 	cfg    Config
 	store  *entity.Store
-	names  *intern.Table // the store's interner, shared with locks and wf
-	locks  *lock.Table
-	wf     *waitfor.Graph
+	names  *intern.Table // the store's interner, shared with locks
+	locks  *lock.Table   // also the concurrency graph G(T) (waitfor)
 	policy deadlock.Policy
 
 	txns   map[txn.ID]*tstate
@@ -425,9 +428,8 @@ type System struct {
 	// never re-enter the operation that owns a buffer, so each is in use
 	// by at most one stack frame at a time.
 	blockersBuf []txn.ID
+	cycleBuf    []txn.ID
 	grantsBuf   []lock.GrantID
-	holdersBuf  []txn.ID
-	queueBuf    []lock.Waiter
 	copiesBuf   []hybrid.EntityCopy
 	releaseBuf  []nameEnt
 	writesBuf   []CommitWrite
@@ -457,7 +459,6 @@ func New(cfg Config) *System {
 		store:  cfg.Store,
 		names:  names,
 		locks:  lock.NewTableInterned(names),
-		wf:     waitfor.NewInterned(names),
 		policy: cfg.Policy,
 		txns:   map[txn.ID]*tstate{},
 	}
@@ -486,7 +487,10 @@ func (s *System) RegisterExec(x *txn.Exec) (txn.ID, error) {
 		return txn.None, err
 	}
 	t := &tstate{x: x, status: StatusRunning, waitEnt: intern.None}
-	t.ents = t.entBuf[:0]
+	t.ents, t.slots, t.lockStates = t.entBuf[:0], t.slotBuf[:0], t.stateBuf[:0]
+	if n := len(x.Entities); n > len(t.slotBuf) {
+		t.slots, t.lockStates = make([]lockSlot, 0, n), make([]lockStateRec, 0, n)
+	}
 	for _, name := range x.Entities {
 		id, ok := s.names.Lookup(name)
 		if !ok {
@@ -523,7 +527,6 @@ func (s *System) RegisterExec(x *txn.Exec) (txn.ID, error) {
 		return txn.None, err
 	}
 	s.txns[t.id] = t
-	s.wf.AddTxn(t.id)
 	s.emit(Event{Kind: EventRegister, Txn: t.id, Detail: x.Name})
 	return t.id, nil
 }

@@ -7,7 +7,6 @@ import (
 	"partialrollback/internal/core"
 	"partialrollback/internal/lock"
 	"partialrollback/internal/txn"
-	"partialrollback/internal/waitfor"
 )
 
 // newTestEngine builds a two-site engine with one registered agent for
@@ -22,7 +21,7 @@ func newTestEngine(t *testing.T) (*msgEngine, *msgAgent, *msgSite) {
 	e.metrics.PerSiteDeadlocks = make([]int64, 2)
 	for s := 0; s < 2; s++ {
 		e.sites = append(e.sites, &msgSite{
-			id: s, locks: lock.NewTable(), wf: waitfor.New(),
+			id: s, locks: lock.NewTable(),
 			global: map[string]int64{}, epochOf: map[txn.ID]int{},
 		})
 	}

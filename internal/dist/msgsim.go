@@ -2,10 +2,10 @@
 //
 // Unlike Run (which reuses the centralized engine and accounts costs),
 // MsgRun actually distributes the system: every site owns a partition
-// of the entities, runs its own lock table and its own concurrency
-// graph, and communicates only by messages over a simulated network
-// with configurable latency. No component ever reads another site's
-// state directly.
+// of the entities, runs its own lock table (which is also its
+// concurrency graph), and communicates only by messages over a
+// simulated network with configurable latency. No component ever reads
+// another site's state directly.
 //
 // Deadlock handling realizes the paper's "a priori ordering of the
 // sites" alternative: transactions acquire entities in non-decreasing
@@ -174,7 +174,6 @@ type msgAgent struct {
 type msgSite struct {
 	id     int
 	locks  *lock.Table
-	wf     *waitfor.Graph
 	global map[string]int64
 	// epochOf tracks the epoch of each queued request so stale cancels
 	// and grants can be told apart.
@@ -220,7 +219,6 @@ func MsgRun(w sim.Workload, cfg MsgConfig) (MsgResult, error) {
 		e.sites = append(e.sites, &msgSite{
 			id:      s,
 			locks:   lock.NewTable(),
-			wf:      waitfor.New(),
 			global:  map[string]int64{},
 			epochOf: map[txn.ID]int{},
 		})
@@ -268,7 +266,6 @@ func MsgRun(w sim.Workload, cfg MsgConfig) (MsgResult, error) {
 		}
 		e.agents[a.id] = a
 		e.order = append(e.order, a.id)
-		e.sites[a.home].wf.AddTxn(a.id)
 		e.send(&message{kind: msgStep, to: a.home, txn: a.id, at: 1})
 	}
 	// Event loop.
@@ -488,7 +485,7 @@ func (e *msgEngine) siteLockRequest(s *msgSite, m *message) error {
 	if m.epoch != a.epoch {
 		return nil // stale request from before a rollback; drop
 	}
-	granted, blockers, err := s.locks.Acquire(m.txn, m.entity, m.mode)
+	granted, _, err := s.locks.Acquire(m.txn, m.entity, m.mode)
 	if err != nil {
 		return err
 	}
@@ -497,12 +494,8 @@ func (e *msgEngine) siteLockRequest(s *msgSite, m *message) error {
 		return nil
 	}
 	s.epochOf[m.txn] = m.epoch
-	s.wf.AddTxn(m.txn)
-	for _, b := range blockers {
-		s.wf.AddWait(m.txn, b, m.entity)
-	}
 	// Site-ordered acquisition makes every cycle local to this site.
-	if !s.wf.HasCycleThrough(m.txn) {
+	if cycle, _ := waitfor.CycleThrough(s.locks, m.txn, nil); !cycle {
 		return nil
 	}
 	e.metrics.Deadlocks++
@@ -606,9 +599,7 @@ func (e *msgEngine) siteRelease(s *msgSite, m *message) error {
 	if err != nil {
 		return err
 	}
-	e.refreshSiteWaiters(s, m.entity)
 	for _, g := range grants {
-		s.wf.RemoveAllWaitsBy(g.Txn)
 		e.grantFrom(s, g.Txn, g.Entity, g.Mode, s.epochOf[g.Txn])
 	}
 	return nil
@@ -622,32 +613,11 @@ func (e *msgEngine) siteCancel(s *msgSite, m *message) error {
 	grants, removed := s.locks.RemoveWaiter(m.txn, m.entity)
 	if removed {
 		delete(s.epochOf, m.txn)
-		s.wf.RemoveAllWaitsBy(m.txn)
-		e.refreshSiteWaiters(s, m.entity)
 		for _, g := range grants {
-			s.wf.RemoveAllWaitsBy(g.Txn)
 			e.grantFrom(s, g.Txn, g.Entity, g.Mode, s.epochOf[g.Txn])
 		}
 	}
 	return nil
-}
-
-// refreshSiteWaiters rebuilds the site graph arcs for an entity's
-// remaining waiters (as core does).
-func (e *msgEngine) refreshSiteWaiters(s *msgSite, ent string) {
-	holders := s.locks.Holders(ent)
-	for _, w := range s.locks.Queue(ent) {
-		s.wf.ClearEntityWaits(w.Txn, ent)
-		for _, h := range holders {
-			if h == w.Txn {
-				continue
-			}
-			hm, _ := s.locks.ModeOf(h, ent)
-			if w.Mode == lock.Exclusive || hm == lock.Exclusive {
-				s.wf.AddWait(w.Txn, h, ent)
-			}
-		}
-	}
 }
 
 // resolveLocalDeadlock applies the youngest-victim rule
@@ -656,7 +626,7 @@ func (e *msgEngine) refreshSiteWaiters(s *msgSite, ent string) {
 // asks each victim's home site to roll it back past a contested
 // entity.
 func (e *msgEngine) resolveLocalDeadlock(s *msgSite, requester txn.ID) error {
-	comp := s.wf.ComponentOf(requester)
+	comp := waitfor.RebuildFrom(s.locks, requester).ComponentOf(requester)
 	victims, err := deadlock.Oldest{}.Choose(deadlock.Info{
 		Requester: requester,
 		Members:   comp.Members,
@@ -678,7 +648,7 @@ func (e *msgEngine) resolveLocalDeadlock(s *msgSite, requester txn.ID) error {
 		i, _ := slices.BinarySearch(comp.Members, v.Txn)
 		var ent string
 		for _, l := range comp.Contested[i] {
-			if name := s.wf.Names().Name(l); ent == "" || name < ent {
+			if name := s.locks.Names().Name(l); ent == "" || name < ent {
 				ent = name
 			}
 		}

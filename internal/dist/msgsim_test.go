@@ -8,6 +8,7 @@ import (
 	"partialrollback/internal/entity"
 	"partialrollback/internal/sim"
 	"partialrollback/internal/txn"
+	"partialrollback/internal/value"
 )
 
 func msgWorkload(seed int64, tp Topology) sim.Workload {
@@ -209,5 +210,40 @@ func TestMsgRunDeterministic(t *testing.T) {
 	}
 	if fmt.Sprint(r1.Store.Snapshot()) != fmt.Sprint(r2.Store.Snapshot()) {
 		t.Error("final states differ")
+	}
+}
+
+// TestMsgRunDetectsCycleThroughSharedGrant: a shared request granted
+// past a queued exclusive waiter makes that waiter wait for the new
+// holder too, and the cycle that arc closes must be detected. T1 holds
+// a shared; T2 holds b and queues for a exclusive behind T1; T3 is
+// granted a shared past T2, then requests b: T3 waits for T2, which
+// waits for T3 over the arc T2 -a-> T3 that T3's grant added. Missing
+// that arc leaves T2 and T3 waiting on each other forever, and MsgRun
+// fails with "T2 never committed".
+func TestMsgRunDetectsCycleThroughSharedGrant(t *testing.T) {
+	pad := func(b *txn.Builder, n int) *txn.Builder {
+		for i := 0; i < n; i++ {
+			b = b.Compute("x", value.Add(value.L("x"), value.C(1)))
+		}
+		return b
+	}
+	w := sim.Workload{
+		Name: "shared-grant-cycle",
+		NewStore: func() *entity.Store {
+			return entity.NewStore(map[string]int64{"a": 0, "b": 0, "c": 0})
+		},
+		Programs: []*txn.Program{
+			pad(txn.NewProgram("T1").Local("x", 0).LockS("a"), 12).MustBuild(),
+			txn.NewProgram("T2").Local("x", 0).LockX("b").LockX("a").MustBuild(),
+			pad(txn.NewProgram("T3").Local("x", 0).LockX("c"), 3).LockS("a").LockX("b").MustBuild(),
+		},
+	}
+	res, err := MsgRun(w, MsgConfig{Topology: Topology{Sites: 1}, Strategy: core.MCS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Metrics.Deadlocks == 0 {
+		t.Fatal("no deadlock detected")
 	}
 }

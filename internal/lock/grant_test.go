@@ -54,8 +54,8 @@ func assertIdle(t testing.TB, tab *Table, ent intern.ID) {
 	if got := tab.HoldersAppend(ent, nil); len(got) != 0 {
 		t.Errorf("entity %d: holders %v, want none", ent, got)
 	}
-	if tab.HasWaiters(ent) {
-		t.Errorf("entity %d: waiters %v, want none", ent, tab.QueueAppend(ent, nil))
+	if q := tab.Queue(tab.Names().Name(ent)); len(q) != 0 {
+		t.Errorf("entity %d: waiters %v, want none", ent, q)
 	}
 }
 

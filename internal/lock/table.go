@@ -8,7 +8,11 @@
 //     holders; exclusive requests conflict with any holder);
 //  2. otherwise the requester waits.
 //
-// Deadlock detection and rollback (response 3) live above this package,
+// The table is also the only record of who waits for whom: a queued
+// transaction waits on exactly one entity, and its arcs in the paper's
+// concurrency graph G(T) are that entity's holders (WaitsFor).
+// internal/waitfor checks for deadlock by walking those arcs here; the
+// response to a deadlock (response 3: victim choice and rollback) lives
 // in internal/deadlock and internal/core.
 //
 // Entities are identified by dense intern.IDs internally: the entry for
@@ -163,8 +167,7 @@ func (t *Table) newHeldList() *heldList {
 // Acquire requests a lock. If grantable it is granted immediately and
 // Acquire returns granted=true. Otherwise the request is queued FIFO
 // and blockers lists the conflicting holders (the transactions the
-// requester now waits for, i.e. the arcs added to the concurrency
-// graph).
+// requester now waits for, i.e. its arcs in the concurrency graph).
 //
 // Re-requesting an entity already held, or requesting while already
 // waiting, is a programming error and returns a non-nil error.
@@ -435,11 +438,19 @@ func (t *Table) WaitingOn(id txn.ID) (string, bool) {
 	return t.names.Name(ent), true
 }
 
-// HasWaiters reports whether any request is queued on ent — the O(1)
-// fast exit for waiter refresh after a grant.
-func (t *Table) HasWaiters(ent intern.ID) bool {
-	e := t.peek(ent)
-	return e != nil && len(e.queue) > 0
+// WaitsFor appends to buf, sorted ascending within the appended
+// region, the transactions id waits for: every holder of the one
+// entity id is queued on. All of them conflict with id's request, since
+// a queued request is never grantable (promoteInto grants every one
+// that is; CheckInvariants asserts it). It returns that entity, or ok
+// false, with buf as given, when id is not waiting. These are id's arcs
+// in the concurrency graph G(T).
+func (t *Table) WaitsFor(id txn.ID, buf []txn.ID) (ent intern.ID, out []txn.ID, ok bool) {
+	ent, ok = t.waiting[id]
+	if !ok {
+		return intern.None, buf, false
+	}
+	return ent, t.HoldersAppend(ent, buf), true
 }
 
 // Queue returns the waiters queued on name, in order.
@@ -453,16 +464,6 @@ func (t *Table) Queue(name string) []Waiter {
 		return nil
 	}
 	return append([]Waiter(nil), e.queue...)
-}
-
-// QueueAppend appends the waiters queued on ent, in order, to buf and
-// returns the extended slice.
-func (t *Table) QueueAppend(ent intern.ID, buf []Waiter) []Waiter {
-	e := t.peek(ent)
-	if e == nil {
-		return buf
-	}
-	return append(buf, e.queue...)
 }
 
 // CheckInvariants validates internal consistency (used by tests):

@@ -31,8 +31,8 @@ var (
 	// nanoseconds a step-path acquisition blocked before entering the
 	// engine's critical section. Uncontended acquisitions land in the
 	// lowest buckets; a fat tail here means the engine lock itself (not
-	// entity conflicts) throttles throughput — the signal striping is
-	// meant to remove.
+	// entity conflicts) throttles throughput: every step of every
+	// transaction runs under that one mutex.
 	EngineLockWaitBuckets = []int64{
 		100, 500, 1_000, 5_000, 20_000, 100_000,
 		500_000, 2_000_000, 10_000_000, 100_000_000,

@@ -4,36 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"partialrollback/internal/lock"
 	"partialrollback/internal/txn"
 )
-
-// TestRemoveTxnDropsOnlyIncidentArcs pins the O(degree) RemoveTxn
-// rework: removing one transaction drops exactly its incident arcs
-// (both directions, all labels) and leaves every other arc — including
-// arcs whose label sets share entities with the removed node — intact.
-func TestRemoveTxnDropsOnlyIncidentArcs(t *testing.T) {
-	g := New()
-	// 1 waits for 2 (a,b); 2 waits for 3 (c); 3 waits for 1 (d);
-	// 4 waits for 2 (a); 5 waits for 6 (a) — disjoint from 2.
-	g.AddWait(1, 2, "a")
-	g.AddWait(1, 2, "b")
-	g.AddWait(2, 3, "c")
-	g.AddWait(3, 1, "d")
-	g.AddWait(4, 2, "a")
-	g.AddWait(5, 6, "a")
-
-	g.RemoveTxn(2)
-
-	if got := fmt.Sprint(g.Arcs()); got != "[T3 -d-> T1 T5 -a-> T6]" {
-		t.Fatalf("after RemoveTxn(2): arcs = %s, want 3 -d-> 1 and 5 -a-> 6 only", got)
-	}
-	// The removed vertex is really gone: re-adding starts clean, with
-	// no old arc or label.
-	g.AddWait(2, 5, "z")
-	if got := fmt.Sprint(g.Arcs()); got != "[T2 -z-> T5 T3 -d-> T1 T5 -a-> T6]" {
-		t.Errorf("re-added node 2 has stale state: arcs = %s", got)
-	}
-}
 
 // TestNoDeadlockCheckZeroAlloc pins the acceptance criterion: the
 // no-deadlock wait check (HasCycleThrough / CyclesThrough returning
@@ -54,6 +27,40 @@ func TestNoDeadlockCheckZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("no-deadlock check allocates %v per run, want 0", n)
+	}
+}
+
+// TestLockTableCycleCheckZeroAlloc pins the per-wait deadlock check
+// the engine runs: CycleThrough over a lock table allocates nothing once
+// its buffer has grown. The table holds a branching chain of 32 waiters
+// with no cycle: T_i waits to lock e_i exclusively, which T_i+1 and
+// T_i+2 hold shared.
+func TestLockTableCycleCheckZeroAlloc(t *testing.T) {
+	tab := lock.NewTable()
+	const n = 32
+	for i := 1; i <= n; i++ {
+		for _, h := range []int{i + 1, i + 2} {
+			if ok, _, err := tab.Acquire(txn.ID(h), fmt.Sprintf("e%d", i), lock.Shared); !ok || err != nil {
+				t.Fatalf("T%d shared e%d: granted %v, %v", h, i, ok, err)
+			}
+		}
+	}
+	for i := 1; i <= n; i++ {
+		if ok, _, err := tab.Acquire(txn.ID(i), fmt.Sprintf("e%d", i), lock.Exclusive); ok || err != nil {
+			t.Fatalf("T%d exclusive e%d: granted %v, %v", i, i, ok, err)
+		}
+	}
+	var buf []txn.ID
+	if n := testing.AllocsPerRun(200, func() {
+		var cycle bool
+		if cycle, buf = CycleThrough(tab, 1, buf); cycle {
+			t.Fatal("unexpected cycle")
+		}
+	}); n != 0 {
+		t.Fatalf("lock-table cycle check allocates %v per run, want 0", n)
+	}
+	if len(buf) != n+2 {
+		t.Fatalf("walk from T1 reached %d transactions, want %d", len(buf), n+2)
 	}
 }
 

@@ -1,6 +1,15 @@
-// Package waitfor maintains the paper's labeled concurrency graph G(T)
-// (§3): an arc exists between T_j and T_i, labeled with entity A, when
-// T_i is waiting to lock A and T_j holds a lock on A.
+// Package waitfor is the paper's labeled concurrency graph G(T) (§3):
+// an arc exists between T_j and T_i, labeled with entity A, when T_i is
+// waiting to lock A and T_j holds a lock on A.
+//
+// The lock table is the graph's only record (lock.Table.WaitsFor
+// yields each waiter's arcs), so nothing here is kept in step with it.
+// CycleThrough, the per-wait deadlock check, walks the lock table from
+// the requester without changing it, and allocates nothing once its
+// caller's buffer has grown. Only when it finds a cycle does a caller
+// build a Graph: RebuildFrom materializes the requester's
+// forward-reachable waiters for victim selection, and Rebuild the arcs
+// of a given set of transactions for inspection.
 //
 // Internally arcs are stored waiter -> holder (the direction a cycle
 // search from the requester follows); the paper draws them holder ->
@@ -13,9 +22,8 @@
 // (§3.2).
 //
 // Representation: per-node adjacency (out-edges carrying label sets of
-// interned entity IDs, plus a reverse in-list), so RemoveTxn is
-// O(degree) and the no-deadlock fast path — HasCycleThrough's stamped
-// DFS over reachable nodes — allocates nothing. On a deadlock,
+// interned entity IDs, plus a reverse in-list); HasCycleThrough's
+// stamped DFS over reachable nodes allocates nothing. On a deadlock,
 // ComponentOf hands victim selection the requester's strongly
 // connected component in two linear DFS passes. Simple-cycle
 // enumeration (CyclesThrough) mirrors graph.Digraph.AllCyclesThrough
@@ -67,7 +75,6 @@ type Graph struct {
 	names *intern.Table
 	nodes map[txn.ID]*node
 
-	nodePool  []*node
 	labelPool [][]intern.ID
 
 	stamp uint64  // generation counter for node.stamp
@@ -94,13 +101,7 @@ func (g *Graph) Names() *intern.Table { return g.names }
 func (g *Graph) node(id txn.ID) *node {
 	n := g.nodes[id]
 	if n == nil {
-		if k := len(g.nodePool); k > 0 {
-			n = g.nodePool[k-1]
-			g.nodePool = g.nodePool[:k-1]
-		} else {
-			n = &node{}
-		}
-		n.id = id
+		n = &node{id: id}
 		g.nodes[id] = n
 	}
 	return n
@@ -123,44 +124,6 @@ func (g *Graph) getLabels() []intern.ID {
 
 // AddTxn ensures the vertex for id exists.
 func (g *Graph) AddTxn(id txn.ID) { g.node(id) }
-
-// RemoveTxn deletes id and all incident arcs (commit or restart) in
-// O(degree): out-edges detach from their targets' in-lists, and the
-// reverse in-list locates each predecessor's edge directly — no global
-// scan.
-func (g *Graph) RemoveTxn(id txn.ID) {
-	n := g.nodes[id]
-	if n == nil {
-		return
-	}
-	for i := range n.out {
-		if t := g.nodes[n.out[i].to]; t != nil && t != n {
-			removeID(&t.in, id)
-		}
-		g.putLabels(n.out[i].labels)
-		n.out[i].labels = nil
-	}
-	for _, p := range n.in {
-		pn := g.nodes[p]
-		if pn == nil || pn == n {
-			continue
-		}
-		for i := range pn.out {
-			if pn.out[i].to == id {
-				g.putLabels(pn.out[i].labels)
-				pn.out[i] = pn.out[len(pn.out)-1]
-				pn.out[len(pn.out)-1].labels = nil
-				pn.out = pn.out[:len(pn.out)-1]
-				break
-			}
-		}
-	}
-	n.out = n.out[:0]
-	n.in = n.in[:0]
-	n.onPath = false
-	delete(g.nodes, id)
-	g.nodePool = append(g.nodePool, n)
-}
 
 func removeID(s *[]txn.ID, id txn.ID) {
 	for i, v := range *s {
@@ -236,63 +199,6 @@ func (g *Graph) RemoveWaitID(waiter, holder txn.ID, ent intern.ID) {
 		}
 		return
 	}
-}
-
-// ClearEntityWaits drops the entity label from every outgoing arc of
-// waiter, removing arcs left with no labels. Used when the holder set
-// of the awaited entity changes (release + promotion) and the waiter's
-// arcs must be rebuilt.
-func (g *Graph) ClearEntityWaits(waiter txn.ID, entity string) {
-	ent, ok := g.names.Lookup(entity)
-	if !ok {
-		return
-	}
-	g.ClearEntityWaitsID(waiter, ent)
-}
-
-// ClearEntityWaitsID is ClearEntityWaits by intern ID.
-func (g *Graph) ClearEntityWaitsID(waiter txn.ID, ent intern.ID) {
-	nw := g.nodes[waiter]
-	if nw == nil {
-		return
-	}
-	for i := len(nw.out) - 1; i >= 0; i-- {
-		ls := nw.out[i].labels
-		for j, l := range ls {
-			if l == ent {
-				ls[j] = ls[len(ls)-1]
-				nw.out[i].labels = ls[:len(ls)-1]
-				break
-			}
-		}
-		if len(nw.out[i].labels) == 0 {
-			holder := nw.out[i].to
-			g.putLabels(nw.out[i].labels)
-			nw.out[i] = nw.out[len(nw.out)-1]
-			nw.out[len(nw.out)-1].labels = nil
-			nw.out = nw.out[:len(nw.out)-1]
-			if nh := g.nodes[holder]; nh != nil {
-				removeID(&nh.in, waiter)
-			}
-		}
-	}
-}
-
-// RemoveAllWaitsBy drops every outgoing arc of waiter (its request was
-// granted or retracted).
-func (g *Graph) RemoveAllWaitsBy(waiter txn.ID) {
-	nw := g.nodes[waiter]
-	if nw == nil {
-		return
-	}
-	for i := range nw.out {
-		if nh := g.nodes[nw.out[i].to]; nh != nil {
-			removeID(&nh.in, waiter)
-		}
-		g.putLabels(nw.out[i].labels)
-		nw.out[i].labels = nil
-	}
-	nw.out = nw.out[:0]
 }
 
 // Arcs returns all arcs, sorted by waiter, holder, entity.
@@ -382,8 +288,9 @@ func (g *Graph) nextStamp() uint64 {
 
 // HasCycleThrough reports whether at least one directed cycle passes
 // through id — equivalently, whether id is reachable from any of its
-// successors. This is the no-deadlock fast path: one stamped DFS over
-// the reachable subgraph, zero allocations, no cycle materialized.
+// successors: one stamped DFS over the reachable subgraph, zero
+// allocations, no cycle materialized. CycleThrough answers the same
+// question on the lock table itself.
 func (g *Graph) HasCycleThrough(id txn.ID) bool {
 	n := g.nodes[id]
 	if n == nil || len(n.out) == 0 {
@@ -552,33 +459,70 @@ func (g *Graph) CyclesThrough(id txn.ID, limit int) [][]txn.ID {
 	return cycles
 }
 
-// Rebuild reconstructs the graph from a lock table: for every queued
-// waiter, an arc to each conflicting holder of the awaited entity.
-// Used by tests to cross-check incremental maintenance.
-func Rebuild(t *lock.Table, ids []txn.ID) *Graph {
-	g := New()
-	for _, id := range ids {
-		g.AddTxn(id)
+// CycleThrough reports whether id's wait closes a cycle in the
+// concurrency graph the lock table t records: whether id waits for
+// itself, directly or through other waiters. It is the per-wait
+// deadlock check. The walk starts at id and follows lock.Table.WaitsFor
+// (the holders of the one entity each waiter is queued on), stopping at
+// the first arc back to id, and changes nothing in t. buf is scratch,
+// returned for reuse: a caller that keeps it allocates nothing.
+func CycleThrough(t *lock.Table, id txn.ID, buf []txn.ID) (bool, []txn.ID) {
+	return walk(t, id, buf, true)
+}
+
+// RebuildFrom builds the part of the concurrency graph reachable from
+// id: id and every transaction it waits for, directly or through other
+// waiters, with their arcs. That holds id's strongly connected
+// component and every cycle through id, so ComponentOf(id) and
+// CyclesThrough(id, …) answer as on the whole graph. The graph shares
+// t's interner, so its labels are t's entity IDs.
+func RebuildFrom(t *lock.Table, id txn.ID) *Graph {
+	_, ids := walk(t, id, nil, false)
+	return Rebuild(t, ids)
+}
+
+// walk collects in buf[:0] id and every transaction reachable from it
+// along wait-for arcs, in discovery order, and reports whether an arc
+// leads back to id; with stop set it returns at the first such arc.
+// The collected list is the visited set, searched linearly: the
+// waiters a wait reaches are a handful, and a scan beats a map there.
+func walk(t *lock.Table, id txn.ID, buf []txn.ID, stop bool) (cycle bool, seen []txn.ID) {
+	seen = append(buf[:0], id)
+	for i := 0; i < len(seen); i++ {
+		n := len(seen)
+		_, seen, _ = t.WaitsFor(seen[i], seen)
+		k := n
+		for _, h := range seen[n:] {
+			if h == id {
+				if stop {
+					return true, seen[:k]
+				}
+				cycle = true
+			}
+			if !slices.Contains(seen[:k], h) {
+				seen[k] = h
+				k++
+			}
+		}
+		seen = seen[:k]
 	}
+	return cycle, seen
+}
+
+// Rebuild builds the concurrency graph of the transactions ids from
+// the lock table t: for each that waits, an arc to every holder
+// WaitsFor names. The graph shares t's interner.
+func Rebuild(t *lock.Table, ids []txn.ID) *Graph {
+	g := NewInterned(t.Names())
+	var holders []txn.ID
 	for _, id := range ids {
-		entityName, ok := t.WaitingOn(id)
+		ent, hs, ok := t.WaitsFor(id, holders[:0])
+		holders = hs
 		if !ok {
 			continue
 		}
-		var mode lock.Mode = lock.Exclusive
-		for _, w := range t.Queue(entityName) {
-			if w.Txn == id {
-				mode = w.Mode
-			}
-		}
-		for _, h := range t.Holders(entityName) {
-			if h == id {
-				continue
-			}
-			hm, _ := t.ModeOf(h, entityName)
-			if mode == lock.Exclusive || hm == lock.Exclusive {
-				g.AddWait(id, h, entityName)
-			}
+		for _, h := range hs {
+			g.AddWaitID(id, h, ent)
 		}
 	}
 	return g
