@@ -80,7 +80,7 @@ func TestConcurrentCheckpointsAreCommitConsistent(t *testing.T) {
 		wg.Add(1)
 		go func(id txn.ID) {
 			defer wg.Done()
-			if err := exec.StepToCommit(context.Background(), eng, id, 0); err != nil {
+			if err := exec.StepToCommit(context.Background(), eng, id, time.Time{}, 0); err != nil {
 				errCh <- err
 			}
 		}(id)

@@ -19,7 +19,7 @@ import (
 )
 
 // ctxCheckInterval bounds how many uninterrupted steps StepToCommit
-// executes between context checks.
+// executes between context and deadline checks.
 const ctxCheckInterval = 256
 
 // maxBurst bounds how many consecutive operations one transaction runs
@@ -48,13 +48,20 @@ const maxBurst = 64
 // scheduler yields between bursts, so concurrent transactions
 // interleave at burst boundaries.
 //
+// deadline bounds the run without a per-transaction context or timer:
+// the zero time means no deadline. Every ctxCheckInterval steps the loop
+// compares it with one clock read, and a parked transaction arms a timer
+// only for as long as it waits. ctx carries cancellation (a server's
+// shutdown); it may also carry a deadline of its own.
+//
 // It returns nil once the transaction commits, ctx.Err() if the
-// context ends first (the transaction is left registered; callers
-// abort or drain it), and an engine error otherwise. maxSteps bounds
-// attempted engine operations (waiting polls count one so a livelocked
+// context ends first, context.DeadlineExceeded once deadline passes
+// (either way the transaction is left registered; callers abort or
+// drain it), and an engine error otherwise. maxSteps bounds attempted
+// engine operations (waiting polls count one so a livelocked
 // transaction cannot spin forever against a zero budget; a burst never
 // overruns the remaining budget); maxSteps <= 0 means 1,000,000.
-func StepToCommit(ctx context.Context, sys *core.System, id txn.ID, maxSteps int) error {
+func StepToCommit(ctx context.Context, sys *core.System, id txn.ID, deadline time.Time, maxSteps int) error {
 	if maxSteps <= 0 {
 		maxSteps = 1_000_000
 	}
@@ -63,6 +70,9 @@ func StepToCommit(ctx context.Context, sys *core.System, id txn.ID, maxSteps int
 		if steps >= nextCheck {
 			if err := ctx.Err(); err != nil {
 				return err
+			}
+			if !deadline.IsZero() && !time.Now().Before(deadline) {
+				return context.DeadlineExceeded
 			}
 			nextCheck = steps + ctxCheckInterval
 		}
@@ -96,14 +106,32 @@ func StepToCommit(ctx context.Context, sys *core.System, id txn.ID, maxSteps int
 			runtime.Gosched()
 			continue
 		case core.Blocked, core.BlockedDeadlock, core.StillWaiting:
-			select {
-			case <-res.Wake:
-			case <-ctx.Done():
-				return ctx.Err()
+			if err := park(ctx, res.Wake, deadline); err != nil {
+				return err
 			}
 		}
 	}
 	return fmt.Errorf("exec: %v exceeded %d steps", id, maxSteps)
+}
+
+// park waits for a blocked transaction's wake signal, the end of ctx or
+// deadline (none if zero), whichever comes first. The deadline's timer
+// lives only as long as the wait.
+func park(ctx context.Context, wake <-chan struct{}, deadline time.Time) error {
+	var expired <-chan time.Time // nil, never ready, without a deadline
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		expired = t.C
+	}
+	select {
+	case <-wake:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-expired:
+		return context.DeadlineExceeded
+	}
 }
 
 // Backoff computes jittered exponential retry delays: attempt k (from

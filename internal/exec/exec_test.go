@@ -30,7 +30,7 @@ func TestStepToCommitDeadlock(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				errCh <- StepToCommit(context.Background(), sys, id, 0)
+				errCh <- StepToCommit(context.Background(), sys, id, time.Time{}, 0)
 			}()
 		}
 		wg.Wait()
@@ -62,7 +62,7 @@ func TestStepToCommitContextCancel(t *testing.T) {
 	waiter := sys.MustRegister(sim.TransferProgram("waiter", "e0", "e2", 1, 0))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	err := StepToCommit(ctx, sys, waiter, 0)
+	err := StepToCommit(ctx, sys, waiter, time.Time{}, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want DeadlineExceeded", err)
 	}
@@ -70,7 +70,65 @@ func TestStepToCommitContextCancel(t *testing.T) {
 		t.Fatalf("abort after cancel: %v", err)
 	}
 	// The holder must still be able to commit.
-	if err := StepToCommit(context.Background(), sys, holder, 0); err != nil {
+	if err := StepToCommit(context.Background(), sys, holder, time.Time{}, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStepToCommitDeadlineParked parks a transaction on a held lock
+// with a 30 ms deadline and a context that never ends: the park's timer
+// must end the wait with context.DeadlineExceeded, leaving the
+// transaction registered for the caller to abort.
+func TestStepToCommitDeadlineParked(t *testing.T) {
+	store := entity.NewUniformStore("e", 4, 100)
+	sys := core.New(core.Config{Store: store})
+	holder := sys.MustRegister(sim.TransferProgram("holder", "e0", "e1", 1, 0))
+	if _, err := sys.Step(holder); err != nil { // holder takes e0
+		t.Fatal(err)
+	}
+	waiter := sys.MustRegister(sim.TransferProgram("waiter", "e0", "e2", 1, 0))
+	start := time.Now()
+	err := StepToCommit(context.Background(), sys, waiter, start.Add(30*time.Millisecond), 0)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got %v, want DeadlineExceeded", err)
+	}
+	if waited := time.Since(start); waited < 30*time.Millisecond {
+		t.Errorf("returned after %v, before the deadline", waited)
+	}
+	if st, err := sys.Status(waiter); err != nil || st != core.StatusWaiting {
+		t.Fatalf("waiter status %v, %v; want registered and waiting", st, err)
+	}
+	if err := sys.Abort(waiter); err != nil {
+		t.Fatalf("abort after deadline: %v", err)
+	}
+	if err := StepToCommit(context.Background(), sys, holder, time.Time{}, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStepToCommitDeadlineUnparked gives an uncontended transaction a
+// deadline that has already passed: it never parks, so the step loop's
+// own check must return context.DeadlineExceeded, leaving the
+// transaction registered and uncommitted. A future deadline commits.
+func TestStepToCommitDeadlineUnparked(t *testing.T) {
+	store := entity.NewUniformStore("e", 4, 100)
+	sys := core.New(core.Config{Store: store})
+	late := sys.MustRegister(sim.TransferProgram("late", "e0", "e1", 1, 0))
+	err := StepToCommit(context.Background(), sys, late, time.Now().Add(-time.Millisecond), 0)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got %v, want DeadlineExceeded", err)
+	}
+	if st, err := sys.Status(late); err != nil || st != core.StatusRunning {
+		t.Fatalf("status %v, %v; want registered and running", st, err)
+	}
+	if err := sys.Abort(late); err != nil {
+		t.Fatalf("abort after deadline: %v", err)
+	}
+	onTime := sys.MustRegister(sim.TransferProgram("onTime", "e0", "e1", 1, 0))
+	if err := StepToCommit(context.Background(), sys, onTime, time.Now().Add(time.Minute), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.CheckConsistent(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -109,7 +167,7 @@ func TestStepToCommitAcquisitions(t *testing.T) {
 		sys := core.New(core.Config{Store: c.store,
 			LockWait: func(int64) { acquisitions++ }})
 		id := sys.MustRegister(c.prog)
-		if err := StepToCommit(context.Background(), sys, id, 0); err != nil {
+		if err := StepToCommit(context.Background(), sys, id, time.Time{}, 0); err != nil {
 			t.Fatal(err)
 		}
 		if acquisitions != c.want {
@@ -128,7 +186,7 @@ func TestStepToCommitAcquisitions(t *testing.T) {
 		t.Fatalf("holder takes e0: %v, %v", res.Outcome, err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- StepToCommit(context.Background(), sys, waiter, 0) }()
+	go func() { done <- StepToCommit(context.Background(), sys, waiter, time.Time{}, 0) }()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		if st, _ := sys.Status(waiter); st == core.StatusWaiting {
 			break

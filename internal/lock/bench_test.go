@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"fmt"
 	"testing"
 
 	"partialrollback/internal/intern"
@@ -93,5 +94,29 @@ func TestWaitAndPromoteZeroAlloc(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("wait/promote cycle allocates %v per op, want 0", n)
+	}
+}
+
+// TestInternedTableFirstTouchAllocs pins that a table made over an
+// interner that already holds its entities sizes the entry slice once:
+// the first grant on the last of 10 000 entities costs the same
+// allocations as one on the first (growing the slice on first touch
+// reallocated it 18 more times).
+func TestInternedTableFirstTouchAllocs(t *testing.T) {
+	const n = 10000
+	names := intern.NewTable()
+	for i := 0; i < n; i++ {
+		names.Intern(fmt.Sprintf("e%d", i))
+	}
+	firstTouch := func(ent intern.ID) float64 {
+		return testing.AllocsPerRun(10, func() {
+			tab := NewTableInterned(names)
+			if granted, _, err := tab.AcquireID(1, ent, Exclusive, nil); err != nil || !granted {
+				t.Fatalf("acquire: granted=%v err=%v", granted, err)
+			}
+		})
+	}
+	if lo, hi := firstTouch(0), firstTouch(n-1); hi != lo {
+		t.Fatalf("first grant allocates %v on entity %d, %v on entity 0", hi, n-1, lo)
 	}
 }

@@ -107,7 +107,8 @@ type heldList struct {
 // Table is the lock table.
 type Table struct {
 	names *intern.Table
-	// entries[e] is entity e's holders and queue, grown on first touch.
+	// entries[e] is entity e's holders and queue, grown on first touch
+	// of an entity interned after the table was made.
 	entries  []entry
 	held     map[txn.ID]*heldList
 	heldPool []*heldList
@@ -124,10 +125,14 @@ func NewTable() *Table {
 
 // NewTableInterned returns an empty lock table sharing names —
 // normally the entity store's interner, so lock-table IDs and store IDs
-// agree.
+// agree. Entries for the names already interned are allocated here, in
+// one piece: grown one entry at a time on first touch, the slice for a
+// 100 000-entity store allocates 34 MB on its way to 7 MB, all of it in
+// the first transactions.
 func NewTableInterned(names *intern.Table) *Table {
 	return &Table{
 		names:   names,
+		entries: make([]entry, names.Len()),
 		held:    map[txn.ID]*heldList{},
 		waiting: map[txn.ID]intern.ID{},
 	}

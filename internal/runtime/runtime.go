@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"partialrollback/internal/core"
 	"partialrollback/internal/deadlock"
@@ -102,7 +103,7 @@ func Run(store *entity.Store, programs []*txn.Program, opt Options) (*Outcome, e
 		wg.Add(1)
 		go func(id txn.ID) {
 			defer wg.Done()
-			if err := exec.StepToCommit(context.Background(), sys, id, opt.MaxStepsPerTxn); err != nil {
+			if err := exec.StepToCommit(context.Background(), sys, id, time.Time{}, opt.MaxStepsPerTxn); err != nil {
 				errCh <- fmt.Errorf("runtime: %w", abort(sys, id, err))
 			}
 		}(id)
@@ -132,7 +133,7 @@ func abort(sys *core.System, id txn.ID, err error) error {
 	case aerr == nil, errors.Is(aerr, core.ErrCommitted):
 		return err
 	case errors.Is(aerr, core.ErrShrinking):
-		return errors.Join(err, exec.StepToCommit(context.Background(), sys, id, 0))
+		return errors.Join(err, exec.StepToCommit(context.Background(), sys, id, time.Time{}, 0))
 	default:
 		return errors.Join(err, aerr)
 	}

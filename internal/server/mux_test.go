@@ -3,9 +3,11 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -554,10 +556,52 @@ func TestMuxStreamGoroutinesRetire(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// BenchmarkStreamRoundTrip runs one 22-operation transaction of the
-// benchmark's uniform shape per iteration through a mux against an
-// in-process server: request encoding, stream admission and the
-// stream's goroutine, execution, and the Committed reply.
+// TestMuxRepliesCoalesce runs 8 streams of one mux for 100 rounds on
+// one P, where every reply that becomes ready while the writer runs is
+// queued behind it: the writer's yield before it flushes must let those
+// replies share its write, so the connection makes at most one write
+// per two reply frames (one per frame without the yield).
+func TestMuxRepliesCoalesce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const streams, rounds, counters = 8, 100, 64
+	srv := New(Config{Store: entity.NewUniformStore("e", counters, 0)})
+	m := muxClient(srv, client.MuxConfig{})
+	progs := sim.CounterWorkload(counters, streams*rounds, 5).Programs
+	var wg sync.WaitGroup
+	errCh := make(chan error, streams)
+	for i := 0; i < streams; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if _, err := m.Run(context.Background(), progs[r*streams+i]); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	flushes, frames := counter(t, srv, "writer_flushes"), counter(t, srv, "frames_out")
+	if frames != streams*rounds || flushes > frames/2 {
+		t.Errorf("writer_flushes = %d for frames_out = %d, want %d frames in at most half as many writes",
+			flushes, frames, streams*rounds)
+	}
+	m.Close()
+	shutdownNow(t, srv)
+}
+
+// BenchmarkStreamRoundTrip runs 22-operation transactions of the
+// benchmark's uniform shape through a mux against an in-process server:
+// request encoding, stream admission and the stream's goroutine,
+// execution, and the Committed reply. At width 1 one stream is in
+// flight, so the writer has nothing to coalesce; at width 16 sixteen
+// streams share the connection and flushes/txn shows how many replies
+// share each write.
 func BenchmarkStreamRoundTrip(b *testing.B) {
 	const entities = 4096
 	var prog *txn.Program
@@ -571,20 +615,40 @@ func BenchmarkStreamRoundTrip(b *testing.B) {
 	if prog == nil {
 		b.Fatal("no 22-operation program generated")
 	}
-	srv := New(Config{Store: entity.NewUniformStore("e", entities, 0)})
-	m := muxClient(srv, client.MuxConfig{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Run(context.Background(), prog); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	m.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		b.Fatal(err)
+	for _, width := range []int{1, 16} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			srv := New(Config{Store: entity.NewUniformStore("e", entities, 0)})
+			m := muxClient(srv, client.MuxConfig{})
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			errCh := make(chan error, width)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for w := 0; w < width; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						if _, err := m.Run(context.Background(), prog); err != nil {
+							errCh <- err
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			close(errCh)
+			for err := range errCh {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(counter(b, srv, "writer_flushes"))/float64(b.N), "flushes/txn")
+			m.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

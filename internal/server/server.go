@@ -22,8 +22,9 @@
 // at shutdown. Each rollback is sent to the stream as a RolledBack
 // notification; the final reply is Committed (with the transaction's
 // outcome counters) or an Error. The writer coalesces frames across all
-// streams into single writes. Every accepted stream is guaranteed a
-// terminal reply, shutdown included.
+// streams into single writes, yielding once before each write so that
+// replies made ready in the same scheduling round share it. Every
+// accepted stream is guaranteed a terminal reply, shutdown included.
 //
 // Problems with the connection itself — refused at accept, or a frame
 // that fails to decode — are reported as an Error on wire.ConnStream
@@ -35,9 +36,14 @@
 // retryable CodeBusy), per-message read deadlines, and a
 // per-transaction execution deadline after which the transaction is
 // rolled back to its initial state and the client told to retry
-// (CodeRolledBack). Shutdown drains in-flight transactions until the
-// caller's context expires, then rolls back the rest, so the store is
-// always left consistent and no goroutine outlives the server.
+// (CodeRolledBack). That deadline is a time handed to
+// exec.StepToCommit, not a per-transaction context: the step loop
+// checks it with one clock read every 256 steps and arms a timer only
+// while the transaction is parked on a lock. The server's base context
+// carries only shutdown cancellation. Shutdown drains in-flight
+// transactions until the caller's context expires, then rolls back the
+// rest, so the store is always left consistent and no goroutine
+// outlives the server.
 package server
 
 import (
@@ -46,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -107,11 +114,15 @@ type Server struct {
 	cancel  context.CancelFunc
 	drainCh chan struct{}
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]bool
-	routes   map[txn.ID]sender
-	draining bool
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]bool
+	routes map[txn.ID]sender
+	// draining is set by Shutdown, under mu, and never cleared. The reader
+	// and every stream read it without the lock; Listen and runSession
+	// read it under mu, so no listener or session is registered after
+	// Shutdown's pokeConns/closeConns.
+	draining atomic.Bool
 
 	sem     chan struct{}
 	backlog chan struct{}
@@ -208,7 +219,7 @@ func (s *Server) Listen(addr string) error {
 		return err
 	}
 	s.mu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		ln.Close()
 		return errors.New("server: already shut down")
@@ -235,7 +246,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			if s.isDraining() {
+			if s.draining.Load() {
 				return
 			}
 			var ne net.Error
@@ -245,7 +256,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			s.cfg.Logf("server: accept: %v", err)
 			return
 		}
-		if s.isDraining() {
+		if s.draining.Load() {
 			conn.Close()
 			continue
 		}
@@ -300,20 +311,13 @@ func (s *Server) ServeConn(conn net.Conn) {
 	s.runSession(conn)
 }
 
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // Shutdown stops accepting, lets in-flight transactions finish until
 // ctx expires, then rolls back the rest and closes every connection. It
 // returns once every session goroutine has exited; the returned error
 // is ctx.Err() when the drain deadline forced rollbacks, nil otherwise.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	already := s.draining
-	s.draining = true
+	already := s.draining.Swap(true)
 	ln := s.ln
 	s.mu.Unlock()
 	if !already {
@@ -542,7 +546,7 @@ func (s *Server) runSession(nc net.Conn) {
 	defer s.sessionsActive.Add(-1)
 
 	s.mu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		nc.Close()
 		return
@@ -566,8 +570,14 @@ func (s *Server) runSession(nc net.Conn) {
 	// behind the one just received — terminal replies and notifications
 	// of any stream, in any order — is encoded into the same buffer and
 	// the batch goes out in one nc.Write, so a burst of replies costs
-	// one write syscall instead of one each. On write failure it keeps
-	// draining so senders never block.
+	// one write syscall instead of one each. A stream's send readies the
+	// parked writer ahead of the other runnable stream goroutines (the
+	// scheduler's runnext slot), so the queue it finds holds one frame;
+	// when the queue runs dry the writer therefore yields once
+	// (runtime.Gosched) and drains again before it writes, and the
+	// replies that became ready in that scheduling round share the
+	// write. It never sleeps or waits on a timer. On write failure it
+	// keeps draining so senders never block.
 	const writerSoftCap = 64 << 10 // flush once a batch passes 64 KiB
 	writerDone := make(chan struct{})
 	go func() {
@@ -588,6 +598,7 @@ func (s *Server) runSession(nc net.Conn) {
 		}
 		for f := range c.out {
 			encode(f)
+			yielded := false
 		drain:
 			for len(buf) < writerSoftCap {
 				select {
@@ -597,7 +608,11 @@ func (s *Server) runSession(nc net.Conn) {
 					}
 					encode(queued)
 				default:
-					break drain
+					if yielded {
+						break drain
+					}
+					yielded = true
+					runtime.Gosched()
 				}
 			}
 			if failed || len(buf) == 0 {
@@ -630,7 +645,7 @@ func (s *Server) runSession(nc net.Conn) {
 	}()
 
 	for {
-		if s.isDraining() {
+		if s.draining.Load() {
 			return
 		}
 		_ = nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
@@ -722,7 +737,7 @@ func (s *Server) serveStream(sn sender, req wire.Request) {
 		sn.c.streamMu.Unlock()
 		s.streamsActive.Add(-1)
 	}()
-	if s.isDraining() {
+	if s.draining.Load() {
 		sn.send(wire.Error{Code: wire.CodeShutdown, Msg: "server shutting down"})
 		return
 	}
@@ -754,9 +769,7 @@ func (s *Server) execTxn(sn sender, prog *txn.Exec) {
 		s.mu.Unlock()
 	}()
 
-	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
-	err = exec.StepToCommit(ctx, s.sys, id, 0)
-	cancel()
+	err = exec.StepToCommit(s.baseCtx, s.sys, id, time.Now().Add(s.cfg.RequestTimeout), 0)
 	switch {
 	case err == nil:
 		sn.send(s.committedReply(id))
@@ -784,7 +797,7 @@ func (s *Server) abortAndReply(sn sender, id txn.ID) {
 	switch {
 	case err == nil:
 		code, msg := wire.CodeRolledBack, "request deadline exceeded; transaction rolled back"
-		if s.isDraining() {
+		if s.draining.Load() {
 			code, msg = wire.CodeShutdown, "server shutting down; transaction rolled back"
 		}
 		sn.send(wire.Error{Code: code, Msg: msg})

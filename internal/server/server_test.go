@@ -35,7 +35,7 @@ func mustRegister(t *testing.T, srv *Server, prog *txn.Program) txn.ID {
 	return id
 }
 
-func counter(t *testing.T, srv *Server, name string) int64 {
+func counter(t testing.TB, srv *Server, name string) int64 {
 	t.Helper()
 	for _, c := range srv.Counters() {
 		if c.Name == name {
