@@ -2,11 +2,10 @@
 // the wire protocol in internal/wire. Clients (internal/client, as
 // bench/ drives it) ship whole transaction programs; the engine's
 // Register takes each program's locks first, in entity-ID order
-// (core.Config.OrderLocks), so no transaction can deadlock, and the
-// server streams every rollback (a transaction aborted at
-// its deadline or at shutdown) back as a notification. internal/node
-// assembles the node; this command parses its flags and handles
-// signals.
+// (core.Config.OrderLocks), so no transaction can deadlock; a
+// transaction aborted at its deadline or at shutdown is rolled back and
+// its stream answered with a retryable error. internal/node assembles
+// the node; this command parses its flags and handles signals.
 //
 // The database is a uniform store of -entities entities "e0".."eN-1"
 // initialized to -init, plus -accounts bank accounts "acct0".."acctM-1"

@@ -5,11 +5,10 @@
 // whole, so its engine's Register takes each one's locks first, in
 // entity-ID order (core.Config.OrderLocks; NewStore interns a, b, c in
 // that order, so the c→a transfer locks a, then c): the ring cannot
-// close, every transfer
-// commits over the wire with 0 deadlocks and 0 rollbacks, and the
-// ring's total is conserved. The deadlock and its partial rollback
-// still happen in the in-process examples, which run programs as
-// written.
+// close, every transfer commits over the wire with 0 deadlocks and 0
+// aborts (the program exits non-zero otherwise), and the ring's total
+// is conserved. The deadlock and its partial rollback still happen in
+// the in-process examples, which run programs as written.
 //
 // Run with:
 //
@@ -68,10 +67,9 @@ func main() {
 
 	ring := []struct{ from, to string }{{"a", "b"}, {"b", "c"}, {"c", "a"}}
 	var (
-		mu        sync.Mutex
-		rollbacks int
+		mu sync.Mutex
+		wg sync.WaitGroup
 	)
-	var wg sync.WaitGroup
 	for i, r := range ring {
 		wg.Add(1)
 		go func(i int, from, to string) {
@@ -85,7 +83,6 @@ func main() {
 					log.Fatalf("client %d: %v", i, err)
 				}
 				mu.Lock()
-				rollbacks += len(res.RolledBack)
 				fmt.Printf("client %d: %-14s committed (ops=%d lost=%d waits=%d attempts=%d)\n",
 					i, name, res.Outcome.OpsExecuted, res.Outcome.OpsLost, res.Outcome.Waits, res.Attempts)
 				mu.Unlock()
@@ -101,17 +98,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var deadlocks int64
+	var deadlocks, aborts int64
 	fmt.Println("\nserver counters:")
 	for _, cn := range counters {
-		if cn.Name == "deadlocks" {
+		switch cn.Name {
+		case "deadlocks":
 			deadlocks = cn.Val
+		case "aborts":
+			aborts = cn.Val
 		}
 		if cn.Val != 0 {
 			fmt.Printf("  %-18s %d\n", cn.Name, cn.Val)
 		}
 	}
-	fmt.Printf("\n%d deadlocks; %d rollback notifications received over the wire\n", deadlocks, rollbacks)
+	fmt.Printf("\n%d deadlocks; %d aborts\n", deadlocks, aborts)
+	if deadlocks != 0 || aborts != 0 {
+		log.Fatal("the ordered node deadlocked or aborted a transfer")
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -79,23 +79,15 @@ func pipeDialer(t *testing.T, scripts ...func(net.Conn)) func() (net.Conn, error
 
 func TestRunRetriesRolledBack(t *testing.T) {
 	prog := sim.TransferProgram("t", "e0", "e1", 1, 0)
-	var notified int
 	// Retryable refusals end only the stream, so one dial serves all
 	// three attempts — this also covers connection reuse.
 	cfg := testMuxConfig(pipeDialer(t, func(conn net.Conn) {
 		serveScript(t, conn,
-			[]wire.Msg{
-				wire.RolledBack{Txn: 7, FromState: 2, ToState: 0, Lost: 2},
-				wire.Error{Code: wire.CodeRolledBack, Msg: "deadline"},
-			},
-			[]wire.Msg{
-				wire.RolledBack{Txn: 9, FromState: 1, ToState: 0, Lost: 1},
-				wire.Error{Code: wire.CodeRolledBack, Msg: "deadline"},
-			},
+			[]wire.Msg{wire.Error{Code: wire.CodeRolledBack, Msg: "deadline"}},
+			[]wire.Msg{wire.Error{Code: wire.CodeRolledBack, Msg: "deadline"}},
 			[]wire.Msg{committedReply()},
 		)
 	}))
-	cfg.OnRollback = func(wire.RolledBack) { notified++ }
 	m := NewMux(cfg)
 	defer m.Close()
 	res, err := m.Run(context.Background(), prog)
@@ -104,9 +96,6 @@ func TestRunRetriesRolledBack(t *testing.T) {
 	}
 	if res.Attempts != 3 {
 		t.Errorf("attempts = %d, want 3", res.Attempts)
-	}
-	if len(res.RolledBack) != 2 || notified != 2 {
-		t.Errorf("rollback notifications = %d (callback %d), want 2", len(res.RolledBack), notified)
 	}
 	if res.Locals["x"] != 41 || res.Outcome.OpsExecuted != 5 {
 		t.Errorf("result %+v", res)
@@ -220,16 +209,12 @@ func TestRunCancelDuringBackoff(t *testing.T) {
 	}
 }
 
-// TestRunMetrics: Run reports its attempts and every rollback
-// notification streamed across them on the Result.
+// TestRunMetrics: Run reports its attempts on the Result.
 func TestRunMetrics(t *testing.T) {
 	prog := sim.TransferProgram("t", "e0", "e1", 1, 0)
 	cfg := testMuxConfig(pipeDialer(t, func(conn net.Conn) {
 		serveScript(t, conn,
-			[]wire.Msg{
-				wire.RolledBack{Txn: 7, FromState: 2, ToState: 0, Lost: 2},
-				wire.Error{Code: wire.CodeRolledBack, Msg: "deadline"},
-			},
+			[]wire.Msg{wire.Error{Code: wire.CodeRolledBack, Msg: "deadline"}},
 			[]wire.Msg{committedReply()},
 		)
 	}))
@@ -241,9 +226,6 @@ func TestRunMetrics(t *testing.T) {
 	}
 	if res.Attempts != 2 {
 		t.Errorf("attempts = %d, want 2", res.Attempts)
-	}
-	if got := len(res.RolledBack); got != 1 {
-		t.Errorf("rollbacks observed = %d, want 1", got)
 	}
 
 	// A terminal failure returns no result.

@@ -76,9 +76,6 @@ type Result struct {
 	// Outcome carries the engine's per-transaction counters for the
 	// committing run (partial rollbacks, lost operations, waits).
 	Outcome wire.TxnOutcome
-	// RolledBack collects every rollback notification received, across
-	// all attempts when returned by Run.
-	RolledBack []wire.RolledBack
 	// Attempts is how many runs Run needed (always 1 from RunOnce).
 	Attempts int
 }
@@ -99,10 +96,6 @@ type MuxConfig struct {
 	// drawn per attempt from the process-global source (goroutine-safe)
 	// unless Backoff.Jitter is set.
 	Backoff exec.Backoff
-	// OnRollback, when non-nil, receives every partial-rollback
-	// notification routed to any of this Mux's streams. It must be
-	// safe for concurrent use.
-	OnRollback func(wire.RolledBack)
 }
 
 // Mux is a multiplexed client: one shared socket carrying many
@@ -135,9 +128,6 @@ type muxStream struct {
 	// the reader: the server sends exactly one terminal per stream and
 	// connection teardown only fires once).
 	term chan muxVerdict
-	// notes receives rollback notifications; droppable, like the
-	// server's own notification path.
-	notes chan wire.RolledBack
 }
 
 type muxVerdict struct {
@@ -231,17 +221,9 @@ func (m *Mux) readLoop(nc net.Conn, ep int64) {
 		if st == nil {
 			continue // stream gave up (timeout) before the verdict arrived
 		}
-		switch x := f.Msg.(type) {
-		case wire.RolledBack:
-			select {
-			case st.notes <- x:
-			default:
-			}
+		select {
+		case st.term <- muxVerdict{m: f.Msg}:
 		default:
-			select {
-			case st.term <- muxVerdict{m: f.Msg}:
-			default:
-			}
 		}
 	}
 }
@@ -292,7 +274,7 @@ func (m *Mux) openStream(ep int64) (uint32, *muxStream, error) {
 			break
 		}
 	}
-	st := &muxStream{term: make(chan muxVerdict, 1), notes: make(chan wire.RolledBack, 32)}
+	st := &muxStream{term: make(chan muxVerdict, 1)}
 	m.pending[m.next] = st
 	return m.next, st, nil
 }
@@ -340,54 +322,32 @@ func (m *Mux) RunOnce(prog *txn.Program) (*Result, error) {
 		m.teardown(nc, ep, err)
 		return nil, fmt.Errorf("client: write: %w", err)
 	}
-	res := &Result{Attempts: 1}
 	timeout := time.NewTimer(m.cfg.RequestTimeout)
 	defer timeout.Stop()
-	for {
-		select {
-		case x := <-st.notes:
-			res.RolledBack = append(res.RolledBack, x)
-			if m.cfg.OnRollback != nil {
-				m.cfg.OnRollback(x)
-			}
-		case v := <-st.term:
-			// Collect notifications that raced the verdict.
-			for {
-				select {
-				case x := <-st.notes:
-					res.RolledBack = append(res.RolledBack, x)
-					if m.cfg.OnRollback != nil {
-						m.cfg.OnRollback(x)
-					}
-					continue
-				default:
-				}
-				break
-			}
-			if v.err != nil {
-				return nil, v.err
-			}
-			switch x := v.m.(type) {
-			case wire.Committed:
-				res.Txn = x.Txn
-				res.Outcome = x.Stats
-				res.Locals = make(map[string]int64, len(x.Locals))
-				for _, d := range x.Locals {
-					res.Locals[d.Name] = d.Val
-				}
-				return res, nil
-			case wire.Error:
-				// Stream-level refusals never desync the shared socket;
-				// the connection stays up for every other stream.
-				return res, &ServerError{Code: x.Code, Msg: x.Msg}
-			default:
-				return nil, fmt.Errorf("client: %w: unexpected %s reply", wire.ErrProtocol, v.m.Type())
-			}
-		case <-timeout.C:
-			// The server may still deliver a verdict later; it is
-			// dropped by the reader once the stream deregisters.
-			return res, fmt.Errorf("client: stream %d: no verdict within %v", stream, m.cfg.RequestTimeout)
+	select {
+	case v := <-st.term:
+		if v.err != nil {
+			return nil, v.err
 		}
+		switch x := v.m.(type) {
+		case wire.Committed:
+			res := &Result{Txn: x.Txn, Outcome: x.Stats, Attempts: 1}
+			res.Locals = make(map[string]int64, len(x.Locals))
+			for _, d := range x.Locals {
+				res.Locals[d.Name] = d.Val
+			}
+			return res, nil
+		case wire.Error:
+			// Stream-level refusals never desync the shared socket;
+			// the connection stays up for every other stream.
+			return nil, &ServerError{Code: x.Code, Msg: x.Msg}
+		default:
+			return nil, fmt.Errorf("client: %w: unexpected %s reply", wire.ErrProtocol, v.m.Type())
+		}
+	case <-timeout.C:
+		// The server may still deliver a verdict later; it is dropped
+		// by the reader once the stream deregisters.
+		return nil, fmt.Errorf("client: stream %d: no verdict within %v", stream, m.cfg.RequestTimeout)
 	}
 }
 
@@ -395,16 +355,10 @@ func (m *Mux) RunOnce(prog *txn.Program) (*Result, error) {
 // exponential backoff — each concurrent stream backs off independently
 // — until it commits, fails terminally, attempts run out, or ctx ends.
 func (m *Mux) Run(ctx context.Context, prog *txn.Program) (*Result, error) {
-	var (
-		last     *Result
-		rollback []wire.RolledBack
-	)
+	var last *Result
 	attempts, err := exec.Retry(ctx, m.cfg.MaxAttempts, m.cfg.Backoff, nil,
 		func(context.Context) error {
 			r, err := m.RunOnce(prog)
-			if r != nil {
-				rollback = append(rollback, r.RolledBack...)
-			}
 			last = r
 			return err
 		}, Retryable)
@@ -412,7 +366,6 @@ func (m *Mux) Run(ctx context.Context, prog *txn.Program) (*Result, error) {
 		return nil, err
 	}
 	last.Attempts = attempts
-	last.RolledBack = rollback
 	return last, nil
 }
 

@@ -3,6 +3,7 @@ package client
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -143,9 +144,11 @@ func TestMuxDemuxOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestMuxRollbackNotificationPerStream delivers a rollback notification
-// to one of two in-flight streams: only that stream's result may carry
-// it.
+// TestMuxRollbackNotificationPerStream (the name is historical: type
+// byte 17 once carried a per-stream rollback notification) has the peer
+// send a type-17 frame on one of two in-flight streams. The type is
+// retired, so the frame fails to decode: the connection fails with a
+// non-retryable protocol error, and both streams' RunOnce return it.
 func TestMuxRollbackNotificationPerStream(t *testing.T) {
 	arrivals := make(chan [2]uint64, 2)
 	var peer *muxPeer
@@ -162,38 +165,34 @@ func TestMuxRollbackNotificationPerStream(t *testing.T) {
 		for a := range arrivals {
 			got = append(got, a)
 			if len(got) == 2 {
-				for _, g := range got {
-					stream, idx := uint32(g[0]), int64(g[1])
-					if idx == 0 { // only program p0 is rolled back first
-						peer.reply(t, stream, wire.RolledBack{Txn: idx, Lost: 2})
-					}
-					peer.reply(t, stream, wire.Committed{Txn: idx})
-				}
+				// [len][version][stream][17][txn lock-state from to lost]
+				payload := []byte{wire.Version3, byte(got[0][0]), 17, 2, 0, 0, 0, 8}
+				frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+				peer.wmu.Lock()
+				_, _ = peer.conn.Write(frame)
+				peer.wmu.Unlock()
 			}
 		}
 	}()
 
 	var wg sync.WaitGroup
-	results := make([]*Result, 2)
 	errs := make([]error, 2)
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = m.RunOnce(numberedProgram(t, i))
+			res, err := m.RunOnce(numberedProgram(t, i))
+			if res != nil {
+				t.Errorf("stream %d: result %+v, want none", i, res)
+			}
+			errs[i] = err
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("stream %d: %v", i, err)
+		if !errors.Is(err, wire.ErrProtocol) || Retryable(err) {
+			t.Errorf("stream %d: err = %v, want a non-retryable protocol error", i, err)
 		}
-	}
-	if n := len(results[0].RolledBack); n != 1 {
-		t.Errorf("rolled-back stream carries %d notifications, want 1", n)
-	}
-	if n := len(results[1].RolledBack); n != 0 {
-		t.Errorf("clean stream carries %d notifications, want 0", n)
 	}
 }
 

@@ -157,9 +157,9 @@ type Config struct {
 	CommitLog CommitLogger
 	// OnEvent, when non-nil, receives every engine event. It runs under
 	// the engine mutex, so it must not call back into the System. It is
-	// a tap only (tracer, metrics, the server's RolledBack frames, the
-	// serializability oracle history.Recorder.OnEvent): waking parked
-	// drivers is the engine's own job (StepResult.Wake).
+	// a tap only (tracer, metrics, the serializability oracle
+	// history.Recorder.OnEvent): waking parked drivers is the engine's
+	// own job (StepResult.Wake).
 	//
 	// Releases are emitted before the grants they cause: EventUnlock
 	// and EventCommit precede the EventGrant of every waiter their

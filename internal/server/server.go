@@ -19,9 +19,10 @@
 // Because every served transaction acquires its locks in that one
 // order, none can deadlock: the engine's only rollback here is the
 // restart (strategy Total) of a transaction aborted at its deadline or
-// at shutdown. Each rollback is sent to the stream as a RolledBack
-// notification; the final reply is Committed (with the transaction's
-// outcome counters) or an Error. The writer coalesces frames across all
+// at shutdown, and the stream's one reply then is the retryable Error
+// that ends it (CodeRolledBack or CodeShutdown); otherwise the reply is
+// Committed, with the transaction's outcome counters, or a
+// non-retryable Error. The writer coalesces frames across all
 // streams into single writes, yielding once before each write so that
 // replies made ready in the same scheduling round share it. Every
 // accepted stream is guaranteed a terminal reply, shutdown included.
@@ -97,7 +98,9 @@ type Config struct {
 	// (running recovery) and closes it after Shutdown. Nil serves
 	// memory-only with an unchanged commit path.
 	Durable *durable.Set
-	// OnEvent, when non-nil, additionally receives every engine event.
+	// OnEvent, when non-nil, receives every engine event (a tap:
+	// tracer, metrics, oracles). It runs inside the engine's critical
+	// section, so it must not call back into the engine.
 	OnEvent func(core.Event)
 	// Logf, when non-nil, receives serving diagnostics.
 	Logf func(format string, args ...any)
@@ -114,10 +117,9 @@ type Server struct {
 	cancel  context.CancelFunc
 	drainCh chan struct{}
 
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]bool
-	routes map[txn.ID]sender
+	mu    sync.Mutex
+	ln    net.Listener
+	conns map[net.Conn]*conn
 	// draining is set by Shutdown, under mu, and never cleared. The reader
 	// and every stream read it without the lock; Listen and runSession
 	// read it under mu, so no listener or session is registered after
@@ -140,7 +142,6 @@ type Server struct {
 	writerFlushes  atomic.Int64
 	busyRejected   atomic.Int64
 	protoErrors    atomic.Int64
-	notifyDropped  atomic.Int64
 }
 
 // New creates a Server around a fresh engine. It panics if cfg.Store is
@@ -167,8 +168,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		drainCh: make(chan struct{}),
-		conns:   map[net.Conn]bool{},
-		routes:  map[txn.ID]sender{},
+		conns:   map[net.Conn]*conn{},
 		sem:     make(chan struct{}, cfg.MaxSessions),
 		backlog: make(chan struct{}, cfg.Backlog),
 	}
@@ -176,7 +176,7 @@ func New(cfg Config) *Server {
 	ecfg := core.Config{
 		Store:      cfg.Store,
 		OrderLocks: true,
-		OnEvent:    s.onEvent,
+		OnEvent:    cfg.OnEvent,
 		LockWait:   cfg.LockWait,
 	}
 	if cfg.Durable != nil {
@@ -189,28 +189,6 @@ func New(cfg Config) *Server {
 // System exposes the underlying engine (inspection, checkpoint quiesce,
 // shutdown checks, tests).
 func (s *Server) System() *core.System { return s.sys }
-
-// onEvent fans engine events out to the owning stream (as a rollback
-// notification) and the configured tap.
-func (s *Server) onEvent(e core.Event) {
-	if e.Kind == core.EventRollback {
-		s.mu.Lock()
-		sn, routed := s.routes[e.Txn]
-		s.mu.Unlock()
-		if routed {
-			sn.trySend(wire.RolledBack{
-				Txn:         int64(e.Txn),
-				ToLockState: int64(e.ToLockState),
-				FromState:   e.FromState,
-				ToState:     e.ToState,
-				Lost:        e.Lost,
-			})
-		}
-	}
-	if s.cfg.OnEvent != nil {
-		s.cfg.OnEvent(e)
-	}
-}
 
 // Listen binds addr and starts accepting connections.
 func (s *Server) Listen(addr string) error {
@@ -399,7 +377,6 @@ func (s *Server) Counters() []wire.Counter {
 		{Name: "commits", Val: st.Commits},
 		{Name: "deadlocks", Val: st.Deadlocks},
 		{Name: "grants", Val: st.Grants},
-		{Name: "notify_dropped", Val: s.notifyDropped.Load()},
 		{Name: "ops_lost", Val: st.OpsLost},
 		{Name: "proto_errors", Val: s.protoErrors.Load()},
 		{Name: "rollbacks_partial", Val: st.Rollbacks - st.Restarts},
@@ -442,13 +419,20 @@ func (s *Server) Counters() []wire.Counter {
 
 // Owners snapshots, for every transaction currently being driven by a
 // connection, which connection and stream owns it — the admin
-// /debug/txns annotation for finding stuck streams.
+// /debug/txns annotation for finding stuck streams. It reads each
+// connection's stream table; the lock order is s.mu, then c.streamMu.
 func (s *Server) Owners() map[txn.ID]obs.TxnOwner {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[txn.ID]obs.TxnOwner, len(s.routes))
-	for id, sn := range s.routes {
-		out[id] = obs.TxnOwner{Conn: sn.c.id, Addr: sn.c.addr, Stream: sn.stream}
+	out := map[txn.ID]obs.TxnOwner{}
+	for _, c := range s.conns {
+		c.streamMu.Lock()
+		for stream, id := range c.streams {
+			if id != txn.None {
+				out[id] = obs.TxnOwner{Conn: c.id, Addr: c.addr, Stream: stream}
+			}
+		}
+		c.streamMu.Unlock()
 	}
 	return out
 }
@@ -480,9 +464,10 @@ type conn struct {
 	// its terminal reply.
 	muxWG sync.WaitGroup
 
-	// streamMu guards the stream table.
+	// streamMu guards the stream table: each active stream's
+	// transaction, txn.None until its program is registered.
 	streamMu sync.Mutex
-	streams  map[uint32]bool
+	streams  map[uint32]txn.ID
 }
 
 // outFrame is one queued reply and the stream it is addressed to.
@@ -492,8 +477,7 @@ type outFrame struct {
 }
 
 // sender addresses replies to one stream of a connection (wire.ConnStream
-// for connection-level errors). It is the value stored in Server.routes
-// so rollback notifications reach the right stream.
+// for connection-level errors).
 type sender struct {
 	c      *conn
 	stream uint32
@@ -503,23 +487,6 @@ type sender struct {
 // writer never stops consuming before the channel closes, so this
 // cannot deadlock.
 func (sn sender) send(m wire.Msg) { sn.c.send(outFrame{sn.stream, m}) }
-
-// trySend enqueues a message without blocking (notifications are
-// droppable; the engine mutex may be held by the caller).
-func (sn sender) trySend(m wire.Msg) { sn.c.trySend(outFrame{sn.stream, m}) }
-
-func (c *conn) trySend(f outFrame) {
-	c.outMu.Lock()
-	defer c.outMu.Unlock()
-	if c.outClosed {
-		return
-	}
-	select {
-	case c.out <- f:
-	default:
-		c.srv.notifyDropped.Add(1)
-	}
-}
 
 func (c *conn) send(f outFrame) {
 	c.outMu.Lock()
@@ -545,15 +512,6 @@ func (s *Server) runSession(nc net.Conn) {
 	s.sessionsActive.Add(1)
 	defer s.sessionsActive.Add(-1)
 
-	s.mu.Lock()
-	if s.draining.Load() {
-		s.mu.Unlock()
-		nc.Close()
-		return
-	}
-	s.conns[nc] = true
-	s.mu.Unlock()
-
 	c := &conn{
 		srv:     s,
 		nc:      nc,
@@ -561,18 +519,27 @@ func (s *Server) runSession(nc net.Conn) {
 		addr:    nc.RemoteAddr().String(),
 		br:      bufio.NewReader(nc),
 		out:     make(chan outFrame, 128),
-		streams: map[uint32]bool{},
+		streams: map[uint32]txn.ID{},
 	}
+	s.mu.Lock()
+	if s.draining.Load() {
+		s.mu.Unlock()
+		nc.Close()
+		return
+	}
+	s.conns[nc] = c
+	s.mu.Unlock()
+
 	connErr := sender{c: c, stream: wire.ConnStream}
 
 	// Writer: the single goroutine that touches the connection's write
 	// side. It coalesces across streams: every frame already queued
-	// behind the one just received — terminal replies and notifications
-	// of any stream, in any order — is encoded into the same buffer and
-	// the batch goes out in one nc.Write, so a burst of replies costs
-	// one write syscall instead of one each. A stream's send readies the
-	// parked writer ahead of the other runnable stream goroutines (the
-	// scheduler's runnext slot), so the queue it finds holds one frame;
+	// behind the one just received — replies of any stream, in any
+	// order — is encoded into the same buffer and the batch goes out in
+	// one nc.Write, so a burst of replies costs one write syscall
+	// instead of one each. A stream's send readies the parked writer
+	// ahead of the other runnable stream goroutines (the scheduler's
+	// runnext slot), so the queue it finds holds one frame;
 	// when the queue runs dry the writer therefore yields once
 	// (runtime.Gosched) and drains again before it writes, and the
 	// replies that became ready in that scheduling round share the
@@ -669,9 +636,9 @@ func (s *Server) runSession(nc net.Conn) {
 	}
 }
 
-// handleFrame routes one frame: Stats is answered inline on its stream,
-// a BeginProgram (no Msg) opens a stream served by its own goroutine.
-// It reports whether the connection must be closed.
+// handleFrame dispatches one frame: Stats is answered inline on its
+// stream, a BeginProgram (no Msg) opens a stream served by its own
+// goroutine. It reports whether the connection must be closed.
 func (s *Server) handleFrame(c *conn, req wire.Request) (closeConn bool) {
 	sn := sender{c: c, stream: req.Stream}
 	if req.Stream == wire.ConnStream {
@@ -686,8 +653,8 @@ func (s *Server) handleFrame(c *conn, req wire.Request) (closeConn bool) {
 		sn.send(wire.StatsReply{Counters: s.Counters()})
 		return false
 	default:
-		// A server-to-client message (Committed, RolledBack, ...): the
-		// peer is confused; desync.
+		// A server-to-client message (Committed, Error, ...): the peer
+		// is confused; desync.
 		s.protoErrors.Add(1)
 		sn.send(wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("unexpected %s on stream %d", req.Msg.Type(), req.Stream)})
 		return true
@@ -703,7 +670,7 @@ func (s *Server) handleFrame(c *conn, req wire.Request) (closeConn bool) {
 // refused with the retryable CodeBusy and the connection lives on.
 func (s *Server) dispatchStream(c *conn, sn sender, req wire.Request) (closeConn bool) {
 	c.streamMu.Lock()
-	if c.streams[sn.stream] {
+	if _, active := c.streams[sn.stream]; active {
 		c.streamMu.Unlock()
 		s.protoErrors.Add(1)
 		sn.send(wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("stream %d already active", sn.stream)})
@@ -714,7 +681,7 @@ func (s *Server) dispatchStream(c *conn, sn sender, req wire.Request) (closeConn
 		sn.send(wire.Error{Code: wire.CodeBusy, Msg: "per-connection stream limit reached"})
 		return false
 	}
-	c.streams[sn.stream] = true
+	c.streams[sn.stream] = txn.None
 	c.streamMu.Unlock()
 	s.streamsTotal.Add(1)
 	s.streamsActive.Add(1)
@@ -760,14 +727,9 @@ func (s *Server) execTxn(sn sender, prog *txn.Exec) {
 		return
 	}
 	s.txnsServed.Add(1)
-	s.mu.Lock()
-	s.routes[id] = sn
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.routes, id)
-		s.mu.Unlock()
-	}()
+	sn.c.streamMu.Lock()
+	sn.c.streams[sn.stream] = id
+	sn.c.streamMu.Unlock()
 
 	err = exec.StepToCommit(s.baseCtx, s.sys, id, time.Now().Add(s.cfg.RequestTimeout), 0)
 	switch {

@@ -18,6 +18,7 @@ import (
 	"partialrollback/internal/core"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/exec"
+	"partialrollback/internal/obs"
 	"partialrollback/internal/sim"
 	"partialrollback/internal/txn"
 	"partialrollback/internal/value"
@@ -573,6 +574,99 @@ func TestStatsOverWire(t *testing.T) {
 		t.Errorf("byte counters not advancing: %v", byName)
 	}
 	shutdownNow(t, srv)
+}
+
+// TestOwners checks the /debug/txns annotation at its source: a waiter
+// parked behind a holder registered on the engine appears in Owners
+// with its connection's serial number, remote address and stream, the
+// holder (driven by no connection) does not, and once the waiter's
+// terminal reply is sent its entry is gone; so are the entries of many
+// concurrent streams once they all reply.
+func TestOwners(t *testing.T) {
+	srv := New(Config{Store: entity.NewUniformStore("e", 4, 100)})
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownNow(t, srv)
+	// The engine orders the holder's locks: its first two steps take e2
+	// and then e3.
+	holder := mustRegister(t, srv, sim.TransferProgram("holder", "e3", "e2", 1, 0))
+	for i := 0; i < 2; i++ {
+		if _, err := srv.System().Step(holder); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var local atomic.Value
+	m := client.NewMux(client.MuxConfig{Dial: func() (net.Conn, error) {
+		nc, err := net.Dial("tcp", srv.Addr().String())
+		if err == nil {
+			local.Store(nc.LocalAddr().String())
+		}
+		return nc, err
+	}})
+	defer m.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.RunOnce(sim.TransferProgram("waiter", "e3", "e1", 1, 0))
+		done <- err
+	}()
+
+	// The waiter takes e1, then parks on the holder's e3.
+	var waiter txn.ID
+	waitFor(t, func() bool {
+		for _, ts := range srv.System().DebugSnapshot().Txns {
+			if ts.WaitingOn == "e3" {
+				waiter = ts.ID
+				return true
+			}
+		}
+		return false
+	})
+	owners := srv.Owners()
+	want := obs.TxnOwner{Conn: 1, Addr: local.Load().(string), Stream: 1}
+	if len(owners) != 1 || owners[waiter] != want {
+		t.Fatalf("Owners() = %+v, want only waiter %v owned by %+v", owners, waiter, want)
+	}
+
+	driveToCommit(t, srv, holder)
+	if err := <-done; err != nil {
+		t.Fatalf("waiter: %v", err)
+	}
+	waitFor(t, func() bool { return len(srv.Owners()) == 0 })
+
+	// Owners reads the stream tables while streams record and retire
+	// their transactions (run with -race).
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				srv.Owners()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for n := 0; n < 8; n++ {
+				if _, err := m.Run(context.Background(), sim.TransferProgram("xfer", entName(i%4), entName((i+1)%4), 1, 0)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(stop)
+	<-polled
+	waitFor(t, func() bool { return len(srv.Owners()) == 0 })
 }
 
 // TestListenBusyReject fills the session limit and backlog over real

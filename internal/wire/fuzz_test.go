@@ -65,7 +65,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{1, 4, 2, 'e', '1', 1, 'a'})       // Read e1 -> a
 	f.Add([]byte{1, 8})                            // Commit
 	f.Add(legacyPayload(f, 1, Committed{Txn: 3, Stats: TxnOutcome{OpsExecuted: 5}}))
-	f.Add(legacyPayload(f, 1, RolledBack{Txn: 1, Lost: 4}))
+	f.Add([]byte{1, 17, 2, 0, 0, 0, 8}) // the retired rollback notification
 	f.Add(legacyPayload(f, 1, Error{Code: CodeBusy, Msg: "full"}))
 	f.Add(legacyPayload(f, 1, StatsReply{Counters: []Counter{{"grants", 2}}}))
 	f.Add(legacyPayload(f, 2, BeginProgram{Name: "P"}))
@@ -111,7 +111,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		}},
 		{9, Stats{}},
 		{7, Committed{Txn: 3, Stats: TxnOutcome{OpsExecuted: 5}}},
-		{2, RolledBack{Txn: 1, Lost: 4}},
 		{3, Error{Code: CodeBusy, Msg: "full"}},
 		{MaxStream, StatsReply{Counters: []Counter{{"grants", 2}}}},
 	}
@@ -127,10 +126,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(legacyPayload(f, 1, Committed{Txn: 3}))
 	f.Add(legacyPayload(f, 2, BeginProgram{Name: "P"}))
 	// Hand-built v3 edges: a truncated stream varint, a stream tag past
-	// MaxStream, and a retired per-operation type under a v3 version byte.
+	// MaxStream, a retired per-operation type and the retired rollback
+	// notification (type 17) under a v3 version byte.
 	f.Add([]byte{Version3, 0xFF})
 	f.Add([]byte{Version3, 0x80, 0x80, 0x80, 0x80, 0x10, byte(TStats)})
 	f.Add([]byte{Version3, 0x01, 2, 0, 1, 'e'})
+	f.Add([]byte{Version3, 0x02, 17, 2, 0, 0, 0, 8})
 	f.Fuzz(checkDecodeFrame)
 }
 

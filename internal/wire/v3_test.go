@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"reflect"
@@ -29,7 +30,6 @@ func taggableMsgs() []Msg {
 		Stats{},
 		Committed{Txn: 42, Locals: []LocalDecl{{"a", 9}}, Stats: TxnOutcome{
 			OpsExecuted: 10, OpsLost: 3, Rollbacks: 2, Restarts: 1, Waits: 4}},
-		RolledBack{Txn: 7, ToLockState: 2, FromState: 19, ToState: 13, Lost: 6},
 		Error{Code: CodeBusy, Msg: "full"},
 		StatsReply{Counters: []Counter{{"grants", 12}, {"waits", -1}}},
 	}
@@ -67,7 +67,6 @@ func TestTaggedBodyMatchesUntagged(t *testing.T) {
 		"0a047866657201017400050201026530040265300174060174020001017400020502653001017408",
 		"09",
 		"1054010161121406040208",
-		"110e04261a0c",
 		"12040466756c6c",
 		"1302066772616e74731805776169747301",
 	}
@@ -87,13 +86,26 @@ func TestTaggedBodyMatchesUntagged(t *testing.T) {
 }
 
 // TestTaggedRejectsUntaggable: the retired per-operation messages
-// (type bytes 1-8) could never be stream-tagged and no longer exist, so
-// a frame carrying one of their type bytes is a protocol error.
+// (type bytes 1-8) could never be stream-tagged and no longer exist,
+// and the retired rollback notification (type byte 17) is never sent,
+// so a frame carrying one of their type bytes is a protocol error on
+// both decode paths.
 func TestTaggedRejectsUntaggable(t *testing.T) {
+	var payloads [][]byte
 	for typ := byte(1); typ <= 8; typ++ {
-		payload := []byte{Version3, 1, typ, 0, 1, 'e'}
+		payloads = append(payloads, []byte{Version3, 1, typ, 0, 1, 'e'})
+	}
+	// A complete body of the retired notification: Txn 1, Lost 4.
+	payloads = append(payloads, []byte{Version3, 1, 17, 2, 0, 0, 0, 8})
+	for _, payload := range payloads {
+		typ := payload[2]
 		if _, err := DecodeFrame(payload); !errors.Is(err, ErrProtocol) {
-			t.Errorf("type byte %d: got %v, want ErrProtocol", typ, err)
+			t.Errorf("type byte %d: DecodeFrame got %v, want ErrProtocol", typ, err)
+		}
+		frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+		var d Decoder
+		if _, _, err := d.ReadRequest(bytes.NewReader(frame)); !errors.Is(err, ErrProtocol) {
+			t.Errorf("type byte %d: ReadRequest got %v, want ErrProtocol", typ, err)
 		}
 	}
 }

@@ -6,18 +6,18 @@
 // length followed by the payload: the version byte (Version3), a stream
 // ID as a uvarint, then the message — a type byte and a body encoded
 // with varints and length-prefixed strings. Streams let one connection
-// interleave many concurrent transactions: the server routes each reply
-// (and rollback notification) back to the stream that submitted the
-// program.
+// interleave many concurrent transactions: the server tags each reply
+// with the stream that submitted the program.
 //
 // A transaction travels whole, as one BeginProgram frame carrying its
 // name, local declarations and complete operation list — the engine
 // analyses the full program at registration anyway (§2's lock states,
 // §5's declared last lock). The server answers on the same stream with
-// zero or more RolledBack notifications (one per §2 rollback the engine
-// applied to the transaction while it ran) followed by exactly one
-// Committed or Error frame. Stats is answered with a StatsReply counter
-// snapshot on its stream.
+// exactly one Committed or Error frame. Rollback is internal to the
+// engine, which re-executes the transaction; the only rollback a client
+// sees is an abort at the request deadline or at shutdown, reported as
+// a retryable Error that ends the stream. Stats is answered with a
+// StatsReply counter snapshot on its stream.
 //
 // Stream 0 (ConnStream) is reserved for connection-level errors: a
 // connection refused at accept (CodeBusy) or a frame that fails to
@@ -97,12 +97,13 @@ type Type byte
 
 // Message types. 9-15 are client->server, 16+ are server->client; 1-8
 // were the retired per-operation messages and survive only as the op
-// tags inside a BeginProgram body.
+// tags inside a BeginProgram body. 17 was the retired rollback
+// notification; it is never reused, so a peer that sends it fails to
+// decode.
 const (
 	TStats        Type = 9
 	TBeginProgram Type = 10
 	TCommitted    Type = 16
-	TRolledBack   Type = 17
 	TError        Type = 18
 	TStatsReply   Type = 19
 )
@@ -128,8 +129,6 @@ func (t Type) String() string {
 		return "begin-program"
 	case TCommitted:
 		return "committed"
-	case TRolledBack:
-		return "rolled-back"
 	case TError:
 		return "error"
 	case TStatsReply:
@@ -230,17 +229,6 @@ type Committed struct {
 	Stats  TxnOutcome
 }
 
-// RolledBack notifies the client that the engine rolled its in-flight
-// transaction back to lock state ToLockState (0 = total restart). The
-// server re-executes automatically; the notification is informational.
-type RolledBack struct {
-	Txn         int64
-	ToLockState int64
-	FromState   int64
-	ToState     int64
-	Lost        int64
-}
-
 // Error reports a failed request.
 type Error struct {
 	Code ErrCode
@@ -260,9 +248,6 @@ func (Stats) Type() Type { return TStats }
 
 // Type implements Msg.
 func (Committed) Type() Type { return TCommitted }
-
-// Type implements Msg.
-func (RolledBack) Type() Type { return TRolledBack }
 
 // Type implements Msg.
 func (Error) Type() Type { return TError }
@@ -740,12 +725,6 @@ func appendMsgBody(dst []byte, m Msg) ([]byte, error) {
 		body = appendVarint(body, x.Stats.Rollbacks)
 		body = appendVarint(body, x.Stats.Restarts)
 		body = appendVarint(body, x.Stats.Waits)
-	case RolledBack:
-		body = appendVarint(body, x.Txn)
-		body = appendVarint(body, x.ToLockState)
-		body = appendVarint(body, x.FromState)
-		body = appendVarint(body, x.ToState)
-		body = appendVarint(body, x.Lost)
 	case Error:
 		body = append(body, byte(x.Code))
 		body = appendString(body, x.Msg)
@@ -882,14 +861,6 @@ func decodeMsg(t Type, d *Decoder) (Msg, error) {
 			&x.Stats.OpsExecuted, &x.Stats.OpsLost, &x.Stats.Rollbacks,
 			&x.Stats.Restarts, &x.Stats.Waits,
 		} {
-			if *p, err = d.varint(); err != nil {
-				return nil, err
-			}
-		}
-		m = x
-	case TRolledBack:
-		var x RolledBack
-		for _, p := range []*int64{&x.Txn, &x.ToLockState, &x.FromState, &x.ToState, &x.Lost} {
 			if *p, err = d.varint(); err != nil {
 				return nil, err
 			}

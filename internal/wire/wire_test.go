@@ -181,7 +181,7 @@ func TestBeginProgramRejectsInvalid(t *testing.T) {
 func TestAppendMsgBatches(t *testing.T) {
 	frames := []Frame{
 		{Stream: 4, Msg: Committed{Txn: 1, Locals: []LocalDecl{{"a", 9}}}},
-		{Stream: 2, Msg: RolledBack{Txn: 1, Lost: 2}},
+		{Stream: 2, Msg: StatsReply{Counters: []Counter{{"grants", 2}}}},
 		{Stream: ConnStream, Msg: Error{Code: CodeBusy, Msg: "full"}},
 	}
 	var batch, concat []byte
