@@ -188,7 +188,7 @@ func BenchmarkStepThroughput(b *testing.B) {
 			var ops int64
 			for i := 0; i < b.N; i++ {
 				r, err := sim.Run(w, sim.RunConfig{
-					Strategy: st, Policy: deadlock.OrderedMinCost{},
+					Strategy: st, Resolver: deadlock.Detect{},
 					Scheduler: sim.RoundRobin, Seed: 9,
 				})
 				if err != nil {

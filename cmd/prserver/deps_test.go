@@ -14,7 +14,6 @@ import (
 var linked = []string{
 	"checkpoint",
 	"core",
-	"deadlock",
 	"durable",
 	"entity",
 	"exec",
@@ -36,10 +35,12 @@ var linked = []string{
 
 // reproductionOnly lists packages that exist for the paper's
 // reproduction, its test oracles and its simulators; the node must
-// never link them.
+// never link them. deadlock is among them: the node's ordered
+// acquisition admits no wait-for cycle, so its engine runs without a
+// core.Resolver.
 var reproductionOnly = []string{
-	"avoidance", "dist", "experiments", "figures", "graph", "history",
-	"optimizer", "render", "runtime", "sim", "trace",
+	"avoidance", "deadlock", "dist", "experiments", "figures", "graph",
+	"history", "optimizer", "render", "runtime", "sim", "trace",
 }
 
 // TestLinkSet pins the internal packages prserver links

@@ -54,18 +54,6 @@ func parseShape(s string) (sim.WriteShape, error) {
 	return 0, fmt.Errorf("unknown shape %q", s)
 }
 
-func parsePrevention(s string) (core.Prevention, error) {
-	switch s {
-	case "":
-		return core.NoPrevention, nil
-	case "wound-wait":
-		return core.WoundWait, nil
-	case "wait-die":
-		return core.WaitDie, nil
-	}
-	return 0, fmt.Errorf("unknown prevention %q", s)
-}
-
 func main() {
 	log.SetFlags(0)
 	flag.Parse()
@@ -78,11 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pol, err := deadlock.ParsePolicy(*policy)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prev, err := parsePrevention(*prevent)
+	resolver, err := deadlock.Parse(*prevent, *policy)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,8 +83,8 @@ func main() {
 	fmt.Printf("workload: %s\n", w.Name)
 
 	rc := sim.RunConfig{
-		Strategy: st, Policy: pol, Scheduler: scheduler,
-		Seed: *seed, Prevention: prev, RecordHistory: *check,
+		Strategy: st, Resolver: resolver, Scheduler: scheduler,
+		Seed: *seed, RecordHistory: *check,
 	}
 	var hooks []func(core.Event)
 	if *events {

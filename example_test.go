@@ -10,7 +10,7 @@ import (
 // system partially rolls one back, and both commit.
 func Example() {
 	store := pr.NewStore(map[string]int64{"checking": 100, "savings": 200})
-	sys := pr.New(pr.Config{Store: store, Strategy: pr.MCS, Policy: pr.OrderedMinCost{}})
+	sys := pr.New(pr.Config{Store: store, Strategy: pr.MCS, Resolver: pr.Detect{Policy: pr.OrderedMinCost{}}})
 
 	t1 := sys.MustRegister(pr.NewProgram("to-savings").
 		Local("c", 0).Local("s", 0).

@@ -73,7 +73,7 @@ func main() {
 
 		out, err := pr.RunConcurrent(store, programs, pr.RunOptions{
 			Strategy:      strategy,
-			Policy:        pr.OrderedMinCost{},
+			Resolver:      pr.Detect{Policy: pr.OrderedMinCost{}},
 			RecordHistory: true,
 		})
 		if err != nil {

@@ -84,7 +84,7 @@ func main() {
 	sys := pr.New(pr.Config{
 		Store:    store,
 		Strategy: pr.SDG, // single-copy: no extra storage over total restart
-		Policy:   pr.OrderedMinCost{},
+		Resolver: pr.Detect{Policy: pr.OrderedMinCost{}},
 		OnEvent: rec.Hook(func(e pr.Event) {
 			if e.Deadlock != nil {
 				deadlocks++

@@ -26,7 +26,7 @@ func main() {
 	sys := pr.New(pr.Config{
 		Store:    store,
 		Strategy: pr.MCS,
-		Policy:   pr.OrderedMinCost{},
+		Resolver: pr.Detect{Policy: pr.OrderedMinCost{}},
 		OnEvent: rec.Hook(func(e pr.Event) {
 			fmt.Println("  event:", e)
 		}),

@@ -83,7 +83,7 @@ func main() {
 		fmt.Printf("%-12s three-phase form: %-5v ", victim.Name, pr.IsThreePhase(victim))
 
 		store := pr.NewStore(map[string]int64{"a": 0, "b": 0, "c": 0, "d": 0})
-		sys := pr.New(pr.Config{Store: store, Strategy: pr.SDG, Policy: pr.OrderedMinCost{}})
+		sys := pr.New(pr.Config{Store: store, Strategy: pr.SDG, Resolver: pr.Detect{Policy: pr.OrderedMinCost{}}})
 		adv := sys.MustRegister(adversary())
 		vic := sys.MustRegister(victim)
 

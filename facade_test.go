@@ -16,7 +16,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	sys := pr.New(pr.Config{
 		Store:    store,
 		Strategy: pr.MCS,
-		Policy:   pr.OrderedMinCost{},
+		Resolver: pr.Detect{Policy: pr.OrderedMinCost{}},
 		OnEvent:  rec.OnEvent,
 	})
 	a := sys.MustRegister(pr.NewProgram("to-savings").
@@ -71,7 +71,7 @@ func TestFacadeConcurrentRun(t *testing.T) {
 			LockS("e2").Read("e2", "v").MustBuild(),
 	)
 	out, err := pr.RunConcurrent(store, progs, pr.RunOptions{
-		Strategy: pr.SDG, Policy: pr.OrderedMinCost{}, RecordHistory: true,
+		Strategy: pr.SDG, Resolver: pr.Detect{Policy: pr.OrderedMinCost{}}, RecordHistory: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -75,7 +75,7 @@ func TestSortLockOrderEliminatesDeadlocks(t *testing.T) {
 		}
 	}
 	r, err := sim.Run(sorted, sim.RunConfig{
-		Strategy: core.MCS, Policy: deadlock.OrderedMinCost{},
+		Strategy: core.MCS, Resolver: deadlock.Detect{},
 		Scheduler: sim.RoundRobin, RecordHistory: true,
 	})
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"partialrollback/internal/checkpoint"
 	"partialrollback/internal/core"
+	"partialrollback/internal/deadlock"
 	"partialrollback/internal/durable"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/exec"
@@ -58,6 +59,7 @@ func TestConcurrentCheckpointsAreCommitConsistent(t *testing.T) {
 	eng := core.New(core.Config{
 		Store:     store,
 		Strategy:  core.MCS,
+		Resolver:  deadlock.Detect{},
 		CommitLog: set,
 	})
 	cp := checkpoint.New(set, eng, storeSnapshotter(store), checkpoint.Options{

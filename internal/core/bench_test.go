@@ -242,48 +242,6 @@ func BenchmarkStepBurst(b *testing.B) {
 	}
 }
 
-// BenchmarkContendedWait measures the no-deadlock wait check: a second
-// transaction requests an entity an exclusive holder pins, blocks, is
-// polled once, and is then aborted. Covers AcquireID's blocker path,
-// the cycle check's walk of the lock table (waitfor.CycleThrough), and
-// the retraction.
-func BenchmarkContendedWait(b *testing.B) {
-	store := entity.NewStore(map[string]int64{"a": 0})
-	s := New(Config{Store: store})
-	holderProg := txn.NewProgram("holder").
-		Local("x", 0).
-		LockX("a").
-		Read("a", "x").
-		Write("a", value.L("x")).
-		MustBuild()
-	holder := s.MustRegister(holderProg)
-	if res, err := s.Step(holder); err != nil || res.Outcome != Progressed {
-		b.Fatalf("holder lock: %+v, %v", res, err)
-	}
-	waiterProg := benchProgram("a")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id, err := s.Register(waiterProg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := s.Step(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Outcome != Blocked {
-			b.Fatalf("outcome %v, want Blocked", res.Outcome)
-		}
-		if res, err = s.Step(id); err != nil || res.Outcome != StillWaiting {
-			b.Fatalf("poll: %+v, %v", res, err)
-		}
-		if err := s.Abort(id); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestCommitStepZeroAlloc pins the memory-only commit path: with no
 // CommitLogger configured, the commit step (install writes, release
 // locks, retire the transaction) must not allocate — the durability

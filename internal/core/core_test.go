@@ -213,64 +213,6 @@ func TestRollbackAfterUnlockForbidden(t *testing.T) {
 	}
 }
 
-func TestWaitingVictimResumesCorrectly(t *testing.T) {
-	// T2 is rolled back while *waiting*; its queued request must be
-	// retracted and it must re-execute from the reset point.
-	store := entity.NewStore(map[string]int64{"a": 5, "b": 6})
-	s := New(Config{Store: store, Strategy: MCS})
-	t1 := s.MustRegister(txn.NewProgram("T1").Local("x", 0).
-		LockX("a").Read("a", "x").LockX("b").Read("b", "x").MustBuild())
-	t2 := s.MustRegister(txn.NewProgram("T2").Local("x", 0).
-		LockX("b").Read("b", "x").LockX("a").Read("a", "x").MustBuild())
-	mustStep := func(id txn.ID, want Outcome) {
-		t.Helper()
-		res, err := s.Step(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Outcome != want {
-			t.Fatalf("%v: outcome %v, want %v", id, res.Outcome, want)
-		}
-	}
-	mustStep(t1, Progressed) // lock a
-	mustStep(t2, Progressed) // lock b
-	mustStep(t1, Progressed) // read a
-	mustStep(t2, Progressed) // read b
-	mustStep(t1, Blocked)    // wait b
-	// T2 requests a -> deadlock; with ordered policy T2 (younger
-	// requester, no younger participants) backs off.
-	res, err := s.Step(t2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome != BlockedDeadlock {
-		t.Fatalf("outcome %v", res.Outcome)
-	}
-	if res.Deadlock.Victims[0].Txn != t2 {
-		t.Fatalf("victim %v", res.Deadlock.Victims)
-	}
-	st, _ := s.Status(t2)
-	if st != StatusRunning {
-		t.Fatalf("victim status %v", st)
-	}
-	if _, waiting := s.WaitingOn(t2); waiting {
-		t.Error("victim still queued")
-	}
-	// T1 must have been granted b by the rollback release.
-	st1, _ := s.Status(t1)
-	if st1 != StatusRunning {
-		t.Error("T1 should be granted")
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	stepToCommit(t, s, t1)
-	stepToCommit(t, s, t2)
-	if store.MustGet("a") != 5 || store.MustGet("b") != 6 {
-		t.Error("read-only programs must not change values")
-	}
-}
-
 func TestEventStream(t *testing.T) {
 	store := entity.NewStore(map[string]int64{"a": 0})
 	var kinds []EventKind
@@ -339,28 +281,9 @@ func TestReleaseEventsPrecedeGrants(t *testing.T) {
 	}
 }
 
-func TestStatsAccumulate(t *testing.T) {
-	store := entity.NewStore(map[string]int64{"a": 100, "b": 200})
-	s := New(Config{Store: store, Strategy: MCS})
-	t1 := s.MustRegister(transferProg("T1", "a", "b", 10))
-	t2 := s.MustRegister(transferProg("T2", "b", "a", 5))
-	_ = t1
-	_ = t2
-	runAll(t, s)
-	st := s.Stats()
-	if st.Commits != 2 || st.Deadlocks == 0 || st.Rollbacks == 0 || st.OpsLost == 0 {
-		t.Errorf("stats = %+v", st)
-	}
-	ts := s.TxnStatsOf(t2)
-	if ts.OpsExecuted == 0 {
-		t.Error("txn stats empty")
-	}
-}
-
 func TestStringerCoverage(t *testing.T) {
 	for _, s := range []interface{ String() string }{
 		Total, MCS, SDG, Strategy(99),
-		NoPrevention, WoundWait, WaitDie,
 		StatusRunning, StatusWaiting, StatusCommitted, Status(99),
 		Progressed, Blocked, BlockedDeadlock, StillWaiting, Committed,
 		AlreadyCommitted, SelfRolledBack, Outcome(99),
@@ -370,5 +293,62 @@ func TestStringerCoverage(t *testing.T) {
 		if s.String() == "" {
 			t.Errorf("%T has empty String()", s)
 		}
+	}
+}
+
+// TestNoResolverLeavesCycle pins the nil-Resolver contract: the engine
+// only queues waits, so two transactions that close a cycle both
+// report Blocked, nothing counts a deadlock, and CheckInvariants — the
+// check that the caller's no-cycle guarantee held — reports the cycle.
+func TestNoResolverLeavesCycle(t *testing.T) {
+	store := entity.NewStore(map[string]int64{"a": 0, "b": 0})
+	s := New(Config{Store: store, Strategy: MCS})
+	t1 := s.MustRegister(txn.NewProgram("T1").LockX("a").LockX("b").MustBuild())
+	t2 := s.MustRegister(txn.NewProgram("T2").LockX("b").LockX("a").MustBuild())
+	for _, st := range []struct {
+		id   txn.ID
+		want Outcome
+	}{{t1, Progressed}, {t2, Progressed}, {t1, Blocked}, {t2, Blocked}} {
+		if res, err := s.Step(st.id); err != nil || res.Outcome != st.want {
+			t.Fatalf("step %v: %v, %v; want %v", st.id, res.Outcome, err, st.want)
+		}
+	}
+	if d := s.Stats().Deadlocks; d != 0 {
+		t.Errorf("Deadlocks = %d, want 0", d)
+	}
+	if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Errorf("CheckInvariants = %v, want the cycle reported", err)
+	}
+}
+
+func TestHybridCheckpointsTakenAtPlannedStates(t *testing.T) {
+	store := entity.NewStore(map[string]int64{"a": 0, "b": 0, "c": 0})
+	s := New(Config{Store: store, Strategy: Hybrid, HybridBudget: 4})
+	// Scattered writes destroy interior states, so the allocator plans
+	// checkpoints.
+	p := txn.NewProgram("H").Local("x", 0).
+		LockX("a").Read("a", "x").
+		Write("a", value.Add(value.L("x"), value.C(1))).
+		LockX("b").
+		Write("a", value.Add(value.L("x"), value.C(1))). // destroys state 1
+		LockX("c").
+		Write("b", value.Add(value.L("x"), value.C(1))).
+		MustBuild()
+	id := s.MustRegister(p)
+	for i := 0; i < len(p.Ops)-1; i++ {
+		if _, err := s.Step(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cps, peak, err := s.HybridStats(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cps == 0 || peak == 0 {
+		t.Errorf("checkpoints=%d peak=%d; planned states not checkpointed", cps, peak)
+	}
+	// State 1 is destroyed but checkpointed: ForceRollback must accept.
+	if err := s.ForceRollback(id, 1); err != nil {
+		t.Errorf("checkpointed state rejected: %v", err)
 	}
 }

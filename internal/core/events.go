@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"partialrollback/internal/deadlock"
 	"partialrollback/internal/txn"
 )
 
@@ -100,9 +99,9 @@ type DeadlockReport struct {
 	// strongly connected component) to its rollback plan,
 	// letting callers inspect the §3.1 cost comparison (Figure 1's
 	// 4 vs 6 vs 5).
-	Candidates map[txn.ID]deadlock.Victim
+	Candidates map[txn.ID]Victim
 	// Victims are the transactions actually rolled back.
-	Victims []deadlock.Victim
+	Victims []Victim
 }
 
 func (r *DeadlockReport) String() string {
@@ -133,7 +132,7 @@ const (
 	// AlreadyCommitted: the transaction had already committed; nothing
 	// happened.
 	AlreadyCommitted
-	// SelfRolledBack: a prevention rule (wait-die) rolled the stepping
+	// SelfRolledBack: the Resolver (wait-die) rolled the stepping
 	// transaction itself back; it remains runnable from its reset
 	// program counter.
 	SelfRolledBack

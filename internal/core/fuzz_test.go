@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"partialrollback/internal/core"
+	"partialrollback/internal/deadlock"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/txn"
 	"partialrollback/internal/value"
@@ -91,7 +92,7 @@ func FuzzProgramExecution(f *testing.F) {
 		p2.Name = "F2"
 		for _, strat := range []core.Strategy{core.Total, core.MCS, core.SDG, core.Hybrid} {
 			store := entity.NewStore(map[string]int64{"a": 1, "b": 2, "c": 3, "d": 4})
-			s, rec := recorded(core.Config{Store: store, Strategy: strat})
+			s, rec := recorded(core.Config{Store: store, Strategy: strat, Resolver: deadlock.Detect{}})
 			id1, err := s.Register(p1)
 			if err != nil {
 				t.Skip() // e.g. locks an entity the store lacks (impossible here)

@@ -214,19 +214,14 @@ func (s *System) GraphIsForest() bool {
 }
 
 // GraphHasCycle reports whether the current concurrency graph contains
-// a directed cycle (an unresolved deadlock; transient only, since the
-// engine resolves deadlocks as it detects them).
+// a directed cycle: an unresolved deadlock, which a Resolver breaks in
+// the step whose wait closes it and which a System without one must
+// never see.
 func (s *System) GraphHasCycle() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.graph().HasCycle()
 }
-
-// Strategy returns the configured rollback strategy.
-func (s *System) Strategy() Strategy { return s.cfg.Strategy }
-
-// PolicyName returns the configured victim policy's name.
-func (s *System) PolicyName() string { return s.policy.Name() }
 
 // WellDefinedStates returns id's currently well-defined lock states
 // under the single-copy strategy. It errors for other strategies.
@@ -307,10 +302,11 @@ func (s *System) CheckInvariants() error {
 	if err := s.locks.CheckInvariants(); err != nil {
 		return err
 	}
-	// Every deadlock is resolved by the step whose wait closed it, so
-	// between steps the graph is acyclic. A detection adds only the
+	// The Resolver breaks every cycle in the step whose wait closed it,
+	// and without one the caller guarantees no wait closes a cycle, so
+	// between steps the graph is acyclic. A wait adds only the
 	// requester's arcs to it, so the graph minus the requester is
-	// acyclic there too, which victim selection relies on.
+	// acyclic during resolution too, which victim selection relies on.
 	if g := s.graph(); g.HasCycle() {
 		return fmt.Errorf("core: concurrency graph has a cycle between steps:\n%s", g)
 	}

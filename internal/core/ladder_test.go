@@ -33,7 +33,7 @@ func buildLadder(t *testing.T, policy deadlock.Policy) (s *core.System, rec *his
 	for i := 0; i <= ladderDepth; i++ {
 		init[fmt.Sprintf("e%d", i)] = 0
 	}
-	s, rec = recorded(core.Config{Store: entity.NewStore(init), Strategy: core.MCS, Policy: policy})
+	s, rec = recorded(core.Config{Store: entity.NewStore(init), Strategy: core.MCS, Resolver: deadlock.Detect{Policy: policy}})
 	prog := func(name, held, want string, pad int) *txn.Program {
 		b := txn.NewProgram(name).Local("x", 0).LockS(held)
 		for k := 0; k < pad; k++ {

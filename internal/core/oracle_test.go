@@ -26,34 +26,6 @@ func chainProgram(name string, entities []string, bump int64) *txn.Program {
 	return b.MustBuild()
 }
 
-// TestDeterminism: the engine is a pure function of (programs, step
-// sequence): repeating a run gives identical stats and database.
-func TestDeterminism(t *testing.T) {
-	run := func() (Stats, map[string]int64) {
-		store := entity.NewStore(map[string]int64{"a": 1, "b": 2, "c": 3})
-		s := New(Config{Store: store, Strategy: MCS})
-		for i, order := range [][]string{{"a", "b", "c"}, {"c", "a", "b"}, {"b", "c", "a"}} {
-			s.MustRegister(chainProgram(fmt.Sprintf("P%d", i), order, int64(i)))
-		}
-		for !s.AllCommitted() {
-			for _, id := range s.IDs() {
-				if _, err := s.Step(id); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return s.Stats(), store.Snapshot()
-	}
-	s1, m1 := run()
-	s2, m2 := run()
-	if s1 != s2 {
-		t.Errorf("stats differ: %+v vs %+v", s1, s2)
-	}
-	if fmt.Sprint(m1) != fmt.Sprint(m2) {
-		t.Errorf("final states differ: %v vs %v", m1, m2)
-	}
-}
-
 // TestRollbackRestoresPrefixState: forcing a rollback to any reachable
 // state leaves the transaction exactly as a fresh execution of the
 // prefix, for both partial strategies.

@@ -1,8 +1,10 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"partialrollback/internal/core"
+	"partialrollback/internal/deadlock"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/txn"
 	"partialrollback/internal/value"
@@ -20,7 +22,7 @@ func twoLockProg(name, first, second string, pad int) *txn.Program {
 
 func TestWoundWaitOlderWoundsYounger(t *testing.T) {
 	store := entity.NewStore(map[string]int64{"a": 0, "b": 0})
-	s := New(Config{Store: store, Strategy: MCS, Prevention: WoundWait})
+	s := core.New(core.Config{Store: store, Strategy: core.MCS, Resolver: deadlock.WoundWait{}})
 	older := s.MustRegister(twoLockProg("older", "a", "b", 2))
 	younger := s.MustRegister(twoLockProg("younger", "b", "a", 2))
 
@@ -41,24 +43,24 @@ func TestWoundWaitOlderWoundsYounger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != Progressed {
+	if res.Outcome != core.Progressed {
 		t.Fatalf("older should be granted after wounding, got %v", res.Outcome)
 	}
 	if s.Stats().Wounds != 1 {
 		t.Errorf("wounds = %d", s.Stats().Wounds)
 	}
-	if st, _ := s.Status(younger); st != StatusRunning {
+	if st, _ := s.Status(younger); st != core.StatusRunning {
 		t.Errorf("wounded younger should be running from its reset pc, got %v", st)
 	}
 	if got := s.Held(younger); len(got) != 0 {
 		t.Errorf("younger still holds %v", got)
 	}
-	runAll(t, s)
+	core.RunAll(t, s)
 }
 
 func TestWoundWaitYoungerWaits(t *testing.T) {
 	store := entity.NewStore(map[string]int64{"a": 0, "b": 0})
-	s := New(Config{Store: store, Strategy: MCS, Prevention: WoundWait})
+	s := core.New(core.Config{Store: store, Strategy: core.MCS, Resolver: deadlock.WoundWait{}})
 	older := s.MustRegister(twoLockProg("older", "b", "a", 2))
 	younger := s.MustRegister(twoLockProg("younger", "a", "b", 2))
 	if _, err := s.Step(older); err != nil { // older locks b
@@ -73,18 +75,18 @@ func TestWoundWaitYoungerWaits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != Blocked {
+	if res.Outcome != core.Blocked {
 		t.Fatalf("younger must wait for the older holder, got %v", res.Outcome)
 	}
 	if s.Stats().Wounds != 0 {
 		t.Error("no wound expected")
 	}
-	runAll(t, s)
+	core.RunAll(t, s)
 }
 
 func TestWaitDieYoungerDies(t *testing.T) {
 	store := entity.NewStore(map[string]int64{"a": 0, "b": 0})
-	s := New(Config{Store: store, Strategy: MCS, Prevention: WaitDie})
+	s := core.New(core.Config{Store: store, Strategy: core.MCS, Resolver: deadlock.WaitDie{}})
 	older := s.MustRegister(twoLockProg("older", "b", "a", 2))
 	younger := s.MustRegister(twoLockProg("younger", "a", "b", 2))
 	if _, err := s.Step(older); err != nil { // older locks b
@@ -99,7 +101,7 @@ func TestWaitDieYoungerDies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != SelfRolledBack {
+	if res.Outcome != core.SelfRolledBack {
 		t.Fatalf("younger should die, got %v", res.Outcome)
 	}
 	if s.Stats().Dies != 1 {
@@ -108,12 +110,12 @@ func TestWaitDieYoungerDies(t *testing.T) {
 	if got := s.LockIndex(younger); got != 0 {
 		t.Errorf("wait-die must restart from scratch, lock index %d", got)
 	}
-	runAll(t, s)
+	core.RunAll(t, s)
 }
 
 func TestWaitDieOlderWaits(t *testing.T) {
 	store := entity.NewStore(map[string]int64{"a": 0, "b": 0})
-	s := New(Config{Store: store, Strategy: MCS, Prevention: WaitDie})
+	s := core.New(core.Config{Store: store, Strategy: core.MCS, Resolver: deadlock.WaitDie{}})
 	older := s.MustRegister(twoLockProg("older", "a", "b", 2))
 	younger := s.MustRegister(twoLockProg("younger", "b", "a", 2))
 	if _, err := s.Step(younger); err != nil { // younger locks b
@@ -128,17 +130,17 @@ func TestWaitDieOlderWaits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != Blocked {
+	if res.Outcome != core.Blocked {
 		t.Fatalf("older should wait, got %v", res.Outcome)
 	}
-	runAll(t, s)
+	core.RunAll(t, s)
 }
 
 func TestWoundWaitSkipsUnwoundableHolders(t *testing.T) {
 	// A holder in its shrinking phase cannot be wounded; the older
 	// requester waits instead (safe: the holder never requests again).
 	store := entity.NewStore(map[string]int64{"a": 0, "b": 0})
-	s2 := New(Config{Store: store, Strategy: MCS, Prevention: WoundWait})
+	s2 := core.New(core.Config{Store: store, Strategy: core.MCS, Resolver: deadlock.WoundWait{}})
 	old2 := s2.MustRegister(twoLockProg("older", "a", "b", 0))
 	young2 := s2.MustRegister(txn.NewProgram("younger").Local("x", 0).
 		LockX("b").LockX("a").Unlock("a").Unlock("b").MustBuild())
@@ -161,43 +163,11 @@ func TestWoundWaitSkipsUnwoundableHolders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != Blocked {
+	if res.Outcome != core.Blocked {
 		t.Fatalf("must wait for unwoundable holder, got %v", res.Outcome)
 	}
 	if s2.Stats().Wounds != 0 {
 		t.Error("shrinking-phase holder must not be wounded")
 	}
-	runAll(t, s2)
-}
-
-func TestHybridCheckpointsTakenAtPlannedStates(t *testing.T) {
-	store := entity.NewStore(map[string]int64{"a": 0, "b": 0, "c": 0})
-	s := New(Config{Store: store, Strategy: Hybrid, HybridBudget: 4})
-	// Scattered writes destroy interior states, so the allocator plans
-	// checkpoints.
-	p := txn.NewProgram("H").Local("x", 0).
-		LockX("a").Read("a", "x").
-		Write("a", value.Add(value.L("x"), value.C(1))).
-		LockX("b").
-		Write("a", value.Add(value.L("x"), value.C(1))). // destroys state 1
-		LockX("c").
-		Write("b", value.Add(value.L("x"), value.C(1))).
-		MustBuild()
-	id := s.MustRegister(p)
-	for i := 0; i < len(p.Ops)-1; i++ {
-		if _, err := s.Step(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cps, peak, err := s.HybridStats(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cps == 0 || peak == 0 {
-		t.Errorf("checkpoints=%d peak=%d; planned states not checkpointed", cps, peak)
-	}
-	// State 1 is destroyed but checkpointed: ForceRollback must accept.
-	if err := s.ForceRollback(id, 1); err != nil {
-		t.Errorf("checkpointed state rejected: %v", err)
-	}
+	core.RunAll(t, s2)
 }

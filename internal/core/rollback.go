@@ -2,14 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
-	"partialrollback/internal/deadlock"
 	"partialrollback/internal/intern"
 	"partialrollback/internal/lock"
 	"partialrollback/internal/sdg"
-	"partialrollback/internal/txn"
-	"partialrollback/internal/waitfor"
 )
 
 // release releases t's lock on ent and applies any promoted grants.
@@ -28,9 +24,9 @@ func (s *System) release(t *tstate, ent intern.ID) error {
 // contested entities, adjusted to the latest well-defined state under
 // the single-copy strategy or to the initial state under total
 // restart, and the state-index cost of rolling back there.
-func (s *System) planRollback(t *tstate, contested []intern.ID) (deadlock.Victim, bool) {
+func (s *System) planRollback(t *tstate, contested []intern.ID) (Victim, bool) {
 	if t.unlocked || t.declaredLast || t.status == StatusCommitted || len(contested) == 0 {
-		return deadlock.Victim{}, false
+		return Victim{}, false
 	}
 	target := t.lockIndex
 	for _, ent := range contested {
@@ -43,7 +39,7 @@ func (s *System) planRollback(t *tstate, contested []intern.ID) (deadlock.Victim
 		}
 	}
 	if target == t.lockIndex {
-		return deadlock.Victim{}, false // holds none of the contested entities
+		return Victim{}, false // holds none of the contested entities
 	}
 	switch s.cfg.Strategy {
 	case Total:
@@ -54,122 +50,13 @@ func (s *System) planRollback(t *tstate, contested []intern.ID) (deadlock.Victim
 		target = t.hyb.LatestRestorableAtOrBelow(target)
 	}
 	if target >= len(t.lockStates) {
-		return deadlock.Victim{}, false
+		return Victim{}, false
 	}
-	return deadlock.Victim{
+	return Victim{
 		Txn:    t.id,
 		Target: target,
 		Cost:   t.stateIndex - t.lockStates[target].stateIndex,
 	}, true
-}
-
-// resolveDeadlock handles §2 rule 3: the wait of requester on
-// entityName closed one or more cycles; pick victims from the
-// requester's strongly connected component per the configured policy
-// and roll each back. The component comes from the part of the
-// concurrency graph reachable from the requester, built from the lock
-// table now that a cycle is known to exist. Each member's contested
-// entities are the labels on its arcs in from the component: every
-// such arc lies on a cycle through the requester, so this is the union
-// over all of them.
-func (s *System) resolveDeadlock(requester *tstate, entityName string) (*DeadlockReport, error) {
-	s.stats.Deadlocks++
-	g := waitfor.RebuildFrom(s.locks, requester.id)
-	comp := g.ComponentOf(requester.id)
-	report := &DeadlockReport{
-		Requester:  requester.id,
-		Entity:     entityName,
-		Cycles:     g.CyclesThrough(requester.id, ReportedCycles),
-		Candidates: make(map[txn.ID]deadlock.Victim, len(comp.Members)),
-	}
-	for i, id := range comp.Members {
-		if v, ok := s.planRollback(s.txns[id], comp.Contested[i]); ok {
-			report.Candidates[id] = v
-		}
-	}
-	info := deadlock.Info{
-		Requester: requester.id,
-		Members:   comp.Members,
-		Succ:      comp.Succ,
-		Plan: func(id txn.ID) (deadlock.Victim, bool) {
-			v, ok := report.Candidates[id]
-			return v, ok
-		},
-		Entry: func(id txn.ID) int64 { return s.txns[id].entry },
-	}
-	victims, err := s.policy.Choose(info)
-	if err != nil {
-		return nil, fmt.Errorf("core: deadlock policy %q: %w", s.policy.Name(), err)
-	}
-	report.Victims = victims
-	s.stats.Victims += int64(len(victims))
-	s.emit(Event{Kind: EventDeadlock, Txn: requester.id, Entity: entityName, Deadlock: report})
-	for _, v := range victims {
-		t, ok := s.txns[v.Txn]
-		if !ok {
-			return nil, fmt.Errorf("core: policy chose unknown victim %v", v.Txn)
-		}
-		if err := s.rollbackTo(t, v.Target); err != nil {
-			return nil, err
-		}
-	}
-	// The victims' releases must have broken every cycle; if the
-	// requester still waits it must now wait safely.
-	if requester.status == StatusWaiting && s.waitCycle(requester) {
-		left := waitfor.RebuildFrom(s.locks, requester.id).CyclesThrough(requester.id, 1)
-		return report, fmt.Errorf("core: policy %q left a cycle unbroken: %v", s.policy.Name(), left[0])
-	}
-	if err := s.escalateStarvation(comp.Members); err != nil {
-		return report, err
-	}
-	return report, nil
-}
-
-// escalateStarvation ages the waits of deadlock participants: a
-// participant still waiting after StarvationLimit resolutions of
-// deadlocks it was part of gets wound-wait treatment — every
-// strictly-younger holder of its awaited entity is partially rolled
-// back to release it. Minimal cycle-breaking alone can otherwise starve
-// an old waiter indefinitely: each resolution frees only one of several
-// holds (e.g. one of two shared locks) and the ring re-forms.
-func (s *System) escalateStarvation(members []txn.ID) error {
-	if s.cfg.StarvationLimit < 0 {
-		return nil
-	}
-	var starved []*tstate
-	for _, id := range members {
-		t, ok := s.txns[id]
-		if !ok || t.status != StatusWaiting {
-			continue
-		}
-		t.starveRounds++
-		if t.starveRounds >= s.cfg.StarvationLimit {
-			starved = append(starved, t)
-		}
-	}
-	sort.Slice(starved, func(i, j int) bool { return starved[i].entry < starved[j].entry })
-	for _, t := range starved {
-		if t.status != StatusWaiting {
-			continue // an earlier escalation unblocked it
-		}
-		ent := t.waitEnt
-		for _, h := range s.locks.HoldersAppend(ent, nil) {
-			holder, ok := s.txns[h]
-			if !ok || holder.entry <= t.entry {
-				continue // only younger holders are wounded
-			}
-			plan, ok := s.planRollback(holder, []intern.ID{ent})
-			if !ok {
-				continue
-			}
-			if err := s.rollbackTo(holder, plan.Target); err != nil {
-				return err
-			}
-			s.stats.Escalations++
-		}
-		t.starveRounds = 0
-	}
-	return nil
 }
 
 // restoreSingleCopy applies the SDG restore rules: targets first

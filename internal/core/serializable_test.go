@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"partialrollback/internal/core"
+	"partialrollback/internal/deadlock"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/history"
 	"partialrollback/internal/txn"
@@ -86,7 +87,7 @@ func TestSerialEquivalenceOracle(t *testing.T) {
 	for _, strat := range []core.Strategy{core.Total, core.MCS, core.SDG, core.Hybrid} {
 		t.Run(strat.String(), func(t *testing.T) {
 			store := mkStore()
-			s, rec := recorded(core.Config{Store: store, Strategy: strat})
+			s, rec := recorded(core.Config{Store: store, Strategy: strat, Resolver: deadlock.Detect{}})
 			ids := make([]txn.ID, len(programs))
 			progByID := map[txn.ID]*txn.Program{}
 			for i, p := range programs {
@@ -123,7 +124,7 @@ func TestSerialEquivalenceOracle(t *testing.T) {
 // entity closes two cycles; the engine must clear both and finish.
 func TestMultiCycleSharedDeadlockResolved(t *testing.T) {
 	store := entity.NewStore(map[string]int64{"a": 0, "b": 0, "f": 0})
-	s, rec := recorded(core.Config{Store: store, Strategy: core.SDG})
+	s, rec := recorded(core.Config{Store: store, Strategy: core.SDG, Resolver: deadlock.Detect{}})
 	s.MustRegister(txn.NewProgram("T1").Local("x", 0).
 		LockX("a").LockX("b").LockX("f").Read("f", "x").MustBuild())
 	s.MustRegister(txn.NewProgram("T2").Local("x", 0).
@@ -144,7 +145,7 @@ func TestSmokeDeadlockEveryStrategy(t *testing.T) {
 		t.Run(strat.String(), func(t *testing.T) {
 			store := entity.NewStore(map[string]int64{"a": 100, "b": 200})
 			store.AddConstraint(entity.SumConstraint("total", 300, "a", "b"))
-			s, rec := recorded(core.Config{Store: store, Strategy: strat})
+			s, rec := recorded(core.Config{Store: store, Strategy: strat, Resolver: deadlock.Detect{}})
 			s.MustRegister(core.TransferProg("T1", "a", "b", 10))
 			s.MustRegister(core.TransferProg("T2", "b", "a", 5))
 			core.RunAll(t, s)

@@ -78,41 +78,3 @@ func TestSharedReadersSeeStableValue(t *testing.T) {
 		t.Error("writer's value not installed")
 	}
 }
-
-// TestVictimWithSharedLockReleased: rolling back a victim that holds
-// the contested entity under a *shared* lock must release that shared
-// hold (Figure 3(c)'s both-shared-holders case, unit level).
-func TestVictimWithSharedLockReleased(t *testing.T) {
-	store := entity.NewStore(map[string]int64{"a": 0, "f": 0})
-	s := New(Config{Store: store, Strategy: MCS})
-	t1 := s.MustRegister(txn.NewProgram("T1").Local("x", 0).
-		LockX("a").LockX("f").MustBuild())
-	t2 := s.MustRegister(txn.NewProgram("T2").Local("x", 0).
-		LockS("f").LockS("a").MustBuild())
-	mustStep := func(id txn.ID) StepResult {
-		t.Helper()
-		res, err := s.Step(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	mustStep(t1)                                     // X a
-	mustStep(t2)                                     // S f
-	if res := mustStep(t2); res.Outcome != Blocked { // S a vs X holder
-		t.Fatalf("T2 should wait, got %v", res.Outcome)
-	}
-	res := mustStep(t1) // X f vs S holder -> cycle
-	if res.Outcome != BlockedDeadlock {
-		t.Fatalf("expected deadlock, got %v", res.Outcome)
-	}
-	// The ordered policy victimizes T2 (younger); its shared f must be
-	// gone and T1 must hold f now.
-	if got := s.Held(t2); len(got) != 0 {
-		t.Errorf("victim still holds %v", got)
-	}
-	if !s.HoldsExclusive(t1, "f") {
-		t.Error("requester should have been granted f")
-	}
-	runAll(t, s)
-}

@@ -8,7 +8,6 @@ import (
 	"partialrollback/internal/intern"
 	"partialrollback/internal/lock"
 	"partialrollback/internal/txn"
-	"partialrollback/internal/waitfor"
 )
 
 // lockEngine takes the engine mutex, reporting the blocked nanoseconds
@@ -40,7 +39,7 @@ func (s *System) Step(id txn.ID) (StepResult, error) {
 // attempted (polls of waiting or committed transactions count zero).
 //
 // Conflict resolution stays operation-granular: every lock request
-// inside the burst goes through exactly the same grant/wait/detect
+// inside the burst goes through exactly the same grant/wait/resolve
 // logic as Step, and a wait ends the burst immediately, so the set of
 // reachable schedules is unchanged — a burst merely runs a sequence of
 // steps other transactions would not have been scheduled between.
@@ -211,32 +210,7 @@ func (s *System) stepLock(t *tstate, op *txn.ExecOp) (StepResult, error) {
 	s.stats.Waits++
 	s.emit(Event{Kind: EventWait, Txn: t.id, Entity: name})
 
-	res := StepResult{Outcome: Blocked}
-	if s.cfg.Prevention != NoPrevention {
-		var err error
-		if res, err = s.preventConflict(t, blockers); err != nil || t.status != StatusWaiting {
-			return res, err
-		}
-	}
-	// Under prevention this is a safety net: shared-lock grants can jump
-	// timestamp checks, so a cycle can still form in rare interleavings.
-	if !s.waitCycle(t) {
-		return res, nil
-	}
-	report, err := s.resolveDeadlock(t, name)
-	if err != nil {
-		return StepResult{}, err
-	}
-	return StepResult{Outcome: BlockedDeadlock, Deadlock: report}, nil
-}
-
-// waitCycle reports whether t's wait closes a cycle in the concurrency
-// graph, walking the lock table (waitfor.CycleThrough) with the
-// engine's scratch buffer.
-func (s *System) waitCycle(t *tstate) bool {
-	cycle, buf := waitfor.CycleThrough(s.locks, t.id, s.cycleBuf)
-	s.cycleBuf = buf
-	return cycle
+	return s.resolveWait(t, blockers)
 }
 
 // finishGrant completes a granted lock request for t: bookkeeping,

@@ -6,13 +6,18 @@
 // operation at a time (callers choose the interleaving; see
 // internal/sim for deterministic drivers and internal/runtime for a
 // goroutine-per-transaction driver). Lock requests follow §2's rules:
-// grant when compatible, otherwise wait; when a wait would close a
-// cycle in the concurrency graph, a victim-selection policy picks
-// transactions to roll back and the system rolls each back just far
-// enough to break every cycle — to the lock state preceding its lock on
-// a contested entity (multi-copy strategy), to the latest *well-defined*
-// such state (single-copy strategy), or to its initial state (total
-// restart, the classical baseline the paper generalizes).
+// grant when compatible, otherwise wait. Every wait goes to the
+// configured Resolver, the one seam for conflict resolution:
+// internal/deadlock's detection, whose victim policy picks
+// transactions when a wait closes a cycle in the concurrency graph, or
+// its wound-wait and wait-die rules (§3.3). The System performs the
+// rollbacks a Resolver asks for, each just far enough to release what
+// is contested — to the lock state preceding its lock on a contested
+// entity (multi-copy strategy), to the latest *well-defined* such
+// state (single-copy strategy), or to its initial state (total
+// restart, the classical baseline the paper generalizes). A System
+// without a Resolver only queues waits, for callers whose waits cannot
+// close a cycle (Config.OrderLocks).
 package core
 
 import (
@@ -21,7 +26,6 @@ import (
 	"slices"
 	"sync"
 
-	"partialrollback/internal/deadlock"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/hybrid"
 	"partialrollback/internal/intern"
@@ -129,21 +133,11 @@ type Config struct {
 	Store *entity.Store
 	// Strategy selects the rollback implementation. Default Total.
 	Strategy Strategy
-	// Policy selects deadlock victims. Default deadlock.OrderedMinCost
-	// (the Theorem 2 safe policy).
-	Policy deadlock.Policy
-	// Prevention replaces detection with a timestamp rule (§3.3
-	// distributed operation). Default NoPrevention.
-	Prevention Prevention
-	// StarvationLimit escalates fairness: when a waiting transaction's
-	// conflict survives this many deadlock resolutions it participated
-	// in, every strictly-younger holder of its awaited entity is
-	// wounded (partially rolled back to release it) — wound-wait applied
-	// on demand. Without it, minimal cycle-breaking can starve an old
-	// waiter forever while younger transactions re-form cycles around it
-	// (found by the randomized soak test). 0 means the default (8);
-	// negative disables escalation.
-	StarvationLimit int
+	// Resolver answers every lock request that must wait (see
+	// Resolver): internal/deadlock's detection with a victim policy, or
+	// wound-wait or wait-die. Nil only queues the request, for callers
+	// whose waits cannot close a cycle (OrderLocks).
+	Resolver Resolver
 	// HybridBudget is the per-transaction checkpoint budget for the
 	// Hybrid strategy (ignored otherwise). Zero means no checkpoints:
 	// the strategy then behaves exactly like SDG.
@@ -176,12 +170,12 @@ type Config struct {
 	// first, in ascending entity-ID order, then its other operations as
 	// sent. Register validates the program as sent, and every error
 	// names as-sent op indexes. One global acquisition order with no
-	// upgrades admits no wait-for cycle, and under 2PL taking a lock
-	// earlier changes nothing a program computes. txn.OrderLocks (name
-	// order) is its test oracle. It requires Strategy Total (New panics
-	// otherwise): txn.Writes, which SDG and Hybrid read, numbers lock
-	// states as sent, and an engine that cannot deadlock needs no
-	// rollback but Abort's restart.
+	// upgrades admits no wait-for cycle, so such a System needs no
+	// Resolver, and under 2PL taking a lock earlier changes nothing a
+	// program computes. txn.OrderLocks (name order) is its test oracle.
+	// It requires Strategy Total (New panics otherwise): txn.Writes,
+	// which SDG and Hybrid read, numbers lock states as sent, and an
+	// engine that cannot deadlock needs no rollback but Abort's restart.
 	OrderLocks bool
 }
 
@@ -288,7 +282,8 @@ type tstate struct {
 	failed       bool
 	declaredLast bool
 	// starveRounds counts deadlock resolutions this transaction's
-	// current wait has survived; reset on grant and on rollback.
+	// current wait has survived (Wait.Starved); reset on grant and on
+	// rollback.
 	starveRounds int
 
 	mcs *mcs.Copies
@@ -414,11 +409,10 @@ type Stats struct {
 type System struct {
 	mu sync.Mutex
 
-	cfg    Config
-	store  *entity.Store
-	names  *intern.Table // the store's interner, shared with locks
-	locks  *lock.Table   // also the concurrency graph G(T) (waitfor)
-	policy deadlock.Policy
+	cfg   Config
+	store *entity.Store
+	names *intern.Table // the store's interner, shared with locks
+	locks *lock.Table   // also the concurrency graph G(T) (waitfor)
 
 	txns   map[txn.ID]*tstate
 	nextID txn.ID
@@ -428,7 +422,7 @@ type System struct {
 	// never re-enter the operation that owns a buffer, so each is in use
 	// by at most one stack frame at a time.
 	blockersBuf []txn.ID
-	cycleBuf    []txn.ID
+	wait        Wait // the Resolver's view, reused across waits
 	grantsBuf   []lock.GrantID
 	copiesBuf   []hybrid.EntityCopy
 	releaseBuf  []nameEnt
@@ -447,20 +441,13 @@ func New(cfg Config) *System {
 	if cfg.OrderLocks && cfg.Strategy != Total {
 		panic(fmt.Sprintf("core: Config.OrderLocks requires strategy total, not %v", cfg.Strategy))
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = deadlock.OrderedMinCost{}
-	}
-	if cfg.StarvationLimit == 0 {
-		cfg.StarvationLimit = 8
-	}
 	names := cfg.Store.Interner()
 	return &System{
-		cfg:    cfg,
-		store:  cfg.Store,
-		names:  names,
-		locks:  lock.NewTableInterned(names),
-		policy: cfg.Policy,
-		txns:   map[txn.ID]*tstate{},
+		cfg:   cfg,
+		store: cfg.Store,
+		names: names,
+		locks: lock.NewTableInterned(names),
+		txns:  map[txn.ID]*tstate{},
 	}
 }
 

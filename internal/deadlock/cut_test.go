@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"partialrollback/internal/core"
 	"partialrollback/internal/graph"
 	"partialrollback/internal/txn"
 	"partialrollback/internal/waitfor"
@@ -56,9 +57,9 @@ func randomDeadlock(seed int64, size uint8) (*waitfor.Graph, Info) {
 		Requester: r,
 		Members:   c.Members,
 		Succ:      c.Succ,
-		Plan: func(id txn.ID) (Victim, bool) {
+		Plan: func(id txn.ID) (core.Victim, bool) {
 			cost, ok := costs[id]
-			return Victim{Txn: id, Cost: cost}, ok
+			return core.Victim{Txn: id, Cost: cost}, ok
 		},
 		Entry: func(id txn.ID) int64 { return entries[id] },
 	}
@@ -88,7 +89,7 @@ func exactCut(cycles [][]txn.ID, in Info, allow func(txn.ID) bool) ([]txn.ID, in
 	return out, cost, ok
 }
 
-func victimIDs(vs []Victim) (ids []txn.ID, cost int64) {
+func victimIDs(vs []core.Victim) (ids []txn.ID, cost int64) {
 	for _, v := range vs {
 		ids = append(ids, v.Txn)
 		cost += v.Cost

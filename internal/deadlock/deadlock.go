@@ -1,11 +1,17 @@
-// Package deadlock implements victim selection for deadlock removal
-// (§3). Detection itself is a cycle search in the concurrency graph
-// (internal/waitfor); this package decides *who* to roll back and *how
-// far*, given the requester's strongly connected component and
-// per-member rollback plans computed by the engine.
+// Package deadlock implements the engine's conflict resolution (§3):
+// three core.Resolvers, chosen per System through core.Config.Resolver.
+// Detect is §2 rule 3: a wait that closes a cycle in the concurrency
+// graph (the lock table, walked through internal/waitfor) is resolved
+// by rolling back victims that a Policy picks, each as far as its
+// rollback plan says. WoundWait and WaitDie are §3.3's timestamp
+// rules, with detection kept as their safety net. Parse builds any of
+// them from prsim's flag names.
 //
-// All cycles closed by a single wait response pass through the
-// requesting transaction r (§3.2), so rolling back r always suffices.
+// A Policy decides *who* to roll back and *how far*, given the
+// requester's strongly connected component and per-member rollback
+// plans computed by the engine. All cycles closed by a single wait
+// response pass through the requesting transaction r (§3.2), so
+// rolling back r always suffices.
 // §3.2 calls the cheapest victim set — a minimum-cost vertex set that
 // meets every cycle — NP-complete, as it is for arbitrary cycle
 // families. The engine's instance is polynomial. The engine resolves
@@ -24,20 +30,9 @@ import (
 	"slices"
 	"sort"
 
+	"partialrollback/internal/core"
 	"partialrollback/internal/txn"
 )
-
-// Victim is one rollback decision: roll Txn back to lock state Target
-// at cost Cost (the paper's state-index distance; see §3.1).
-type Victim struct {
-	Txn    txn.ID
-	Target int   // lock state index to roll back to
-	Cost   int64 // state-index distance lost
-}
-
-func (v Victim) String() string {
-	return fmt.Sprintf("%v->state %d (cost %d)", v.Txn, v.Target, v.Cost)
-}
 
 // Info describes one detected deadlock.
 type Info struct {
@@ -57,7 +52,7 @@ type Info struct {
 	// other members wait for (adjusted to a well-defined state under
 	// the single-copy strategy), and the cost of rolling back to it. ok
 	// is false if the transaction cannot be rolled back.
-	Plan func(id txn.ID) (v Victim, ok bool)
+	Plan func(id txn.ID) (v core.Victim, ok bool)
 	// Entry returns the transaction's entry sequence number (its
 	// position in the Theorem 2 ordering; smaller means earlier).
 	Entry func(id txn.ID) int64
@@ -70,17 +65,7 @@ type Policy interface {
 	// Name identifies the policy in metrics and experiment rows.
 	Name() string
 	// Choose returns the victims to roll back.
-	Choose(in Info) ([]Victim, error)
-}
-
-// ParsePolicy returns the policy whose Name is s.
-func ParsePolicy(s string) (Policy, error) {
-	for _, p := range []Policy{MinCost{}, OrderedMinCost{}, Requester{}, Oldest{}} {
-		if p.Name() == s {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown policy %q", s)
+	Choose(in Info) ([]core.Victim, error)
 }
 
 // instance is one Choose call's view of an Info: the requester's index
@@ -88,12 +73,12 @@ func ParsePolicy(s string) (Policy, error) {
 type instance struct {
 	Info
 	r     int
-	plans []Victim
+	plans []core.Victim
 	ok    []bool // ok[i]: Members[i] can be rolled back
 }
 
 func newInstance(in Info) *instance {
-	x := &instance{Info: in, plans: make([]Victim, len(in.Members)), ok: make([]bool, len(in.Members))}
+	x := &instance{Info: in, plans: make([]core.Victim, len(in.Members)), ok: make([]bool, len(in.Members))}
 	for i, id := range in.Members {
 		if id == in.Requester {
 			x.r = i
@@ -107,9 +92,9 @@ func (x *instance) entry(i int) int64 { return x.Entry(x.Members[i]) }
 
 // victims returns the plans of the members in set, in ascending ID
 // order.
-func (x *instance) victims(set []int) []Victim {
+func (x *instance) victims(set []int) []core.Victim {
 	slices.Sort(set)
-	out := make([]Victim, len(set))
+	out := make([]core.Victim, len(set))
 	for k, i := range set {
 		out[k] = x.plans[i]
 	}
@@ -229,7 +214,7 @@ func (x *instance) cut(cost []int64) (set []int, total int64, ok bool) {
 // ID-ordered bitmask is smallest, the one an exhaustive subset search
 // in ascending order finds first: candidates are excluded in
 // descending ID order while the optimal cost holds.
-func (x *instance) cheapest(allowed []bool) ([]Victim, bool) {
+func (x *instance) cheapest(allowed []bool) ([]core.Victim, bool) {
 	excluded := make([]bool, len(x.Members))
 	cost := make([]int64, len(x.Members))
 	best := func() ([]int, int64, bool) {
@@ -329,7 +314,7 @@ type MinCost struct{}
 func (MinCost) Name() string { return "min-cost" }
 
 // Choose implements Policy.
-func (MinCost) Choose(in Info) ([]Victim, error) {
+func (MinCost) Choose(in Info) ([]core.Victim, error) {
 	x := newInstance(in)
 	victims, ok := x.cheapest(nil)
 	if !ok {
@@ -350,12 +335,12 @@ type Requester struct{}
 func (Requester) Name() string { return "requester" }
 
 // Choose implements Policy.
-func (Requester) Choose(in Info) ([]Victim, error) {
+func (Requester) Choose(in Info) ([]core.Victim, error) {
 	v, ok := in.Plan(in.Requester)
 	if !ok {
 		return nil, fmt.Errorf("deadlock: requester %v cannot be rolled back", in.Requester)
 	}
-	return []Victim{v}, nil
+	return []core.Victim{v}, nil
 }
 
 // OrderedMinCost is the Theorem 2 policy: a transaction T_i may be
@@ -377,7 +362,7 @@ type OrderedMinCost struct{}
 func (OrderedMinCost) Name() string { return "ordered-min-cost" }
 
 // Choose implements Policy.
-func (OrderedMinCost) Choose(in Info) ([]Victim, error) {
+func (OrderedMinCost) Choose(in Info) ([]core.Victim, error) {
 	x := newInstance(in)
 	reqEntry := x.entry(x.r)
 	younger := make([]bool, len(in.Members))
@@ -426,7 +411,7 @@ type Oldest struct{}
 func (Oldest) Name() string { return "youngest-victim" }
 
 // Choose implements Policy.
-func (Oldest) Choose(in Info) ([]Victim, error) {
+func (Oldest) Choose(in Info) ([]core.Victim, error) {
 	x := newInstance(in)
 	// The youngest participant may not break every cycle by itself;
 	// members are taken youngest first while they still lie on a cycle

@@ -1,11 +1,13 @@
 package deadlock
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"sort"
 	"testing"
 
+	"partialrollback/internal/core"
 	"partialrollback/internal/txn"
 )
 
@@ -52,12 +54,12 @@ func makeArcInfo(requester txn.ID, arcs [][2]txn.ID, costs map[txn.ID]int64, ent
 		Requester: requester,
 		Members:   members,
 		Succ:      succ,
-		Plan: func(id txn.ID) (Victim, bool) {
+		Plan: func(id txn.ID) (core.Victim, bool) {
 			c, ok := costs[id]
 			if !ok {
-				return Victim{}, false
+				return core.Victim{}, false
 			}
-			return Victim{Txn: id, Target: 1, Cost: c}, true
+			return core.Victim{Txn: id, Target: 1, Cost: c}, true
 		},
 		Entry: func(id txn.ID) int64 { return entries[id] },
 	}
@@ -135,7 +137,7 @@ func TestRequesterPolicy(t *testing.T) {
 		t.Errorf("victims = %v", got)
 	}
 	// Requester without a plan fails.
-	in.Plan = func(txn.ID) (Victim, bool) { return Victim{}, false }
+	in.Plan = func(txn.ID) (core.Victim, bool) { return core.Victim{}, false }
 	if _, err := (Requester{}).Choose(in); err == nil {
 		t.Error("want error")
 	}
@@ -234,8 +236,32 @@ func TestNoCoverableVictims(t *testing.T) {
 }
 
 func TestVictimString(t *testing.T) {
-	v := Victim{Txn: 2, Target: 1, Cost: 4}
+	v := core.Victim{Txn: 2, Target: 1, Cost: 4}
 	if v.String() == "" {
 		t.Error("victim string")
+	}
+}
+
+// TestParse covers prsim's flag names: every policy under each of the
+// three resolvers, and the two unknown-name errors.
+func TestParse(t *testing.T) {
+	for _, pol := range []string{"min-cost", "ordered-min-cost", "requester", "youngest-victim"} {
+		for prev, want := range map[string]core.Resolver{
+			"": Detect{}, "wound-wait": WoundWait{}, "wait-die": WaitDie{},
+		} {
+			r, err := Parse(prev, pol)
+			if err != nil {
+				t.Fatalf("Parse(%q, %q): %v", prev, pol, err)
+			}
+			if fmt.Sprintf("%T", r) != fmt.Sprintf("%T", want) || r.Name() != pol {
+				t.Errorf("Parse(%q, %q) = %T named %q", prev, pol, r, r.Name())
+			}
+		}
+	}
+	if _, err := Parse("", "bogus"); err == nil || err.Error() != `unknown policy "bogus"` {
+		t.Errorf("unknown policy: %v", err)
+	}
+	if _, err := Parse("bogus", "min-cost"); err == nil || err.Error() != `unknown prevention "bogus"` {
+		t.Errorf("unknown prevention: %v", err)
 	}
 }

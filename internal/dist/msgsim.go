@@ -631,9 +631,9 @@ func (e *msgEngine) resolveLocalDeadlock(s *msgSite, requester txn.ID) error {
 		Requester: requester,
 		Members:   comp.Members,
 		Succ:      comp.Succ,
-		Plan: func(id txn.ID) (deadlock.Victim, bool) {
+		Plan: func(id txn.ID) (core.Victim, bool) {
 			a := e.agents[id]
-			return deadlock.Victim{Txn: id}, !a.unlocked && !a.declared
+			return core.Victim{Txn: id}, !a.unlocked && !a.declared
 		},
 		Entry: func(id txn.ID) int64 { return e.agents[id].entry },
 	})
@@ -641,7 +641,7 @@ func (e *msgEngine) resolveLocalDeadlock(s *msgSite, requester txn.ID) error {
 		return fmt.Errorf("dist: site %d: %w", s.id, err)
 	}
 	// Messages go out youngest first, the order the rule takes victims.
-	slices.SortStableFunc(victims, func(a, b deadlock.Victim) int { return cmp.Compare(e.agents[b.Txn].entry, e.agents[a.Txn].entry) })
+	slices.SortStableFunc(victims, func(a, b core.Victim) int { return cmp.Compare(e.agents[b.Txn].entry, e.agents[a.Txn].entry) })
 	for _, v := range victims {
 		// One contested entity suffices to name the rollback point; the
 		// home computes the strategy-adjusted target over all of them.

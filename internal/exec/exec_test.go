@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"partialrollback/internal/core"
+	"partialrollback/internal/deadlock"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/sim"
 	"partialrollback/internal/txn"
@@ -21,7 +22,7 @@ import (
 func TestStepToCommitDeadlock(t *testing.T) {
 	for _, strategy := range []core.Strategy{core.Total, core.MCS, core.SDG} {
 		store := entity.NewUniformStore("e", 4, 100)
-		sys := core.New(core.Config{Store: store, Strategy: strategy})
+		sys := core.New(core.Config{Store: store, Strategy: strategy, Resolver: deadlock.Detect{}})
 		progs := []struct{ from, to string }{{"e0", "e1"}, {"e1", "e0"}}
 		var wg sync.WaitGroup
 		errCh := make(chan error, len(progs))

@@ -31,7 +31,7 @@ func E13Hybrid(seed int64) ([]E13Row, *Table, error) {
 		Shape: sim.Scattered, Seed: seed,
 	})
 	base := sim.RunConfig{
-		Policy:    deadlock.OrderedMinCost{},
+		Resolver:  deadlock.Detect{},
 		Scheduler: sim.RoundRobin, Seed: seed,
 	}
 	// MCS reference: the minimal possible rollback loss.
@@ -140,7 +140,7 @@ func E14Optimizer(seed int64) ([]E14Row, *Table, error) {
 		return float64(wd) / float64(states)
 	}
 	rc := sim.RunConfig{
-		Strategy: core.SDG, Policy: deadlock.OrderedMinCost{},
+		Strategy: core.SDG, Resolver: deadlock.Detect{},
 		Scheduler: sim.RoundRobin, Seed: seed,
 	}
 	before, err := sim.Run(w, rc)

@@ -34,7 +34,7 @@ func E6Forest(seeds int) (*E6Result, *Table, error) {
 			Seed: int64(seed),
 		})
 		store := w.NewStore()
-		sys := core.New(core.Config{Store: store, Strategy: core.MCS, Policy: deadlock.OrderedMinCost{}})
+		sys := core.New(core.Config{Store: store, Strategy: core.MCS, Resolver: deadlock.Detect{}})
 		for _, p := range w.Programs {
 			if _, err := sys.Register(p); err != nil {
 				return nil, nil, err

@@ -104,7 +104,7 @@ func RunFigure1() (*Figure1Result, error) {
 	sys := core.New(core.Config{
 		Store:    Figure1Store(),
 		Strategy: core.MCS,
-		Policy:   deadlock.MinCost{},
+		Resolver: deadlock.Detect{Policy: deadlock.MinCost{}},
 	})
 	res := &Figure1Result{Sys: sys, Costs: map[int]int64{}}
 	progs := []*txn.Program{nil, fig1T1(), fig1T2(), fig1T3(), fig1T4(), fig1T5(), fig1T6()}

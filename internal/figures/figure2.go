@@ -50,7 +50,7 @@ func RunFigure2(policy deadlock.Policy, rounds int) (*Figure2Result, error) {
 	sys := core.New(core.Config{
 		Store:    store,
 		Strategy: core.MCS,
-		Policy:   policy,
+		Resolver: deadlock.Detect{Policy: policy},
 	})
 	res := &Figure2Result{Policy: policy.Name(), Rounds: rounds, ACommitRound: -1}
 	a, err := sys.Register(fig2A())

@@ -40,7 +40,7 @@ type Figure3Result struct {
 // but the graph is not a forest.
 func RunFigure3a() (*Figure3Result, error) {
 	store := entity.NewStore(map[string]int64{"a": 0, "c": 0})
-	sys := core.New(core.Config{Store: store, Strategy: core.MCS, Policy: deadlock.MinCost{}})
+	sys := core.New(core.Config{Store: store, Strategy: core.MCS, Resolver: deadlock.Detect{Policy: deadlock.MinCost{}}})
 
 	t1 := sys.MustRegister(txn.NewProgram("T1").Local("acc", 0).LockX("a").LockS("c").MustBuild())
 	t2 := sys.MustRegister(txn.NewProgram("T2").Local("acc", 0).LockS("c").LockS("a").MustBuild())
@@ -76,7 +76,7 @@ func RunFigure3a() (*Figure3Result, error) {
 // {T1,T2} and {T1,T2,T3}, both containing T1 and T2.
 func RunFigure3b(policy deadlock.Policy) (*Figure3Result, error) {
 	store := entity.NewStore(map[string]int64{"a": 0, "c": 0, "e": 0})
-	sys := core.New(core.Config{Store: store, Strategy: core.MCS, Policy: policy})
+	sys := core.New(core.Config{Store: store, Strategy: core.MCS, Resolver: deadlock.Detect{Policy: policy}})
 
 	t1 := sys.MustRegister(txn.NewProgram("T1").Local("acc", 0).
 		LockS("a").LockX("c").LockX("e").MustBuild())
@@ -132,7 +132,7 @@ func RunFigure3b(policy deadlock.Policy) (*Figure3Result, error) {
 // min-cost policy must roll back both T2 and T3.
 func RunFigure3c() (*Figure3Result, error) {
 	store := entity.NewStore(map[string]int64{"a": 0, "b": 0, "f": 0})
-	sys := core.New(core.Config{Store: store, Strategy: core.MCS, Policy: deadlock.MinCost{}})
+	sys := core.New(core.Config{Store: store, Strategy: core.MCS, Resolver: deadlock.Detect{Policy: deadlock.MinCost{}}})
 
 	// T1 pads heavily after locking a so its rollback cost (back to the
 	// state before a, the first contested entity) dwarfs T2+T3's

@@ -161,7 +161,7 @@ func RunFigure4() (*Figure4Result, error) {
 	// Dynamic check: run T' alone under the single-copy strategy up to
 	// (but not including) Commit, then compare the engine's
 	// well-defined states with the static analysis.
-	sys := core.New(core.Config{Store: Figure4Store(), Strategy: core.SDG, Policy: deadlock.MinCost{}})
+	sys := core.New(core.Config{Store: Figure4Store(), Strategy: core.SDG, Resolver: deadlock.Detect{Policy: deadlock.MinCost{}}})
 	id, err := sys.Register(progTP)
 	if err != nil {
 		return nil, err
@@ -194,7 +194,7 @@ func RunFigure4() (*Figure4Result, error) {
 	// Fresh execution of the same prefix: step a new instance to the
 	// same lock state (pc of lock request with lock index 4, i.e. the
 	// request for E).
-	sys2 := core.New(core.Config{Store: Figure4Store(), Strategy: core.SDG, Policy: deadlock.MinCost{}})
+	sys2 := core.New(core.Config{Store: Figure4Store(), Strategy: core.SDG, Resolver: deadlock.Detect{Policy: deadlock.MinCost{}}})
 	id2, err := sys2.Register(Figure4T(false))
 	if err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"partialrollback/internal/core"
-	"partialrollback/internal/deadlock"
 	"partialrollback/internal/txn"
 )
 
@@ -60,7 +59,7 @@ func TestCollectorRollbackAndDeadlock(t *testing.T) {
 	report := &core.DeadlockReport{
 		Requester: 1, Entity: "a",
 		Cycles:  [][]txn.ID{{1, 2}, {1, 2, 3}},
-		Victims: []deadlock.Victim{{Txn: 2}, {Txn: 3}},
+		Victims: []core.Victim{{Txn: 2}, {Txn: 3}},
 	}
 	c.OnEvent(core.Event{Kind: core.EventDeadlock, Txn: 1, Deadlock: report})
 	// Partial rollback: 3 states undone, landing on lock state 2.

@@ -33,7 +33,7 @@ func TestCollectorMatchesEngineStats(t *testing.T) {
 		c := obs.NewCollector(reg)
 		out, err := runtime.Run(w.NewStore(), w.Programs, runtime.Options{
 			Strategy: core.MCS,
-			Policy:   deadlock.OrderedMinCost{},
+			Resolver: deadlock.Detect{},
 			OnEvent:  c.OnEvent,
 		})
 		if err != nil {

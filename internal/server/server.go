@@ -17,9 +17,11 @@
 // requests first, in ascending entity-ID order, then the other
 // operations as sent.
 // Because every served transaction acquires its locks in that one
-// order, none can deadlock: the engine's only rollback here is the
-// restart (strategy Total) of a transaction aborted at its deadline or
-// at shutdown, and the stream's one reply then is the retryable Error
+// order, none can deadlock, so the engine runs with no
+// core.Config.Resolver: a wait only queues, and the node runs no cycle
+// detection (it links no internal/deadlock). The engine's only
+// rollback here is the restart (strategy Total) of a transaction
+// aborted at its deadline or at shutdown, and the stream's one reply then is the retryable Error
 // that ends it (CodeRolledBack or CodeShutdown); otherwise the reply is
 // Committed, with the transaction's outcome counters, or a
 // non-retryable Error. The writer coalesces frames across all

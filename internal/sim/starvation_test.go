@@ -26,13 +26,13 @@ func seed107() Workload {
 // counter shows the mechanism fired.
 func TestStarvationEscalationBreaksRing(t *testing.T) {
 	base := RunConfig{
-		Strategy: core.MCS, Policy: deadlock.OrderedMinCost{},
+		Strategy: core.MCS, Resolver: deadlock.Detect{},
 		Scheduler: RandomPick, Seed: 107 * 7,
 		MaxSteps: 300_000,
 	}
 
 	disabled := base
-	disabled.StarvationLimit = -1
+	disabled.Resolver = deadlock.Detect{StarvationLimit: -1}
 	if _, err := Run(seed107(), disabled); err == nil {
 		t.Fatal("without escalation the ring should livelock past the step budget")
 	} else if !strings.Contains(err.Error(), "exceeded") {
@@ -55,7 +55,7 @@ func TestStarvationEscalationBreaksRing(t *testing.T) {
 // serializability and serial-state oracles.
 func TestEscalationPreservesCorrectness(t *testing.T) {
 	r, err := Run(seed107(), RunConfig{
-		Strategy: core.MCS, Policy: deadlock.OrderedMinCost{},
+		Strategy: core.MCS, Resolver: deadlock.Detect{},
 		Scheduler: RandomPick, Seed: 107 * 7,
 		RecordHistory: true, MaxSteps: 300_000,
 	})

@@ -24,7 +24,7 @@ func runTraced(t *testing.T, seed int64, w *bytes.Buffer) []Record {
 		LocksPerTxn: 4, RewriteProb: 0.4, Shape: sim.Mixed, Seed: seed,
 	})
 	_, err := sim.Run(workload, sim.RunConfig{
-		Strategy: core.MCS, Policy: deadlock.OrderedMinCost{},
+		Strategy: core.MCS, Resolver: deadlock.Detect{},
 		Scheduler: sim.RoundRobin, OnEvent: rec.Hook(),
 	})
 	if err != nil {
