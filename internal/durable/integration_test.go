@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"partialrollback/internal/core"
+	"partialrollback/internal/deadlock"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/runtime"
 	"partialrollback/internal/sim"
@@ -68,6 +69,7 @@ func TestConcurrentCommitDurability(t *testing.T) {
 	defer set.Close()
 
 	out, err := runtime.Run(store, w.Programs, runtime.Options{
+		Resolver:  deadlock.Detect{},
 		Strategy:  core.MCS,
 		CommitLog: set,
 	})
@@ -103,6 +105,7 @@ func TestConcurrentCommitDurabilityAlways(t *testing.T) {
 	defer set.Close()
 
 	if _, err := runtime.Run(store, w.Programs, runtime.Options{
+		Resolver:  deadlock.Detect{},
 		Strategy:  core.MCS,
 		CommitLog: set,
 	}); err != nil {
@@ -131,6 +134,7 @@ func TestConcurrentFsyncErrorFailsCommits(t *testing.T) {
 	defer set.Close()
 
 	_, err := runtime.Run(store, w.Programs, runtime.Options{
+		Resolver:  deadlock.Detect{},
 		Strategy:  core.MCS,
 		CommitLog: set,
 	})
@@ -157,6 +161,7 @@ func TestEngineRecoveryEquivalence(t *testing.T) {
 	set, _ := mustOpen(t, dir, 1, store, Options{Mode: SyncGroup})
 
 	if _, err := runtime.Run(store, w.Programs, runtime.Options{
+		Resolver:  deadlock.Detect{},
 		Strategy:  core.MCS,
 		CommitLog: set,
 	}); err != nil {
@@ -194,6 +199,7 @@ func TestUnshardedEngineDurability(t *testing.T) {
 	store := w.NewStore()
 	set, _ := mustOpen(t, dir, 1, store, Options{Mode: SyncOff})
 	if _, err := runtime.Run(store, w.Programs, runtime.Options{
+		Resolver:  deadlock.Detect{},
 		Strategy:  core.SDG,
 		CommitLog: set,
 	}); err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"partialrollback/internal/core"
+	"partialrollback/internal/deadlock"
 	"partialrollback/internal/entity"
 	"partialrollback/internal/sim"
 )
@@ -49,6 +50,7 @@ func TestConcurrentPagedBank(t *testing.T) {
 			store.AddConstraint(entity.NonNegativeConstraint("no-overdraft", names...))
 
 			out, err := Run(store, w.Programs, Options{
+				Resolver: deadlock.Detect{},
 				Strategy: core.MCS, RecordHistory: true,
 			})
 			if err != nil {

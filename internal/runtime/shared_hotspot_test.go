@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"partialrollback/internal/core"
+	"partialrollback/internal/deadlock"
 	"partialrollback/internal/sim"
 )
 
@@ -34,7 +35,7 @@ func TestSharedHotspotConcurrent(t *testing.T) {
 				Shape: sim.Clustered, Seed: tc.seed,
 			})
 			store := w.NewStore()
-			out, err := Run(store, w.Programs, Options{Strategy: core.MCS, RecordHistory: true})
+			out, err := Run(store, w.Programs, Options{Strategy: core.MCS, Resolver: deadlock.Detect{}, RecordHistory: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"partialrollback/internal/core"
+	"partialrollback/internal/deadlock"
 	"partialrollback/internal/sim"
 )
 
@@ -50,6 +51,7 @@ func TestConcurrentStriped(t *testing.T) {
 				})
 				store := w.NewStore()
 				out, err := Run(store, w.Programs, Options{
+					Resolver: deadlock.Detect{},
 					Strategy: c.strat, RecordHistory: true,
 				})
 				if err != nil {
@@ -87,6 +89,7 @@ func TestConcurrentStripedSharded(t *testing.T) {
 			})
 			store := w.NewStore()
 			out, err := Run(store, w.Programs, Options{
+				Resolver: deadlock.Detect{},
 				Strategy: strat, RecordHistory: true,
 			})
 			if err != nil {
@@ -116,6 +119,7 @@ func TestConcurrentStripedBank(t *testing.T) {
 	w := sim.BankingWorkload(accounts, transfers, 1000, 19)
 	store := w.NewStore()
 	out, err := Run(store, w.Programs, Options{
+		Resolver: deadlock.Detect{},
 		Strategy: core.MCS, RecordHistory: true,
 	})
 	if err != nil {

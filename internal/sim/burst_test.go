@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"partialrollback/internal/core"
+	"partialrollback/internal/deadlock"
 )
 
 // TestBurstOneIsStepRegression pins the Burst=1 equivalence guarantee
@@ -28,6 +29,7 @@ func TestBurstOneIsStepRegression(t *testing.T) {
 						PadOps: 2, Shape: Mixed, Seed: seed,
 					}
 					base := RunConfig{
+						Resolver: deadlock.Detect{},
 						Strategy: strat, Scheduler: sched, Seed: seed,
 						RecordHistory: true,
 					}
@@ -105,6 +107,7 @@ func TestBurstPropertySerializable(t *testing.T) {
 						PadOps: 2, Shape: Mixed, Seed: seed,
 					})
 					r, err := Run(w, RunConfig{
+						Resolver: deadlock.Detect{},
 						Strategy: strat, Scheduler: Scheduler(int(seed) % 2),
 						Seed: seed, Burst: burst,
 						RecordHistory: true, CheckInvariants: true,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"partialrollback/internal/core"
+	"partialrollback/internal/deadlock"
 	"partialrollback/internal/entity"
 )
 
@@ -57,6 +58,7 @@ func TestPagedStoreSequentialRegression(t *testing.T) {
 					PadOps: 2, Shape: Mixed, Seed: 37,
 				}
 				rc := RunConfig{
+					Resolver: deadlock.Detect{},
 					Strategy: strat, Scheduler: RoundRobin, Seed: 37,
 					RecordHistory: true, CheckInvariants: true,
 					Burst: burst,

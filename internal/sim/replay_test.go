@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"partialrollback/internal/core"
+	"partialrollback/internal/deadlock"
 )
 
 // collectEvents runs a workload and returns the result plus the full
@@ -80,6 +81,7 @@ func TestStripedSequentialRegression(t *testing.T) {
 					PadOps: 2, Shape: Mixed, Seed: 29,
 				}
 				rc := RunConfig{
+					Resolver: deadlock.Detect{},
 					Strategy: strat, Scheduler: RandomPick, Seed: 29,
 					Burst: burst, RecordHistory: true, CheckInvariants: true,
 				}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"partialrollback/internal/core"
+	"partialrollback/internal/deadlock"
 )
 
 // TestSharedHotspotManyCycles runs hotspot's generator with shared
@@ -26,6 +27,7 @@ func TestSharedHotspotManyCycles(t *testing.T) {
 				Shape: Clustered, Seed: tc.seed,
 			})
 			r, err := Run(w, RunConfig{
+				Resolver: deadlock.Detect{},
 				Strategy: core.MCS, Scheduler: RandomPick, Seed: tc.seed,
 				RecordHistory: true, CheckInvariants: true,
 			})
